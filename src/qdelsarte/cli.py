@@ -220,23 +220,46 @@ def cmd_construct(args) -> int:
 def _load_code(path: str | None) -> dict:
     try:
         if path in (None, "-"):
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(sys.stdin)
+        else:
+            with open(path) as fh:
+                doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FamilyError(f"malformed code file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FamilyError("malformed code file: not a JSON object")
+    return doc
+
+
+def _parse_code(doc: dict):
+    """The document's kind and its code: a StabilizerCode, or (n, vectors)."""
+    kind = doc.get("kind")
+    try:
+        if kind == "clifford-stabilizer":
+            n = int(doc["n"])
+            gens = tuple(clifford.label_from_str(g) for g in doc["generators"])
+            for g in doc["generators"]:
+                if len(g) != 2 * n:
+                    raise FamilyError(f"generator length {len(g)} != 2n = {2 * n}")
+            return kind, clifford.StabilizerCode(n, gens, tuple(doc["signs"]))
+        if kind == "su2-vectors":
+            n = int(doc["family"]["su2"]["n"])
+            return kind, (n, [su2.Su2Vector.make(
+                n, {int(e["k"]): SurdSum.from_json(e["amp"]) for e in vec})
+                for vec in doc["vectors"]])
+    except FamilyError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FamilyError(f"malformed {kind} document: "
+                          f"{type(exc).__name__} {exc}") from exc
+    raise FamilyError(f"unknown code kind {kind!r}")
 
 
 def cmd_verify(args) -> int:
-    doc = _load_code(args.code)
-    kind = doc.get("kind")
+    kind, code = _parse_code(_load_code(args.code))
     if kind == "clifford-stabilizer":
-        n = int(doc["n"])
-        gens = tuple(clifford.label_from_str(g) for g in doc["generators"])
-        for g in doc["generators"]:
-            if len(g) != 2 * n:
-                raise FamilyError(f"generator length {len(g)} != 2n = {2 * n}")
-        stab = clifford.StabilizerCode(n, gens, tuple(doc["signs"]))
+        stab = code
+        n = stab.n
         reading = args.reading or "even"
         report = clifford.detection_report(stab, reading)
         out = {"kind": kind, "n": n, "reading": reading,
@@ -262,17 +285,11 @@ def cmd_verify(args) -> int:
             out["transform_check"] = wa == B
         _emit(args, json.dumps(out, indent=2))
         return 0 if out.get("transform_check", True) else 1
-    if kind == "su2-vectors":
-        n = int(doc["family"]["su2"]["n"])
-        vectors = [su2.Su2Vector.make(
-            n, {int(e["k"]): SurdSum.from_json(e["amp"]) for e in vec})
-            for vec in doc["vectors"]]
-        d = su2.min_distance(n, vectors)
-        out = {"kind": kind, "n": n, "dimension": len(vectors),
-               "min_distance": d}
-        _emit(args, json.dumps(out, indent=2))
-        return 0
-    raise FamilyError(f"unknown code kind {kind!r}")
+    n, vectors = code
+    out = {"kind": kind, "n": n, "dimension": len(vectors),
+           "min_distance": su2.min_distance(n, vectors)}
+    _emit(args, json.dumps(out, indent=2))
+    return 0
 
 
 def cmd_oracle(args) -> int:

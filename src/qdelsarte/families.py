@@ -141,7 +141,8 @@ def profile(spec: FamilySpec) -> MetricProfile:
         dims = []
         for t in range(n + 1):
             d = Fraction(2 * t + q - 1, q - 1) * comb(q + t - 2, q - 2) ** 2
-            assert d.denominator == 1
+            if d.denominator != 1:
+                raise ArithmeticError(f"dim V_{t} = {d} is not an integer for {spec}")
             dims.append(int(d))
         return MetricProfile(comb(n + q - 1, q - 1), n, tuple(dims))
     if isinstance(spec, SunExt):
@@ -150,7 +151,8 @@ def profile(spec: FamilySpec) -> MetricProfile:
         dims = []
         for t in range(r + 1):
             d = Fraction(n - 2 * t + 1, n + 1) * comb(n + 1, t) ** 2
-            assert d.denominator == 1
+            if d.denominator != 1:
+                raise ArithmeticError(f"dim V_{t} = {d} is not an integer for {spec}")
             dims.append(int(d))
         return MetricProfile(comb(n, w), r, tuple(dims))
     if isinstance(spec, CliffordOdd):

@@ -75,8 +75,8 @@ def feasible(spec: FamilySpec, d: int, K: Fraction,
              opts: LPOptions = LPOptions()) -> FeasibleReport:
     cons, nvars = build_system(spec, d, Fraction(K), opts)
     res = check_feasible(cons, nvars)
-    if res.feasible:
-        assert res.witness is not None and verify_witness(cons, res.witness)
+    if res.feasible and (res.witness is None or not verify_witness(cons, res.witness)):
+        raise ArithmeticError(f"simplex witness fails substitution at K={K} for {spec}")
     return FeasibleReport(res.feasible, res.witness)
 
 
@@ -85,10 +85,6 @@ class BoundResult:
     lower: Fraction  # feasible
     upper: Fraction  # infeasible, except when lower == dim(H)
     exact: bool      # upper bound coincides with the largest feasible integer
-
-    @property
-    def value(self) -> Fraction:
-        return self.lower
 
 
 def lp_bound(spec: FamilySpec, d: int, opts: LPOptions = LPOptions(),

@@ -1,15 +1,20 @@
-"""Exact phase-1 simplex over Fraction.
+"""Exact phase-1 simplex with fraction-free integer pivoting.
 
 Decides feasibility of {A x (=|>=) b, x >= 0} by minimizing the sum of
-artificial variables with Bland's anti-cycling pivot rule.  All arithmetic
-is rational, so the verdict is exact; a feasible system also yields a
-witness point that callers can re-check by substitution.
+artificial variables with Bland's anti-cycling pivot rule.  Inputs and the
+witness are Fraction, but the tableau is integer: each row is scaled to
+integers and pivots follow Edmonds (1967) and Bareiss (1968), so every
+entry is D * (B^-1 [A | b]) for the current basis determinant D and the
+only division per update is an exact one by the previous pivot.  The
+verdict is exact; a feasible system also yields a witness point that
+callers can re-check by substitution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 EQ = "eq"
 GE = "ge"
@@ -29,116 +34,88 @@ class FeasibilityResult:
 
 
 def check_feasible(constraints: list[Constraint], nvars: int) -> FeasibilityResult:
-    rows: list[list[Fraction]] = []
-    senses: list[str] = []
-    rhss: list[Fraction] = []
+    # columns: structural vars, one surplus/slack per >= row, then the rhs.
+    # Artificials for eq and >= rows start basic with coefficient 1 and never
+    # re-enter once they leave, so they get basis labels but no columns.
+    ncols = nvars + sum(c.sense == GE for c in constraints)
+    T: list[list[int]] = []
+    basis: list[int] = []
+    art: list[tuple[int, list[int]]] = []  # (row scale, row) per artificial
+    slack = nvars
     for c in constraints:
         if len(c.coeffs) != nvars:
             raise ValueError("constraint width mismatch")
-        coeffs, sense, rhs = list(c.coeffs), c.sense, Fraction(c.rhs)
-        if rhs < 0:
-            # normalize to b >= 0; a flipped >= becomes <=, encoded as
-            # negated >= with slack sign handled below via surplus column
-            coeffs = [-x for x in coeffs]
-            rhs = -rhs
-            if sense == GE:
-                sense = "le"
-        rows.append(coeffs)
-        senses.append(sense)
-        rhss.append(rhs)
-
-    m = len(rows)
-    # columns: structural vars, then one slack/surplus per inequality,
-    # then artificials for eq and >= rows
-    slack_col: dict[int, int] = {}
-    ncols = nvars
-    for i, s in enumerate(senses):
-        if s in (GE, "le"):
-            slack_col[i] = ncols
-            ncols += 1
-    art_col: dict[int, int] = {}
-    for i, s in enumerate(senses):
-        if s in (EQ, GE):
-            art_col[i] = ncols
-            ncols += 1
-
-    T = [[Fraction(0)] * (ncols + 1) for _ in range(m)]
-    basis = [0] * m
-    for i in range(m):
-        for j in range(nvars):
-            T[i][j] = Fraction(rows[i][j])
-        T[i][ncols] = rhss[i]
-        if senses[i] == GE:
-            T[i][slack_col[i]] = Fraction(-1)
-        elif senses[i] == "le":
-            T[i][slack_col[i]] = Fraction(1)
-        if i in art_col:
-            T[i][art_col[i]] = Fraction(1)
-            basis[i] = art_col[i]
+        if c.sense not in (EQ, GE):
+            raise ValueError(f"unknown constraint sense {c.sense!r}")
+        row = [Fraction(x) for x in (*c.coeffs, c.rhs)]
+        # scale to integers by the lcm of the denominators, negated when
+        # b < 0 so that every rhs is >= 0; a positive rescaling of rows,
+        # slacks and artificials leaves every pivot choice unchanged
+        s = lcm(*(x.denominator for x in row))
+        if row[-1] < 0:
+            s = -s
+        t = [int(x * s) for x in row]
+        t[nvars:-1] = [0] * (ncols - nvars)
+        if c.sense == GE:
+            # surplus of a >= row; a flipped >= is a <= whose slack starts basic
+            t[slack] = -1 if s > 0 else 1
+            slack += 1
+        if c.sense == GE and s < 0:
+            basis.append(slack - 1)
         else:
-            basis[i] = slack_col[i]
+            basis.append(ncols + len(art))
+            art.append((abs(s), t))
+        T.append(t)
+    m = len(T)
 
-    # objective row: minimize the artificial total
-    obj = [Fraction(0)] * (ncols + 1)
-    artificials = set(art_col.values())
-    for i in art_col:
-        for j in range(ncols + 1):
-            obj[j] += T[i][j]
+    # phase-1 objective, a positive multiple of the artificial total:
+    # sum over artificial rows of (L / s_i) * row_i with L = lcm(s_i)
+    L = lcm(*(s for s, _ in art))
+    obj = [0] * (ncols + 1)
+    for s, t in art:
+        obj = [o + L // s * x for o, x in zip(obj, t)]
 
+    D = 1
     while True:
-        enter = -1
-        basic = set(basis)
-        for j in range(ncols):  # Bland: lowest eligible index
-            if j in artificials or j in basic:
-                continue
-            if obj[j] > 0:
-                enter = j
-                break
+        # Bland: lowest eligible index (basic columns have obj == 0)
+        enter = next((j for j in range(ncols) if obj[j] > 0), -1)
         if enter < 0:
             break
         leave = -1
-        best = None
         for i in range(m):
             a = T[i][enter]
             if a > 0:
-                ratio = T[i][ncols] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                # T[i][-1] / a against T[leave][-1] / T[leave][enter]
+                lhs = T[i][-1] * T[leave][enter]
+                rhs = T[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             break  # unbounded in phase 1 cannot happen, but stay safe
-        piv = T[leave][enter]
-        T[leave] = [x / piv for x in T[leave]]
+        prow = T[leave]
+        p = prow[enter]
         for i in range(m):
-            if i != leave and T[i][enter]:
+            if i != leave:
                 f = T[i][enter]
-                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
-        if obj[enter]:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, T[leave])]
+                if f:
+                    T[i] = [(x * p - f * y) // D for x, y in zip(T[i], prow)]
+                elif p != D:
+                    T[i] = [x * p // D for x in T[i]]
+        f = obj[enter]
+        obj = [(x * p - f * y) // D for x, y in zip(obj, prow)]
+        D = p
         basis[leave] = enter
 
-    if obj[ncols] != 0:
+    if obj[-1] != 0:
         return FeasibilityResult(False, None)
-
-    # drive any lingering zero-valued artificials out of the basis
-    for i in range(m):
-        if basis[i] in artificials:
-            for j in range(ncols):
-                if j not in artificials and T[i][j]:
-                    piv = T[i][j]
-                    T[i] = [x / piv for x in T[i]]
-                    for k in range(m):
-                        if k != i and T[k][j]:
-                            f = T[k][j]
-                            T[k] = [x - f * y for x, y in zip(T[k], T[i])]
-                    basis[i] = j
-                    break
-
+    # basic artificials left at this point sit at zero, so x is final
     x = [Fraction(0)] * nvars
     for i in range(m):
         if basis[i] < nvars:
-            x[basis[i]] = T[i][ncols]
+            x[basis[i]] = Fraction(T[i][-1], D)
     return FeasibilityResult(True, tuple(x))
 
 

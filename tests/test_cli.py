@@ -142,6 +142,17 @@ def test_invalid_family_parameters_exit_2():
                "--d", "2").returncode == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "clifford-stabilizer"},
+    {"kind": "clifford-stabilizer", "n": 3, "signs": []},
+    {"kind": "su2-vectors", "vectors": []},
+], ids=["no-n", "no-generators", "su2-no-family"])
+def test_verify_malformed_document_exits_2(doc):
+    res = run("verify", stdin=json.dumps(doc))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: malformed") and "Traceback" not in res.stderr
+
+
 def test_out_writes_file(tmp_path):
     path = tmp_path / "w.json"
     res = run("wtj", "--family", "su2", "--n", "3", "--format", "json",

@@ -5,6 +5,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdelsarte.families import CliffordOdd, Su2
+from qdelsarte.lp import LPOptions, feasible
 from qdelsarte.simplex import Constraint, check_feasible, verify_witness
 
 F = Fraction
@@ -85,6 +87,42 @@ def test_feasible_iff_witness_and_planted_points_found(sys_data, data):
     assert res.feasible
     assert verify_witness(cons, res.witness)
     assert all(x >= 0 for x in res.witness)
+
+
+@st.composite
+def rational_systems(draw):
+    """A planted nonnegative point and rational rows whose rhs may be negative."""
+    nvars = draw(st.integers(1, 4))
+    frac = st.builds(F, st.integers(-6, 6), st.integers(1, 7))
+    point = tuple(draw(st.builds(F, st.integers(0, 5), st.integers(1, 7)))
+                  for _ in range(nvars))
+    cons = []
+    for _ in range(draw(st.integers(1, 5))):
+        coeffs = tuple(draw(frac) for _ in range(nvars))
+        sense = draw(st.sampled_from(["eq", "ge"]))
+        val = sum(a * x for a, x in zip(coeffs, point))
+        rhs = val if sense == "eq" else val - draw(st.builds(F, st.integers(0, 3),
+                                                             st.integers(1, 7)))
+        cons.append(Constraint(coeffs, sense, rhs))
+    return nvars, cons
+
+
+@given(rational_systems())
+@settings(max_examples=200, deadline=None)
+def test_rational_rows_and_negative_rhs(sys_data):
+    """Row scaling to integers and the >= to <= flip keep planted points feasible."""
+    nvars, cons = sys_data
+    res = check_feasible(cons, nvars)
+    assert res.feasible
+    assert verify_witness(cons, res.witness)
+
+
+def test_lp_witnesses_are_pinned():
+    # the exact vertices Bland's rule reaches on two published optima
+    su2 = feasible(Su2(8), 3, F(19, 9), LPOptions(self_dual=True))
+    assert su2.witness == (F(19, 9), 0, 0, 0, 0, 0, F(32, 15), F(9, 2), F(23, 90))
+    odd = feasible(CliffordOdd(8), 3, F(56, 5))
+    assert odd.witness == (F(56, 5), 0, 0, 0, 0, 0, 0, F(544, 5), 136)
 
 
 @given(random_systems())
