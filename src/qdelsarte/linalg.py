@@ -58,16 +58,12 @@ def sp_mul(a: Sparse, b: Sparse) -> Sparse:
     return out
 
 
-def _conj(v: Any) -> Any:
+def conj(v: Any) -> Any:
     return v.conjugate() if hasattr(v, "conjugate") else v
 
 
 def sp_conj_transpose(a: Sparse) -> Sparse:
-    return {(j, i): _conj(v) for (i, j), v in a.items()}
-
-
-def sp_trace(a: Sparse) -> Any:
-    return sum(v for (i, j), v in a.items() if i == j)
+    return {(j, i): conj(v) for (i, j), v in a.items()}
 
 
 def sp_kron(a: Sparse, b: Sparse, bn: int, bm: int) -> Sparse:
@@ -76,36 +72,6 @@ def sp_kron(a: Sparse, b: Sparse, bn: int, bm: int) -> Sparse:
     for (i, j), va in a.items():
         for (k, l), vb in b.items():
             out[(i * bn + k, j * bm + l)] = va * vb
-    return out
-
-
-def sp_commutator(a: Sparse, b: Sparse) -> Sparse:
-    return sp_sub(sp_mul(a, b), sp_mul(b, a))
-
-
-def sp_inner(a: Sparse, b: Sparse, weight: dict[int, Any] | None = None) -> Any:
-    """<a, b> = tr(a^dagger D b) with optional diagonal row weight D."""
-    acc = 0
-    for key, va in a.items():
-        vb = b.get(key)
-        if vb is not None:
-            w = _conj(va) * vb
-            if weight is not None:
-                w = w * weight[key[0]]
-            acc = acc + w
-    return acc
-
-
-def sp_apply_vec(a: Sparse, v: dict[int, Any]) -> dict[int, Any]:
-    out: dict[int, Any] = {}
-    for (i, j), m in a.items():
-        x = v.get(j)
-        if x is not None:
-            w = out.get(i, 0) + m * x
-            if w:
-                out[i] = w
-            else:
-                out.pop(i, None)
     return out
 
 

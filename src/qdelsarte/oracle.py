@@ -23,7 +23,8 @@ from itertools import combinations
 from .clifford import _labels_of_weight, gamma, label_to_str, q_form, wt
 from .families import (CliffordEven, CliffordOdd, FamilySpec, QHamming,
                        Semispinorial, Spinorial, Su2, SunExt, SuqSym, profile)
-from .linalg import Sparse, sp_add, sp_kron, sp_mul, sp_scale, sp_sub
+from .linalg import (Sparse, conj, sp_add, sp_identity, sp_kron, sp_mul, sp_scale,
+                     sp_sub)
 from .scalars import GR_ONE, GaussianRational, SurdSum
 from .su2 import _coeff_E, _coeff_F
 from .wtj import lambda_signature, wtj_matrix
@@ -72,12 +73,9 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     r = x.is_rational()
-    assert r is not None, f"irrational Gram entry {x}"
+    if r is None:
+        raise ArithmeticError(f"irrational Gram entry {x}")
     return r
-
-
-def _conj(v):
-    return v.conjugate() if hasattr(v, "conjugate") else v
 
 
 def op_inner(a: Sparse, b: Sparse, weight: dict[int, Fraction] | None):
@@ -86,7 +84,7 @@ def op_inner(a: Sparse, b: Sparse, weight: dict[int, Fraction] | None):
     for key, va in a.items():
         vb = b.get(key)
         if vb is not None:
-            term = _conj(va) * vb
+            term = conj(va) * vb
             if weight is not None:
                 term = term * (weight[key[0]] / weight[key[1]])
             acc = term + acc
@@ -95,8 +93,8 @@ def op_inner(a: Sparse, b: Sparse, weight: dict[int, Fraction] | None):
 
 def op_weighted_adjoint(a: Sparse, weight: dict[int, Fraction] | None) -> Sparse:
     if weight is None:
-        return {(j, i): _conj(v) for (i, j), v in a.items()}
-    return {(j, i): _conj(v) * (weight[i] / weight[j]) for (i, j), v in a.items()}
+        return {(j, i): conj(v) for (i, j), v in a.items()}
+    return {(j, i): conj(v) * (weight[i] / weight[j]) for (i, j), v in a.items()}
 
 
 # --- per-family bases -------------------------------------------------------
@@ -188,7 +186,9 @@ def _closure_basis(spec: FamilySpec, t: int, dim: int, hw: Sparse,
             y = sp_sub(sp_mul(a, x), sp_mul(x, a))
             if y and reduce_add(y):
                 queue.append(y)
-    assert len(basis) == target, (spec, t, len(basis), target)
+    if len(basis) != target:
+        raise ArithmeticError(f"closure of {spec} block {t} has {len(basis)} "
+                              f"elements, expected {target}")
     return OperatorBasis(spec, t, basis, dim, weight,
                          [[norms[i] if i == j else Fraction(0)
                            for j in range(target)] for i in range(target)])
@@ -288,17 +288,13 @@ def _basis_semispin(spec: Semispinorial, t: int) -> OperatorBasis:
     n = spec.n
     omega = (1 << (2 * n)) - 1
     half = GaussianRational(Fraction(1, 2), 0)
-    p_plus = sp_add(sp_scale(sp_identity_gr(2 ** n), half),
+    p_plus = sp_add(sp_scale(sp_identity(2 ** n, GR_ONE), half),
                     sp_scale(gamma(n, omega), half))
     labels = list(_labels_of_weight(2 * n, 2 * t))
     if 2 * t == n:
         labels = [x for x in labels if x < (x ^ omega)]
     mats = [sp_mul(sp_mul(p_plus, gamma(n, x)), p_plus) for x in labels]
     return OperatorBasis(spec, t, mats, 2 ** n)
-
-
-def sp_identity_gr(n: int) -> Sparse:
-    return {(i, i): GR_ONE for i in range(n)}
 
 
 @lru_cache(maxsize=None)
@@ -325,7 +321,9 @@ def v_basis(spec: FamilySpec, t: int) -> OperatorBasis:
         basis = _basis_semispin(spec, t)
     else:
         raise TypeError(f"unknown family {spec!r}")
-    assert len(basis.matrices) == prof.dim_V[t], (spec, t, len(basis.matrices))
+    if len(basis.matrices) != prof.dim_V[t]:
+        raise ArithmeticError(f"{spec} block {t} basis has {len(basis.matrices)} "
+                              f"elements, expected dim V_{t} = {prof.dim_V[t]}")
     return basis
 
 
@@ -400,7 +398,7 @@ def verify_wtj(spec: FamilySpec) -> WtjReport:
 # --- antiunitary signatures -------------------------------------------------
 
 def _conj_matrix(x: Sparse) -> Sparse:
-    return {k: _conj(v) for k, v in x.items()}
+    return {k: conj(v) for k, v in x.items()}
 
 
 def _lambda_operator(spec: FamilySpec) -> Sparse:

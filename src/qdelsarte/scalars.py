@@ -153,8 +153,11 @@ GR_ONE = GaussianRational(1, 0)
 GR_ZERO = GaussianRational(0, 0)
 
 
+_I_POWERS = (GR_ONE, GR_I, -GR_ONE, -GR_I)
+
+
 def gr_i_power(k: int) -> GaussianRational:
-    return (GR_ONE, GR_I, -GR_ONE, -GR_I)[k % 4]
+    return _I_POWERS[k % 4]
 
 
 class SurdSum:

@@ -130,17 +130,24 @@ def wtj_matrix(spec: FamilySpec) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def wtj_properties(spec: FamilySpec) -> None:
-    """Assert the four structural identities of the W matrix."""
+    """Check the four structural identities of the W matrix.
+
+    Raises ArithmeticError naming the first identity that fails.
+    """
     prof = profile(spec)
     W = wtj_matrix(spec)
     r = prof.diameter_r
     for t in range(r + 1):
         for j in range(r + 1):
             acc = sum(W[t][s] * W[s][j] for s in range(r + 1))
-            assert acc == (1 if t == j else 0), (spec, t, j, acc)
-            assert W[t][j] * prof.dim_V[j] == W[j][t] * prof.dim_V[t], (spec, t, j)
-        assert W[t][0] == Fraction(prof.dim_V[t], prof.dim_H), (spec, t)
-        assert W[0][t] == Fraction(1, prof.dim_H), (spec, t)
+            if acc != (1 if t == j else 0):
+                raise ArithmeticError(f"(W^2)[{t}][{j}] = {acc} for {spec}")
+            if W[t][j] * prof.dim_V[j] != W[j][t] * prof.dim_V[t]:
+                raise ArithmeticError(f"W[{t}][{j}] breaks dim_V symmetry for {spec}")
+        if W[t][0] != Fraction(prof.dim_V[t], prof.dim_H):
+            raise ArithmeticError(f"W[{t}][0] = {W[t][0]} for {spec}")
+        if W[0][t] != Fraction(1, prof.dim_H):
+            raise ArithmeticError(f"W[0][{t}] = {W[0][t]} for {spec}")
 
 
 def lambda_signature(spec: FamilySpec) -> tuple[int, ...] | None:

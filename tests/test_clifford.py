@@ -1,12 +1,19 @@
 """Clifford operators, stabilizer codes, detection reports, distributions."""
 
 import itertools
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qdelsarte
+from qdelsarte import clifford
 from qdelsarte.families import CliffordEven, CliffordOdd, profile
 from qdelsarte.linalg import (
     sp_clean,
@@ -46,7 +53,27 @@ def dense_eq(a, b):
     return sp_clean(sp_sub(a, b)) == {}
 
 
+def kron_gamma(n, x):
+    """Reference Gamma_x: ordered product of the Kronecker-built generators."""
+    order = [b for pair in zip(range(n), range(n, 2 * n)) for b in pair] + [2 * n]
+    out = sp_identity(2 ** n, GR_ONE)
+    for b in order:
+        if (x >> b) & 1:
+            out = sp_mul(out, weyl_brauer(n, b + 1))
+    return sp_scale(out, gr_i_power(-tau(x) % 4))
+
+
 class TestGammaOperators:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_monomial_gamma_matches_kronecker_products_exhaustive(self, n):
+        for x in range(2 ** (2 * n + 1)):
+            assert gamma(n, x) == kron_gamma(n, x), x
+
+    def test_monomial_gamma_matches_kronecker_products_n7(self):
+        rng = random.Random(7)
+        for x in [0, 1, (1 << 14) - 1, (1 << 15) - 1] + rng.sample(range(2 ** 15), 20):
+            assert gamma(7, x) == kron_gamma(7, x), x
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_exhaustive_properties(self, n):
         m = 2 * n + 1
@@ -175,14 +202,27 @@ class TestCliffordHamming:
             assert stab.n == 2 ** s - 1
             assert is_q_isotropic(list(stab.generators))
 
-    def test_code_parameters_s3(self):
+    def test_code_parameters_s3(self, monkeypatch):
+        seen = set()
+
+        def recording_gamma(n, x):
+            seen.add(x)
+            return gamma(n, x)
+
+        monkeypatch.setattr(clifford, "gamma", recording_gamma)
         code = build_code(clifford_hamming(3))
         for reading in ("even", "odd"):
+            seen.clear()
             rep = detection_report(code, reading)
             assert rep.dimension == 8
             assert rep.min_distance == 3
             assert rep.is_pure
             assert rep.is_nondegenerate
+            # the matrix cross-check covers every label of blocks 1..d, unsampled
+            for t in range(1, 4):
+                for w in block_weights(7, reading, t):
+                    for bits in itertools.combinations(range(14), w):
+                        assert sum(1 << b for b in bits) in seen, (reading, t, bits)
 
     def test_code_parameters_s4_symbolic(self):
         code = build_code(clifford_hamming(4))
@@ -239,3 +279,32 @@ class TestDistributions:
         code = build_code(clifford_hamming(3))
         a, _ = distance_distribution(code, "odd")
         assert tuple(a) == (8, 0, 0, 0, 0, 0, 0, 120)
+
+
+class TestMatrixCrossCheck:
+    """A symbolic verdict the matrices contradict raises, also under python -O."""
+
+    def test_wrong_sign_raises(self):
+        stab = StabilizerCode(2, (0b1111,), (1,))
+        coeffs = {z: -c if z else c for z, c in span_coefficients(stab).items()}
+        with pytest.raises(ArithmeticError):
+            clifford._matrix_cross_check(stab, coeffs, "odd", 2)
+
+    def test_wrong_sign_raises_under_optimize(self):
+        script = (
+            "import sys\n"
+            "from qdelsarte.clifford import StabilizerCode, _matrix_cross_check, "
+            "span_coefficients\n"
+            "stab = StabilizerCode(2, (0b1111,), (1,))\n"
+            "coeffs = {z: -c if z else c for z, c in span_coefficients(stab).items()}\n"
+            "try:\n"
+            "    _matrix_cross_check(stab, coeffs, 'odd', 2)\n"
+            "except ArithmeticError:\n"
+            "    print('raised', sys.flags.optimize)\n"
+        )
+        src = str(Path(qdelsarte.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        res = subprocess.run([sys.executable, "-O", "-c", script],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "raised 1\n"
