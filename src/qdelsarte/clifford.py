@@ -99,12 +99,11 @@ def _generator_monomials(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(out)
 
 
-def gamma(n: int, x: int) -> Sparse:
-    """Matrix of Gamma_x; entries are GaussianRational units.
+def _gamma_monomial(n: int, x: int) -> tuple[int, list[int]]:
+    """(xor mask, i-exponent per column) of Gamma_x.
 
-    Gamma_x is composed as a monomial matrix: with A sending c to c ^ a and
-    B sending c to c ^ b, column c of A B lands on row c ^ a ^ b with phase
-    e_B[c] + e_A[c ^ b].
+    With A sending c to c ^ a and B sending c to c ^ b, column c of A B
+    lands on row c ^ a ^ b with phase e_B[c] + e_A[c ^ b].
     """
     gens = _generator_monomials(n)
     mask, phases = 0, [-tau(x) % 4] * 2 ** n
@@ -112,6 +111,13 @@ def gamma(n: int, x: int) -> Sparse:
         g_mask, g_phases = gens[b]
         phases = [(e + phases[c ^ g_mask]) & 3 for c, e in enumerate(g_phases)]
         mask ^= g_mask
+    return mask, phases
+
+
+def gamma(n: int, x: int) -> Sparse:
+    """Matrix of Gamma_x, composed as a monomial matrix; entries are
+    GaussianRational units."""
+    mask, phases = _gamma_monomial(n, x)
     return {(r, r ^ mask): gr_i_power(phases[r ^ mask]) for r in range(2 ** n)}
 
 
@@ -374,7 +380,11 @@ def _matrix_cross_check(stab: StabilizerCode, coeffs: dict[int, int],
     for t in range(1, min(d + 1, r + 1)):
         for w in block_weights(n, reading, t):
             for x in _labels_of_weight(length, w):
-                pgp = sp_mul(sp_mul(P, gamma(n, x)), P)
+                # P Gamma_x moves column c ^ mask of P to column c, times i^e[c]
+                mask, phases = _gamma_monomial(n, x)
+                pg = {(i, c ^ mask): v * gr_i_power(phases[c ^ mask])
+                      for (i, c), v in P.items()}
+                pgp = sp_mul(pg, P)
                 if x in span:
                     ok = pgp == sp_scale(P, GaussianRational(Fraction(coeffs[x]), 0))
                 elif any(q_form(x, g) for g in gens):

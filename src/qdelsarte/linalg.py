@@ -8,13 +8,10 @@ conjugate(), and truthiness, so the three exact types are interchangeable.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Any
 
 Sparse = dict[tuple[int, int], Any]
-
-
-def sp_clean(m: Sparse) -> Sparse:
-    return {k: v for k, v in m.items() if v}
 
 
 def sp_identity(n: int, one: Any = Fraction(1)) -> Sparse:
@@ -62,10 +59,6 @@ def conj(v: Any) -> Any:
     return v.conjugate() if hasattr(v, "conjugate") else v
 
 
-def sp_conj_transpose(a: Sparse) -> Sparse:
-    return {(j, i): conj(v) for (i, j), v in a.items()}
-
-
 def sp_kron(a: Sparse, b: Sparse, bn: int, bm: int) -> Sparse:
     """Kronecker product; bn x bm is the shape of b."""
     out: Sparse = {}
@@ -101,3 +94,52 @@ def sp_rank(rows: list[dict[int, Any]]) -> int:
                 reduced.append(r)
         work = reduced
     return rank
+
+
+def _primitive(v: dict) -> dict:
+    g = gcd(*v.values())
+    return {k: x // g for k, x in v.items()} if g > 1 else v
+
+
+class RowSpace:
+    """Span of sparse vectors with rational entries, kept as a reduced row
+    echelon form.
+
+    Rows are primitive integer vectors, and no row has an entry at another
+    row's pivot, so a vector is reduced by one elimination per pivot it
+    touches, in any order.  All arithmetic is on ints.
+    """
+
+    def __init__(self) -> None:
+        self.rows: dict = {}  # pivot key -> row
+
+    @staticmethod
+    def _eliminate(v: dict, r: dict, p) -> dict:
+        """Primitive a*v - c*r, which has no entry at r's pivot p."""
+        a, c = r[p], v[p]
+        g = gcd(a, c)
+        a, c = a // g, c // g
+        out = {k: a * x for k, x in v.items()}
+        for k, y in r.items():
+            z = out.get(k, 0) - c * y
+            if z:
+                out[k] = z
+            else:
+                out.pop(k, None)
+        return _primitive(out)
+
+    def add(self, x: Sparse) -> bool:
+        """Add x to the span; False (and no change) if x already lies in it."""
+        den = lcm(*(val.denominator for val in x.values()))
+        v = _primitive({k: val.numerator * (den // val.denominator)
+                        for k, val in x.items()})
+        for p in [k for k in v if k in self.rows]:
+            v = self._eliminate(v, self.rows[p], p)
+        if not v:
+            return False
+        p = next(iter(v))
+        for q, r in self.rows.items():
+            if p in r:
+                self.rows[q] = self._eliminate(r, v, p)
+        self.rows[p] = v
+        return True

@@ -92,8 +92,11 @@ def lp_bound(spec: FamilySpec, d: int, opts: LPOptions = LPOptions(),
     """Largest feasible K in [1, dim(H)], located by bisection.
 
     With integer=True only whole K are probed, returning the largest
-    feasible integer (an exact bound on exact-dimension codes).
+    feasible integer (an exact bound on exact-dimension codes).  A tol
+    <= 0 raises ValueError, since the bisection would never stop.
     """
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     prof = profile(spec)
     hi_cap = Fraction(prof.dim_H)
     if not feasible(spec, d, Fraction(1), opts).feasible:

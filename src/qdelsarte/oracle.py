@@ -23,8 +23,8 @@ from itertools import combinations
 from .clifford import _labels_of_weight, gamma, label_to_str, q_form, wt
 from .families import (CliffordEven, CliffordOdd, FamilySpec, QHamming,
                        Semispinorial, Spinorial, Su2, SunExt, SuqSym, profile)
-from .linalg import (Sparse, conj, sp_add, sp_identity, sp_kron, sp_mul, sp_scale,
-                     sp_sub)
+from .linalg import (RowSpace, Sparse, conj, sp_add, sp_identity, sp_kron, sp_mul,
+                     sp_scale, sp_sub)
 from .scalars import GR_ONE, GaussianRational, SurdSum
 from .su2 import _coeff_E, _coeff_F
 from .wtj import lambda_signature, wtj_matrix
@@ -60,11 +60,18 @@ class OperatorBasis:
     # diagonal weight of the representation's inner product; None = identity
     weight: dict[int, Fraction] | None = None
     gram: list[list[Fraction]] = field(default_factory=list)
+    # set once here, not per phi_apply call: whether the Gram matrix is
+    # diagonal, and the weighted adjoint of every basis matrix
+    diagonal: bool = field(init=False)
+    adjoints: list[Sparse] = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.gram:
             self.gram = [[_as_fraction(op_inner(a, b, self.weight))
                           for b in self.matrices] for a in self.matrices]
+        self.diagonal = all(not g for i, row in enumerate(self.gram)
+                            for j, g in enumerate(row) if i != j)
+        self.adjoints = [op_weighted_adjoint(f, self.weight) for f in self.matrices]
 
 
 def _as_fraction(x) -> Fraction:
@@ -162,35 +169,41 @@ def _basis_su2(spec: Su2, t: int) -> OperatorBasis:
 def _closure_basis(spec: FamilySpec, t: int, dim: int, hw: Sparse,
                    lowering: list[Sparse],
                    weight: dict[int, Fraction] | None) -> OperatorBasis:
-    """Orthogonal span of the ad-orbit of a highest-weight matrix."""
+    """Orthogonal span of the ad-orbit of a highest-weight matrix.
+
+    A candidate is new when it lies outside the span of the accepted ones;
+    that is decided on the integer row space, and only accepted candidates
+    are orthogonalised (Gram-Schmidt in acceptance order).
+    """
     target = profile(spec).dim_V[t]
+    space = RowSpace()
     basis: list[Sparse] = []
     norms: list[Fraction] = []
 
-    def reduce_add(x: Sparse) -> bool:
+    def accept(x: Sparse) -> None:
         for b, nb in zip(basis, norms):
             c = op_inner(b, x, weight)
             if c:
                 x = sp_sub(x, sp_scale(b, c / nb))
-        if not x:
-            return False
         basis.append(x)
         norms.append(_as_fraction(op_inner(x, x, weight)))
-        return True
 
-    reduce_add(hw)
+    if space.add(hw):
+        accept(hw)
     queue = [hw]
     while queue and len(basis) < target:
         x = queue.pop()
         for a in lowering:
             y = sp_sub(sp_mul(a, x), sp_mul(x, a))
-            if y and reduce_add(y):
+            if y and space.add(y):
+                accept(y)
                 queue.append(y)
     if len(basis) != target:
         raise ArithmeticError(f"closure of {spec} block {t} has {len(basis)} "
                               f"elements, expected {target}")
+    zero = Fraction(0)
     return OperatorBasis(spec, t, basis, dim, weight,
-                         [[norms[i] if i == j else Fraction(0)
+                         [[norms[i] if i == j else zero
                            for j in range(target)] for i in range(target)])
 
 
@@ -347,18 +360,15 @@ def _mat_inverse(G: list[list[Fraction]]) -> list[list[Fraction]]:
 
 def phi_apply(basis: OperatorBasis, X: Sparse) -> Sparse:
     G = basis.gram
-    m = len(G)
-    diagonal = all(G[i][j] == 0 for i in range(m) for j in range(m) if i != j)
-    adjoints = [op_weighted_adjoint(f, basis.weight) for f in basis.matrices]
     out: Sparse = {}
-    if diagonal:
-        for f, fa, g in zip(basis.matrices, adjoints, (G[i][i] for i in range(m))):
-            out = sp_add(out, sp_scale(sp_mul(sp_mul(f, X), fa), 1 / g))
+    if basis.diagonal:
+        for i, (f, fa) in enumerate(zip(basis.matrices, basis.adjoints)):
+            out = sp_add(out, sp_scale(sp_mul(sp_mul(f, X), fa), 1 / G[i][i]))
         return out
     Ginv = _mat_inverse(G)
     for k, fk in enumerate(basis.matrices):
         fkx = sp_mul(fk, X)
-        for l, fla in enumerate(adjoints):
+        for l, fla in enumerate(basis.adjoints):
             c = Ginv[l][k]
             if c:
                 out = sp_add(out, sp_scale(sp_mul(fkx, fla), c))

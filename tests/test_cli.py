@@ -9,9 +9,9 @@ import pytest
 CLI = [sys.executable, "-m", "qdelsarte.cli"]
 
 
-def run(*args, stdin=None):
+def run(*args, stdin=None, timeout=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
-                          input=stdin)
+                          input=stdin, timeout=timeout)
 
 
 def test_wtj_json():
@@ -140,6 +140,31 @@ def test_invalid_family_parameters_exit_2():
     assert run("wtj", "--family", "qhamming", "--q", "1", "--n", "3").returncode == 2
     assert run("bound", "--family", "su-ext", "--n", "3", "--w", "3",
                "--d", "2").returncode == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("bound", "--family", "su2", "--n", "7", "--d", "3", "--tol", "0"),
+    ("bound", "--family", "su2", "--n", "7", "--d", "3", "--tol=-1/2"),
+    ("table", "--family", "su2", "--n-from", "4", "--n-to", "5",
+     "--d-from", "2", "--d-to", "3", "--tol", "0"),
+], ids=["bound-zero", "bound-negative", "table-zero"])
+def test_nonpositive_tol_exits_2_at_once(args):
+    # a tol <= 0 used to make the bisection loop forever
+    res = run(*args, timeout=60)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: tol must be positive")
+
+
+@pytest.mark.parametrize("args", [
+    ("bound", "--family", "su2", "--n", "7", "--d", "3", "--tol", "1/0"),
+    ("feasible", "--family", "su2", "--n", "7", "--d", "3", "--k", "1/0"),
+    ("table", "--family", "su2", "--n-from", "4", "--n-to", "5",
+     "--d-from", "2", "--d-to", "3", "--tol", "1/0"),
+], ids=["bound", "feasible", "table"])
+def test_zero_denominator_exits_2(args):
+    res = run(*args, timeout=60)
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: zero denominator") and "Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize("doc", [

@@ -15,14 +15,7 @@ from hypothesis import strategies as st
 import qdelsarte
 from qdelsarte import clifford
 from qdelsarte.families import CliffordEven, CliffordOdd, profile
-from qdelsarte.linalg import (
-    sp_clean,
-    sp_conj_transpose,
-    sp_identity,
-    sp_mul,
-    sp_scale,
-    sp_sub,
-)
+from qdelsarte.linalg import sp_identity, sp_mul, sp_scale, sp_sub
 from qdelsarte.scalars import GR_ONE, GaussianRational, gr_i_power
 from qdelsarte.clifford import (
     READINGS,
@@ -50,7 +43,11 @@ F = Fraction
 
 
 def dense_eq(a, b):
-    return sp_clean(sp_sub(a, b)) == {}
+    return not any(sp_sub(a, b).values())
+
+
+def conj_transpose(a):
+    return {(j, i): v.conjugate() for (i, j), v in a.items()}
 
 
 def kron_gamma(n, x):
@@ -80,7 +77,7 @@ class TestGammaOperators:
         eye = sp_identity(2 ** n)
         for x in range(1, 2 ** m):
             g = gamma(n, x)
-            assert dense_eq(sp_conj_transpose(g), g)  # Hermitian
+            assert dense_eq(conj_transpose(g), g)  # Hermitian
             assert dense_eq(sp_mul(g, g), eye)  # involutive
         # single letters are the generators themselves
         for k in range(1, m + 1):
@@ -203,13 +200,16 @@ class TestCliffordHamming:
             assert is_q_isotropic(list(stab.generators))
 
     def test_code_parameters_s3(self, monkeypatch):
+        # gamma and the matrix cross-check both build Gamma_x from its
+        # (mask, phases) pair, so recording there sees every label checked
         seen = set()
+        monomial = clifford._gamma_monomial
 
-        def recording_gamma(n, x):
+        def recording_monomial(n, x):
             seen.add(x)
-            return gamma(n, x)
+            return monomial(n, x)
 
-        monkeypatch.setattr(clifford, "gamma", recording_gamma)
+        monkeypatch.setattr(clifford, "_gamma_monomial", recording_monomial)
         code = build_code(clifford_hamming(3))
         for reading in ("even", "odd"):
             seen.clear()

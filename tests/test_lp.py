@@ -70,6 +70,12 @@ def test_bisection_brackets_and_integer_snap():
     assert res.exact and res.lower == 8
 
 
+@pytest.mark.parametrize("tol", [F(0), F(-1, 2)])
+def test_nonpositive_tol_raises(tol):
+    with pytest.raises(ValueError):
+        lp_bound(Su2(7), 3, tol=tol)
+
+
 def test_self_dual_never_looser():
     for spec, d in ((Su2(8), 3), (CliffordEven(4), 3), (QHamming(2, 5), 3)):
         plain = lp_bound(spec, d, tol=TOL)

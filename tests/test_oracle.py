@@ -15,6 +15,8 @@ from qdelsarte.families import (
     SuqSym,
     profile,
 )
+from qdelsarte import oracle
+from qdelsarte.linalg import sp_mul, sp_scale, sp_sub
 from qdelsarte.oracle import (
     op_inner,
     phi_apply,
@@ -114,3 +116,50 @@ def test_bruteforce_agrees_entrywise_on_su2():
     for t in range(4):
         for j in range(4):
             assert wtj_bruteforce(spec, t, j) == wtj(spec, t, j)
+
+
+def gram_schmidt_closure(hw, lowering, weight, target):
+    """Reference closure: Gram-Schmidt on every candidate, kept if nonzero."""
+    basis, norms = [], []
+
+    def reduce_add(x):
+        for b, nb in zip(basis, norms):
+            c = op_inner(b, x, weight)
+            if c:
+                x = sp_sub(x, sp_scale(b, c / nb))
+        if not x:
+            return False
+        basis.append(x)
+        norms.append(op_inner(x, x, weight))
+        return True
+
+    reduce_add(hw)
+    queue = [hw]
+    while queue and len(basis) < target:
+        x = queue.pop()
+        for a in lowering:
+            y = sp_sub(sp_mul(a, x), sp_mul(x, a))
+            if y and reduce_add(y):
+                queue.append(y)
+    return basis, norms
+
+
+@pytest.mark.parametrize("spec", [SunExt(5, 2), SuqSym(3, 3)], ids=str)
+def test_closure_basis_matches_gram_schmidt_on_every_candidate(spec, monkeypatch):
+    calls = []
+    closure = oracle._closure_basis
+
+    def recording(spec, t, dim, hw, lowering, weight):
+        out = closure(spec, t, dim, hw, lowering, weight)
+        calls.append((hw, lowering, weight, out))
+        return out
+
+    monkeypatch.setattr(oracle, "_closure_basis", recording)
+    r = profile(spec).diameter_r
+    for t in range(r + 1):
+        v_basis.__wrapped__(spec, t)  # past the cache, so the closure runs
+    assert len(calls) == r + 1
+    for hw, lowering, weight, out in calls:
+        basis, norms = gram_schmidt_closure(hw, lowering, weight, len(out.matrices))
+        assert out.matrices == basis
+        assert [out.gram[i][i] for i in range(len(basis))] == norms

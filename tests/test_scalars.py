@@ -1,6 +1,7 @@
 """Exact scalar types: ring axioms, canonical forms, float agreement."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +88,83 @@ class TestGaussianRational:
             GR_ONE / GR_ZERO
 
 
+operands = st.one_of(gaussians, st.integers(-10**6, 10**6), fractions)
+
+
+def ref(x):
+    """(re, im) reference of a GaussianRational, int or Fraction."""
+    if isinstance(x, GaussianRational):
+        return x.re, x.im
+    return Fraction(x), Fraction(0)
+
+
+def ref_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def ref_div(x, y):
+    n2 = y[0] * y[0] + y[1] * y[1]
+    return ref_mul(x, (y[0] / n2, -y[1] / n2))
+
+
+def check_result(z, want):
+    assert isinstance(z, GaussianRational)
+    a, b, d = z._a, z._b, z._d
+    assert d > 0 and gcd(a, b, d) == 1  # canonical triple
+    assert (z.re, z.im) == want
+    assert z == GaussianRational(*want)
+    assert hash(z) == hash(GaussianRational(*want))
+
+
+class TestGaussianRationalAgainstReference:
+    """The integer triple against (Fraction, Fraction) pairs, operand by operand."""
+
+    @given(gaussians, operands)
+    @settings(max_examples=200)
+    def test_arithmetic(self, a, b):
+        x, y = ref(a), ref(b)
+        check_result(a + b, (x[0] + y[0], x[1] + y[1]))
+        check_result(b + a, (x[0] + y[0], x[1] + y[1]))
+        check_result(a - b, (x[0] - y[0], x[1] - y[1]))
+        check_result(b - a, (y[0] - x[0], y[1] - x[1]))
+        check_result(a * b, ref_mul(x, y))
+        check_result(b * a, ref_mul(x, y))
+        check_result(-a, (-x[0], -x[1]))
+        check_result(a.conjugate(), (x[0], -x[1]))
+        if any(y):
+            check_result(a / b, ref_div(x, y))
+        if any(x):
+            check_result(b / a, ref_div(y, x))
+
+    @given(gaussians, operands)
+    def test_equality_and_hash(self, a, b):
+        assert (a == b) == (ref(a) == ref(b))
+        assert (b == a) == (ref(a) == ref(b))
+        if a == b:
+            assert hash(a) == hash(b)
+        if a.im == 0:
+            assert a == a.re and hash(a) == hash(a.re)
+            assert a.is_rational() == a.re
+        else:
+            assert a.is_rational() is None
+
+    @given(fractions, fractions)
+    def test_constructor_and_json(self, re, im):
+        a = GaussianRational(re, im)
+        check_result(a, (re, im))
+        assert a.to_json() == {"re": format_fraction(re), "im": format_fraction(im)}
+        assert GaussianRational.from_json(a.to_json()) == a
+        assert bool(a) == bool(re or im)
+
+    def test_equal_values_hash_equal(self):
+        assert len({GaussianRational(1, 0), 1}) == 1
+        assert len({GaussianRational(Fraction(1, 2)), Fraction(1, 2)}) == 1
+        assert len({GR_ZERO, 0, Fraction(0)}) == 1
+        assert len({SurdSum.rational(3), 3, Fraction(3)}) == 1
+        assert len({SurdSum(), 0}) == 1
+        assert hash(SurdSum.rational(Fraction(2, 3))) == hash(Fraction(2, 3))
+
+
 class TestSurdSum:
     @given(surds(), surds(), surds())
     @settings(max_examples=60)
@@ -142,3 +220,8 @@ def test_fraction_text_round_trip():
         assert parse_fraction(format_fraction(x)) == x
     assert format_fraction(Fraction(4)) == "4"
     assert format_fraction(Fraction(-1, 3)) == "-1/3"
+
+
+def test_parse_zero_denominator_is_value_error():
+    with pytest.raises(ValueError):
+        parse_fraction("1/0")
