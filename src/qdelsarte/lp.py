@@ -10,17 +10,32 @@ has a distance distribution A_0..A_r satisfying
     A_t = 0 for 1 <= t <= d-1        (pure codes only)
 
 so the supremum of K making this system feasible bounds every code.  The
-search is a rational bisection; each feasibility call is an exact simplex
-run whose witness is re-verified by substitution.
+search is a rational bisection.  `build_system` is the only definition of
+the LP; each verdict of `feasible` carries a certificate checked by
+substitution, a witness point when feasible and a Farkas vector when not.
+
+The system is affine in K, so the bisection does not rebuild it: the
+`IntegerSystem` of (spec, d, opts), derived once from `build_system` at
+K = 0 and K = 1 and cached, gives row i at K = p/q as the integer row
+p*A_i + q*B_i (or B_i when the row does not depend on K), and is compared
+with `build_system` at a third K when it is built.  `lp_bound` passes one
+`WarmStart` to all of its probes, so a probe first re-solves the final
+basis of the last feasible probe (accepted when the vertex passes integer
+substitution) and of the last infeasible probe (accepted when its phase-1
+dual passes as a Farkas vector), and runs a cold simplex only when neither
+does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from .families import FamilySpec, profile
-from .simplex import EQ, GE, Constraint, check_feasible, verify_witness
+from .simplex import (EQ, GE, Constraint, WarmStart, check_feasible, row_multipliers,
+                      verify_farkas, verify_witness)
 from .wtj import lambda_signature, wtj_matrix
 
 DEFAULT_TOL = Fraction(1, 100_000)
@@ -36,6 +51,8 @@ class LPOptions:
 class FeasibleReport:
     feasible: bool
     witness: tuple[Fraction, ...] | None
+    # multipliers of the build_system constraints proving infeasibility
+    farkas: tuple[int, ...] | None = None
 
 
 def build_system(spec: FamilySpec, d: int, K: Fraction,
@@ -71,13 +88,89 @@ def build_system(spec: FamilySpec, d: int, K: Fraction,
     return cons, nvars
 
 
+@dataclass(frozen=True)
+class IntegerSystem:
+    """build_system(spec, d, K, opts) as rows affine in K.
+
+    Row i at K = p/q is (p*A_i + q*B_i) / (q*c_i), or B_i / c_i when A_i is
+    zero, with every A_i, B_i integer and c_i > 0.
+    """
+    A: tuple[tuple[int, ...], ...]
+    B: tuple[tuple[int, ...], ...]
+    scales: tuple[int, ...]  # c_i
+    senses: tuple[str, ...]
+    nvars: int
+
+    def at(self, K: Fraction) -> tuple[list[list[int]], list[int]]:
+        """Integer rows at K and their positive scales (row / scale is the
+        build_system row)."""
+        p, q = K.numerator, K.denominator
+        rows, scales = [], []
+        for a, b, c in zip(self.A, self.B, self.scales):
+            if any(a):
+                rows.append([p * x + q * y for x, y in zip(a, b)])
+                scales.append(q * c)
+            else:
+                rows.append(list(b))
+                scales.append(c)
+        return rows, scales
+
+
+@lru_cache(maxsize=None)
+def integer_system(spec: FamilySpec, d: int, opts: LPOptions = LPOptions()) -> IntegerSystem:
+    """The IntegerSystem of build_system(spec, d, K, opts), from K = 0 and K = 1."""
+    cons0, nvars = build_system(spec, d, Fraction(0), opts)
+    cons1, _ = build_system(spec, d, Fraction(1), opts)
+    A, B, scales = [], [], []
+    for c0, c1 in zip(cons0, cons1):
+        if c0.sense != c1.sense:
+            raise ArithmeticError(f"constraint senses depend on K for {spec}")
+        b = (*c0.coeffs, c0.rhs)
+        a = tuple(y - x for x, y in zip(b, (*c1.coeffs, c1.rhs)))
+        c = lcm(*(x.denominator for x in a + b))
+        A.append(tuple(int(x * c) for x in a))
+        B.append(tuple(int(x * c) for x in b))
+        scales.append(c)
+    system = IntegerSystem(tuple(A), tuple(B), tuple(scales),
+                           tuple(c.sense for c in cons0), nvars)
+    # build_system stays the definition: the template must reproduce it
+    K = Fraction(7, 3)
+    cons, _ = build_system(spec, d, K, opts)
+    rows, row_scales = system.at(K)
+    if [c.sense for c in cons] != list(system.senses) or any(
+            [Fraction(x, s) for x in row] != [*c.coeffs, c.rhs]
+            for c, row, s in zip(cons, rows, row_scales)):
+        raise ArithmeticError(f"the LP of {spec} at d={d} is not affine in K")
+    return system
+
+
 def feasible(spec: FamilySpec, d: int, K: Fraction,
-             opts: LPOptions = LPOptions()) -> FeasibleReport:
-    cons, nvars = build_system(spec, d, Fraction(K), opts)
-    res = check_feasible(cons, nvars)
-    if res.feasible and (res.witness is None or not verify_witness(cons, res.witness)):
-        raise ArithmeticError(f"simplex witness fails substitution at K={K} for {spec}")
-    return FeasibleReport(res.feasible, res.witness)
+             opts: LPOptions = LPOptions(), warm: WarmStart | None = None) -> FeasibleReport:
+    """Exact feasibility of the system at K > 0, with a checked certificate.
+
+    Without warm the system is built by build_system and solved cold.  With
+    warm (as lp_bound passes) it is solved on the cached integer_system,
+    trying warm's bases first, so a feasible witness may be a different
+    vertex than a cold solve reaches; the verdict is the same.
+    """
+    K = Fraction(K)
+    if K <= 0:
+        # K = 0 drops the normalisation A_0 = K and makes x = 0 a witness
+        raise ValueError(f"K must be positive, got {K}")
+    if warm is None:
+        cons, nvars = build_system(spec, d, K, opts)
+        res = check_feasible(cons, nvars)
+        if res.feasible and (res.witness is None or not verify_witness(cons, res.witness)):
+            raise ArithmeticError(f"simplex witness fails substitution at K={K} for {spec}")
+        if not res.feasible and (res.farkas is None or not verify_farkas(cons, res.farkas)):
+            raise ArithmeticError(f"Farkas vector fails substitution at K={K} for {spec}")
+        return FeasibleReport(res.feasible, res.witness, res.farkas)
+    system = integer_system(spec, d, opts)
+    rows, scales = system.at(K)
+    res = warm.solve(rows, list(system.senses), scales, system.nvars)
+    if res.feasible:
+        return FeasibleReport(True, res.witness)
+    return FeasibleReport(False, None, row_multipliers(res.farkas, scales))
 
 
 @dataclass(frozen=True)
@@ -93,24 +186,26 @@ def lp_bound(spec: FamilySpec, d: int, opts: LPOptions = LPOptions(),
 
     With integer=True only whole K are probed, returning the largest
     feasible integer (an exact bound on exact-dimension codes).  A tol
-    <= 0 raises ValueError, since the bisection would never stop.
+    <= 0 raises ValueError, since the bisection would never stop.  The
+    probes share one WarmStart, so consecutive probes reuse final bases.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     prof = profile(spec)
     hi_cap = Fraction(prof.dim_H)
-    if not feasible(spec, d, Fraction(1), opts).feasible:
+    warm = WarmStart()
+    if not feasible(spec, d, Fraction(1), opts, warm).feasible:
         # K = 1 always embeds a single state; an infeasible system here
         # means the distance is unattainable at all
         return BoundResult(Fraction(0), Fraction(1), True)
-    if feasible(spec, d, hi_cap, opts).feasible:
+    if feasible(spec, d, hi_cap, opts, warm).feasible:
         return BoundResult(hi_cap, hi_cap, True)
 
     lo, hi = Fraction(1), hi_cap
     if integer:
         while hi - lo > 1:
             mid = Fraction((lo + hi) // 2)
-            if feasible(spec, d, mid, opts).feasible:
+            if feasible(spec, d, mid, opts, warm).feasible:
                 lo = mid
             else:
                 hi = mid
@@ -118,14 +213,16 @@ def lp_bound(spec: FamilySpec, d: int, opts: LPOptions = LPOptions(),
 
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        if feasible(spec, d, mid, opts).feasible:
+        if feasible(spec, d, mid, opts, warm).feasible:
             lo = mid
         else:
             hi = mid
-    # snap to an integer supremum if one sits inside the final bracket
+    # snap to an integer supremum if one sits inside the final bracket; with
+    # tol >= 1 the test point k + tol/2 can lie far above the bracket, where
+    # its infeasibility says nothing about (k, hi]
     k = Fraction(round(lo))
-    if lo <= k <= hi and feasible(spec, d, k, opts).feasible \
-            and not feasible(spec, d, k + tol / 2, opts).feasible:
+    if tol < 1 and lo <= k <= hi and feasible(spec, d, k, opts, warm).feasible \
+            and not feasible(spec, d, k + tol / 2, opts, warm).feasible:
         return BoundResult(k, k, True)
     return BoundResult(lo, hi, False)
 

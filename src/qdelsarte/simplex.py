@@ -1,23 +1,40 @@
 """Exact phase-1 simplex with fraction-free integer pivoting.
 
 Decides feasibility of {A x (=|>=) b, x >= 0} by minimizing the sum of
-artificial variables with Bland's anti-cycling pivot rule.  Inputs and the
-witness are Fraction, but the tableau is integer: each row is scaled to
-integers and pivots follow Edmonds (1967) and Bareiss (1968), so every
-entry is D * (B^-1 [A | b]) for the current basis determinant D and the
-only division per update is an exact one by the previous pivot.  The
-verdict is exact; a feasible system also yields a witness point that
-callers can re-check by substitution.
+artificial variables with Bland's anti-cycling pivot rule.  The kernel,
+`solve`, takes integer rows [a_i | b_i], their senses and each row's
+positive scale s_i (row i stands for the rational row [a_i | b_i] / s_i, up
+to one common positive factor); pivots follow Edmonds (1967) and Bareiss
+(1968), so every entry is D * (B^-1 [A | b]) for the current basis
+determinant D and the only division per update is an exact one by the
+previous pivot.  The phase-1 objective is the sum of the artificials of the
+rational rows, so a positive rescaling of any row changes no pivot and no
+witness.  `check_feasible` is the `Fraction` front door: it scales each row
+by the lcm of its denominators.
+
+Every verdict carries a certificate that is checked by integer substitution
+before it is returned: a feasible system yields a witness point, an
+infeasible one a Farkas vector y (y_i >= 0 on >= rows, y^T A <= 0,
+y^T b > 0), solved from the final basis as the phase-1 dual.  The final
+basis comes back as (kind, index) labels: ("x", column) for a structural,
+("s", row) for the surplus or slack of a >= row, ("a", row) for an
+artificial.  `point_from_basis` and `farkas_from_basis` re-solve a basis on
+another system of the same shape with one square fraction-free solve, and
+`WarmStart` tries the last feasible and the last infeasible basis that way
+before it falls back to a cold solve; a certificate that fails substitution
+is never returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 EQ = "eq"
 GE = "ge"
+
+Label = tuple[str, int]
 
 
 @dataclass(frozen=True)
@@ -31,54 +48,58 @@ class Constraint:
 class FeasibilityResult:
     feasible: bool
     witness: tuple[Fraction, ...] | None
+    farkas: tuple[int, ...] | None = None  # multipliers of the rows or constraints
+    basis: tuple[Label, ...] | None = None  # final basis
 
 
-def check_feasible(constraints: list[Constraint], nvars: int) -> FeasibilityResult:
+def solve(rows: list[list[int]], senses: list[str], scales: list[int],
+          nvars: int) -> FeasibilityResult:
+    """Phase 1 from the all-artificial basis on integer rows [a_i | b_i]."""
     # columns: structural vars, one surplus/slack per >= row, then the rhs.
     # Artificials for eq and >= rows start basic with coefficient 1 and never
     # re-enter once they leave, so they get basis labels but no columns.
-    ncols = nvars + sum(c.sense == GE for c in constraints)
+    ncols = nvars + sum(s == GE for s in senses)
     T: list[list[int]] = []
     basis: list[int] = []
+    labels: list[Label] = [("x", j) for j in range(nvars)]
     art: list[tuple[int, list[int]]] = []  # (row scale, row) per artificial
-    slack = nvars
-    for c in constraints:
-        if len(c.coeffs) != nvars:
+    art_labels: list[Label] = []
+    for i, (row, sense, s) in enumerate(zip(rows, senses, scales)):
+        if len(row) != nvars + 1:
             raise ValueError("constraint width mismatch")
-        if c.sense not in (EQ, GE):
-            raise ValueError(f"unknown constraint sense {c.sense!r}")
-        row = [Fraction(x) for x in (*c.coeffs, c.rhs)]
-        # scale to integers by the lcm of the denominators, negated when
-        # b < 0 so that every rhs is >= 0; a positive rescaling of rows,
-        # slacks and artificials leaves every pivot choice unchanged
-        s = lcm(*(x.denominator for x in row))
-        if row[-1] < 0:
-            s = -s
-        t = [int(x * s) for x in row]
-        t[nvars:-1] = [0] * (ncols - nvars)
-        if c.sense == GE:
+        if sense not in (EQ, GE):
+            raise ValueError(f"unknown constraint sense {sense!r}")
+        if s <= 0:
+            raise ValueError(f"row scale must be positive, got {s}")
+        # negate a row with b < 0 so that every rhs is >= 0
+        sign = -1 if row[-1] < 0 else 1
+        t = [sign * x for x in row[:-1]] + [0] * (ncols - nvars) + [sign * row[-1]]
+        if sense == GE:
             # surplus of a >= row; a flipped >= is a <= whose slack starts basic
-            t[slack] = -1 if s > 0 else 1
-            slack += 1
-        if c.sense == GE and s < 0:
-            basis.append(slack - 1)
+            t[len(labels)] = -sign
+            labels.append(("s", i))
+        if sense == GE and sign < 0:
+            basis.append(len(labels) - 1)
         else:
             basis.append(ncols + len(art))
-            art.append((abs(s), t))
+            art.append((s, t))
+            art_labels.append(("a", i))
         T.append(t)
+    labels += art_labels
     m = len(T)
 
-    # phase-1 objective, a positive multiple of the artificial total:
-    # sum over artificial rows of (L / s_i) * row_i with L = lcm(s_i)
+    # phase-1 objective as row m, a positive multiple of the artificial
+    # total: sum over artificial rows of (L / s_i) * row_i with L = lcm(s_i)
     L = lcm(*(s for s, _ in art))
     obj = [0] * (ncols + 1)
     for s, t in art:
         obj = [o + L // s * x for o, x in zip(obj, t)]
+    T.append(obj)
 
     D = 1
     while True:
         # Bland: lowest eligible index (basic columns have obj == 0)
-        enter = next((j for j in range(ncols) if obj[j] > 0), -1)
+        enter = next((j for j in range(ncols) if T[m][j] > 0), -1)
         if enter < 0:
             break
         leave = -1
@@ -95,37 +116,220 @@ def check_feasible(constraints: list[Constraint], nvars: int) -> FeasibilityResu
                     leave = i
         if leave < 0:
             break  # unbounded in phase 1 cannot happen, but stay safe
-        prow = T[leave]
-        p = prow[enter]
-        for i in range(m):
-            if i != leave:
-                f = T[i][enter]
-                if f:
-                    T[i] = [(x * p - f * y) // D for x, y in zip(T[i], prow)]
-                elif p != D:
-                    T[i] = [x * p // D for x in T[i]]
-        f = obj[enter]
-        obj = [(x * p - f * y) // D for x, y in zip(obj, prow)]
-        D = p
+        D = _pivot(T, leave, enter, D)
         basis[leave] = enter
 
-    if obj[-1] != 0:
-        return FeasibilityResult(False, None)
+    final = tuple(labels[b] for b in basis)
+    if T[m][-1] != 0:
+        y = farkas_from_basis(rows, senses, scales, nvars, final)
+        if y is None:
+            raise ArithmeticError("the final phase-1 basis yields no Farkas vector")
+        return FeasibilityResult(False, None, y, final)
     # basic artificials left at this point sit at zero, so x is final
-    x = [Fraction(0)] * nvars
+    nums = [0] * nvars
     for i in range(m):
         if basis[i] < nvars:
-            x[basis[i]] = Fraction(T[i][-1], D)
-    return FeasibilityResult(True, tuple(x))
+            nums[basis[i]] = T[i][-1]
+    if not _satisfies(rows, senses, nums, D):
+        raise ArithmeticError("simplex witness fails integer substitution")
+    return FeasibilityResult(True, tuple(Fraction(x, D) for x in nums), None, final)
+
+
+def point_from_basis(rows: list[list[int]], senses: list[str], nvars: int,
+                     basis: tuple[Label, ...]) -> tuple[Fraction, ...] | None:
+    """The vertex of basis on rows, if it exists and passes substitution.
+
+    The basic structurals are solved on the rows whose surplus and
+    artificial are both nonbasic; the other structurals are zero.
+    """
+    split = _split_basis(basis, senses, nvars)
+    if split is None:
+        return None
+    cols, tight, _ = split
+    sol = _solve_square([[rows[i][j] for j in cols] for i in tight],
+                        [rows[i][-1] for i in tight])
+    if sol is None:
+        return None
+    vals, den = sol
+    nums = [0] * nvars
+    for j, v in zip(cols, vals):
+        nums[j] = v
+    if not _satisfies(rows, senses, nums, den):
+        return None
+    return tuple(Fraction(x, den) for x in nums)
+
+
+def farkas_from_basis(rows: list[list[int]], senses: list[str], scales: list[int],
+                      nvars: int, basis: tuple[Label, ...]) -> tuple[int, ...] | None:
+    """The phase-1 dual y of basis on rows, if it passes as a Farkas vector.
+
+    y is zero on rows whose surplus is basic, (L / s_i) * sign(b_i) on rows
+    whose artificial is basic (the artificial's cost, L = lcm of those
+    scales), and on the other rows solves y^T a_j = 0 for each basic
+    structural j.
+    """
+    split = _split_basis(basis, senses, nvars)
+    if split is None:
+        return None
+    cols, tight, arts = split
+    L = lcm(*(scales[i] for i in arts))
+    y = [0] * len(rows)
+    for i in arts:
+        y[i] = (-1 if rows[i][-1] < 0 else 1) * (L // scales[i])
+    sol = _solve_square([[rows[i][j] for i in tight] for j in cols],
+                        [-sum(y[i] * rows[i][j] for i in arts) for j in cols])
+    if sol is None:
+        return None
+    vals, den = sol
+    y = [v * den for v in y]
+    for i, v in zip(tight, vals):
+        y[i] = v
+    if not _is_farkas(rows, senses, nvars, y):
+        return None
+    return tuple(y)
+
+
+class WarmStart:
+    """Final bases carried across the solves of a sequence of nearby systems.
+
+    `solve` first tries the vertex of the last feasible basis, then the
+    phase-1 dual of the last infeasible basis, each accepted only after
+    substitution; otherwise it solves cold and keeps the new final basis.
+    """
+
+    def __init__(self) -> None:
+        self.feasible_basis: tuple[Label, ...] | None = None
+        self.infeasible_basis: tuple[Label, ...] | None = None
+        self.warm_feasible = self.warm_infeasible = self.cold = 0
+
+    def solve(self, rows: list[list[int]], senses: list[str], scales: list[int],
+              nvars: int) -> FeasibilityResult:
+        if self.feasible_basis is not None:
+            point = point_from_basis(rows, senses, nvars, self.feasible_basis)
+            if point is not None:
+                self.warm_feasible += 1
+                return FeasibilityResult(True, point, None, self.feasible_basis)
+        if self.infeasible_basis is not None:
+            y = farkas_from_basis(rows, senses, scales, nvars, self.infeasible_basis)
+            if y is not None:
+                self.warm_infeasible += 1
+                return FeasibilityResult(False, None, y, self.infeasible_basis)
+        sol = solve(rows, senses, scales, nvars)
+        self.cold += 1
+        if sol.feasible:
+            self.feasible_basis = sol.basis
+        else:
+            self.infeasible_basis = sol.basis
+        return sol
+
+
+def check_feasible(constraints: list[Constraint], nvars: int) -> FeasibilityResult:
+    rows, scales = [], []
+    for c in constraints:
+        row = [Fraction(x) for x in (*c.coeffs, c.rhs)]
+        # scale to integers by the lcm of the denominators
+        s = lcm(*(x.denominator for x in row))
+        rows.append([int(x * s) for x in row])
+        scales.append(s)
+    senses = [c.sense for c in constraints]
+    res = solve(rows, senses, scales, nvars)
+    if res.farkas is None:
+        return res
+    return FeasibilityResult(False, None, row_multipliers(res.farkas, scales), res.basis)
+
+
+def row_multipliers(y: tuple[int, ...], scales: list[int]) -> tuple[int, ...]:
+    """y as primitive multipliers of the rational rows row_i / s_i."""
+    z = [v * s for v, s in zip(y, scales)]
+    g = gcd(*z)
+    return tuple(v // g for v in z)
 
 
 def verify_witness(constraints: list[Constraint], witness: tuple[Fraction, ...]) -> bool:
-    if any(x < 0 for x in witness):
+    return _satisfies([(*c.coeffs, c.rhs) for c in constraints],
+                      [c.sense for c in constraints], witness, 1)
+
+
+def verify_farkas(constraints: list[Constraint], y: tuple[int, ...]) -> bool:
+    """y proves infeasibility: y_i >= 0 on >= rows, y^T A <= 0, y^T b > 0."""
+    return len(y) == len(constraints) and _is_farkas(
+        [(*c.coeffs, c.rhs) for c in constraints], [c.sense for c in constraints],
+        len(constraints[0].coeffs) if constraints else 0, y)
+
+
+def _satisfies(rows, senses, nums, den) -> bool:
+    """x = nums / den (den > 0) is >= 0 and satisfies every row [a | b]."""
+    if any(x < 0 for x in nums):
         return False
-    for c in constraints:
-        val = sum(a * x for a, x in zip(c.coeffs, witness))
-        if c.sense == EQ and val != c.rhs:
-            return False
-        if c.sense == GE and val < c.rhs:
+    for row, sense in zip(rows, senses):
+        v = sum(a * x for a, x in zip(row, nums) if x)
+        b = row[-1] * den
+        if v < b or (sense == EQ and v != b):
             return False
     return True
+
+
+def _is_farkas(rows, senses, nvars, y) -> bool:
+    """y_i >= 0 on >= rows, y^T A <= 0 and y^T b > 0 for rows [a | b]."""
+    if any(v < 0 for v, s in zip(y, senses) if s == GE):
+        return False
+    pairs = [(v, row) for v, row in zip(y, rows) if v]
+    if any(sum(v * row[j] for v, row in pairs) > 0 for j in range(nvars)):
+        return False
+    return sum(v * row[-1] for v, row in pairs) > 0
+
+
+def _split_basis(basis: tuple[Label, ...], senses: list[str],
+                 nvars: int) -> tuple[list[int], list[int], list[int]] | None:
+    """(basic structural columns, rows with no basic surplus or artificial,
+    rows with a basic artificial), or None unless basis has that square shape."""
+    m = len(senses)
+    cols: list[int] = []
+    covered: set[int] = set()
+    arts: list[int] = []
+    for kind, k in basis:
+        if kind == "x" and 0 <= k < nvars:
+            cols.append(k)
+        elif kind in ("s", "a") and 0 <= k < m and k not in covered \
+                and (kind == "a" or senses[k] == GE):
+            covered.add(k)
+            if kind == "a":
+                arts.append(k)
+        else:
+            return None
+    tight = [i for i in range(m) if i not in covered]
+    if len(basis) != m or len(set(cols)) != len(cols) or len(tight) != len(cols):
+        return None
+    return sorted(cols), tight, arts
+
+
+def _solve_square(M: list[list[int]], b: list[int]) -> tuple[list[int], int] | None:
+    """x = nums / den (den > 0) with M x = b, by fraction-free Gauss-Jordan
+    elimination; None when M is singular."""
+    T = [row + [v] for row, v in zip(M, b)]
+    free = list(range(len(T)))
+    order, D = [], 1
+    for k in range(len(T)):
+        r = next((i for i in free if T[i][k]), -1)
+        if r < 0:
+            return None
+        free.remove(r)
+        order.append(r)
+        D = _pivot(T, r, k, D)
+    sign = -1 if D < 0 else 1
+    return [sign * T[r][-1] for r in order], sign * D
+
+
+def _pivot(T: list[list[int]], r: int, k: int, D: int) -> int:
+    """Pivot every row of T on T[r][k], dividing exactly by the previous
+    pivot D; returns the new pivot."""
+    prow = T[r]
+    p = prow[k]
+    for i, row in enumerate(T):
+        if i != r:
+            f = row[k]
+            if f:
+                T[i] = [(x * p - f * y) // D for x, y in zip(row, prow)]
+            elif p != D:
+                T[i] = [x * p // D for x in row]
+    return p

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -165,6 +166,41 @@ def test_zero_denominator_exits_2(args):
     res = run(*args, timeout=60)
     assert res.returncode == 2
     assert res.stderr.startswith("error: zero denominator") and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("k", ["0", "-1", "-1/2"])
+def test_nonpositive_k_exits_2(k):
+    # K = 0 drops the normalisation and made the all-zero vector a witness
+    res = run("feasible", "--family", "su2", "--n", "7", "--d", "3", f"--k={k}")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: K must be positive")
+
+
+def test_tol_of_one_or_more_reports_the_bracket():
+    # the integer snap once tested K = 1 + tol/2, far above the bracket, and
+    # printed lower = upper = 1, exact, although the optimum is 56/5
+    for tol in ("1000", "1"):
+        out = json.loads(run("bound", "--family", "clifford-odd", "--n", "8",
+                             "--d", "3", "--tol", tol).stdout)
+        assert out["exact"] is False
+        assert Fraction(out["lower"]) <= Fraction(56, 5) <= Fraction(out["upper"])
+    out = json.loads(run("bound", "--family", "clifford-odd", "--n", "8",
+                         "--d", "3", "--tol", "1000").stdout)
+    assert (out["lower"], out["upper"], out["decimal"]) == ("1", "256", "1.000")
+    res = run("table", "--family", "su2", "--n-from", "8", "--n-to", "8",
+              "--d-from", "3", "--d-to", "3", "--tol", "100")
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["rows"] == [{"n": 8, "bounds": ["1.000"]}]
+
+
+def test_table_cells_are_pinned():
+    # the cells printed before lp_bound warm-started its probes
+    res = run("table", "--family", "clifford-odd", "--n-from", "3", "--n-to", "8",
+              "--d-from", "2", "--d-to", "4", "--tol", "1/2000")
+    assert res.returncode == 0
+    assert [r["bounds"] for r in json.loads(res.stdout)["rows"]] == [
+        ["4", "1", "1"], ["8", "1", "1"], ["16", "2.666", "1"],
+        ["32", "3.333", "2.666"], ["64", "8", "3.333"], ["128", "11.200", "8"]]
 
 
 @pytest.mark.parametrize("doc", [

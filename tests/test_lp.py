@@ -25,6 +25,7 @@ from qdelsarte.lp import (
     lp_bound,
     volume_bound,
 )
+from qdelsarte.simplex import WarmStart
 
 F = Fraction
 TOL = F(1, 1000)
@@ -74,6 +75,23 @@ def test_bisection_brackets_and_integer_snap():
 def test_nonpositive_tol_raises(tol):
     with pytest.raises(ValueError):
         lp_bound(Su2(7), 3, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [F(1), F(1000)])
+def test_tol_of_one_or_more_returns_the_bracket(tol):
+    # the snap test point k + tol/2 lies far above such a bracket
+    res = lp_bound(CliffordOdd(8), 3, tol=tol)
+    assert not res.exact
+    assert res.lower <= F(56, 5) <= res.upper and res.upper - res.lower <= tol
+    assert feasible(CliffordOdd(8), 3, res.lower).feasible
+
+
+@pytest.mark.parametrize("K", [F(0), F(-1), F(-1, 2)])
+def test_nonpositive_k_raises(K):
+    with pytest.raises(ValueError):
+        feasible(Su2(7), 3, K)
+    with pytest.raises(ValueError):
+        feasible(Su2(7), 3, K, warm=WarmStart())
 
 
 def test_self_dual_never_looser():

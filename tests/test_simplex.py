@@ -1,13 +1,16 @@
 """Exact rational phase-1 simplex."""
 
 from fractions import Fraction
+from math import lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdelsarte.families import CliffordOdd, Su2
 from qdelsarte.lp import LPOptions, feasible
-from qdelsarte.simplex import Constraint, check_feasible, verify_witness
+from qdelsarte.simplex import (Constraint, check_feasible, point_from_basis,
+                               solve, verify_farkas, verify_witness)
 
 F = Fraction
 
@@ -135,3 +138,54 @@ def test_verdicts_are_self_consistent(sys_data):
         assert verify_witness(cons, res.witness)
     else:
         assert res.witness is None
+
+
+def integer_rows(cons):
+    rows, scales = [], []
+    for c in cons:
+        row = (*c.coeffs, c.rhs)
+        s = lcm(*(x.denominator for x in row))
+        rows.append([int(x * s) for x in row])
+        scales.append(s)
+    return rows, scales, [c.sense for c in cons]
+
+
+@given(rational_systems(), st.lists(st.integers(1, 50), min_size=5, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_positive_row_rescaling_changes_no_witness(sys_data, factors):
+    """The kernel's scales keep the phase-1 objective, so pivots and witness stay."""
+    nvars, cons = sys_data
+    rows, scales, senses = integer_rows(cons)
+    sol = solve([[f * x for x in row] for f, row in zip(factors, rows)], senses,
+                [f * s for f, s in zip(factors, scales)], nvars)
+    assert sol.feasible and sol.witness == check_feasible(cons, nvars).witness
+    # the final basis re-solves to the same vertex
+    assert point_from_basis(rows, senses, nvars, sol.basis) == sol.witness
+
+
+@given(random_systems())
+@settings(max_examples=150, deadline=None)
+def test_infeasible_verdicts_carry_a_checked_farkas_vector(sys_data):
+    nvars, rows = sys_data
+    cons = [Constraint(coeffs, sense, F(1)) for coeffs, sense in rows]
+    res = check_feasible(cons, nvars)
+    if res.feasible:
+        assert res.farkas is None
+        return
+    assert verify_farkas(cons, res.farkas)
+    assert not verify_farkas(cons, tuple(-y for y in res.farkas))
+
+
+def test_farkas_vector_of_a_small_system():
+    # x + y = 1 with x >= 2: (-1) * row0 + 1 * row1 gives -y >= 1
+    cons = [c([1, 1], "eq", 1), c([1, 0], "ge", 2)]
+    res = check_feasible(cons, 2)
+    assert not res.feasible and res.witness is None
+    assert verify_farkas(cons, res.farkas)
+    assert not verify_farkas(cons, (1, -1))  # negative on a >= row
+    assert not verify_farkas(cons, (0, 0))
+
+
+def test_kernel_rejects_a_nonpositive_scale():
+    with pytest.raises(ValueError):
+        solve([[1, 1]], ["eq"], [0], 1)

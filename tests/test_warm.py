@@ -1,0 +1,248 @@
+"""Warm-started probes: the integer LP template, basis re-solves, Farkas vectors."""
+
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qdelsarte import lp, simplex
+from qdelsarte.families import CliffordEven, CliffordOdd, QHamming, Su2, SuqSym, profile
+from qdelsarte.lp import LPOptions, build_system, feasible, integer_system, lp_bound
+from qdelsarte.scalars import format_fraction
+from qdelsarte.simplex import WarmStart, verify_farkas, verify_witness
+
+F = Fraction
+SD = LPOptions(self_dual=True)
+
+# (spec, d, opts): four families, plain, self-dual and pure systems
+SYSTEMS = (
+    (QHamming(2, 6), 3, LPOptions()),
+    (CliffordOdd(6), 3, LPOptions()),
+    (Su2(8), 3, SD),
+    (SuqSym(3, 4), 2, LPOptions(pure=True)),
+)
+
+# the benchmark's six bounds with the lower/upper strings the cold-start
+# bisection printed before probes were warm-started
+LP_BOUNDS = (
+    (QHamming(2, 10), 3, LPOptions(), F(1, 100_000), False,
+     "3988183019/134217728", "1994092021/67108864"),
+    (CliffordOdd(8), 3, LPOptions(), F(1, 100_000), False,
+     "375809567/33554432", "187904911/16777216"),
+    (Su2(8), 3, SD, F(1, 100_000), False, "276707/131072", "69177/32768"),
+    (SuqSym(3, 5), 3, LPOptions(), F(1, 100_000), False,
+     "873813/524288", "436909/262144"),
+    (CliffordEven(5), 3, SD, F(1, 2000), False, "56173/32768", "112377/65536"),
+    (Su2(12), 4, SD, F(1, 100_000), True, "1", "2"),
+)
+
+
+def check_report(spec, d, K, opts, rep):
+    """The report's certificate passes substitution into build_system at K."""
+    cons, _ = build_system(spec, d, K, opts)
+    if rep.feasible:
+        assert rep.farkas is None and verify_witness(cons, rep.witness)
+    else:
+        assert rep.witness is None and verify_farkas(cons, rep.farkas)
+
+
+@pytest.mark.parametrize("spec,d,opts", SYSTEMS)
+@given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+@settings(max_examples=20, deadline=None)
+def test_template_equals_build_system(spec, d, opts, p, q):
+    K = F(p, q)
+    system = integer_system(spec, d, opts)
+    rows, scales = system.at(K)
+    cons, nvars = build_system(spec, d, K, opts)
+    assert system.nvars == nvars and list(system.senses) == [c.sense for c in cons]
+    for c, row, s in zip(cons, rows, scales):
+        assert s > 0 and [F(x, s) for x in row] == [*c.coeffs, c.rhs]
+
+
+def test_template_is_cached_and_checked_at_a_third_k():
+    integer_system.cache_clear()
+    calls = []
+    original = lp.build_system
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    lp.build_system = counting
+    try:
+        for K in (F(2), F(5, 2), F(3)):
+            feasible(Su2(8), 3, K, SD, WarmStart())
+    finally:
+        lp.build_system = original
+    assert len(calls) == 3 and len(set(calls)) == 3
+
+
+def test_template_rejects_a_system_that_is_not_affine_in_k():
+    integer_system.cache_clear()
+    original = lp.build_system
+
+    def quadratic(spec, d, K, opts=LPOptions()):
+        cons, nvars = original(spec, d, K, opts)
+        c = cons[0]
+        return [simplex.Constraint(c.coeffs, c.sense, K * K)] + cons[1:], nvars
+
+    lp.build_system = quadratic
+    try:
+        with pytest.raises(ArithmeticError):
+            integer_system(Su2(6), 3, LPOptions())
+    finally:
+        lp.build_system = original
+        integer_system.cache_clear()
+
+
+@st.composite
+def probe_sequences(draw):
+    """An lp_bound-style search: each probe splits the current bracket."""
+    spec, d, opts = draw(st.sampled_from(SYSTEMS))
+    cut = st.builds(F, st.integers(1, 99), st.just(100)) | st.just(F(1, 2))
+    return spec, d, opts, draw(st.lists(cut, min_size=1, max_size=10)), \
+        draw(st.builds(F, st.integers(1, 1000), st.integers(1, 1000)))
+
+
+@given(probe_sequences())
+@settings(max_examples=40, deadline=None)
+def test_warm_and_cold_verdicts_agree_along_probe_sequences(data):
+    spec, d, opts, cuts, lo = data
+    dim_h = profile(spec).dim_H
+    lo, hi = min(lo, F(dim_h)), F(dim_h)
+    warm = WarmStart()
+    for K in [lo, hi] + [None] * len(cuts):
+        if K is None:
+            K = lo + (hi - lo) * cuts.pop()
+        cold = feasible(spec, d, K, opts)
+        hot = feasible(spec, d, K, opts, warm)
+        assert hot.feasible == cold.feasible
+        check_report(spec, d, K, opts, cold)
+        check_report(spec, d, K, opts, hot)
+        if hot.feasible:
+            lo = K
+        else:
+            hi = K
+
+
+@pytest.mark.parametrize("spec,d,opts,tol,integer,lower,upper", LP_BOUNDS)
+def test_lp_bounds_keep_their_brackets_and_certify_every_probe(
+        spec, d, opts, tol, integer, lower, upper, monkeypatch):
+    probes, bases = [], []
+
+    def recording(spec_, d_, K, opts_=LPOptions(), warm=None):
+        rep = original(spec_, d_, K, opts_, warm)
+        probes.append((F(K), rep))
+        bases.append(warm)
+        return rep
+
+    original = lp.feasible
+    monkeypatch.setattr(lp, "feasible", recording)
+    res = lp_bound(spec, d, opts, tol=tol, integer=integer)
+    assert (format_fraction(res.lower), format_fraction(res.upper)) == (lower, upper)
+    warm = bases[0]
+    assert all(w is warm for w in bases)
+    assert warm.warm_feasible + warm.warm_infeasible + warm.cold == len(probes)
+    assert warm.cold < len(probes)
+    for K, rep in probes:
+        check_report(spec, d, K, opts, rep)
+
+
+def test_cold_infeasible_verdicts_carry_a_farkas_vector():
+    for spec, d, opts in SYSTEMS:
+        dim_h = profile(spec).dim_H
+        for K in (F(dim_h), F(dim_h, 2) + F(1, 7)):
+            rep = feasible(spec, d, K, opts)
+            check_report(spec, d, K, opts, rep)
+    rep = feasible(Su2(8), 3, F(19, 9) + F(1, 10 ** 9), SD)
+    assert not rep.feasible
+    cons, _ = build_system(Su2(8), 3, F(19, 9) + F(1, 10 ** 9), SD)
+    assert verify_farkas(cons, rep.farkas)
+    assert not verify_farkas(cons, tuple(-v for v in rep.farkas))
+    # y^T b > 0 fails once the system is feasible
+    assert not verify_farkas(build_system(Su2(8), 3, F(2), SD)[0], rep.farkas)
+
+
+def final_bases(spec, d, opts, feasible_k, infeasible_k):
+    system = integer_system(spec, d, opts)
+    out = []
+    for K in (feasible_k, infeasible_k):
+        rows, scales = system.at(K)
+        out.append(simplex.solve(rows, list(system.senses), scales, system.nvars).basis)
+    return out
+
+
+def swap_structural(basis):
+    cols = {k for kind, k in basis if kind == "x"}
+    other = min(set(range(9)) - cols)
+    i = next(i for i, (kind, _) in enumerate(basis) if kind == "x")
+    return basis[:i] + (("x", other),) + basis[i + 1:]
+
+
+@pytest.mark.parametrize("tamper,malformed", [
+    (lambda b: b[:-1], True),                            # too short
+    (lambda b: b[:-1] + (b[0],), True),                  # a label twice
+    (lambda b: b[:-1] + (("x", 99),), True),             # no such column
+    (lambda b: (("s", 0),) + b[1:], True),               # surplus of the eq row
+    (swap_structural, False),                            # another vertex
+])
+def test_tampered_bases_fall_back_to_a_cold_solve(tamper, malformed):
+    spec, d, opts = Su2(8), 3, SD
+    fb, ib = final_bases(spec, d, opts, F(2), F(3))
+    for K in (F(2), F(41, 20), F(3), F(5)):
+        warm = WarmStart()
+        warm.feasible_basis, warm.infeasible_basis = tamper(fb), tamper(ib)
+        rep = feasible(spec, d, K, opts, warm)
+        assert rep.feasible == feasible(spec, d, K, opts).feasible
+        check_report(spec, d, K, opts, rep)
+        if malformed:
+            assert warm.cold == 1
+
+
+def test_swapped_bases_are_rejected_by_substitution():
+    # the infeasible basis's vertex and the feasible basis's dual both fail
+    spec, d, opts = CliffordOdd(8), 3, LPOptions()
+    fb, ib = final_bases(spec, d, opts, F(11), F(12))
+    for K, verdict in ((F(11), True), (F(12), False)):
+        warm = WarmStart()
+        warm.feasible_basis, warm.infeasible_basis = ib, fb
+        rep = feasible(spec, d, K, opts, warm)
+        assert rep.feasible is verdict
+        assert warm.cold == 1 and warm.warm_feasible == warm.warm_infeasible == 0
+        check_report(spec, d, K, opts, rep)
+
+
+FLIPPED_DUAL = """
+from fractions import Fraction
+from qdelsarte import simplex
+from qdelsarte.families import CliffordOdd
+from qdelsarte.lp import feasible
+from qdelsarte.simplex import WarmStart
+warm = WarmStart()
+feasible(CliffordOdd(8), 3, Fraction(13), warm=warm)  # keeps an infeasible basis
+real = simplex._solve_square
+def flipped(M, b):
+    sol = real(M, b)
+    return None if sol is None else ([-v for v in sol[0]], sol[1])
+simplex._solve_square = flipped
+ok = feasible(CliffordOdd(8), 3, Fraction(11), warm=WarmStart()).feasible
+for w in (None, warm):
+    try:
+        feasible(CliffordOdd(8), 3, Fraction(12), warm=w)
+    except ArithmeticError:
+        continue
+    raise SystemExit("a flipped Farkas vector was accepted")
+print("raised", ok, warm.warm_infeasible)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_flipped_dual_raises_also_under_optimize(flags):
+    # the warm dual fails substitution, and so does the cold solve's own
+    res = subprocess.run([sys.executable, *flags, "-c", FLIPPED_DUAL],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["raised", "True", "0"]
