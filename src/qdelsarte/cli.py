@@ -13,23 +13,24 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 from . import clifford, su2
-from .families import FAMILY_NAMES, FamilyError, FamilySpec, profile, validate
+from .families import FAMILY_NAMES, Family, FamilyError, profile, validate
 from .lp import LPOptions, feasible as lp_feasible, lp_bound
 from .oracle import verify_lambda, verify_wtj
 from .scalars import SurdSum, format_fraction, parse_fraction
 from .wtj import lambda_signature, wtj_matrix
 
 
-def _build_family(args) -> FamilySpec:
+def _build_family(args, **given) -> Family:
+    """The family named by --family, its parameters read from args except
+    those given."""
     cls = FAMILY_NAMES[args.family]
     kwargs = {}
     for f in cls.__dataclass_fields__:
-        val = getattr(args, f, None)
+        val = given[f] if f in given else getattr(args, f, None)
         if val is None:
             raise FamilyError(f"family {args.family} requires --{f}")
         kwargs[f] = val
@@ -92,18 +93,9 @@ def cmd_wtj(args) -> int:
     return 0
 
 
-def _lp_options(args, spec: FamilySpec) -> LPOptions:
-    if args.self_dual and lambda_signature(spec) is None:
-        raise FamilyError(
-            f"{args.family} has no self-dual structure for these parameters; "
-            "self-dual instances: qhamming q=2, su2, su-sym q=2, su-ext n=2w, "
-            "clifford-odd, clifford-even, spinorial, semispinorial even n")
-    return LPOptions(self_dual=args.self_dual, pure=args.pure)
-
-
 def cmd_bound(args) -> int:
     spec = _build_family(args)
-    opts = _lp_options(args, spec)
+    opts = LPOptions(self_dual=args.self_dual, pure=args.pure)
     tol = parse_fraction(args.tol)
     res = lp_bound(spec, args.d, opts, tol=tol, integer=args.integer)
     doc = {"family": args.family, "d": args.d,
@@ -124,7 +116,7 @@ def cmd_bound(args) -> int:
 
 def cmd_feasible(args) -> int:
     spec = _build_family(args)
-    opts = _lp_options(args, spec)
+    opts = LPOptions(self_dual=args.self_dual, pure=args.pure)
     K = parse_fraction(args.k)
     rep = lp_feasible(spec, args.d, K, opts)
     doc = {"family": args.family, "d": args.d, "k": format_fraction(K),
@@ -150,27 +142,18 @@ def _table_cell(job):
 
 
 def cmd_table(args) -> int:
-    cls = FAMILY_NAMES[args.family]
-    specs = []
-    for n in range(args.n_from, args.n_to + 1):
-        kwargs = {"n": n}
-        if "q" in cls.__dataclass_fields__:
-            if args.q is None:
-                raise FamilyError(f"family {args.family} requires --q")
-            kwargs["q"] = args.q
-        if "w" in cls.__dataclass_fields__:
-            if args.w is None:
-                raise FamilyError(f"family {args.family} requires --w")
-            kwargs["w"] = args.w
-        spec = cls(**kwargs)
-        validate(spec)
-        specs.append(spec)
+    for x in ("n", "d"):
+        lo, hi = getattr(args, f"{x}_from"), getattr(args, f"{x}_to")
+        if lo > hi:
+            raise FamilyError(f"empty range: --{x}-from {lo} > --{x}-to {hi}")
+    specs = [_build_family(args, n=n) for n in range(args.n_from, args.n_to + 1)]
     opts = LPOptions(self_dual=args.self_dual, pure=args.pure)
     tol = parse_fraction(args.tol)
     ds = list(range(args.d_from, args.d_to + 1))
     jobs = [(spec, d, opts, tol, args.integer) for spec in specs for d in ds]
     threads = int(os.environ.get("QLP_THREADS", os.cpu_count() or 1))
     if threads > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~20 ms, pooled runs only
         with ProcessPoolExecutor(max_workers=threads) as pool:
             cells = list(pool.map(_table_cell, jobs))
     else:

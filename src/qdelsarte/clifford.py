@@ -213,26 +213,6 @@ def projector(stab: StabilizerCode) -> Sparse:
     return out
 
 
-def build_code(stab: StabilizerCode) -> "CliffordCode":
-    return CliffordCode(stab)
-
-
-@dataclass(frozen=True)
-class CliffordCode:
-    stab: StabilizerCode
-
-    @property
-    def n(self) -> int:
-        return self.stab.n
-
-    @property
-    def dimension(self) -> int:
-        return self.stab.dimension
-
-    def projector(self) -> Sparse:
-        return projector(self.stab)
-
-
 def clifford_hamming(s: int) -> StabilizerCode:
     """Distance-3 code on n = 2^s - 1 qubits from the binary Hamming matrix."""
     if s < 3:
@@ -291,9 +271,8 @@ class DetectionReport:
     is_nondegenerate: bool
 
 
-def detection_report(code: CliffordCode | StabilizerCode, reading: str,
+def detection_report(stab: StabilizerCode, reading: str,
                      cross_check: bool | None = None) -> DetectionReport:
-    stab = code.stab if isinstance(code, CliffordCode) else code
     n, length = stab.n, 2 * stab.n
     if stab.dimension == 0:
         raise ValueError("dimension-0 code")
@@ -399,11 +378,10 @@ def _matrix_cross_check(stab: StabilizerCode, coeffs: dict[int, int],
                                           f"F_2 verdict at x={x}, t={t}")
 
 
-def distance_distribution(code: CliffordCode | StabilizerCode, reading: str,
+def distance_distribution(stab: StabilizerCode, reading: str,
                           op_budget: int = 5_000_000
                           ) -> tuple[list[Fraction], list[Fraction]]:
     """Exact (A, B) via the group algebra; no matrices needed at any n."""
-    stab = code.stab if isinstance(code, CliffordCode) else code
     n, length = stab.n, 2 * stab.n
     r = reading_diameter(n, reading)
     coeffs = span_coefficients(stab)

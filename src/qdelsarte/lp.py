@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .families import FamilySpec, profile
+from .families import Family, profile
 from .simplex import (EQ, GE, Constraint, WarmStart, check_feasible, row_multipliers,
                       verify_farkas, verify_witness)
 from .wtj import lambda_signature, wtj_matrix
@@ -55,7 +55,7 @@ class FeasibleReport:
     farkas: tuple[int, ...] | None = None
 
 
-def build_system(spec: FamilySpec, d: int, K: Fraction,
+def build_system(spec: Family, d: int, K: Fraction,
                  opts: LPOptions = LPOptions()) -> tuple[list[Constraint], int]:
     prof = profile(spec)
     r = prof.diameter_r
@@ -117,7 +117,7 @@ class IntegerSystem:
 
 
 @lru_cache(maxsize=None)
-def integer_system(spec: FamilySpec, d: int, opts: LPOptions = LPOptions()) -> IntegerSystem:
+def integer_system(spec: Family, d: int, opts: LPOptions = LPOptions()) -> IntegerSystem:
     """The IntegerSystem of build_system(spec, d, K, opts), from K = 0 and K = 1."""
     cons0, nvars = build_system(spec, d, Fraction(0), opts)
     cons1, _ = build_system(spec, d, Fraction(1), opts)
@@ -144,7 +144,7 @@ def integer_system(spec: FamilySpec, d: int, opts: LPOptions = LPOptions()) -> I
     return system
 
 
-def feasible(spec: FamilySpec, d: int, K: Fraction,
+def feasible(spec: Family, d: int, K: Fraction,
              opts: LPOptions = LPOptions(), warm: WarmStart | None = None) -> FeasibleReport:
     """Exact feasibility of the system at K > 0, with a checked certificate.
 
@@ -180,7 +180,7 @@ class BoundResult:
     exact: bool      # upper bound coincides with the largest feasible integer
 
 
-def lp_bound(spec: FamilySpec, d: int, opts: LPOptions = LPOptions(),
+def lp_bound(spec: Family, d: int, opts: LPOptions = LPOptions(),
              tol: Fraction = DEFAULT_TOL, integer: bool = False) -> BoundResult:
     """Largest feasible K in [1, dim(H)], located by bisection.
 
@@ -231,7 +231,7 @@ class NotApplicable(Exception):
     """The closed-form distance-2 bound does not apply to this family."""
 
 
-def dist2_bound(spec: FamilySpec) -> Fraction:
+def dist2_bound(spec: Family) -> Fraction:
     """Closed-form bound for distance 2, valid when W_1 is not minimized at j=1."""
     prof = profile(spec)
     W = wtj_matrix(spec)
@@ -245,7 +245,7 @@ def dist2_bound(spec: FamilySpec) -> Fraction:
     return max(a, b)
 
 
-def dist2_bound_pure(spec: FamilySpec) -> Fraction:
+def dist2_bound_pure(spec: Family) -> Fraction:
     prof = profile(spec)
     row = wtj_matrix(spec)[1]
     m = min(row)
@@ -254,7 +254,7 @@ def dist2_bound_pure(spec: FamilySpec) -> Fraction:
     return -m * prof.dim_H / (row[0] - m)
 
 
-def volume_bound(spec: FamilySpec, d: int) -> Fraction:
+def volume_bound(spec: Family, d: int) -> Fraction:
     """dim(H) / sum_{t <= floor((d-1)/2)} dim(V_t), valid for nondegenerate codes."""
     prof = profile(spec)
     half = (d - 1) // 2

@@ -3,14 +3,16 @@
 For each family this module builds explicit matrix bases of the error
 blocks V_t, applies the block channel
 
-    Phi_t(X) = sum_{k,l} (G^{-1})_{lk} F_k X F_l*
+    Phi_t(X) = sum_k F_k X F_k* / <F_k, F_k>
 
-with the exact Gram correction, and reads off eigenvalues as rational
-ratios.  Nothing here trusts the closed forms in wtj.py; agreement between
-the two paths is the correctness argument for the fast formulas.
+on an orthogonal basis F_k (OperatorBasis raises ArithmeticError on any
+other), and reads off eigenvalues as rational ratios.  Nothing here trusts
+the closed forms of the family classes; agreement between the two paths is
+the correctness argument for the fast formulas.
 
-Instances are capped at sizes where dense exact arithmetic finishes in
-seconds; larger parameters raise.
+`ORACLE` holds, per family class, the size ceiling, the block-basis builder
+and the antiunitary builder.  Instances are capped at sizes where dense
+exact arithmetic finishes in seconds; larger parameters raise.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from typing import Callable, NamedTuple
 
-from .clifford import _labels_of_weight, gamma, label_to_str, q_form, wt
-from .families import (CliffordEven, CliffordOdd, FamilySpec, QHamming,
+from .clifford import _labels_of_weight, gamma
+from .families import (CliffordEven, CliffordOdd, Family, QHamming,
                        Semispinorial, Spinorial, Su2, SunExt, SuqSym, profile)
 from .linalg import (RowSpace, Sparse, conj, sp_add, sp_identity, sp_kron, sp_mul,
                      sp_scale, sp_sub)
@@ -29,48 +32,25 @@ from .scalars import GR_ONE, GaussianRational, SurdSum
 from .su2 import _coeff_E, _coeff_F
 from .wtj import lambda_signature, wtj_matrix
 
-SIZE_CEILINGS = "QHamming q=2 n<=3 / q=3 n<=2; Su2 n<=6; SuqSym q=3 n<=3; " \
-                "SunExt n<=6; Clifford and Spinorial n<=4; Semispinorial n<=5"
-
-
-def _check_size(spec: FamilySpec) -> None:
-    ok = True
-    if isinstance(spec, QHamming):
-        ok = (spec.q == 2 and spec.n <= 3) or (spec.q == 3 and spec.n <= 2)
-    elif isinstance(spec, Su2):
-        ok = spec.n <= 6
-    elif isinstance(spec, SuqSym):
-        ok = spec.q <= 3 and profile(spec).dim_H <= 12
-    elif isinstance(spec, SunExt):
-        ok = spec.n <= 6
-    elif isinstance(spec, (CliffordOdd, CliffordEven, Spinorial)):
-        ok = spec.n <= 4
-    elif isinstance(spec, Semispinorial):
-        ok = spec.n <= 5
-    if not ok:
-        raise ValueError(f"instance too large for the oracle ({SIZE_CEILINGS})")
-
 
 @dataclass
 class OperatorBasis:
-    spec: FamilySpec
+    spec: Family
     t: int
     matrices: list[Sparse]
     dim: int
     # diagonal weight of the representation's inner product; None = identity
     weight: dict[int, Fraction] | None = None
     gram: list[list[Fraction]] = field(default_factory=list)
-    # set once here, not per phi_apply call: whether the Gram matrix is
-    # diagonal, and the weighted adjoint of every basis matrix
-    diagonal: bool = field(init=False)
+    # the weighted adjoint of every basis matrix, set once here
     adjoints: list[Sparse] = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.gram:
             self.gram = [[_as_fraction(op_inner(a, b, self.weight))
                           for b in self.matrices] for a in self.matrices]
-        self.diagonal = all(not g for i, row in enumerate(self.gram)
-                            for j, g in enumerate(row) if i != j)
+        if any(g for i, row in enumerate(self.gram) for j, g in enumerate(row) if i != j):
+            raise ArithmeticError(f"{self.spec} block {self.t} basis is not orthogonal")
         self.adjoints = [op_weighted_adjoint(f, self.weight) for f in self.matrices]
 
 
@@ -166,7 +146,7 @@ def _basis_su2(spec: Su2, t: int) -> OperatorBasis:
     return OperatorBasis(spec, t, mats, n + 1)
 
 
-def _closure_basis(spec: FamilySpec, t: int, dim: int, hw: Sparse,
+def _closure_basis(spec: Family, t: int, dim: int, hw: Sparse,
                    lowering: list[Sparse],
                    weight: dict[int, Fraction] | None) -> OperatorBasis:
     """Orthogonal span of the ad-orbit of a highest-weight matrix.
@@ -291,10 +271,10 @@ def _basis_suext(spec: SunExt, t: int) -> OperatorBasis:
     return _closure_basis(spec, t, dim, hw, lowering, None)
 
 
-def _basis_gamma(spec: FamilySpec, t: int, length: int, weights: tuple[int, ...],
-                 n: int) -> OperatorBasis:
-    mats = [gamma(n, x) for w in weights for x in _labels_of_weight(length, w)]
-    return OperatorBasis(spec, t, mats, 2 ** n)
+def _basis_gamma(spec: Family, t: int, length: int, weight: int) -> OperatorBasis:
+    n = spec.n
+    return OperatorBasis(spec, t, [gamma(n, x) for x in _labels_of_weight(length, weight)],
+                         2 ** n)
 
 
 def _basis_semispin(spec: Semispinorial, t: int) -> OperatorBasis:
@@ -310,30 +290,87 @@ def _basis_semispin(spec: Semispinorial, t: int) -> OperatorBasis:
     return OperatorBasis(spec, t, mats, 2 ** n)
 
 
+# --- antiunitaries: the linear part, up to overall phase ---------------------
+# Each is reached only where the family has a signature: QHamming at q = 2,
+# SunExt at n = 2w.
+
+def _antiunitary_qhamming(spec: QHamming) -> Sparse:
+    sy: Sparse = {(0, 1): GaussianRational(0, -1), (1, 0): GaussianRational(0, 1)}
+    out = sy
+    for _ in range(spec.n - 1):
+        out = sp_kron(out, sy, 2, 2)
+    return out
+
+
+def _antiunitary_gamma(spec: Family) -> Sparse:
+    # the word on all sigma_y letters; equals sigma_y^{tensor n} up to
+    # letter-dependent signs that the conjugation sandwich absorbs
+    n = spec.n
+    return gamma(n, ((1 << n) - 1) << n)
+
+
+def _antiunitary_su2(spec: Su2) -> Sparse:
+    n = spec.n
+    out: Sparse = {}
+    for m in range(n + 1):  # |k> -> (-1)^{(n+k)/2} |-k>
+        k = 2 * m - n
+        out[(n - m, m)] = SurdSum.rational((-1) ** ((n + k) // 2))
+    return out
+
+
+def _antiunitary_suext(spec: SunExt) -> Sparse:
+    n, w = spec.n, spec.w
+    subsets, index = _suext_space(n, w)
+    out: Sparse = {}
+    for s, col in index.items():
+        comp = tuple(x for x in range(n) if x not in s)
+        perm = list(s) + list(comp)
+        sign = 1
+        for a in range(len(perm)):
+            for b in range(a + 1, len(perm)):
+                if perm[a] > perm[b]:
+                    sign = -sign
+        out[(index[comp], col)] = Fraction(sign)
+    return out
+
+
+# --- the per-family table -----------------------------------------------------
+
+class _Oracle(NamedTuple):
+    ceiling: str                              # the largest instances admitted
+    fits: Callable[[Family], bool]
+    basis: Callable[[Family, int], OperatorBasis]
+    antiunitary: Callable[[Family], Sparse] | None  # None: no construction
+
+
+ORACLE: dict[type, _Oracle] = {
+    QHamming: _Oracle("q = 2 and n <= 3, or q = 3 and n <= 2",
+                      lambda s: (s.q == 2 and s.n <= 3) or (s.q == 3 and s.n <= 2),
+                      _basis_qhamming, _antiunitary_qhamming),
+    Su2: _Oracle("n <= 6", lambda s: s.n <= 6, _basis_su2, _antiunitary_su2),
+    SuqSym: _Oracle("q <= 3 and dim H <= 12",
+                    lambda s: s.q <= 3 and profile(s).dim_H <= 12, _basis_susym, None),
+    SunExt: _Oracle("n <= 6", lambda s: s.n <= 6, _basis_suext, _antiunitary_suext),
+    CliffordOdd: _Oracle("n <= 4", lambda s: s.n <= 4,
+                         lambda s, t: _basis_gamma(s, t, 2 * s.n + 1, t), _antiunitary_gamma),
+    CliffordEven: _Oracle("n <= 4", lambda s: s.n <= 4,
+                          lambda s, t: _basis_gamma(s, t, 2 * s.n, t), _antiunitary_gamma),
+    Spinorial: _Oracle("n <= 4", lambda s: s.n <= 4,
+                       lambda s, t: _basis_gamma(s, t, 2 * s.n + 1, 2 * t), _antiunitary_gamma),
+    Semispinorial: _Oracle("n <= 5", lambda s: s.n <= 5, _basis_semispin, _antiunitary_gamma),
+}
+
+
 @lru_cache(maxsize=None)
-def v_basis(spec: FamilySpec, t: int) -> OperatorBasis:
-    _check_size(spec)
+def v_basis(spec: Family, t: int) -> OperatorBasis:
+    entry = ORACLE[type(spec)]
+    if not entry.fits(spec):
+        raise ValueError(f"instance too large for the oracle "
+                         f"({spec.name} needs {entry.ceiling}, got {spec})")
     prof = profile(spec)
     if not 0 <= t <= prof.diameter_r:
         raise ValueError(f"t={t} outside 0..{prof.diameter_r}")
-    if isinstance(spec, QHamming):
-        basis = _basis_qhamming(spec, t)
-    elif isinstance(spec, Su2):
-        basis = _basis_su2(spec, t)
-    elif isinstance(spec, SuqSym):
-        basis = _basis_susym(spec, t)
-    elif isinstance(spec, SunExt):
-        basis = _basis_suext(spec, t)
-    elif isinstance(spec, CliffordOdd):
-        basis = _basis_gamma(spec, t, 2 * spec.n + 1, (t,), spec.n)
-    elif isinstance(spec, CliffordEven):
-        basis = _basis_gamma(spec, t, 2 * spec.n, (t,), spec.n)
-    elif isinstance(spec, Spinorial):
-        basis = _basis_gamma(spec, t, 2 * spec.n + 1, (2 * t,), spec.n)
-    elif isinstance(spec, Semispinorial):
-        basis = _basis_semispin(spec, t)
-    else:
-        raise TypeError(f"unknown family {spec!r}")
+    basis = entry.basis(spec, t)
     if len(basis.matrices) != prof.dim_V[t]:
         raise ArithmeticError(f"{spec} block {t} basis has {len(basis.matrices)} "
                               f"elements, expected dim V_{t} = {prof.dim_V[t]}")
@@ -342,40 +379,14 @@ def v_basis(spec: FamilySpec, t: int) -> OperatorBasis:
 
 # --- the block channel ------------------------------------------------------
 
-def _mat_inverse(G: list[list[Fraction]]) -> list[list[Fraction]]:
-    m = len(G)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(m)]
-           for i, row in enumerate(G)]
-    for col in range(m):
-        piv = next(r for r in range(col, m) if aug[r][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[m:] for row in aug]
-
-
 def phi_apply(basis: OperatorBasis, X: Sparse) -> Sparse:
-    G = basis.gram
     out: Sparse = {}
-    if basis.diagonal:
-        for i, (f, fa) in enumerate(zip(basis.matrices, basis.adjoints)):
-            out = sp_add(out, sp_scale(sp_mul(sp_mul(f, X), fa), 1 / G[i][i]))
-        return out
-    Ginv = _mat_inverse(G)
-    for k, fk in enumerate(basis.matrices):
-        fkx = sp_mul(fk, X)
-        for l, fla in enumerate(basis.adjoints):
-            c = Ginv[l][k]
-            if c:
-                out = sp_add(out, sp_scale(sp_mul(fkx, fla), c))
+    for i, (f, fa) in enumerate(zip(basis.matrices, basis.adjoints)):
+        out = sp_add(out, sp_scale(sp_mul(sp_mul(f, X), fa), 1 / basis.gram[i][i]))
     return out
 
 
-def wtj_bruteforce(spec: FamilySpec, t: int, j: int) -> Fraction:
+def wtj_bruteforce(spec: Family, t: int, j: int) -> Fraction:
     bt = v_basis(spec, t)
     bj = v_basis(spec, j)
     X = bj.matrices[0]
@@ -387,12 +398,12 @@ def wtj_bruteforce(spec: FamilySpec, t: int, j: int) -> Fraction:
 
 @dataclass(frozen=True)
 class WtjReport:
-    spec: FamilySpec
+    spec: Family
     matches: bool
     mismatches: tuple[tuple[int, int, Fraction, Fraction], ...]
 
 
-def verify_wtj(spec: FamilySpec) -> WtjReport:
+def verify_wtj(spec: Family) -> WtjReport:
     """Compare every closed-form W_t(j) against the brute-force eigenvalue."""
     W = wtj_matrix(spec)
     r = profile(spec).diameter_r
@@ -411,51 +422,14 @@ def _conj_matrix(x: Sparse) -> Sparse:
     return {k: conj(v) for k, v in x.items()}
 
 
-def _lambda_operator(spec: FamilySpec) -> Sparse:
-    """Matrix of the antiunitary's linear part, up to overall phase."""
-    if isinstance(spec, QHamming) and spec.q == 2:
-        sy: Sparse = {(0, 1): GaussianRational(0, -1), (1, 0): GaussianRational(0, 1)}
-        out = sy
-        for _ in range(spec.n - 1):
-            out = sp_kron(out, sy, 2, 2)
-        return out
-    if isinstance(spec, (CliffordOdd, CliffordEven, Spinorial, Semispinorial)):
-        # the word on all sigma_y letters; equals sigma_y^{tensor n} up to
-        # letter-dependent signs that the conjugation sandwich absorbs
-        n = spec.n
-        return gamma(n, ((1 << n) - 1) << n)
-    if isinstance(spec, Su2):
-        n = spec.n
-        out: Sparse = {}
-        for m in range(n + 1):  # |k> -> (-1)^{(n+k)/2} |-k>
-            k = 2 * m - n
-            out[(n - m, m)] = SurdSum.rational((-1) ** ((n + k) // 2))
-        return out
-    if isinstance(spec, SunExt) and spec.n == 2 * spec.w:
-        n, w = spec.n, spec.w
-        subsets, index = _suext_space(n, w)
-        out = {}
-        for s, col in index.items():
-            comp = tuple(x for x in range(n) if x not in s)
-            perm = list(s) + list(comp)
-            sign = 1
-            for a in range(len(perm)):
-                for b in range(a + 1, len(perm)):
-                    if perm[a] > perm[b]:
-                        sign = -sign
-            out[(index[comp], col)] = Fraction(sign)
-        return out
-    raise NotImplementedError(f"no antiunitary construction for {spec}")
-
-
 @dataclass(frozen=True)
 class LambdaReport:
-    spec: FamilySpec
+    spec: Family
     matches: bool
     mismatches: tuple[tuple[int, int], ...]  # (block, basis element index)
 
 
-def verify_lambda(spec: FamilySpec) -> LambdaReport:
+def verify_lambda(spec: Family) -> LambdaReport:
     """Check T(X) = Lambda conj(X) Lambda* equals lambda_j X* on every block.
 
     The antiunitary commutes with the isometry action but swaps raising and
@@ -465,7 +439,10 @@ def verify_lambda(spec: FamilySpec) -> LambdaReport:
     lam = lambda_signature(spec)
     if lam is None:
         raise ValueError(f"{spec.name} is not self-dual")
-    L = _lambda_operator(spec)
+    antiunitary = ORACLE[type(spec)].antiunitary
+    if antiunitary is None:
+        raise NotImplementedError(f"no antiunitary construction for {spec}")
+    L = antiunitary(spec)
     Ladj = op_weighted_adjoint(L, None)
     r = profile(spec).diameter_r
     bad = []

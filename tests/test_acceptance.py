@@ -16,7 +16,6 @@ import pytest
 
 from qdelsarte.clifford import (
     StabilizerCode,
-    build_code,
     clifford_hamming,
     detection_report,
     distance_distribution,
@@ -74,7 +73,7 @@ def test_criterion1_w_matrix_identities():
 CRITERION2_GRID = (
     [QHamming(2, n) for n in range(1, 4)]
     + [QHamming(3, n) for n in range(1, 3)]
-    + [Su2(n) for n in range(1, 6)]
+    + [Su2(n) for n in range(1, 7)]
     + [SuqSym(3, n) for n in range(1, 4)]
     + [SunExt(n, w) for n in range(2, 7) for w in range(1, n)]
     + [CliffordOdd(n) for n in range(1, 5)]
@@ -209,7 +208,7 @@ def test_criterion4_clifford_odd_pure():
 # ---------------------------------------------------------------- criterion 5
 
 def test_criterion5_7_3_code_matrix_level():
-    code = build_code(clifford_hamming(3))
+    code = clifford_hamming(3)
     for reading in ("even", "odd"):
         rep = detection_report(code, reading, cross_check=True)
         assert rep.dimension == 8
@@ -221,7 +220,7 @@ def test_criterion5_7_3_code_matrix_level():
 
 
 def test_criterion5_15_10_code_symbolic():
-    code = build_code(clifford_hamming(4))
+    code = clifford_hamming(4)
     for reading in ("even", "odd"):
         rep = detection_report(code, reading, cross_check=False)
         assert rep.dimension == 1024
@@ -287,12 +286,12 @@ def su2_distribution(n, vecs):
 
 
 def test_criterion6_clifford_codes():
-    hamming = build_code(clifford_hamming(3))
+    hamming = clifford_hamming(3)
     cases = [(hamming, "odd", CliffordOdd(7)), (hamming, "even", CliffordEven(7))]
     for n in (2, 3, 4):  # chirality half-space codes
-        half = build_code(StabilizerCode(n, ((1 << 2 * n) - 1,), (1,)))
+        half = StabilizerCode(n, ((1 << 2 * n) - 1,), (1,))
         cases.append((half, "odd", CliffordOdd(n)))
-    trivial = build_code(StabilizerCode(3, (), ()))
+    trivial = StabilizerCode(3, (), ())
     cases.append((trivial, "odd", CliffordOdd(3)))
     for code, reading, family in cases:
         a, b = distance_distribution(code, reading)

@@ -157,6 +157,29 @@ def test_nonpositive_tol_exits_2_at_once(args):
 
 
 @pytest.mark.parametrize("args", [
+    ("bound", "--family", "su-sym", "--q", "3", "--n", "4", "--d", "2", "--self-dual"),
+    ("feasible", "--family", "su-ext", "--n", "6", "--w", "2", "--d", "2", "--k", "1",
+     "--self-dual"),
+    ("table", "--family", "qhamming", "--q", "3", "--n-from", "2", "--n-to", "3",
+     "--d-from", "2", "--d-to", "2", "--self-dual"),
+], ids=["bound", "feasible", "table"])
+def test_self_dual_without_signature_exits_2(args):
+    res = run(*args)
+    assert res.returncode == 2 and res.stdout == ""
+    assert "has no self-dual signature" in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("--n-from", "9", "--n-to", "4", "--d-from", "2", "--d-to", "3"),
+    ("--n-from", "4", "--n-to", "5", "--d-from", "4", "--d-to", "2"),
+], ids=["n", "d"])
+def test_table_empty_range_exits_2(args):
+    res = run("table", "--family", "su2", *args)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: empty range")
+
+
+@pytest.mark.parametrize("args", [
     ("bound", "--family", "su2", "--n", "7", "--d", "3", "--tol", "1/0"),
     ("feasible", "--family", "su2", "--n", "7", "--d", "3", "--k", "1/0"),
     ("table", "--family", "su2", "--n-from", "4", "--n-to", "5",

@@ -21,7 +21,6 @@ from qdelsarte.clifford import (
     READINGS,
     StabilizerCode,
     block_weights,
-    build_code,
     clifford_hamming,
     detection_report,
     distance_distribution,
@@ -177,8 +176,8 @@ class TestStabilizerCode:
 
     def test_dimension(self):
         stab = clifford_hamming(3)
-        assert build_code(stab).dimension == 2 ** (7 - 3) // 2 * 1  # 2^{n-s-?}
-        assert build_code(stab).dimension == 8
+        assert stab.dimension == 2 ** (7 - 3) // 2 * 1  # 2^{n-s-?}
+        assert stab.dimension == 8
 
 
 class TestCliffordHamming:
@@ -210,7 +209,7 @@ class TestCliffordHamming:
             return monomial(n, x)
 
         monkeypatch.setattr(clifford, "_gamma_monomial", recording_monomial)
-        code = build_code(clifford_hamming(3))
+        code = clifford_hamming(3)
         for reading in ("even", "odd"):
             seen.clear()
             rep = detection_report(code, reading)
@@ -225,7 +224,7 @@ class TestCliffordHamming:
                         assert sum(1 << b for b in bits) in seen, (reading, t, bits)
 
     def test_code_parameters_s4_symbolic(self):
-        code = build_code(clifford_hamming(4))
+        code = clifford_hamming(4)
         for reading in ("even", "odd"):
             rep = detection_report(code, reading, cross_check=False)
             assert rep.dimension == 1024
@@ -235,10 +234,9 @@ class TestCliffordHamming:
 class TestHalfSpaceCode:
     """The chirality half-space: an impure distance-2 code of dimension 2^{n-1}."""
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_half_space(self, n):
-        stab = StabilizerCode(n, ((1 << 2 * n) - 1,), (1,))
-        code = build_code(stab)
+        code = StabilizerCode(n, ((1 << 2 * n) - 1,), (1,))
         assert code.dimension == 2 ** (n - 1)
         rep = detection_report(code, "odd")
         assert rep.min_distance == 2
@@ -249,8 +247,7 @@ class TestDistributions:
     def test_full_space_distribution(self):
         # the trivial code P = I has A_t = B_t * K with B_t = dim V_t
         n = 3
-        stab = StabilizerCode(n, (), ())
-        code = build_code(stab)
+        code = StabilizerCode(n, (), ())
         a, b = distance_distribution(code, "odd")
         prof = profile(CliffordOdd(n))
         assert tuple(b) == tuple(F(v) for v in prof.dim_V)
@@ -259,7 +256,7 @@ class TestDistributions:
     @pytest.mark.parametrize("reading,family", [
         ("odd", CliffordOdd(7)), ("even", CliffordEven(7))])
     def test_hamming_code_transform_identities(self, reading, family):
-        code = build_code(clifford_hamming(3))
+        code = clifford_hamming(3)
         a, b = distance_distribution(code, reading)
         w = wtj_matrix(family)
         r = profile(family).diameter_r
@@ -276,7 +273,7 @@ class TestDistributions:
         assert min(strict) == d
 
     def test_odd_hamming_values(self):
-        code = build_code(clifford_hamming(3))
+        code = clifford_hamming(3)
         a, _ = distance_distribution(code, "odd")
         assert tuple(a) == (8, 0, 0, 0, 0, 0, 0, 120)
 

@@ -96,6 +96,16 @@ def test_validate_rejects_bad_parameters():
             validate(bad)
 
 
+def test_validate_messages_name_the_condition():
+    for bad, msg in ((QHamming(1, 3), "qhamming needs q >= 2 and n >= 1, got q=1, n=3"),
+                     (Su2(0), "su2 needs n >= 1, got n=0"),
+                     (SunExt(3, 3), "su-ext needs n >= 2 and 1 <= w <= n-1, got n=3, w=3"),
+                     (Semispinorial(1), "semispinorial needs n >= 2, got n=1")):
+        with pytest.raises(FamilyError) as exc:
+            validate(bad)
+        assert str(exc.value) == msg
+
+
 def test_validate_accepts_all_examples():
     for spec in ALL_SPECS:
         validate(spec)

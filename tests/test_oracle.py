@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qdelsarte.families import (
+    FAMILY_NAMES,
     CliffordEven,
     CliffordOdd,
     QHamming,
@@ -18,6 +19,8 @@ from qdelsarte.families import (
 from qdelsarte import oracle
 from qdelsarte.linalg import sp_mul, sp_scale, sp_sub
 from qdelsarte.oracle import (
+    ORACLE,
+    OperatorBasis,
     op_inner,
     phi_apply,
     v_basis,
@@ -163,3 +166,20 @@ def test_closure_basis_matches_gram_schmidt_on_every_candidate(spec, monkeypatch
         basis, norms = gram_schmidt_closure(hw, lowering, weight, len(out.matrices))
         assert out.matrices == basis
         assert [out.gram[i][i] for i in range(len(basis))] == norms
+
+
+def test_oracle_table_covers_every_family():
+    assert set(ORACLE) == set(FAMILY_NAMES.values())
+
+
+def test_susym_ceiling_is_dim_h_twelve():
+    # q = 2, n = 11 has dim H = 12, inside the ceiling although n > 3
+    assert verify_wtj(SuqSym(2, 11)).matches
+    with pytest.raises(ValueError, match="su-sym needs q <= 3 and dim H <= 12"):
+        v_basis(SuqSym(3, 4), 0)
+
+
+def test_non_orthogonal_basis_is_rejected():
+    one = Fraction(1)
+    with pytest.raises(ArithmeticError, match="not orthogonal"):
+        OperatorBasis(Su2(1), 0, [{(0, 0): one}, {(0, 0): one, (1, 1): one}], 2)

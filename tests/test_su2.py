@@ -114,7 +114,7 @@ class TestCodeQuarter:
         vecs = code_quarter(n)
         assert gram_is_identity(n, vecs)
 
-    @pytest.mark.parametrize("n", [7, 8, 11, 12, 15, 16])
+    @pytest.mark.parametrize("n", range(7, 17))
     def test_distance_two(self, n):
         assert min_distance(n, code_quarter(n)) == 2
 

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdelsarte.families import (
+    FAMILY_NAMES,
     CliffordEven,
+    Family,
     CliffordOdd,
     QHamming,
     Semispinorial,
@@ -30,6 +32,20 @@ PROPERTY_GRID = (
     + [Spinorial(n) for n in range(1, 13)]
     + [Semispinorial(n) for n in range(2, 13)]
 )
+
+
+def test_every_family_class_owns_its_table():
+    small = [QHamming(3, 2), Su2(4), SuqSym(3, 3), SunExt(6, 3), CliffordOdd(3),
+             CliffordEven(3), Spinorial(3), Semispinorial(4)]
+    assert [type(s) for s in small] == list(FAMILY_NAMES.values())
+    for spec in small:
+        assert isinstance(spec, Family)
+        W = wtj_matrix(spec)
+        r = profile(spec).diameter_r
+        assert all(spec.wtj(t, j) == wtj(spec, t, j) == W[t][j]
+                   for t in range(r + 1) for j in range(r + 1))
+        with pytest.raises(ValueError, match="outside"):
+            wtj(spec, r + 1, 0)
 
 
 @pytest.mark.parametrize("spec", PROPERTY_GRID, ids=str)
