@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import clifford, su2
 from .families import FAMILY_NAMES, Family, FamilyError, profile, validate
-from .lp import LPOptions, feasible as lp_feasible, lp_bound
+from .lp import LPOptions, check_options, feasible as lp_feasible, lp_bound
 from .oracle import verify_lambda, verify_wtj
 from .scalars import SurdSum, format_fraction, parse_fraction
 from .wtj import lambda_signature, wtj_matrix
@@ -148,6 +148,8 @@ def cmd_table(args) -> int:
             raise FamilyError(f"empty range: --{x}-from {lo} > --{x}-to {hi}")
     specs = [_build_family(args, n=n) for n in range(args.n_from, args.n_to + 1)]
     opts = LPOptions(self_dual=args.self_dual, pure=args.pure)
+    for spec in specs:  # also when every cell lies beyond the diameter
+        check_options(spec, opts)
     tol = parse_fraction(args.tol)
     ds = list(range(args.d_from, args.d_to + 1))
     jobs = [(spec, d, opts, tol, args.integer) for spec in specs for d in ds]

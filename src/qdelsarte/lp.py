@@ -55,14 +55,19 @@ class FeasibleReport:
     farkas: tuple[int, ...] | None = None
 
 
+def check_options(spec: Family, opts: LPOptions) -> None:
+    """Raise ValueError when opts ask for a constraint spec cannot carry."""
+    if opts.self_dual and lambda_signature(spec) is None:
+        raise ValueError(f"{spec.name} has no self-dual signature")
+
+
 def build_system(spec: Family, d: int, K: Fraction,
                  opts: LPOptions = LPOptions()) -> tuple[list[Constraint], int]:
     prof = profile(spec)
     r = prof.diameter_r
     if not (1 <= d <= r + 1):
         raise ValueError(f"distance d={d} outside 1..{r + 1}")
-    if opts.self_dual and lambda_signature(spec) is None:
-        raise ValueError(f"{spec.name} has no self-dual signature")
+    check_options(spec, opts)
     W = wtj_matrix(spec)
     nvars = r + 1
     cons: list[Constraint] = []

@@ -10,9 +10,13 @@ other), and reads off eigenvalues as rational ratios.  Nothing here trusts
 the closed forms of the family classes; agreement between the two paths is
 the correctness argument for the fast formulas.
 
-`ORACLE` holds, per family class, the size ceiling, the block-basis builder
-and the antiunitary builder.  Instances are capped at sizes where dense
-exact arithmetic finishes in seconds; larger parameters raise.
+`ORACLE` holds, per family class, the size ceiling, the block-basis builder,
+the antiunitary builder and, where one exists, a matrix-free W_t(j).  The
+Clifford-odd, Clifford-even and spinorial blocks are spanned by monomial
+Gamma_x, so their channel is composed on (mask, i-exponent) pairs with
+integer arithmetic; `phi_apply` on the matrices stays the generic path and
+the reference.  Instances are capped at sizes where dense exact arithmetic
+finishes in seconds; larger parameters raise.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, NamedTuple
 
-from .clifford import _labels_of_weight, gamma
+from .clifford import _gamma_monomial, _labels_of_weight, gamma
 from .families import (CliffordEven, CliffordOdd, Family, QHamming,
                        Semispinorial, Spinorial, Su2, SunExt, SuqSym, profile)
 from .linalg import (RowSpace, Sparse, conj, sp_add, sp_identity, sp_kron, sp_mul,
@@ -146,14 +150,27 @@ def _basis_su2(spec: Su2, t: int) -> OperatorBasis:
     return OperatorBasis(spec, t, mats, n + 1)
 
 
+def _integer_matrix(x: Sparse) -> Sparse:
+    out = {k: int(v) for k, v in x.items()}
+    if any(out[k] != v for k, v in x.items()):
+        raise ArithmeticError("closure generators must have integer entries")
+    return out
+
+
 def _closure_basis(spec: Family, t: int, dim: int, hw: Sparse,
                    lowering: list[Sparse],
                    weight: dict[int, Fraction] | None) -> OperatorBasis:
     """Orthogonal span of the ad-orbit of a highest-weight matrix.
 
-    A candidate is new when it lies outside the span of the accepted ones;
-    that is decided on the integer row space, and only accepted candidates
-    are orthogonalised (Gram-Schmidt in acceptance order).
+    hw and the lowering operators have integer entries; they are turned
+    into int matrices here, so every commutator is int arithmetic.  Each
+    queued element is a weight vector, so a Cartan element would only
+    rescale it: callers pass the root operators E_ij alone.  A candidate
+    is new when it lies outside the span of the accepted ones; that is
+    decided on the integer row space, and only accepted candidates are
+    orthogonalised (Gram-Schmidt in acceptance order).  No commutator is
+    formed once the span has dim V_t elements; a closure that ends short
+    of that raises.
     """
     target = profile(spec).dim_V[t]
     space = RowSpace()
@@ -168,12 +185,16 @@ def _closure_basis(spec: Family, t: int, dim: int, hw: Sparse,
         basis.append(x)
         norms.append(_as_fraction(op_inner(x, x, weight)))
 
+    hw = _integer_matrix(hw)
+    lowering = [_integer_matrix(a) for a in lowering]
     if space.add(hw):
         accept(hw)
     queue = [hw]
     while queue and len(basis) < target:
         x = queue.pop()
         for a in lowering:
+            if len(basis) == target:
+                break
             y = sp_sub(sp_mul(a, x), sp_mul(x, a))
             if y and space.add(y):
                 accept(y)
@@ -230,8 +251,6 @@ def _basis_susym(spec: SuqSym, t: int) -> OperatorBasis:
     for _ in range(t):
         hw = sp_mul(step, hw)
     lowering = [_susym_e(q, n, i, j) for i in range(q) for j in range(q) if i != j]
-    lowering += [sp_sub(_susym_e(q, n, i, i), _susym_e(q, n, i + 1, i + 1))
-                 for i in range(q - 1)]
     return _closure_basis(spec, t, len(monos), hw, lowering, weight)
 
 
@@ -242,14 +261,10 @@ def _suext_space(n: int, w: int):
 
 
 def _suext_e(n: int, w: int, i: int, j: int) -> Sparse:
-    """E_ij on the w-th exterior power of C^n, signed substitution."""
+    """E_ij (i != j) on the w-th exterior power of C^n, signed substitution."""
     subsets, index = _suext_space(n, w)
     out: Sparse = {}
     for s, col in index.items():
-        if i == j:
-            if i in s:
-                out[(col, col)] = out.get((col, col), Fraction(0)) + 1
-            continue
         if j in s and i not in s:
             lo, hi = min(i, j), max(i, j)
             sign = (-1) ** sum(1 for x in s if lo < x < hi)
@@ -266,15 +281,70 @@ def _basis_suext(spec: SunExt, t: int) -> OperatorBasis:
     for k in range(t):
         hw = sp_mul(_suext_e(n, w, k, n - 1 - k), hw)
     lowering = [_suext_e(n, w, i, j) for i in range(n) for j in range(n) if i != j]
-    lowering += [sp_sub(_suext_e(n, w, i, i), _suext_e(n, w, i + 1, i + 1))
-                 for i in range(n - 1)]
     return _closure_basis(spec, t, dim, hw, lowering, None)
 
 
-def _basis_gamma(spec: Family, t: int, length: int, weight: int) -> OperatorBasis:
+# (letters beyond 2n, label weight per unit of distance) of the Gamma_x blocks
+_GAMMA_BLOCKS = {CliffordOdd: (1, 1), CliffordEven: (0, 1), Spinorial: (1, 2)}
+
+
+def _gamma_labels(spec: Family, t: int):
+    extra, step = _GAMMA_BLOCKS[type(spec)]
+    return _labels_of_weight(2 * spec.n + extra, step * t)
+
+
+def _basis_gamma(spec: Family, t: int) -> OperatorBasis:
     n = spec.n
-    return OperatorBasis(spec, t, [gamma(n, x) for x in _labels_of_weight(length, weight)],
-                         2 ** n)
+    return OperatorBasis(spec, t, [gamma(n, x) for x in _gamma_labels(spec, t)], 2 ** n)
+
+
+# Gamma_x as the pair (m, e) that `gamma` builds its matrix from: column c
+# goes to row c ^ m with phase i^e[c].  Then Gamma_x* sends c to c ^ m with
+# phase i^-e[c ^ m], products of monomials are monomials, and tr(A* B) is
+# sum_c i^(e_B[c] - e_A[c]) when A and B share their mask, 0 otherwise.
+
+def _trace_units(ea: tuple[int, ...], eb: tuple[int, ...]) -> tuple[int, int]:
+    """tr(A* B) = re + i im for monomials A, B with one mask, as (re, im)."""
+    count = [0, 0, 0, 0]
+    for a, b in zip(ea, eb):
+        count[(b - a) & 3] += 1
+    return count[0] - count[2], count[1] - count[3]
+
+
+@lru_cache(maxsize=None)
+def _gamma_block(spec: Family, t: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The monomials of `v_basis(spec, t).matrices`, checked as `v_basis`
+    checks those: there are dim V_t of them and they are pairwise orthogonal."""
+    _admit(spec, t)
+    block = tuple((m, tuple(e)) for m, e in
+                  (_gamma_monomial(spec.n, x) for x in _gamma_labels(spec, t)))
+    _check_count(spec, t, len(block))
+    by_mask: dict[int, list[tuple[int, ...]]] = {}
+    for m, e in block:
+        by_mask.setdefault(m, []).append(e)
+    if any(_trace_units(a, b) != (0, 0)
+           for group in by_mask.values() for a, b in combinations(group, 2)):
+        raise ArithmeticError(f"{spec} block {t} basis is not orthogonal")
+    return block
+
+
+def _wtj_gamma(spec: Family, t: int, j: int) -> Fraction:
+    """<X, Phi_t(X)> / <X, X> on monomials, X the first Gamma of block j.
+
+    Gamma_x X Gamma_x* has X's mask and, at column c, the exponent
+    e_x[c ^ m_x ^ m_X] + e_X[c ^ m_x] - e_x[c ^ m_x]; every Gamma has
+    <Gamma, Gamma> = 2^n, X included.
+    """
+    size = 2 ** spec.n
+    mx, ex = _gamma_block(spec, j)[0]
+    re = im = 0
+    for m, e in _gamma_block(spec, t):
+        moved = [(e[c ^ m ^ mx] + ex[c ^ m] - e[c ^ m]) & 3 for c in range(size)]
+        dr, di = _trace_units(ex, moved)
+        re, im = re + dr, im + di
+    if im:
+        raise ArithmeticError(f"{spec}: <X, Phi_{t}(X)> is not real at j={j}")
+    return Fraction(re, size * size)
 
 
 def _basis_semispin(spec: Semispinorial, t: int) -> OperatorBasis:
@@ -341,6 +411,8 @@ class _Oracle(NamedTuple):
     fits: Callable[[Family], bool]
     basis: Callable[[Family, int], OperatorBasis]
     antiunitary: Callable[[Family], Sparse] | None  # None: no construction
+    # W_t(j) computed without matrices; None: the block channel `phi_apply`
+    wtj: Callable[[Family, int, int], Fraction] | None = None
 
 
 ORACLE: dict[type, _Oracle] = {
@@ -351,29 +423,34 @@ ORACLE: dict[type, _Oracle] = {
     SuqSym: _Oracle("q <= 3 and dim H <= 12",
                     lambda s: s.q <= 3 and profile(s).dim_H <= 12, _basis_susym, None),
     SunExt: _Oracle("n <= 6", lambda s: s.n <= 6, _basis_suext, _antiunitary_suext),
-    CliffordOdd: _Oracle("n <= 4", lambda s: s.n <= 4,
-                         lambda s, t: _basis_gamma(s, t, 2 * s.n + 1, t), _antiunitary_gamma),
-    CliffordEven: _Oracle("n <= 4", lambda s: s.n <= 4,
-                          lambda s, t: _basis_gamma(s, t, 2 * s.n, t), _antiunitary_gamma),
-    Spinorial: _Oracle("n <= 4", lambda s: s.n <= 4,
-                       lambda s, t: _basis_gamma(s, t, 2 * s.n + 1, 2 * t), _antiunitary_gamma),
+    **{cls: _Oracle("n <= 4", lambda s: s.n <= 4, _basis_gamma, _antiunitary_gamma,
+                    _wtj_gamma) for cls in _GAMMA_BLOCKS},
     Semispinorial: _Oracle("n <= 5", lambda s: s.n <= 5, _basis_semispin, _antiunitary_gamma),
 }
 
 
-@lru_cache(maxsize=None)
-def v_basis(spec: Family, t: int) -> OperatorBasis:
+def _admit(spec: Family, t: int) -> None:
     entry = ORACLE[type(spec)]
     if not entry.fits(spec):
         raise ValueError(f"instance too large for the oracle "
                          f"({spec.name} needs {entry.ceiling}, got {spec})")
-    prof = profile(spec)
-    if not 0 <= t <= prof.diameter_r:
-        raise ValueError(f"t={t} outside 0..{prof.diameter_r}")
-    basis = entry.basis(spec, t)
-    if len(basis.matrices) != prof.dim_V[t]:
-        raise ArithmeticError(f"{spec} block {t} basis has {len(basis.matrices)} "
-                              f"elements, expected dim V_{t} = {prof.dim_V[t]}")
+    r = profile(spec).diameter_r
+    if not 0 <= t <= r:
+        raise ValueError(f"t={t} outside 0..{r}")
+
+
+def _check_count(spec: Family, t: int, got: int) -> None:
+    want = profile(spec).dim_V[t]
+    if got != want:
+        raise ArithmeticError(f"{spec} block {t} basis has {got} "
+                              f"elements, expected dim V_{t} = {want}")
+
+
+@lru_cache(maxsize=None)
+def v_basis(spec: Family, t: int) -> OperatorBasis:
+    _admit(spec, t)
+    basis = ORACLE[type(spec)].basis(spec, t)
+    _check_count(spec, t, len(basis.matrices))
     return basis
 
 
@@ -387,6 +464,9 @@ def phi_apply(basis: OperatorBasis, X: Sparse) -> Sparse:
 
 
 def wtj_bruteforce(spec: Family, t: int, j: int) -> Fraction:
+    monomial = ORACLE[type(spec)].wtj
+    if monomial is not None:
+        return monomial(spec, t, j)
     bt = v_basis(spec, t)
     bj = v_basis(spec, j)
     X = bj.matrices[0]

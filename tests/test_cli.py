@@ -169,6 +169,15 @@ def test_self_dual_without_signature_exits_2(args):
     assert "has no self-dual signature" in res.stderr
 
 
+def test_table_self_dual_check_beyond_the_diameter():
+    # every cell lies beyond the diameter, so no LP is built; the request is
+    # still malformed and must fail as --d-from 2 does
+    res = run("table", "--family", "qhamming", "--q", "3", "--n-from", "2", "--n-to", "2",
+              "--d-from", "4", "--d-to", "4", "--self-dual")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == "error: qhamming has no self-dual signature\n"
+
+
 @pytest.mark.parametrize("args", [
     ("--n-from", "9", "--n-to", "4", "--d-from", "2", "--d-to", "3"),
     ("--n-from", "4", "--n-to", "5", "--d-from", "4", "--d-to", "2"),

@@ -243,6 +243,33 @@ class TestHalfSpaceCode:
         assert not rep.is_pure  # the distance-1 chirality letter acts as +1
 
 
+def character_sum_distribution(code, reading):
+    """Reference (A, B): every label of every block against every span element,
+    B_t = 2^-s sum_x sum_z (-1)^q(x, z)."""
+    n, length = code.n, 2 * code.n
+    span = set(span_coefficients(code))
+    a, b = [], []
+    for t in range(reading_diameter(n, reading) + 1):
+        labels = [x for x in range(1 << length) if wt(x) in block_weights(n, reading, t)]
+        a.append(F(code.dimension * sum(x in span for x in labels)))
+        b.append(F(sum(-1 if q_form(x, z) else 1 for x in labels for z in span),
+                   len(span)))
+    return a, b
+
+
+@st.composite
+def isotropic_codes(draw):
+    """Stabilizer codes on n <= 4 qubits: drawn labels kept while they stay
+    q-isotropic and independent."""
+    n = draw(st.integers(1, 4))
+    gens = []
+    for x in draw(st.lists(st.integers(1, 4 ** n - 1), max_size=12)):
+        if is_q_isotropic(gens + [x]) and clifford._f2_rank(gens + [x]) == len(gens) + 1:
+            gens.append(x)
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(gens), max_size=len(gens)))
+    return StabilizerCode(n, tuple(gens), tuple(signs))
+
+
 class TestDistributions:
     def test_full_space_distribution(self):
         # the trivial code P = I has A_t = B_t * K with B_t = dim V_t
@@ -276,6 +303,20 @@ class TestDistributions:
         code = clifford_hamming(3)
         a, _ = distance_distribution(code, "odd")
         assert tuple(a) == (8, 0, 0, 0, 0, 0, 0, 120)
+
+    @pytest.mark.parametrize("reading", READINGS)
+    def test_matches_character_sums_on_hamming(self, reading):
+        code = clifford_hamming(3)
+        assert distance_distribution(code, reading) == character_sum_distribution(code, reading)
+
+    @given(isotropic_codes(), st.sampled_from(READINGS))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_character_sums_on_random_codes(self, code, reading):
+        assert distance_distribution(code, reading) == character_sum_distribution(code, reading)
+
+    def test_budget_still_refuses_s4(self):
+        with pytest.raises(ValueError, match="operation budget"):
+            distance_distribution(clifford_hamming(4), "even")
 
 
 class TestMatrixCrossCheck:

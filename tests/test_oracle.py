@@ -28,7 +28,7 @@ from qdelsarte.oracle import (
     verify_wtj,
     wtj_bruteforce,
 )
-from qdelsarte.wtj import wtj
+from qdelsarte.wtj import lambda_signature, wtj
 
 # largest instances the oracle certifies per family
 ORACLE_GRID = [
@@ -59,6 +59,42 @@ LAMBDA_GRID = [
     Spinorial(3),
     Semispinorial(4),
 ]
+
+
+# every su-ext and su-sym instance the oracle admits: their blocks are the
+# root-operator closures
+CLOSURE_GRID = [spec for spec in
+                [SunExt(n, w) for n in range(2, 8) for w in range(1, n)]
+                + [SuqSym(q, n) for q in (2, 3, 4) for n in range(1, 13)]
+                if ORACLE[type(spec)].fits(spec)]
+
+
+def test_closure_grid_is_every_admitted_instance():
+    assert len(CLOSURE_GRID) == 29
+
+
+@pytest.mark.parametrize("spec", CLOSURE_GRID, ids=str)
+def test_closure_families_match_bruteforce(spec):
+    report = verify_wtj(spec)
+    assert report.matches, report.mismatches
+    if lambda_signature(spec) is not None and ORACLE[type(spec)].antiunitary is not None:
+        report = verify_lambda(spec)
+        assert report.matches, report.mismatches
+
+
+@pytest.mark.parametrize("spec", [cls(n) for cls in (CliffordOdd, CliffordEven, Spinorial)
+                                  for n in range(1, 5)], ids=str)
+def test_monomial_wtj_matches_block_channel(spec):
+    # the monomial path against phi_apply on the sparse gamma matrices
+    assert ORACLE[type(spec)].wtj is not None
+    r = profile(spec).diameter_r
+    for t in range(r + 1):
+        bt = v_basis(spec, t)
+        for j in range(r + 1):
+            X = v_basis(spec, j).matrices[0]
+            want = (oracle._as_fraction(op_inner(X, phi_apply(bt, X), None))
+                    / oracle._as_fraction(op_inner(X, X, None)))
+            assert wtj_bruteforce(spec, t, j) == want, (t, j)
 
 
 @pytest.mark.parametrize("spec", ORACLE_GRID, ids=str)
