@@ -152,7 +152,8 @@ def cmd_table(args) -> int:
         check_options(spec, opts)
     tol = parse_fraction(args.tol)
     ds = list(range(args.d_from, args.d_to + 1))
-    jobs = [(spec, d, opts, tol, args.integer) for spec in specs for d in ds]
+    # largest n first: those cells take longest, and the grid is keyed
+    jobs = [(spec, d, opts, tol, args.integer) for spec in reversed(specs) for d in ds]
     threads = int(os.environ.get("QLP_THREADS", os.cpu_count() or 1))
     if threads > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # ~20 ms, pooled runs only

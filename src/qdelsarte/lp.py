@@ -22,8 +22,10 @@ with `build_system` at a third K when it is built.  `lp_bound` passes one
 `WarmStart` to all of its probes, so a probe first re-solves the final
 basis of the last feasible probe (accepted when the vertex passes integer
 substitution) and of the last infeasible probe (accepted when its phase-1
-dual passes as a Farkas vector), and runs a cold simplex only when neither
-does.
+dual passes as a Farkas vector), then the basis a floating-point phase 1
+picks (accepted on the same two checks), and runs a cold exact simplex only
+when none of them passes.  The front-door `feasible` (no `WarmStart`)
+always solves cold.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .families import Family, profile
 from .simplex import (EQ, GE, Constraint, WarmStart, check_feasible, row_multipliers,
@@ -123,27 +125,36 @@ class IntegerSystem:
 
 @lru_cache(maxsize=None)
 def integer_system(spec: Family, d: int, opts: LPOptions = LPOptions()) -> IntegerSystem:
-    """The IntegerSystem of build_system(spec, d, K, opts), from K = 0 and K = 1."""
+    """The IntegerSystem of build_system(spec, d, K, opts), from K = 0 and K = 1.
+
+    Each row is brought to integers over the lcm of all its denominators at
+    both K, then divided by the gcd of those integers and that lcm, which
+    leaves the least scale c_i making A_i and B_i integral.
+    """
     cons0, nvars = build_system(spec, d, Fraction(0), opts)
     cons1, _ = build_system(spec, d, Fraction(1), opts)
     A, B, scales = [], [], []
     for c0, c1 in zip(cons0, cons1):
         if c0.sense != c1.sense:
             raise ArithmeticError(f"constraint senses depend on K for {spec}")
-        b = (*c0.coeffs, c0.rhs)
-        a = tuple(y - x for x, y in zip(b, (*c1.coeffs, c1.rhs)))
-        c = lcm(*(x.denominator for x in a + b))
-        A.append(tuple(int(x * c) for x in a))
-        B.append(tuple(int(x * c) for x in b))
-        scales.append(c)
+        x0, x1 = (*c0.coeffs, c0.rhs), (*c1.coeffs, c1.rhs)
+        c = lcm(*(x.denominator for x in x0 + x1))
+        b = [x.numerator * (c // x.denominator) for x in x0]
+        a = [y.numerator * (c // y.denominator) - v for y, v in zip(x1, b)]
+        g = gcd(c, *a, *b)
+        A.append(tuple(v // g for v in a))
+        B.append(tuple(v // g for v in b))
+        scales.append(c // g)
     system = IntegerSystem(tuple(A), tuple(B), tuple(scales),
                            tuple(c.sense for c in cons0), nvars)
-    # build_system stays the definition: the template must reproduce it
+    # build_system stays the definition: the template must reproduce it,
+    # entry by entry, x / s == e checked as x * den(e) == num(e) * s
     K = Fraction(7, 3)
     cons, _ = build_system(spec, d, K, opts)
     rows, row_scales = system.at(K)
     if [c.sense for c in cons] != list(system.senses) or any(
-            [Fraction(x, s) for x in row] != [*c.coeffs, c.rhs]
+            len(row) != len(c.coeffs) + 1
+            or any(x * e.denominator != e.numerator * s for x, e in zip(row, (*c.coeffs, c.rhs)))
             for c, row, s in zip(cons, rows, row_scales)):
         raise ArithmeticError(f"the LP of {spec} at d={d} is not affine in K")
     return system
@@ -155,8 +166,9 @@ def feasible(spec: Family, d: int, K: Fraction,
 
     Without warm the system is built by build_system and solved cold.  With
     warm (as lp_bound passes) it is solved on the cached integer_system,
-    trying warm's bases first, so a feasible witness may be a different
-    vertex than a cold solve reaches; the verdict is the same.
+    trying warm's bases and a float-chosen basis first, so a feasible
+    witness may be a different vertex than a cold solve reaches; the
+    verdict is the same.
     """
     K = Fraction(K)
     if K <= 0:

@@ -20,9 +20,12 @@ basis comes back as (kind, index) labels: ("x", column) for a structural,
 ("s", row) for the surplus or slack of a >= row, ("a", row) for an
 artificial.  `point_from_basis` and `farkas_from_basis` re-solve a basis on
 another system of the same shape with one square fraction-free solve, and
-`WarmStart` tries the last feasible and the last infeasible basis that way
-before it falls back to a cold solve; a certificate that fails substitution
-is never returned.
+`WarmStart` tries the last feasible and the last infeasible basis that way,
+then the basis that `float_basis` (the same phase 1 in floating point)
+ends on, before it falls back to a cold solve.  Floats only choose a basis
+(Applegate, Cook, Dash and Espinoza, "Exact solutions to linear programming
+problems", 2007): the certificate is always solved from it in integers, and
+one that fails substitution is never returned.
 """
 
 from __future__ import annotations
@@ -189,18 +192,112 @@ def farkas_from_basis(rows: list[list[int]], senses: list[str], scales: list[int
     return tuple(y)
 
 
+FLOAT_EPS = 1e-12       # relative: reduced cost against its terms, pivot against its column
+FLOAT_BLAND_AFTER = 50  # degenerate pivots in a row before Bland's rule takes over
+
+
+def float_basis(rows: list[list[int]], senses: list[str], scales: list[int],
+                nvars: int) -> tuple[Label, ...] | None:
+    """A phase-1 optimal basis of the system of `solve`, found in floats.
+
+    Same columns, labels and artificial costs as `solve` (artificial i costs
+    1/s_i on the rational row), with each row divided by its largest entry
+    and its surplus rescaled to +-1, which changes no basis.  Dantzig
+    pricing, Bland's rule during a long run of degenerate pivots, and
+    tolerances relative to the terms of each reduced cost and to the largest
+    entry of the pivot column.  The basis is only a guess: None when the
+    pivots run out, and nothing here is a certificate.
+    """
+    ncols = nvars + sum(s == GE for s in senses)
+    T: list[list[float]] = []
+    basis: list[int] = []
+    labels: list[Label] = [("x", j) for j in range(nvars)]
+    art_labels: list[Label] = []
+    weights: list[float] = []
+    for i, (row, sense, s) in enumerate(zip(rows, senses, scales)):
+        n = max(map(abs, row)) or 1
+        sign = -1 if row[-1] < 0 else 1
+        t = [sign * x / n for x in row[:-1]] + [0.0] * (ncols - nvars) + [sign * row[-1] / n]
+        if sense == GE:
+            t[len(labels)] = -float(sign)
+            labels.append(("s", i))
+        if sense == GE and sign < 0:
+            basis.append(len(labels) - 1)
+        else:
+            basis.append(ncols + len(weights))
+            # art_i costs 1/s_i, so the artificial art_i / n of row_i / n costs n / s_i
+            weights.append(n / s)
+            art_labels.append(("a", i))
+        T.append(t)
+    labels += art_labels
+    top = max(weights, default=1.0)
+    weights = [w / top for w in weights]
+    m = len(T)
+    # row m: the reduced costs, sum of the weighted rows whose artificial is basic
+    obj = [0.0] * (ncols + 1)
+    for i in range(m):
+        if basis[i] >= ncols:
+            obj = [o + weights[basis[i] - ncols] * x for o, x in zip(obj, T[i])]
+    T.append(obj)
+
+    degenerate = 0
+    for _ in range(20 * (m + ncols)):
+        obj = T[m]
+        bland = degenerate >= FLOAT_BLAND_AFTER
+        arts = [(weights[basis[i] - ncols], T[i]) for i in range(m) if basis[i] >= ncols]
+        cands = [j for j in range(ncols) if obj[j] > 0]
+        if not bland:
+            cands.sort(key=obj.__getitem__, reverse=True)
+        for enter in cands:
+            # a reduced cost within rounding of its terms is zero
+            if obj[enter] <= FLOAT_EPS * sum(w * abs(t[enter]) for w, t in arts):
+                continue
+            col = [T[i][enter] for i in range(m)]
+            tol = FLOAT_EPS * max(map(abs, col))
+            leave = -1
+            for i in range(m):
+                a = col[i]
+                if a > tol:
+                    if leave < 0:
+                        leave = i
+                        continue
+                    # lower ratio, then the larger pivot (Dantzig) or the
+                    # lower label (Bland)
+                    lhs = max(T[i][-1], 0.0) * col[leave]
+                    rhs = max(T[leave][-1], 0.0) * a
+                    if lhs < rhs - FLOAT_EPS * rhs or (
+                            lhs <= rhs + FLOAT_EPS * rhs
+                            and (basis[i] < basis[leave] if bland else a > col[leave])):
+                        leave = i
+            if leave >= 0:  # a column with no pivot is rounding noise
+                break
+        else:
+            return tuple(labels[b] for b in basis)
+        degenerate = degenerate + 1 if T[leave][-1] <= FLOAT_EPS * col[leave] else 0
+        p = col[leave]
+        prow = T[leave] = [x / p for x in T[leave]]
+        for i in range(m + 1):
+            f = T[i][enter]
+            if i != leave and f:
+                T[i] = [x - f * y for x, y in zip(T[i], prow)]
+        basis[leave] = enter
+    return None
+
+
 class WarmStart:
     """Final bases carried across the solves of a sequence of nearby systems.
 
     `solve` first tries the vertex of the last feasible basis, then the
-    phase-1 dual of the last infeasible basis, each accepted only after
-    substitution; otherwise it solves cold and keeps the new final basis.
+    phase-1 dual of the last infeasible basis, then the vertex and the dual
+    of the basis `float_basis` picks, each accepted only after substitution;
+    otherwise it solves cold.  The basis that passed becomes the stored
+    feasible or infeasible basis.
     """
 
     def __init__(self) -> None:
         self.feasible_basis: tuple[Label, ...] | None = None
         self.infeasible_basis: tuple[Label, ...] | None = None
-        self.warm_feasible = self.warm_infeasible = self.cold = 0
+        self.warm_feasible = self.warm_infeasible = self.guided = self.cold = 0
 
     def solve(self, rows: list[list[int]], senses: list[str], scales: list[int],
               nvars: int) -> FeasibilityResult:
@@ -214,6 +311,21 @@ class WarmStart:
             if y is not None:
                 self.warm_infeasible += 1
                 return FeasibilityResult(False, None, y, self.infeasible_basis)
+        try:
+            guess = float_basis(rows, senses, scales, nvars)
+        except OverflowError:  # an entry beyond the float range
+            guess = None
+        if guess is not None:
+            point = point_from_basis(rows, senses, nvars, guess)
+            if point is not None:
+                self.guided += 1
+                self.feasible_basis = guess
+                return FeasibilityResult(True, point, None, guess)
+            y = farkas_from_basis(rows, senses, scales, nvars, guess)
+            if y is not None:
+                self.guided += 1
+                self.infeasible_basis = guess
+                return FeasibilityResult(False, None, y, guess)
         sol = solve(rows, senses, scales, nvars)
         self.cold += 1
         if sol.feasible:

@@ -145,10 +145,28 @@ def test_lp_bounds_keep_their_brackets_and_certify_every_probe(
     assert (format_fraction(res.lower), format_fraction(res.upper)) == (lower, upper)
     warm = bases[0]
     assert all(w is warm for w in bases)
-    assert warm.warm_feasible + warm.warm_infeasible + warm.cold == len(probes)
-    assert warm.cold < len(probes)
+    assert warm.warm_feasible + warm.warm_infeasible + warm.guided + warm.cold == len(probes)
+    assert warm.guided > 0 and warm.cold < len(probes)
     for K, rep in probes:
         check_report(spec, d, K, opts, rep)
+
+
+def test_bench_bounds_are_float_guided(monkeypatch):
+    # a cold solve runs only where neither stored basis nor the float basis passes
+    warms = []
+    real = simplex.WarmStart.__init__
+
+    def recording(self):
+        real(self)
+        warms.append(self)
+
+    monkeypatch.setattr(simplex.WarmStart, "__init__", recording)
+    for spec, d, opts, tol, integer, lower, upper in LP_BOUNDS:
+        res = lp_bound(spec, d, opts, tol=tol, integer=integer)
+        assert (format_fraction(res.lower), format_fraction(res.upper)) == (lower, upper)
+    assert len(warms) == len(LP_BOUNDS)
+    assert sum(w.guided for w in warms) > 0
+    assert sum(w.cold for w in warms) <= 2
 
 
 def test_cold_infeasible_verdicts_carry_a_farkas_vector():
@@ -199,7 +217,7 @@ def test_tampered_bases_fall_back_to_a_cold_solve(tamper, malformed):
         assert rep.feasible == feasible(spec, d, K, opts).feasible
         check_report(spec, d, K, opts, rep)
         if malformed:
-            assert warm.cold == 1
+            assert warm.guided + warm.cold == 1
 
 
 def test_swapped_bases_are_rejected_by_substitution():
@@ -211,7 +229,8 @@ def test_swapped_bases_are_rejected_by_substitution():
         warm.feasible_basis, warm.infeasible_basis = ib, fb
         rep = feasible(spec, d, K, opts, warm)
         assert rep.feasible is verdict
-        assert warm.cold == 1 and warm.warm_feasible == warm.warm_infeasible == 0
+        assert warm.guided + warm.cold == 1
+        assert warm.warm_feasible == warm.warm_infeasible == 0
         check_report(spec, d, K, opts, rep)
 
 
@@ -246,3 +265,70 @@ def test_flipped_dual_raises_also_under_optimize(flags):
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["raised", "True", "0"]
+
+
+NEVER_TRUSTED = """
+from fractions import Fraction as F
+from qdelsarte import simplex
+from qdelsarte.families import Su2
+from qdelsarte.lp import LPOptions, build_system, feasible, integer_system
+from qdelsarte.simplex import WarmStart, verify_farkas, verify_witness
+spec, d, opts = Su2(8), 3, LPOptions(self_dual=True)
+system = integer_system(spec, d, opts)
+def final_basis(K):
+    rows, scales = system.at(K)
+    return simplex.solve(rows, list(system.senses), scales, system.nvars).basis
+fb, ib = final_basis(F(2)), final_basis(F(3))
+real = simplex.float_basis
+def other_vertex(rows, senses, scales, nvars):
+    b = real(rows, senses, scales, nvars)
+    i = next(i for i, (kind, _) in enumerate(b) if kind == "x")
+    other = min(set(range(nvars)) - {k for kind, k in b if kind == "x"})
+    return b[:i] + (("x", other),) + b[i + 1:]
+def swapped(rows, senses, scales, nvars):
+    return ib if simplex.solve(rows, senses, scales, nvars).feasible else fb
+guesses = {
+    "malformed": lambda *args: fb[:-1] + (fb[0],),
+    "other-vertex": other_vertex,
+    "swapped": swapped,
+    "none": lambda *args: None,
+}
+calls = 0
+for name, guess in guesses.items():
+    def counting(*args, guess=guess):
+        global calls
+        calls += 1
+        return guess(*args)
+    simplex.float_basis = counting
+    guided = 0
+    for K in (F(2), F(41, 20), F(3), F(5)):
+        warm = WarmStart()
+        rep = feasible(spec, d, K, opts, warm)
+        if rep.feasible != feasible(spec, d, K, opts).feasible:
+            raise SystemExit(f"{name}: a wrong verdict at K={K}")
+        cons, _ = build_system(spec, d, K, opts)
+        if not (verify_witness(cons, rep.witness) if rep.feasible
+                else verify_farkas(cons, rep.farkas)):
+            raise SystemExit(f"{name}: a certificate fails substitution at K={K}")
+        guided += warm.guided
+    if name in ("malformed", "none") and guided:
+        raise SystemExit(f"{name}: a guess that cannot pass was accepted")
+print("checked", calls)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_a_float_basis_is_never_trusted(flags):
+    # bad guesses from the float phase: each verdict is the cold one, certified
+    res = subprocess.run([sys.executable, *flags, "-c", NEVER_TRUSTED],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["checked", "16"]
+
+
+def test_rows_beyond_the_float_range_are_solved_cold():
+    # x = 10**400 overflows the float phase, which then leaves the probe to solve
+    warm = WarmStart()
+    res = warm.solve([[1, 10 ** 400]], [simplex.EQ], [1], 1)
+    assert res.feasible and res.witness == (10 ** 400,)
+    assert warm.guided == 0 and warm.cold == 1
