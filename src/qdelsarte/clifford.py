@@ -15,25 +15,28 @@ Gamma_x is composed from them with integer arithmetic mod 4, in O(wt(x) 2^n).
 Labels are stored as Python ints: bit k set means letter k+1 participates.
 Two operators commute iff q(x, y) = wt(x)wt(y) + x.y vanishes mod 2, so a
 q-isotropic set of labels generates a stabilizer group whose simultaneous
-eigenspaces are quantum codes.  Detection, distance, purity, nondegeneracy,
-and distance distributions are all decided by exact F_2 and group-algebra
-arithmetic; for n <= 7 the symbolic verdicts are cross-checked against the
-matrix condition P Gamma_x P = eps P on every label of every block t = 1..d,
-without sampling.  A disagreement raises ArithmeticError.
+eigenspaces are quantum codes.  Detection, distance, purity, nondegeneracy
+and distance distributions are all decided on F_2: nondegeneracy counts the
+cosets of the stabilizer span that the correctable errors fall into.  For
+n <= MATRIX_CEILING the detection verdicts are cross-checked against the
+matrix condition P Gamma_x P = eps P on every label of every block
+t = 1..d, without sampling.  A disagreement raises ArithmeticError.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .linalg import Sparse, sp_add, sp_kron, sp_mul, sp_scale, sp_rank
+from .linalg import Sparse, sp_add, sp_kron, sp_mul, sp_scale
 from .scalars import GR_ONE, GR_ZERO, GaussianRational, gr_i_power
 
-MATRIX_CEILING = 10  # qubit count above which only the symbolic path runs
+MATRIX_CEILING = 7  # qubit count above which only the symbolic path runs
+ENUMERATION_BUDGET = 5_000_000  # labels distance_distribution may enumerate
 
 _SIGMA_X: Sparse = {(0, 1): GR_ONE, (1, 0): GR_ONE}
 _SIGMA_Y: Sparse = {(0, 1): GaussianRational(0, -1), (1, 0): GaussianRational(0, 1)}
@@ -165,7 +168,7 @@ class StabilizerCode:
         lim = 1 << (2 * self.n)
         if any(not 0 < g < lim for g in self.generators):
             raise ValueError(f"generators must be nonzero {2 * self.n}-bit labels")
-        if _f2_rank(list(self.generators)) != len(self.generators):
+        if len(_f2_echelon(self.generators)) != len(self.generators):
             raise ValueError("generators not linearly independent over F_2")
         if not is_q_isotropic(list(self.generators)):
             raise ValueError("generators not q-isotropic")
@@ -175,14 +178,33 @@ class StabilizerCode:
         return 2 ** (self.n - len(self.generators))
 
 
-def _f2_rank(vecs: list[int]) -> int:
-    basis: list[int] = []
+def _f2_reduce(v: int, echelon: dict[int, int]) -> int:
+    """v modulo the span of a fully reduced echelon form, in one pass.
+
+    Each row carries exactly one pivot bit, so clearing the pivots in any
+    order leaves the same representative for every element of a coset.
+    """
+    for p, row in echelon.items():
+        if (v >> p) & 1:
+            v ^= row
+    return v
+
+
+def _f2_echelon(vecs: Iterable[int]) -> dict[int, int]:
+    """Fully reduced row echelon form over F_2: pivot bit -> row.
+
+    A row's pivot is its highest bit, and no row has another row's pivot.
+    """
+    rows: dict[int, int] = {}
     for v in vecs:
-        for b in basis:
-            v = min(v, v ^ b)
+        v = _f2_reduce(v, rows)
         if v:
-            basis.append(v)
-    return len(basis)
+            p = v.bit_length() - 1
+            for k in rows:
+                if (rows[k] >> p) & 1:
+                    rows[k] ^= v
+            rows[p] = v
+    return rows
 
 
 def span_coefficients(stab: StabilizerCode) -> dict[int, int]:
@@ -256,11 +278,6 @@ def _labels_of_weight(length: int, w: int):
         yield sum(1 << b for b in bits)
 
 
-def _block_size(length: int, n: int, reading: str, t: int) -> int:
-    from math import comb
-    return sum(comb(length, w) for w in block_weights(n, reading, t))
-
-
 @dataclass(frozen=True)
 class DetectionReport:
     reading: str
@@ -271,8 +288,7 @@ class DetectionReport:
     is_nondegenerate: bool
 
 
-def detection_report(stab: StabilizerCode, reading: str,
-                     cross_check: bool | None = None) -> DetectionReport:
+def detection_report(stab: StabilizerCode, reading: str) -> DetectionReport:
     n, length = stab.n, 2 * stab.n
     if stab.dimension == 0:
         raise ValueError("dimension-0 code")
@@ -315,41 +331,29 @@ def detection_report(stab: StabilizerCode, reading: str,
             pure = False
 
     half = (d - 1) // 2
-    nondeg = _nondegenerate(stab, coeffs, n, reading, half)
-
-    if cross_check is None:
-        cross_check = n <= 7
-    if cross_check and n <= MATRIX_CEILING:
-        _matrix_cross_check(stab, coeffs, reading, d)
+    nondeg = _nondegenerate(stab, reading, half)
+    if n <= MATRIX_CEILING:
+        _matrix_check(stab, coeffs, reading, d)
 
     return DetectionReport(reading, stab.dimension, d, slope_values, pure, nondeg)
 
 
-def _nondegenerate(stab: StabilizerCode, coeffs: dict[int, int],
-                   n: int, reading: str, half: int) -> bool:
-    """Rank test of the slope form eps(Gamma_a Gamma_b) on errors up to half."""
-    length = 2 * n
-    labels: list[int] = []
-    for t in range(half + 1):
-        for w in block_weights(n, reading, t):
-            labels.extend(_labels_of_weight(length, w))
-    idx = {x: i for i, x in enumerate(labels)}
-    rows: list[dict[int, GaussianRational]] = []
-    for a in labels:
-        row: dict[int, GaussianRational] = {}
-        for b in labels:
-            phase, z = gamma_mul(n, a, b)
-            c = coeffs.get(z)
-            if c is not None:
-                v = gr_i_power(phase) * c
-                if v:
-                    row[idx[b]] = v
-        rows.append(row)
-    return sp_rank(rows) == len(labels)
+def _nondegenerate(stab: StabilizerCode, reading: str, half: int) -> bool:
+    """Is the slope form eps(Gamma_a Gamma_b) on errors up to half nonsingular?
+
+    Rows a and b are proportional when a ^ b lies in the stabilizer span and
+    have disjoint supports otherwise, and every diagonal entry is eps(I) = 1:
+    the form is nonsingular exactly when the errors lie in distinct cosets.
+    """
+    n, length = stab.n, 2 * stab.n
+    echelon = _f2_echelon(stab.generators)
+    labels = [x for t in range(half + 1) for w in block_weights(n, reading, t)
+              for x in _labels_of_weight(length, w)]
+    return len({_f2_reduce(x, echelon) for x in labels}) == len(labels)
 
 
-def _matrix_cross_check(stab: StabilizerCode, coeffs: dict[int, int],
-                        reading: str, d: int) -> None:
+def _matrix_check(stab: StabilizerCode, coeffs: dict[int, int],
+                  reading: str, d: int) -> None:
     """Re-derive detection verdicts from P Gamma_x P against the F_2 rule."""
     n, length = stab.n, 2 * stab.n
     r = reading_diameter(n, reading)
@@ -401,27 +405,12 @@ def _q_annihilator(gens: tuple[int, ...], length: int) -> list[int]:
     their reduced row echelon form, one basis vector per free bit.
     """
     ones = (1 << length) - 1
-    rows: dict[int, int] = {}  # pivot bit -> row; no row has another's pivot
-    for g in gens:
-        v = g ^ ones if wt(g) % 2 else g
-        for p, row in rows.items():
-            if (v >> p) & 1:
-                v ^= row
-        if v:
-            p = v.bit_length() - 1
-            for k in rows:
-                if (rows[k] >> p) & 1:
-                    rows[k] ^= v
-            rows[p] = v
-    out = []
-    for f in range(length):
-        if f not in rows:
-            out.append((1 << f) | sum(1 << p for p, row in rows.items() if (row >> f) & 1))
-    return out
+    rows = _f2_echelon(g ^ ones if wt(g) % 2 else g for g in gens)
+    return [(1 << f) | sum(1 << p for p, row in rows.items() if (row >> f) & 1)
+            for f in range(length) if f not in rows]
 
 
-def distance_distribution(stab: StabilizerCode, reading: str,
-                          op_budget: int = 5_000_000
+def distance_distribution(stab: StabilizerCode, reading: str
                           ) -> tuple[list[Fraction], list[Fraction]]:
     """Exact (A, B) from F_2 structure; no matrices needed at any n.
 
@@ -431,16 +420,14 @@ def distance_distribution(stab: StabilizerCode, reading: str,
     otherwise: B_t = |C ∩ block t| with C the (2n - s)-dimensional
     q-annihilator of the span.  Both subspaces are enumerated from F_2 bases
     and counted by weight; the blocks partition the weights 0..2n.  The
-    budget still counts the label-by-span pairs of the character sum.
+    budget counts the 2^s + 2^(2n - s) labels so enumerated.
     """
     n, length = stab.n, 2 * stab.n
     r = reading_diameter(n, reading)
     s = len(stab.generators)
     K = stab.dimension
-    total = sum(_block_size(length, n, reading, t) for t in range(r + 1))
-    if total * 2 ** s > op_budget:  # 2^s = |span|: the generators are independent
-        raise ValueError("distribution scan exceeds the operation budget; "
-                         "raise op_budget explicitly to force it")
+    if 2 ** s + 2 ** (length - s) > ENUMERATION_BUDGET:
+        raise ValueError("distribution enumeration exceeds the operation budget")
     in_span = _weight_counts(list(stab.generators), length)
     in_c = _weight_counts(_q_annihilator(stab.generators, length), length)
     A: list[Fraction] = []

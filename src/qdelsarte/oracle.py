@@ -165,7 +165,8 @@ def _closure_basis(spec: Family, t: int, dim: int, hw: Sparse,
     hw and the lowering operators have integer entries; they are turned
     into int matrices here, so every commutator is int arithmetic.  Each
     queued element is a weight vector, so a Cartan element would only
-    rescale it: callers pass the root operators E_ij alone.  A candidate
+    rescale it, and the raising E_ij (i < j) annihilate hw: callers pass
+    the lowering root operators E_ij (i > j) alone.  A candidate
     is new when it lies outside the span of the accepted ones; that is
     decided on the integer row space, and only accepted candidates are
     orthogonalised (Gram-Schmidt in acceptance order).  No commutator is
@@ -250,7 +251,7 @@ def _basis_susym(spec: SuqSym, t: int) -> OperatorBasis:
     step = _susym_e(q, n, 0, q - 1)
     for _ in range(t):
         hw = sp_mul(step, hw)
-    lowering = [_susym_e(q, n, i, j) for i in range(q) for j in range(q) if i != j]
+    lowering = [_susym_e(q, n, i, j) for i in range(q) for j in range(i)]
     return _closure_basis(spec, t, len(monos), hw, lowering, weight)
 
 
@@ -280,7 +281,7 @@ def _basis_suext(spec: SunExt, t: int) -> OperatorBasis:
     hw: Sparse = {(i, i): Fraction(1) for i in range(dim)}
     for k in range(t):
         hw = sp_mul(_suext_e(n, w, k, n - 1 - k), hw)
-    lowering = [_suext_e(n, w, i, j) for i in range(n) for j in range(n) if i != j]
+    lowering = [_suext_e(n, w, i, j) for i in range(n) for j in range(i)]
     return _closure_basis(spec, t, dim, hw, lowering, None)
 
 

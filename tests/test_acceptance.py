@@ -210,7 +210,7 @@ def test_criterion4_clifford_odd_pure():
 def test_criterion5_7_3_code_matrix_level():
     code = clifford_hamming(3)
     for reading in ("even", "odd"):
-        rep = detection_report(code, reading, cross_check=True)
+        rep = detection_report(code, reading)
         assert rep.dimension == 8
         assert rep.min_distance == 3
         assert rep.is_pure
@@ -222,7 +222,7 @@ def test_criterion5_7_3_code_matrix_level():
 def test_criterion5_15_10_code_symbolic():
     code = clifford_hamming(4)
     for reading in ("even", "odd"):
-        rep = detection_report(code, reading, cross_check=False)
+        rep = detection_report(code, reading)
         assert rep.dimension == 1024
         assert rep.min_distance == 3
     assert exactly(CliffordOdd(15), 3, 1024)
@@ -295,7 +295,7 @@ def test_criterion6_clifford_codes():
     cases.append((trivial, "odd", CliffordOdd(3)))
     for code, reading, family in cases:
         a, b = distance_distribution(code, reading)
-        d = detection_report(code, reading, cross_check=False).min_distance
+        d = detection_report(code, reading).min_distance
         check_distribution(a, b, d, family)
 
 

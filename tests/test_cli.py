@@ -113,6 +113,20 @@ def test_construct_verify_round_trip_clifford(tmp_path, reading, dist):
     assert out["A"][0] == "8"
 
 
+def test_verify_distribution_of_an_n8_code():
+    # first labels that keep the set q-isotropic and independent: 1, 6, 24,
+    # ..., 6144; the distribution enumerates 2^7 + 2^9 labels
+    gens = ["1" + "0" * 15] + ["0" * (2 * k + 1) + "11" + "0" * (13 - 2 * k)
+                              for k in range(6)]
+    doc = {"kind": "clifford-stabilizer", "n": 8, "generators": gens,
+           "signs": [1] * 7}
+    ver = run("verify", "--format", "json", stdin=json.dumps(doc))
+    assert ver.returncode == 0, ver.stderr
+    out = json.loads(ver.stdout)
+    assert out["dimension"] == 2
+    assert out["transform_check"] is True
+
+
 def test_verify_reads_stdin():
     code = run("construct", "--code", "su2-third", "--n", "6").stdout
     ver = run("verify", "--format", "json", stdin=code)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import qdelsarte
 from qdelsarte import clifford
 from qdelsarte.families import CliffordEven, CliffordOdd, profile
-from qdelsarte.linalg import sp_identity, sp_mul, sp_scale, sp_sub
+from qdelsarte.linalg import sp_identity, sp_mul, sp_rank, sp_scale, sp_sub
 from qdelsarte.scalars import GR_ONE, GaussianRational, gr_i_power
 from qdelsarte.clifford import (
     READINGS,
@@ -226,7 +226,7 @@ class TestCliffordHamming:
     def test_code_parameters_s4_symbolic(self):
         code = clifford_hamming(4)
         for reading in ("even", "odd"):
-            rep = detection_report(code, reading, cross_check=False)
+            rep = detection_report(code, reading)
             assert rep.dimension == 1024
             assert rep.min_distance == 3
 
@@ -257,6 +257,11 @@ def character_sum_distribution(code, reading):
     return a, b
 
 
+def extends(gens, x):
+    """gens + [x] stays q-isotropic and independent over F_2."""
+    return is_q_isotropic(gens + [x]) and len(clifford._f2_echelon(gens + [x])) == len(gens) + 1
+
+
 @st.composite
 def isotropic_codes(draw):
     """Stabilizer codes on n <= 4 qubits: drawn labels kept while they stay
@@ -264,10 +269,57 @@ def isotropic_codes(draw):
     n = draw(st.integers(1, 4))
     gens = []
     for x in draw(st.lists(st.integers(1, 4 ** n - 1), max_size=12)):
-        if is_q_isotropic(gens + [x]) and clifford._f2_rank(gens + [x]) == len(gens) + 1:
+        if extends(gens, x):
             gens.append(x)
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(gens), max_size=len(gens)))
     return StabilizerCode(n, tuple(gens), tuple(signs))
+
+
+def slope_form_nonsingular(code, reading, half):
+    """Reference: rank of the slope form eps(Gamma_a Gamma_b) on the errors up
+    to half, entry i^phase c_z for Gamma_a Gamma_b = i^phase Gamma_z."""
+    n, length = code.n, 2 * code.n
+    coeffs = span_coefficients(code)
+    labels = [x for t in range(half + 1) for w in block_weights(n, reading, t)
+              for x in range(1 << length) if wt(x) == w]
+    rows = []
+    for a in labels:
+        row = {}
+        for j, b in enumerate(labels):
+            phase, z = gamma_mul(n, a, b)
+            if z in coeffs:
+                row[j] = gr_i_power(phase) * coeffs[z]
+        rows.append(row)
+    return sp_rank(rows) == len(labels)
+
+
+class TestNondegeneracy:
+    @given(isotropic_codes(), st.sampled_from(READINGS), st.integers(0, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_coset_count_matches_slope_form_rank(self, code, reading, half):
+        assert clifford._nondegenerate(code, reading, half) == \
+            slope_form_nonsingular(code, reading, half)
+
+    def test_hamming_s3(self):
+        code = clifford_hamming(3)
+        assert clifford._nondegenerate(code, "odd", 1)
+        # two weight-4 labels of spinorial block 2 share a coset of the span
+        assert not clifford._nondegenerate(code, "spinorial", 2)
+
+    def test_hamming_s4_spinorial_half_1(self):
+        # the slope-form rank gives the same verdict, in about 2 s
+        assert clifford._nondegenerate(clifford_hamming(4), "spinorial", 1)
+
+
+def first_isotropic_code(n, s):
+    """The code whose s generators are the first labels, in increasing order,
+    that keep the set q-isotropic and independent."""
+    gens, x = [], 0
+    while len(gens) < s:
+        x += 1
+        if extends(gens, x):
+            gens.append(x)
+    return StabilizerCode(n, tuple(gens), (1,) * s)
 
 
 class TestDistributions:
@@ -293,7 +345,7 @@ class TestDistributions:
             assert sum(w[t][j] * a[j] for j in range(r + 1)) == b[t]
             assert sum(w[t][j] * b[j] for j in range(r + 1)) == a[t]
         # A_t <= K B_t, with the first strict inequality at t = d
-        d = detection_report(code, reading, cross_check=False).min_distance
+        d = detection_report(code, reading).min_distance
         for t in range(r + 1):
             assert a[t] <= k * b[t]
         strict = [t for t in range(r + 1) if a[t] < k * b[t]]
@@ -314,6 +366,15 @@ class TestDistributions:
     def test_matches_character_sums_on_random_codes(self, code, reading):
         assert distance_distribution(code, reading) == character_sum_distribution(code, reading)
 
+    def test_budget_counts_enumerated_labels(self):
+        # 2^16 labels times a span of 2^7 passed the old per-pair budget;
+        # the two enumerated subspaces hold only 2^7 + 2^9 labels
+        code = first_isotropic_code(8, 7)
+        a, b = distance_distribution(code, "even")
+        w, r = wtj_matrix(CliffordEven(8)), reading_diameter(8, "even")
+        assert all(sum(w[t][j] * a[j] for j in range(r + 1)) == b[t] for t in range(r + 1))
+        assert a[0] == code.dimension == 2 and b[0] == 1
+
     def test_budget_still_refuses_s4(self):
         with pytest.raises(ValueError, match="operation budget"):
             distance_distribution(clifford_hamming(4), "even")
@@ -326,17 +387,17 @@ class TestMatrixCrossCheck:
         stab = StabilizerCode(2, (0b1111,), (1,))
         coeffs = {z: -c if z else c for z, c in span_coefficients(stab).items()}
         with pytest.raises(ArithmeticError):
-            clifford._matrix_cross_check(stab, coeffs, "odd", 2)
+            clifford._matrix_check(stab, coeffs, "odd", 2)
 
     def test_wrong_sign_raises_under_optimize(self):
         script = (
             "import sys\n"
-            "from qdelsarte.clifford import StabilizerCode, _matrix_cross_check, "
+            "from qdelsarte.clifford import StabilizerCode, _matrix_check, "
             "span_coefficients\n"
             "stab = StabilizerCode(2, (0b1111,), (1,))\n"
             "coeffs = {z: -c if z else c for z, c in span_coefficients(stab).items()}\n"
             "try:\n"
-            "    _matrix_cross_check(stab, coeffs, 'odd', 2)\n"
+            "    _matrix_check(stab, coeffs, 'odd', 2)\n"
             "except ArithmeticError:\n"
             "    print('raised', sys.flags.optimize)\n"
         )
