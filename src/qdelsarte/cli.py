@@ -4,7 +4,7 @@ Subcommands: wtj, bound, feasible, table, construct, verify, oracle.
 All exact rationals print as "p/q"; decimal columns are rendered with
 round-half-up and never replace the exact values.  Exit codes: 0 success,
 1 negative verdict (infeasible system, failed verification, mismatching
-oracle), 2 usage error.
+oracle), 2 usage error, also for a file that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -126,8 +126,10 @@ def cmd_feasible(args) -> int:
     if args.format == "json":
         _emit(args, json.dumps(doc, indent=2))
     else:
+        # one cell per key: the witness entries are separated by spaces
         _emit(args, _render_table(args.format, ["key", "value"],
-                                  [[k, str(v)] for k, v in doc.items()]))
+                                  [[k, " ".join(v) if k == "witness" else str(v)]
+                                   for k, v in doc.items()]))
     return 0 if rep.feasible else 1
 
 
@@ -373,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FamilyError, ValueError) as exc:
+    except (FamilyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

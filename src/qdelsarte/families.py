@@ -107,15 +107,19 @@ class Su2(Family):
     def wtj(self, t: int, j: int) -> Fraction:
         n = self.n
         lo, hi = max(t, j), min(t + j, n)
-        total = sum(Fraction((-1) ** s * factorial(n + s + 1),
-                             factorial(s - t) ** 2 * factorial(s - j) ** 2
-                             * factorial(t + j - s) ** 2 * factorial(n - s))
+        # term s has denominator (s-t)!^2 (s-j)!^2 (t+j-s)!^2 (n-s)!, and
+        # lo <= s <= hi makes each factor divide the matching one of Q, so
+        # the sum runs in integers over the common denominator Q
+        Q = (factorial(hi - t) * factorial(hi - j) * factorial(t + j - lo)) ** 2 \
+            * factorial(n - lo)
+        total = sum((-1) ** s * factorial(n + s + 1)
+                    * (Q // ((factorial(s - t) * factorial(s - j) * factorial(t + j - s)) ** 2
+                             * factorial(n - s)))
                     for s in range(lo, hi + 1))
-        pref = Fraction((-1) ** (t + j) * (2 * t + 1)
+        return Fraction((-1) ** (t + j) * (2 * t + 1)
                         * factorial(t) ** 2 * factorial(j) ** 2
-                        * factorial(n - t) * factorial(n - j),
-                        factorial(n + t + 1) * factorial(n + j + 1))
-        return pref * total
+                        * factorial(n - t) * factorial(n - j) * total,
+                        factorial(n + t + 1) * factorial(n + j + 1) * Q)
 
 
 @dataclass(frozen=True)

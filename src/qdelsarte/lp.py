@@ -24,8 +24,10 @@ basis of the last feasible probe (accepted when the vertex passes integer
 substitution) and of the last infeasible probe (accepted when its phase-1
 dual passes as a Farkas vector), then the basis a floating-point phase 1
 picks (accepted on the same two checks), and runs a cold exact simplex only
-when none of them passes.  The front-door `feasible` (no `WarmStart`)
-always solves cold.
+when none of them passes.  The front-door `feasible` (no `WarmStart`) takes
+the same path through `simplex.check_feasible` with a fresh `WarmStart`:
+the float basis first, the cold simplex only when it is rejected.  No float
+value reaches a verdict.
 """
 
 from __future__ import annotations
@@ -164,11 +166,14 @@ def feasible(spec: Family, d: int, K: Fraction,
              opts: LPOptions = LPOptions(), warm: WarmStart | None = None) -> FeasibleReport:
     """Exact feasibility of the system at K > 0, with a checked certificate.
 
-    Without warm the system is built by build_system and solved cold.  With
-    warm (as lp_bound passes) it is solved on the cached integer_system,
-    trying warm's bases and a float-chosen basis first, so a feasible
-    witness may be a different vertex than a cold solve reaches; the
-    verdict is the same.
+    Without warm the system is built by build_system, solved by
+    check_feasible (the basis of a floating-point phase 1 first, a cold
+    exact simplex only when that basis fails substitution) and its
+    certificate checked again on the Fraction constraints.  With warm (as
+    lp_bound passes) it is solved on the cached integer_system, trying
+    warm's bases before the float-chosen one.  Either way a feasible witness
+    is the vertex of the basis that passed, which below the optimum may
+    differ from the vertex a cold solve reaches; the verdict is the same.
     """
     K = Fraction(K)
     if K <= 0:

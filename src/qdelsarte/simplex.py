@@ -1,16 +1,26 @@
-"""Exact phase-1 simplex with fraction-free integer pivoting.
+"""Exact phase-1 feasibility: floats pick a basis, integers prove the verdict.
 
 Decides feasibility of {A x (=|>=) b, x >= 0} by minimizing the sum of
-artificial variables with Bland's anti-cycling pivot rule.  The kernel,
-`solve`, takes integer rows [a_i | b_i], their senses and each row's
-positive scale s_i (row i stands for the rational row [a_i | b_i] / s_i, up
-to one common positive factor); pivots follow Edmonds (1967) and Bareiss
-(1968), so every entry is D * (B^-1 [A | b]) for the current basis
-determinant D and the only division per update is an exact one by the
-previous pivot.  The phase-1 objective is the sum of the artificials of the
-rational rows, so a positive rescaling of any row changes no pivot and no
-witness.  `check_feasible` is the `Fraction` front door: it scales each row
-by the lcm of its denominators.
+artificial variables.  Every verdict takes one path, `WarmStart.solve`: it
+tries the last feasible and the last infeasible basis of a sequence of
+nearby systems, then the basis that `float_basis` (the phase 1 in floating
+point) ends on, and runs the cold exact kernel `solve` only when none of
+them passes.  Floats only choose a basis (Applegate, Cook, Dash and
+Espinoza, "Exact solutions to linear programming problems", 2007): the
+certificate is always solved from it in integers, and one that fails
+substitution is never returned.  `check_feasible` is the `Fraction` front
+door: it scales each row by the lcm of its denominators and solves with a
+fresh `WarmStart`, so it tries the float basis before the kernel.
+
+The kernel, `solve`, pivots from the all-artificial basis under Bland's
+anti-cycling rule.  It takes integer rows [a_i | b_i], their senses and
+each row's positive scale s_i (row i stands for the rational row
+[a_i | b_i] / s_i, up to one common positive factor); pivots follow Edmonds
+(1967) and Bareiss (1968), so every entry is D * (B^-1 [A | b]) for the
+current basis determinant D and the only division per update is an exact
+one by the previous pivot.  The phase-1 objective is the sum of the
+artificials of the rational rows, so a positive rescaling of any row
+changes no pivot and no witness.
 
 Every verdict carries a certificate that is checked by integer substitution
 before it is returned: a feasible system yields a witness point, an
@@ -19,13 +29,9 @@ y^T b > 0), solved from the final basis as the phase-1 dual.  The final
 basis comes back as (kind, index) labels: ("x", column) for a structural,
 ("s", row) for the surplus or slack of a >= row, ("a", row) for an
 artificial.  `point_from_basis` and `farkas_from_basis` re-solve a basis on
-another system of the same shape with one square fraction-free solve, and
-`WarmStart` tries the last feasible and the last infeasible basis that way,
-then the basis that `float_basis` (the same phase 1 in floating point)
-ends on, before it falls back to a cold solve.  Floats only choose a basis
-(Applegate, Cook, Dash and Espinoza, "Exact solutions to linear programming
-problems", 2007): the certificate is always solved from it in integers, and
-one that fails substitution is never returned.
+another system of the same shape with one square fraction-free solve.  A
+feasible witness is the vertex of whichever basis passed, so it need not be
+the vertex Bland's rule reaches; the verdict is the same.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ class FeasibilityResult:
 def solve(rows: list[list[int]], senses: list[str], scales: list[int],
           nvars: int) -> FeasibilityResult:
     """Phase 1 from the all-artificial basis on integer rows [a_i | b_i]."""
+    _check_shape(rows, senses, scales, nvars)
     # columns: structural vars, one surplus/slack per >= row, then the rhs.
     # Artificials for eq and >= rows start basic with coefficient 1 and never
     # re-enter once they leave, so they get basis labels but no columns.
@@ -68,12 +75,6 @@ def solve(rows: list[list[int]], senses: list[str], scales: list[int],
     art: list[tuple[int, list[int]]] = []  # (row scale, row) per artificial
     art_labels: list[Label] = []
     for i, (row, sense, s) in enumerate(zip(rows, senses, scales)):
-        if len(row) != nvars + 1:
-            raise ValueError("constraint width mismatch")
-        if sense not in (EQ, GE):
-            raise ValueError(f"unknown constraint sense {sense!r}")
-        if s <= 0:
-            raise ValueError(f"row scale must be positive, got {s}")
         # negate a row with b < 0 so that every rhs is >= 0
         sign = -1 if row[-1] < 0 else 1
         t = [sign * x for x in row[:-1]] + [0] * (ncols - nvars) + [sign * row[-1]]
@@ -136,6 +137,19 @@ def solve(rows: list[list[int]], senses: list[str], scales: list[int],
     if not _satisfies(rows, senses, nums, D):
         raise ArithmeticError("simplex witness fails integer substitution")
     return FeasibilityResult(True, tuple(Fraction(x, D) for x in nums), None, final)
+
+
+def _check_shape(rows: list[list[int]], senses: list[str], scales: list[int],
+                 nvars: int) -> None:
+    """Raise ValueError unless every row is [a_i | b_i] with a known sense
+    and a positive scale."""
+    for row, sense, s in zip(rows, senses, scales):
+        if len(row) != nvars + 1:
+            raise ValueError("constraint width mismatch")
+        if sense not in (EQ, GE):
+            raise ValueError(f"unknown constraint sense {sense!r}")
+        if s <= 0:
+            raise ValueError(f"row scale must be positive, got {s}")
 
 
 def point_from_basis(rows: list[list[int]], senses: list[str], nvars: int,
@@ -301,6 +315,7 @@ class WarmStart:
 
     def solve(self, rows: list[list[int]], senses: list[str], scales: list[int],
               nvars: int) -> FeasibilityResult:
+        _check_shape(rows, senses, scales, nvars)
         if self.feasible_basis is not None:
             point = point_from_basis(rows, senses, nvars, self.feasible_basis)
             if point is not None:
@@ -336,6 +351,9 @@ class WarmStart:
 
 
 def check_feasible(constraints: list[Constraint], nvars: int) -> FeasibilityResult:
+    """Feasibility of the Fraction constraints by `WarmStart.solve` on their
+    integer-scaled rows; a Farkas vector is returned as multipliers of the
+    constraints."""
     rows, scales = [], []
     for c in constraints:
         row = [Fraction(x) for x in (*c.coeffs, c.rhs)]
@@ -344,7 +362,7 @@ def check_feasible(constraints: list[Constraint], nvars: int) -> FeasibilityResu
         rows.append([int(x * s) for x in row])
         scales.append(s)
     senses = [c.sense for c in constraints]
-    res = solve(rows, senses, scales, nvars)
+    res = WarmStart().solve(rows, senses, scales, nvars)
     if res.farkas is None:
         return res
     return FeasibilityResult(False, None, row_multipliers(res.farkas, scales), res.basis)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: formats, exit codes, construct/verify round trips."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -65,6 +66,21 @@ def test_feasible_witness_sums_to_dim():
               "--k", "8")
     wit = [Fraction(x) for x in json.loads(res.stdout)["witness"]]
     assert sum(wit) == 16 and wit[0] == 8
+
+
+@pytest.mark.parametrize("fmt", ["csv", "md"])
+def test_feasible_table_formats_keep_the_witness_in_one_cell(fmt):
+    res = run("feasible", "--family", "su2", "--n", "8", "--d", "3", "--self-dual",
+              "--k", "2", "--format", fmt)
+    assert res.returncode == 0
+    lines = res.stdout.splitlines()
+    if fmt == "md":  # strip the table's outer pipes and its rule line
+        lines = [line.strip("| ") for line in lines if not line.startswith("| ---")]
+    rows = list(csv.reader(lines, delimiter="," if fmt == "csv" else "|"))
+    assert all(len(row) == 2 for row in rows)
+    cells = {k.strip(): v.strip() for k, v in rows}
+    wit = [Fraction(x) for x in cells["witness"].split(" ")]
+    assert sum(wit) == 9 and wit[0] == 2
 
 
 def test_table_csv():
@@ -266,3 +282,18 @@ def test_out_writes_file(tmp_path):
               "--out", str(path))
     assert res.returncode == 0
     assert json.loads(path.read_text())["r"] == 3
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_verify_of_an_unreadable_code_file_exits_2(tmp_path, where):
+    path = tmp_path / "absent.json" if where == "missing" else tmp_path
+    res = run("verify", "--code", str(path))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
+def test_out_into_a_missing_directory_exits_2(tmp_path):
+    res = run("wtj", "--family", "su2", "--n", "3",
+              "--out", str(tmp_path / "absent" / "w.json"))
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr

@@ -1,5 +1,6 @@
 """Exact rational phase-1 simplex."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -10,13 +11,38 @@ from hypothesis import strategies as st
 from qdelsarte.families import CliffordOdd, Su2
 from qdelsarte.lp import LPOptions, feasible
 from qdelsarte.simplex import (Constraint, check_feasible, point_from_basis,
-                               solve, verify_farkas, verify_witness)
+                               row_multipliers, solve, verify_farkas, verify_witness)
 
 F = Fraction
 
 
 def c(coeffs, sense, rhs):
     return Constraint(tuple(F(x) for x in coeffs), sense, F(rhs))
+
+
+def integer_rows(cons):
+    rows, scales = [], []
+    for c in cons:
+        row = (*c.coeffs, c.rhs)
+        s = lcm(*(x.denominator for x in row))
+        rows.append([int(x * s) for x in row])
+        scales.append(s)
+    return rows, scales, [c.sense for c in cons]
+
+
+def both_paths(cons, nvars):
+    """The float-guided front door and the cold kernel on the same rows.
+
+    The kernel's Farkas vector is turned into multipliers of cons, as
+    check_feasible returns it; the two verdicts must agree.
+    """
+    rows, scales, senses = integer_rows(cons)
+    cold = solve(rows, senses, scales, nvars)
+    if cold.farkas is not None:
+        cold = replace(cold, farkas=row_multipliers(cold.farkas, scales))
+    guided = check_feasible(cons, nvars)
+    assert guided.feasible == cold.feasible
+    return guided, cold
 
 
 def test_trivial_feasible():
@@ -86,10 +112,10 @@ def test_feasible_iff_witness_and_planted_points_found(sys_data, data):
         val = sum(a * x for a, x in zip(coeffs, point))
         rhs = val if sense == "eq" else val - data.draw(st.integers(0, 2))
         cons.append(Constraint(coeffs, sense, rhs))
-    res = check_feasible(cons, nvars)
-    assert res.feasible
-    assert verify_witness(cons, res.witness)
-    assert all(x >= 0 for x in res.witness)
+    for res in both_paths(cons, nvars):
+        assert res.feasible
+        assert verify_witness(cons, res.witness)
+        assert all(x >= 0 for x in res.witness)
 
 
 @st.composite
@@ -115,13 +141,14 @@ def rational_systems(draw):
 def test_rational_rows_and_negative_rhs(sys_data):
     """Row scaling to integers and the >= to <= flip keep planted points feasible."""
     nvars, cons = sys_data
-    res = check_feasible(cons, nvars)
-    assert res.feasible
-    assert verify_witness(cons, res.witness)
+    for res in both_paths(cons, nvars):
+        assert res.feasible
+        assert verify_witness(cons, res.witness)
 
 
 def test_lp_witnesses_are_pinned():
-    # the exact vertices Bland's rule reaches on two published optima
+    # at a published optimum the feasible set is one vertex, so every
+    # verified solve, float-guided or cold, returns the same witness
     su2 = feasible(Su2(8), 3, F(19, 9), LPOptions(self_dual=True))
     assert su2.witness == (F(19, 9), 0, 0, 0, 0, 0, F(32, 15), F(9, 2), F(23, 90))
     odd = feasible(CliffordOdd(8), 3, F(56, 5))
@@ -133,21 +160,11 @@ def test_lp_witnesses_are_pinned():
 def test_verdicts_are_self_consistent(sys_data):
     nvars, rows = sys_data
     cons = [Constraint(coeffs, sense, F(1)) for coeffs, sense in rows]
-    res = check_feasible(cons, nvars)
-    if res.feasible:
-        assert verify_witness(cons, res.witness)
-    else:
-        assert res.witness is None
-
-
-def integer_rows(cons):
-    rows, scales = [], []
-    for c in cons:
-        row = (*c.coeffs, c.rhs)
-        s = lcm(*(x.denominator for x in row))
-        rows.append([int(x * s) for x in row])
-        scales.append(s)
-    return rows, scales, [c.sense for c in cons]
+    for res in both_paths(cons, nvars):
+        if res.feasible:
+            assert verify_witness(cons, res.witness)
+        else:
+            assert res.witness is None
 
 
 @given(rational_systems(), st.lists(st.integers(1, 50), min_size=5, max_size=5))
@@ -158,7 +175,7 @@ def test_positive_row_rescaling_changes_no_witness(sys_data, factors):
     rows, scales, senses = integer_rows(cons)
     sol = solve([[f * x for x in row] for f, row in zip(factors, rows)], senses,
                 [f * s for f, s in zip(factors, scales)], nvars)
-    assert sol.feasible and sol.witness == check_feasible(cons, nvars).witness
+    assert sol.feasible and sol.witness == solve(rows, senses, scales, nvars).witness
     # the final basis re-solves to the same vertex
     assert point_from_basis(rows, senses, nvars, sol.basis) == sol.witness
 
@@ -168,12 +185,12 @@ def test_positive_row_rescaling_changes_no_witness(sys_data, factors):
 def test_infeasible_verdicts_carry_a_checked_farkas_vector(sys_data):
     nvars, rows = sys_data
     cons = [Constraint(coeffs, sense, F(1)) for coeffs, sense in rows]
-    res = check_feasible(cons, nvars)
-    if res.feasible:
-        assert res.farkas is None
-        return
-    assert verify_farkas(cons, res.farkas)
-    assert not verify_farkas(cons, tuple(-y for y in res.farkas))
+    for res in both_paths(cons, nvars):
+        if res.feasible:
+            assert res.farkas is None
+            continue
+        assert verify_farkas(cons, res.farkas)
+        assert not verify_farkas(cons, tuple(-y for y in res.farkas))
 
 
 def test_farkas_vector_of_a_small_system():
@@ -189,3 +206,12 @@ def test_farkas_vector_of_a_small_system():
 def test_kernel_rejects_a_nonpositive_scale():
     with pytest.raises(ValueError):
         solve([[1, 1]], ["eq"], [0], 1)
+
+
+@pytest.mark.parametrize("cons,nvars", [
+    ([c([1, 1], "eq", 2)], 3),  # two coefficients for three variables
+    ([c([1, 1], "le", 2)], 2),  # no such sense
+], ids=["width", "sense"])
+def test_front_door_rejects_malformed_rows_before_any_basis(cons, nvars):
+    with pytest.raises(ValueError):
+        check_feasible(cons, nvars)

@@ -1,5 +1,6 @@
 """Warm-started probes: the integer LP template, basis re-solves, Farkas vectors."""
 
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from qdelsarte import lp, simplex
 from qdelsarte.families import CliffordEven, CliffordOdd, QHamming, Su2, SuqSym, profile
-from qdelsarte.lp import LPOptions, build_system, feasible, integer_system, lp_bound
+from qdelsarte.lp import (FeasibleReport, LPOptions, build_system, feasible, integer_system,
+                          lp_bound)
 from qdelsarte.scalars import format_fraction
 from qdelsarte.simplex import WarmStart, verify_farkas, verify_witness
 
@@ -38,6 +40,17 @@ LP_BOUNDS = (
     (CliffordEven(5), 3, SD, F(1, 2000), False, "56173/32768", "112377/65536"),
     (Su2(12), 4, SD, F(1, 100_000), True, "1", "2"),
 )
+
+
+def cold_report(spec, d, K, opts):
+    """The verdict of the cold kernel `simplex.solve` on the integer rows at K,
+    its Farkas vector as multipliers of the build_system constraints."""
+    system = integer_system(spec, d, opts)
+    rows, scales = system.at(K)
+    res = simplex.solve(rows, list(system.senses), scales, system.nvars)
+    if res.feasible:
+        return FeasibleReport(True, res.witness)
+    return FeasibleReport(False, None, simplex.row_multipliers(res.farkas, scales))
 
 
 def check_report(spec, d, K, opts, rep):
@@ -117,11 +130,12 @@ def test_warm_and_cold_verdicts_agree_along_probe_sequences(data):
     for K in [lo, hi] + [None] * len(cuts):
         if K is None:
             K = lo + (hi - lo) * cuts.pop()
-        cold = feasible(spec, d, K, opts)
+        cold = cold_report(spec, d, K, opts)
+        front = feasible(spec, d, K, opts)
         hot = feasible(spec, d, K, opts, warm)
-        assert hot.feasible == cold.feasible
-        check_report(spec, d, K, opts, cold)
-        check_report(spec, d, K, opts, hot)
+        assert hot.feasible == front.feasible == cold.feasible
+        for rep in (cold, front, hot):
+            check_report(spec, d, K, opts, rep)
         if hot.feasible:
             lo = K
         else:
@@ -173,9 +187,9 @@ def test_cold_infeasible_verdicts_carry_a_farkas_vector():
     for spec, d, opts in SYSTEMS:
         dim_h = profile(spec).dim_H
         for K in (F(dim_h), F(dim_h, 2) + F(1, 7)):
-            rep = feasible(spec, d, K, opts)
+            rep = cold_report(spec, d, K, opts)
             check_report(spec, d, K, opts, rep)
-    rep = feasible(Su2(8), 3, F(19, 9) + F(1, 10 ** 9), SD)
+    rep = cold_report(Su2(8), 3, F(19, 9) + F(1, 10 ** 9), SD)
     assert not rep.feasible
     cons, _ = build_system(Su2(8), 3, F(19, 9) + F(1, 10 ** 9), SD)
     assert verify_farkas(cons, rep.farkas)
@@ -214,7 +228,7 @@ def test_tampered_bases_fall_back_to_a_cold_solve(tamper, malformed):
         warm = WarmStart()
         warm.feasible_basis, warm.infeasible_basis = tamper(fb), tamper(ib)
         rep = feasible(spec, d, K, opts, warm)
-        assert rep.feasible == feasible(spec, d, K, opts).feasible
+        assert rep.feasible == cold_report(spec, d, K, opts).feasible
         check_report(spec, d, K, opts, rep)
         if malformed:
             assert warm.guided + warm.cold == 1
@@ -275,9 +289,11 @@ from qdelsarte.lp import LPOptions, build_system, feasible, integer_system
 from qdelsarte.simplex import WarmStart, verify_farkas, verify_witness
 spec, d, opts = Su2(8), 3, LPOptions(self_dual=True)
 system = integer_system(spec, d, opts)
-def final_basis(K):
+def cold(K):
     rows, scales = system.at(K)
-    return simplex.solve(rows, list(system.senses), scales, system.nvars).basis
+    return simplex.solve(rows, list(system.senses), scales, system.nvars)
+def final_basis(K):
+    return cold(K).basis
 fb, ib = final_basis(F(2)), final_basis(F(3))
 real = simplex.float_basis
 def other_vertex(rows, senses, scales, nvars):
@@ -304,7 +320,7 @@ for name, guess in guesses.items():
     for K in (F(2), F(41, 20), F(3), F(5)):
         warm = WarmStart()
         rep = feasible(spec, d, K, opts, warm)
-        if rep.feasible != feasible(spec, d, K, opts).feasible:
+        if rep.feasible != cold(K).feasible:
             raise SystemExit(f"{name}: a wrong verdict at K={K}")
         cons, _ = build_system(spec, d, K, opts)
         if not (verify_witness(cons, rep.witness) if rep.feasible
@@ -332,3 +348,75 @@ def test_rows_beyond_the_float_range_are_solved_cold():
     res = warm.solve([[1, 10 ** 400]], [simplex.EQ], [1], 1)
     assert res.feasible and res.witness == (10 ** 400,)
     assert warm.guided == 0 and warm.cold == 1
+
+
+# the optima of the five LP_BOUNDS above 1, the benchmark's bound order
+OPTIMA = (F(208, 7), F(56, 5), F(19, 9), F(5, 3), F(12, 7))
+
+
+def front_door_probes(seed):
+    """The benchmark's seeded `feasible` probes: two K in (1, optimum) per
+    bound, drawn in bound order, then Su2(30) d=2 at its optimum 15 and just
+    above it."""
+    rng = random.Random(seed)
+    probes = []
+    for (spec, d, opts, *_), opt in zip(LP_BOUNDS, OPTIMA):
+        opts = LPOptions(self_dual=opts.self_dual)  # the probes pass no --pure
+        for _ in range(2):
+            probes.append((spec, d, opts, 1 + (opt - 1) * F(rng.randrange(1, 1000), 1000), True))
+    probes += [(Su2(30), 2, LPOptions(), F(15), True),
+               (Su2(30), 2, LPOptions(), F(15) + F(1, 1000), False)]
+    return probes
+
+
+def counting_cold_solves(monkeypatch):
+    calls = []
+    real = simplex.solve
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simplex, "solve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 11, 29])
+def test_front_door_probes_of_the_benchmark_run_no_cold_solve(seed, monkeypatch):
+    probes = front_door_probes(seed)
+    calls = counting_cold_solves(monkeypatch)
+    reports = [(spec, d, opts, K, verdict, feasible(spec, d, K, opts))
+               for spec, d, opts, K, verdict in probes]
+    assert len(reports) == 12 and calls == []
+    for spec, d, opts, K, verdict, rep in reports:
+        assert rep.feasible is verdict
+        check_report(spec, d, K, opts, rep)
+
+
+@pytest.mark.parametrize("spec,d,opts,K", [
+    (Su2(8), 3, SD, F(2)),
+    (Su2(8), 3, SD, F(3)),
+    (CliffordOdd(8), 3, LPOptions(), F(56, 5)),
+    (QHamming(2, 6), 3, LPOptions(), F(17, 3)),
+])
+def test_front_door_without_a_float_basis_solves_cold_once(spec, d, opts, K, monkeypatch):
+    guided = feasible(spec, d, K, opts)
+    monkeypatch.setattr(simplex, "float_basis", lambda *args: None)
+    calls = counting_cold_solves(monkeypatch)
+    rep = feasible(spec, d, K, opts)
+    assert len(calls) == 1
+    assert rep.feasible == guided.feasible
+    check_report(spec, d, K, opts, rep)
+
+
+def test_front_door_goes_through_check_feasible(monkeypatch):
+    calls = []
+    real = lp.check_feasible
+
+    def recording(cons, nvars):
+        calls.append(nvars)
+        return real(cons, nvars)
+
+    monkeypatch.setattr(lp, "check_feasible", recording)
+    feasible(Su2(8), 3, F(2), SD)
+    assert calls == [9]

@@ -1,6 +1,7 @@
 """Exact W_t(j) coefficient matrices and the self-dual signature catalog."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,29 @@ def test_su2_entries_are_symmetric_in_weighted_form(n, data):
     j = data.draw(st.integers(0, n))
     p = profile(spec)
     assert wtj(spec, t, j) * p.dim_V[j] == wtj(spec, j, t) * p.dim_V[t]
+
+
+def su2_wtj_reference(n, t, j):
+    """W_t(j) of Su2(n) as a sum of one Fraction per term, the form the
+    closed formula is written in."""
+    lo, hi = max(t, j), min(t + j, n)
+    total = sum(Fraction((-1) ** s * factorial(n + s + 1),
+                         factorial(s - t) ** 2 * factorial(s - j) ** 2
+                         * factorial(t + j - s) ** 2 * factorial(n - s))
+                for s in range(lo, hi + 1))
+    pref = Fraction((-1) ** (t + j) * (2 * t + 1)
+                    * factorial(t) ** 2 * factorial(j) ** 2
+                    * factorial(n - t) * factorial(n - j),
+                    factorial(n + t + 1) * factorial(n + j + 1))
+    return pref * total
+
+
+def test_su2_integer_sum_matches_the_per_term_fraction_sum():
+    # the table sums its terms over one common denominator
+    for n in range(1, 41):
+        spec = Su2(n)
+        assert [[spec.wtj(t, j) for j in range(n + 1)] for t in range(n + 1)] == \
+            [[su2_wtj_reference(n, t, j) for j in range(n + 1)] for t in range(n + 1)]
 
 
 class TestLambdaSignature:
