@@ -265,9 +265,9 @@ def cmd_verify(args) -> int:
             fam_cls = {"even": "clifford-even", "odd": "clifford-odd",
                        "spinorial": "spinorial"}[reading]
             spec = FAMILY_NAMES[fam_cls](n=n)
-            W = wtj_matrix(spec)
-            r = profile(spec).diameter_r
-            wa = [sum(W[t][j] * A[j] for j in range(r + 1)) for t in range(r + 1)]
+            # A is sparse: only its nonzero entries need W_t(j)
+            support = [(j, a) for j, a in enumerate(A) if a]
+            wa = [sum(spec.wtj(t, j) * a for j, a in support) for t in range(len(A))]
             out["A"] = [format_fraction(x) for x in A]
             out["B"] = [format_fraction(x) for x in B]
             out["transform_check"] = wa == B
@@ -309,8 +309,8 @@ def main(argv: list[str] | None = None) -> int:
                     "quantum metric spaces")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("csv", "json", "md"), default="json")
+    def common(p: argparse.ArgumentParser, formats=("csv", "json", "md")) -> None:
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out")
 
     p = sub.add_parser("wtj", help="dump the W_t(j) matrix")
@@ -358,18 +358,18 @@ def main(argv: list[str] | None = None) -> int:
                    choices=("clifford-hamming", "su2-third", "su2-quarter"))
     p.add_argument("--s", type=int)
     p.add_argument("--n", type=int)
-    common(p)
+    common(p, formats=("json",))
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="verify a code file")
     p.add_argument("--code", help="code file path; stdin when omitted or '-'")
     p.add_argument("--reading", choices=clifford.READINGS)
-    common(p)
+    common(p, formats=("json",))
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force verification report")
     _add_family_args(p)
-    common(p)
+    common(p, formats=("json",))
     p.set_defaults(func=cmd_oracle)
 
     args = parser.parse_args(argv)

@@ -17,7 +17,9 @@ Two operators commute iff q(x, y) = wt(x)wt(y) + x.y vanishes mod 2, so a
 q-isotropic set of labels generates a stabilizer group whose simultaneous
 eigenspaces are quantum codes.  Detection, distance, purity, nondegeneracy
 and distance distributions are all decided on F_2: nondegeneracy counts the
-cosets of the stabilizer span that the correctable errors fall into.  For
+cosets of the stabilizer span that the correctable errors fall into, and B
+counts the ordinary dual of the complemented generators' span by MacWilliams,
+so only subspaces of at most 2^s labels are ever enumerated.  For
 n <= MATRIX_CEILING the detection verdicts are cross-checked against the
 matrix condition P Gamma_x P = eps P on every label of every block
 t = 1..d, without sampling.  A disagreement raises ArithmeticError.
@@ -32,6 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+from .families import _krawtchouk
 from .linalg import Sparse, sp_add, sp_kron, sp_mul, sp_scale
 from .scalars import GR_ONE, GR_ZERO, GaussianRational, gr_i_power
 
@@ -161,10 +164,12 @@ class StabilizerCode:
     signs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"need n >= 1, got n={self.n}")
         if len(self.signs) != len(self.generators):
             raise ValueError("signs and generators must have equal length")
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError("signs must be +1 or -1")
+        if any(type(s) is not int or s not in (1, -1) for s in self.signs):
+            raise ValueError("signs must be the integers +1 or -1")
         lim = 1 << (2 * self.n)
         if any(not 0 < g < lim for g in self.generators):
             raise ValueError(f"generators must be nonzero {2 * self.n}-bit labels")
@@ -397,39 +402,39 @@ def _weight_counts(basis: list[int], length: int) -> list[int]:
     return counts
 
 
-def _q_annihilator(gens: tuple[int, ...], length: int) -> list[int]:
-    """F_2 basis of {x : q(x, g) = 0 for every g in gens}, labels of `length` bits.
-
-    q(x, g) = wt(x)wt(g) + x.g is the dot product of x with g', where g' is g
-    complemented when wt(g) is odd; the annihilator of the g' is read off
-    their reduced row echelon form, one basis vector per free bit.
-    """
-    ones = (1 << length) - 1
-    rows = _f2_echelon(g ^ ones if wt(g) % 2 else g for g in gens)
-    return [(1 << f) | sum(1 << p for p, row in rows.items() if (row >> f) & 1)
-            for f in range(length) if f not in rows]
-
-
 def distance_distribution(stab: StabilizerCode, reading: str
                           ) -> tuple[list[Fraction], list[Fraction]]:
     """Exact (A, B) from F_2 structure; no matrices needed at any n.
 
     A_t = K |span ∩ block t| and B_t = 2^{-s} sum over x in block t of the
     character sum sum_{z in span} (-1)^{q(x, z)}.  q is F_2-bilinear, so that
-    sum is |span| = 2^s when q(x, g) = 0 for every generator g and 0
-    otherwise: B_t = |C ∩ block t| with C the (2n - s)-dimensional
-    q-annihilator of the span.  Both subspaces are enumerated from F_2 bases
-    and counted by weight; the blocks partition the weights 0..2n.  The
-    budget counts the 2^s + 2^(2n - s) labels so enumerated.
+    sum is 2^s when q(x, g) = 0 for every generator g and 0 otherwise:
+    B_t = |C ∩ block t| with C the q-annihilator of the span.  As
+    q(x, g) = x.g' with g' = g complemented when wt(g) is odd, C is the
+    ordinary dual of D = span of the g', and by the MacWilliams identity
+    |C_w| = 2^{-dim D} sum_i |D_i| K_w(i) (binary Krawtchouk over 2n letters).
+    Only the span and D are enumerated, from F_2 bases, so the budget counts
+    2^s + 2^dim D labels; the blocks partition the weights 0..2n.
     """
     n, length = stab.n, 2 * stab.n
     r = reading_diameter(n, reading)
     s = len(stab.generators)
     K = stab.dimension
-    if 2 ** s + 2 ** (length - s) > ENUMERATION_BUDGET:
+    ones = (1 << length) - 1
+    d_basis = list(_f2_echelon(g ^ ones if wt(g) % 2 else g
+                               for g in stab.generators).values())
+    size_d = 2 ** len(d_basis)
+    if 2 ** s + size_d > ENUMERATION_BUDGET:
         raise ValueError("distribution enumeration exceeds the operation budget")
     in_span = _weight_counts(list(stab.generators), length)
-    in_c = _weight_counts(_q_annihilator(stab.generators, length), length)
+    in_d = _weight_counts(d_basis, length)
+    in_c = []
+    for w in range(length + 1):
+        count, rem = divmod(sum(c * _krawtchouk(length, w, i)
+                                for i, c in enumerate(in_d) if c), size_d)
+        if rem:
+            raise ArithmeticError(f"MacWilliams count of weight {w} is not an integer")
+        in_c.append(count)
     A: list[Fraction] = []
     B: list[Fraction] = []
     for t in range(r + 1):

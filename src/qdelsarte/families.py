@@ -288,18 +288,3 @@ def profile(spec: Family) -> MetricProfile:
     validate(spec)
     return spec.profile()
 
-
-def family_to_json(spec: Family) -> dict:
-    params = {k: getattr(spec, k) for k in spec.__dataclass_fields__}
-    return {"name": spec.name, **params}
-
-
-def family_from_json(obj: dict) -> Family:
-    name = obj["name"]
-    if name not in FAMILY_NAMES:
-        raise FamilyError(f"unknown family name {name!r}")
-    cls = FAMILY_NAMES[name]
-    params = {k: int(obj[k]) for k in cls.__dataclass_fields__}
-    spec = cls(**params)
-    validate(spec)
-    return spec

@@ -196,13 +196,6 @@ class GaussianRational:
     def __complex__(self):
         return complex(self._a / self._d, self._b / self._d)
 
-    def to_json(self):
-        return {"re": format_fraction(self.re), "im": format_fraction(self.im)}
-
-    @staticmethod
-    def from_json(obj) -> "GaussianRational":
-        return GaussianRational(parse_fraction(obj["re"]), parse_fraction(obj["im"]))
-
     def __repr__(self):
         return f"GaussianRational({self.re!s}, {self.im!s})"
 

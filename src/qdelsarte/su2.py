@@ -26,6 +26,8 @@ class Su2Vector:
     amplitudes: tuple[tuple[int, SurdSum], ...]  # sorted (weight, amplitude)
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"need n >= 1, got n={self.n}")
         for k, a in self.amplitudes:
             if not (-self.n <= k <= self.n) or (k - self.n) % 2:
                 raise ValueError(f"weight {k} not admissible for n={self.n}")

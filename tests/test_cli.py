@@ -113,25 +113,31 @@ def test_construct_clifford_hamming_schema(tmp_path):
     assert all(len(g) == 14 and set(g) <= {"0", "1"} for g in out["generators"])
 
 
-@pytest.mark.parametrize("reading,dist", [("even", 3), ("odd", 3)])
-def test_construct_verify_round_trip_clifford(tmp_path, reading, dist):
+@pytest.mark.parametrize("s,reading,dist", [
+    (3, "even", 3), (3, "odd", 3), (4, "even", 3), (4, "odd", 3),
+    (5, "even", 3), (5, "odd", 3)],
+    ids=["even-3", "odd-3", "s4-even-3", "s4-odd-3", "s5-even-3", "s5-odd-3"])
+def test_construct_verify_round_trip_clifford(tmp_path, s, reading, dist):
     path = tmp_path / "code.json"
-    res = run("construct", "--code", "clifford-hamming", "--s", "3",
+    res = run("construct", "--code", "clifford-hamming", "--s", str(s),
               "--out", str(path))
     assert res.returncode == 0
     ver = run("verify", "--code", str(path), "--reading", reading,
               "--format", "json")
     assert ver.returncode == 0
     out = json.loads(ver.stdout)
-    assert out["dimension"] == 8
+    n = 2 ** s - 1
+    assert out["dimension"] == 2 ** (n - s - 1)
     assert out["min_distance"] == dist
     assert out["is_pure"] and out["is_nondegenerate"]
-    assert out["A"][0] == "8"
+    assert out["A"][0] == str(out["dimension"]) and out["B"][0] == "1"
+    assert len(out["A"]) == len(out["B"])
+    assert out["transform_check"] is True
 
 
 def test_verify_distribution_of_an_n8_code():
     # first labels that keep the set q-isotropic and independent: 1, 6, 24,
-    # ..., 6144; the distribution enumerates 2^7 + 2^9 labels
+    # ..., 6144; the distribution enumerates 2^7 + 2^7 labels
     gens = ["1" + "0" * 15] + ["0" * (2 * k + 1) + "11" + "0" * (13 - 2 * k)
                               for k in range(6)]
     doc = {"kind": "clifford-stabilizer", "n": 8, "generators": gens,
@@ -269,11 +275,26 @@ def test_table_cells_are_pinned():
     {"kind": "clifford-stabilizer"},
     {"kind": "clifford-stabilizer", "n": 3, "signs": []},
     {"kind": "su2-vectors", "vectors": []},
-], ids=["no-n", "no-generators", "su2-no-family"])
+    {"kind": "clifford-stabilizer", "n": 0, "generators": [], "signs": []},
+    {"kind": "clifford-stabilizer", "n": 1, "generators": ["11"], "signs": [1.0]},
+    {"kind": "clifford-stabilizer", "n": 1, "generators": ["11"], "signs": [True]},
+    {"kind": "su2-vectors", "family": {"su2": {"n": 0}},
+     "vectors": [[{"k": 0, "amp": [{"c": "1", "r": 1}]}]]},
+], ids=["no-n", "no-generators", "su2-no-family", "n0", "float-sign", "bool-sign",
+        "su2-n0"])
 def test_verify_malformed_document_exits_2(doc):
     res = run("verify", stdin=json.dumps(doc))
     assert res.returncode == 2
     assert res.stderr.startswith("error: malformed") and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("fmt", ["csv", "md"])
+def test_verify_rejects_table_formats(fmt):
+    # verify prints JSON only, so a table format is refused as a usage error
+    code = run("construct", "--code", "su2-third", "--n", "6").stdout
+    res = run("verify", "--format", fmt, stdin=code)
+    assert res.returncode == 2 and res.stdout == ""
+    assert "invalid choice" in res.stderr
 
 
 def test_out_writes_file(tmp_path):

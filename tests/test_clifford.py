@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import qdelsarte
 from qdelsarte import clifford
-from qdelsarte.families import CliffordEven, CliffordOdd, profile
+from qdelsarte.families import CliffordEven, CliffordOdd, Spinorial, profile
 from qdelsarte.linalg import sp_identity, sp_mul, sp_rank, sp_scale, sp_sub
 from qdelsarte.scalars import GR_ONE, GaussianRational, gr_i_power
 from qdelsarte.clifford import (
@@ -368,16 +368,40 @@ class TestDistributions:
 
     def test_budget_counts_enumerated_labels(self):
         # 2^16 labels times a span of 2^7 passed the old per-pair budget;
-        # the two enumerated subspaces hold only 2^7 + 2^9 labels
+        # the two enumerated subspaces hold only 2^7 + 2^7 labels
         code = first_isotropic_code(8, 7)
         a, b = distance_distribution(code, "even")
         w, r = wtj_matrix(CliffordEven(8)), reading_diameter(8, "even")
         assert all(sum(w[t][j] * a[j] for j in range(r + 1)) == b[t] for t in range(r + 1))
         assert a[0] == code.dimension == 2 and b[0] == 1
 
-    def test_budget_still_refuses_s4(self):
+    @pytest.mark.parametrize("s", [4, 5])
+    @pytest.mark.parametrize("reading", READINGS)
+    def test_large_hamming_codes_meet_the_transform_identities(self, s, reading):
+        code = clifford_hamming(s)
+        a, b = distance_distribution(code, reading)
+        family = {"even": CliffordEven, "odd": CliffordOdd,
+                  "spinorial": Spinorial}[reading](code.n)
+        w = wtj_matrix(family)
+        r = profile(family).diameter_r
+        k = code.dimension
+        assert len(a) == len(b) == r + 1 and a[0] == k and b[0] == 1
+        # B = W . A and A = W . B (W is an involution)
+        for t in range(r + 1):
+            assert sum(w[t][j] * a[j] for j in range(r + 1)) == b[t]
+            assert sum(w[t][j] * b[j] for j in range(r + 1)) == a[t]
+        # A_t = K B_t below the min distance, strictly less at it
+        d = detection_report(code, reading).min_distance
+        assert all(a[t] == k * b[t] for t in range(d))
+        assert a[d] < k * b[d]
+
+    def test_budget_counts_span_and_dual_labels(self, monkeypatch):
+        # s = 4: the span and the complemented generators' span hold 2^5 each
+        monkeypatch.setattr(clifford, "ENUMERATION_BUDGET", 63)
         with pytest.raises(ValueError, match="operation budget"):
             distance_distribution(clifford_hamming(4), "even")
+        monkeypatch.setattr(clifford, "ENUMERATION_BUDGET", 64)
+        distance_distribution(clifford_hamming(4), "even")
 
 
 class TestMatrixCrossCheck:

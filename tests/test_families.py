@@ -16,8 +16,6 @@ from qdelsarte.families import (
     Su2,
     SunExt,
     SuqSym,
-    family_from_json,
-    family_to_json,
     profile,
     validate,
 )
@@ -109,15 +107,3 @@ def test_validate_messages_name_the_condition():
 def test_validate_accepts_all_examples():
     for spec in ALL_SPECS:
         validate(spec)
-
-
-@given(family_specs())
-def test_json_round_trip(spec):
-    assert family_from_json(family_to_json(spec)) == spec
-
-
-def test_json_shape():
-    assert family_to_json(QHamming(3, 5)) == {"name": "qhamming", "q": 3, "n": 5}
-    assert family_from_json({"name": "su-ext", "n": 6, "w": 2}) == SunExt(6, 2)
-    with pytest.raises(FamilyError):
-        family_from_json({"name": "nonsense"})

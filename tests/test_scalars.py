@@ -74,10 +74,6 @@ class TestGaussianRational:
         assert [gr_i_power(k) for k in range(4)] == [GR_ONE, GR_I, -GR_ONE, -GR_I]
         assert gr_i_power(7) == gr_i_power(-1)
 
-    def test_json_round_trip(self):
-        x = GaussianRational(Fraction(3, 7), Fraction(-2, 5))
-        assert GaussianRational.from_json(x.to_json()) == x
-
     def test_mixes_with_int_and_fraction(self):
         assert GaussianRational(1, 2) + 1 == GaussianRational(2, 2)
         assert Fraction(1, 2) * GaussianRational(2, 4) == GaussianRational(1, 2)
@@ -149,11 +145,9 @@ class TestGaussianRationalAgainstReference:
             assert a.is_rational() is None
 
     @given(fractions, fractions)
-    def test_constructor_and_json(self, re, im):
+    def test_constructor(self, re, im):
         a = GaussianRational(re, im)
         check_result(a, (re, im))
-        assert a.to_json() == {"re": format_fraction(re), "im": format_fraction(im)}
-        assert GaussianRational.from_json(a.to_json()) == a
         assert bool(a) == bool(re or im)
 
     def test_equal_values_hash_equal(self):
