@@ -16,12 +16,16 @@ import sys
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
-from . import clifford, su2
 from .families import FAMILY_NAMES, Family, FamilyError, profile, validate
 from .lp import LPOptions, check_options, feasible as lp_feasible, lp_bound
-from .oracle import verify_lambda, verify_wtj
 from .scalars import SurdSum, format_fraction, parse_fraction
 from .wtj import lambda_signature, wtj_matrix
+
+# `clifford`, `su2` and `oracle` are imported by the commands that use them,
+# so `bound`, `feasible` and `table` do not load them.  The readings of
+# `clifford.READINGS`, in its order, with the family each one reads a code in:
+READING_FAMILIES = {"even": "clifford-even", "odd": "clifford-odd",
+                    "spinorial": "spinorial"}
 
 
 def _build_family(args, **given) -> Family:
@@ -179,6 +183,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from . import clifford, su2
     if args.code == "clifford-hamming":
         if args.s is None:
             raise FamilyError("clifford-hamming requires --s")
@@ -219,21 +224,28 @@ def _load_code(path: str | None) -> dict:
     return doc
 
 
+def _int(x, what: str) -> int:
+    if type(x) is not int:
+        raise TypeError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def _parse_code(doc: dict):
     """The document's kind and its code: a StabilizerCode, or (n, vectors)."""
+    from . import clifford, su2
     kind = doc.get("kind")
     try:
         if kind == "clifford-stabilizer":
-            n = int(doc["n"])
+            n = _int(doc["n"], "n")
             gens = tuple(clifford.label_from_str(g) for g in doc["generators"])
             for g in doc["generators"]:
                 if len(g) != 2 * n:
                     raise FamilyError(f"generator length {len(g)} != 2n = {2 * n}")
             return kind, clifford.StabilizerCode(n, gens, tuple(doc["signs"]))
         if kind == "su2-vectors":
-            n = int(doc["family"]["su2"]["n"])
+            n = _int(doc["family"]["su2"]["n"], "n")
             return kind, (n, [su2.Su2Vector.make(
-                n, {int(e["k"]): SurdSum.from_json(e["amp"]) for e in vec})
+                n, {_int(e["k"], "k"): SurdSum.from_json(e["amp"]) for e in vec})
                 for vec in doc["vectors"]])
     except FamilyError:
         raise
@@ -244,6 +256,7 @@ def _parse_code(doc: dict):
 
 
 def cmd_verify(args) -> int:
+    from . import clifford, su2
     kind, code = _parse_code(_load_code(args.code))
     if kind == "clifford-stabilizer":
         stab = code
@@ -262,9 +275,7 @@ def cmd_verify(args) -> int:
         except ValueError:
             A = B = None
         if A is not None:
-            fam_cls = {"even": "clifford-even", "odd": "clifford-odd",
-                       "spinorial": "spinorial"}[reading]
-            spec = FAMILY_NAMES[fam_cls](n=n)
+            spec = FAMILY_NAMES[READING_FAMILIES[reading]](n=n)
             # A is sparse: only its nonzero entries need W_t(j)
             support = [(j, a) for j, a in enumerate(A) if a]
             wa = [sum(spec.wtj(t, j) * a for j, a in support) for t in range(len(A))]
@@ -281,6 +292,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import verify_lambda, verify_wtj
     spec = _build_family(args)
     wtj_rep = verify_wtj(spec)
     out = {"family": args.family,
@@ -291,13 +303,10 @@ def cmd_oracle(args) -> int:
                for t, j, a, b in wtj_rep.mismatches]}
     ok = wtj_rep.matches
     if lambda_signature(spec) is not None:
-        try:
-            lam_rep = verify_lambda(spec)
-            out["lambda_match"] = lam_rep.matches
-            out["lambda_mismatches"] = [list(m) for m in lam_rep.mismatches]
-            ok = ok and lam_rep.matches
-        except NotImplementedError:
-            out["lambda_match"] = None
+        lam_rep = verify_lambda(spec)
+        out["lambda_match"] = lam_rep.matches
+        out["lambda_mismatches"] = [list(m) for m in lam_rep.mismatches]
+        ok = ok and lam_rep.matches
     _emit(args, json.dumps(out, indent=2))
     return 0 if ok else 1
 
@@ -363,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("verify", help="verify a code file")
     p.add_argument("--code", help="code file path; stdin when omitted or '-'")
-    p.add_argument("--reading", choices=clifford.READINGS)
+    p.add_argument("--reading", choices=READING_FAMILIES)
     common(p, formats=("json",))
     p.set_defaults(func=cmd_verify)
 

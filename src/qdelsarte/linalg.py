@@ -21,7 +21,7 @@ def sp_identity(n: int, one: Any = Fraction(1)) -> Sparse:
 def sp_add(a: Sparse, b: Sparse) -> Sparse:
     out = dict(a)
     for k, v in b.items():
-        w = out.get(k, 0) + v
+        w = out[k] + v if k in out else v
         if w:
             out[k] = w
         else:
@@ -47,12 +47,22 @@ def sp_mul(a: Sparse, b: Sparse) -> Sparse:
     for (i, k), va in a.items():
         for j, vb in by_row.get(k, ()):
             key = (i, j)
-            w = out.get(key, 0) + va * vb
+            w = out[key] + va * vb if key in out else va * vb
             if w:
                 out[key] = w
             else:
                 out.pop(key, None)
     return out
+
+
+def sp_mat_vec(a: Sparse, v: dict[int, Any]) -> dict[int, Any]:
+    """a v for a sparse vector v, a dict from index to nonzero scalar."""
+    out: dict[int, Any] = {}
+    for (i, j), x in a.items():
+        y = v.get(j)
+        if y is not None:
+            out[i] = out[i] + x * y if i in out else x * y
+    return {i: w for i, w in out.items() if w}
 
 
 def conj(v: Any) -> Any:

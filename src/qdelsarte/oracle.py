@@ -12,7 +12,9 @@ the correctness argument for the fast formulas.
 
 `ORACLE` holds, per family class, the size ceiling, the block-basis builder,
 the antiunitary builder and, where one exists, a matrix-free W_t(j).  The
-Clifford-odd, Clifford-even and spinorial blocks are spanned by monomial
+su(2) blocks are `su2.error_block`, the matrices `su2.min_distance` measures
+code distance with, so W_t(j) is certified on the blocks codes are checked
+against.  The Clifford-odd, Clifford-even and spinorial blocks are spanned by monomial
 Gamma_x, so their channel is composed on (mask, i-exponent) pairs with
 integer arithmetic; `phi_apply` on the matrices stays the generic path and
 the reference.  Instances are capped at sizes where dense exact arithmetic
@@ -33,7 +35,7 @@ from .families import (CliffordEven, CliffordOdd, Family, QHamming,
 from .linalg import (RowSpace, Sparse, conj, sp_add, sp_identity, sp_kron, sp_mul,
                      sp_scale, sp_sub)
 from .scalars import GR_ONE, GaussianRational, SurdSum
-from .su2 import _coeff_E, _coeff_F
+from .su2 import error_block
 from .wtj import lambda_signature, wtj_matrix
 
 
@@ -124,30 +126,8 @@ def _basis_qhamming(spec: QHamming, t: int) -> OperatorBasis:
     return OperatorBasis(spec, t, mats, q ** n)
 
 
-def _su2_ef_matrices(n: int) -> tuple[Sparse, Sparse]:
-    # row/col index m <-> weight k = 2m - n
-    E: Sparse = {}
-    F: Sparse = {}
-    for m in range(n + 1):
-        k = 2 * m - n
-        if k < n:
-            E[(m + 1, m)] = _coeff_E(n, k)
-        if k > -n:
-            F[(m - 1, m)] = _coeff_F(n, k)
-    return E, F
-
-
 def _basis_su2(spec: Su2, t: int) -> OperatorBasis:
-    n = spec.n
-    E, F = _su2_ef_matrices(n)
-    x: Sparse = {(i, i): SurdSum.rational(1) for i in range(n + 1)}
-    for _ in range(t):
-        x = sp_mul(E, x)
-    mats = [x]
-    for _ in range(2 * t):
-        x = sp_sub(sp_mul(F, x), sp_mul(x, F))
-        mats.append(x)
-    return OperatorBasis(spec, t, mats, n + 1)
+    return OperatorBasis(spec, t, error_block(spec.n, t), spec.n + 1)
 
 
 def _integer_matrix(x: Sparse) -> Sparse:
@@ -362,8 +342,8 @@ def _basis_semispin(spec: Semispinorial, t: int) -> OperatorBasis:
 
 
 # --- antiunitaries: the linear part, up to overall phase ---------------------
-# Each is reached only where the family has a signature: QHamming at q = 2,
-# SunExt at n = 2w.
+# Each is reached only where the family has a signature: QHamming and SuqSym
+# at q = 2, SunExt at n = 2w.
 
 def _antiunitary_qhamming(spec: QHamming) -> Sparse:
     sy: Sparse = {(0, 1): GaussianRational(0, -1), (1, 0): GaussianRational(0, 1)}
@@ -389,6 +369,12 @@ def _antiunitary_su2(spec: Su2) -> Sparse:
     return out
 
 
+def _antiunitary_susym(spec: SuqSym) -> Sparse:
+    # x^a y^b -> (-1)^b x^b y^a; the swap keeps the weight a! b!
+    _, index, _ = _susym_space(2, spec.n)
+    return {(index[(b, a)], col): Fraction((-1) ** b) for (a, b), col in index.items()}
+
+
 def _antiunitary_suext(spec: SunExt) -> Sparse:
     n, w = spec.n, spec.w
     subsets, index = _suext_space(n, w)
@@ -411,7 +397,7 @@ class _Oracle(NamedTuple):
     ceiling: str                              # the largest instances admitted
     fits: Callable[[Family], bool]
     basis: Callable[[Family, int], OperatorBasis]
-    antiunitary: Callable[[Family], Sparse] | None  # None: no construction
+    antiunitary: Callable[[Family], Sparse]
     # W_t(j) computed without matrices; None: the block channel `phi_apply`
     wtj: Callable[[Family, int, int], Fraction] | None = None
 
@@ -422,7 +408,8 @@ ORACLE: dict[type, _Oracle] = {
                       _basis_qhamming, _antiunitary_qhamming),
     Su2: _Oracle("n <= 6", lambda s: s.n <= 6, _basis_su2, _antiunitary_su2),
     SuqSym: _Oracle("q <= 3 and dim H <= 12",
-                    lambda s: s.q <= 3 and profile(s).dim_H <= 12, _basis_susym, None),
+                    lambda s: s.q <= 3 and profile(s).dim_H <= 12, _basis_susym,
+                    _antiunitary_susym),
     SunExt: _Oracle("n <= 6", lambda s: s.n <= 6, _basis_suext, _antiunitary_suext),
     **{cls: _Oracle("n <= 4", lambda s: s.n <= 4, _basis_gamma, _antiunitary_gamma,
                     _wtj_gamma) for cls in _GAMMA_BLOCKS},
@@ -520,10 +507,7 @@ def verify_lambda(spec: Family) -> LambdaReport:
     lam = lambda_signature(spec)
     if lam is None:
         raise ValueError(f"{spec.name} is not self-dual")
-    antiunitary = ORACLE[type(spec)].antiunitary
-    if antiunitary is None:
-        raise NotImplementedError(f"no antiunitary construction for {spec}")
-    L = antiunitary(spec)
+    L = ORACLE[type(spec)].antiunitary(spec)
     Ladj = op_weighted_adjoint(L, None)
     r = profile(spec).diameter_r
     bad = []

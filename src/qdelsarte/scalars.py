@@ -239,8 +239,16 @@ class SurdSum:
         raise AttributeError("SurdSum is immutable")
 
     @staticmethod
+    def _make(terms: dict[int, Fraction]) -> "SurdSum":
+        """SurdSum of squarefree int radicands and Fraction coefficients,
+        taken as they are; zero coefficients are dropped."""
+        out = object.__new__(SurdSum)
+        object.__setattr__(out, "terms", {d: c for d, c in terms.items() if c})
+        return out
+
+    @staticmethod
     def rational(c) -> "SurdSum":
-        return SurdSum({1: Fraction(c)})
+        return SurdSum._make({1: Fraction(c)})
 
     @staticmethod
     def sqrt(x) -> "SurdSum":
@@ -255,7 +263,7 @@ class SurdSum:
         # sqrt(n/m) = (sn/(sd*fd)) * sqrt(fn*fd)
         coeff = Fraction(sn, sd * fd)
         s2, f = _squarefree_split(fn * fd)
-        return SurdSum({f: coeff * s2})
+        return SurdSum._make({f: coeff * s2})
 
     @staticmethod
     def _coerce(x) -> "SurdSum | None":
@@ -271,13 +279,13 @@ class SurdSum:
             return NotImplemented
         out = dict(self.terms)
         for d, c in o.terms.items():
-            out[d] = out.get(d, Fraction(0)) + c
-        return SurdSum(out)
+            out[d] = out[d] + c if d in out else c
+        return SurdSum._make(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SurdSum({d: -c for d, c in self.terms.items()})
+        return SurdSum._make({d: -c for d, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -298,9 +306,11 @@ class SurdSum:
         out: dict[int, Fraction] = {}
         for d1, c1 in self.terms.items():
             for d2, c2 in o.terms.items():
-                s, f = _squarefree_split(d1 * d2)
-                out[f] = out.get(f, Fraction(0)) + c1 * c2 * s
-        return SurdSum(out)
+                # a rational factor leaves the other radicand squarefree
+                s, f = _squarefree_split(d1 * d2) if d1 > 1 < d2 else (1, d1 * d2)
+                c = c1 * c2 * s
+                out[f] = out[f] + c if f in out else c
+        return SurdSum._make(out)
 
     __rmul__ = __mul__
 
@@ -309,7 +319,7 @@ class SurdSum:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return SurdSum({d: c / other for d, c in self.terms.items()})
+            return SurdSum._make({d: c / other for d, c in self.terms.items()})
         if isinstance(other, SurdSum):
             if len(other.terms) == 1:
                 ((d, c),) = other.terms.items()

@@ -7,9 +7,12 @@ Amplitudes are SurdSum, so raising and lowering act exactly:
     F|k> = sqrt((n-k+2)(n+k)/4) |k-2>   (zero at k = -n)
     H|k> = k |k>
 
-Two explicit distance-2 code families are provided, occupying roughly a
-quarter and a third of the weight range, plus an exact minimum-distance
-checker driven by the spanning sets {ad_F^k(E^t)} of the error blocks.
+As matrices on the index m = (k+n)/2, E has the entries sqrt((n-m)(m+1))
+just below the diagonal and F is its transpose.  `error_block(n, t)` is the
+spanning set {ad_F^k(E^t) : 0 <= k <= 2t} of the error block V_t; the
+minimum-distance checker here and the brute-force oracle both use it.  Two
+explicit distance-2 code families are provided, occupying roughly a
+quarter and a third of the weight range.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import Sparse, sp_identity, sp_mat_vec, sp_mul, sp_sub
 from .scalars import SurdSum
 
 
@@ -46,44 +50,37 @@ def basis_vector(n: int, k: int) -> Su2Vector:
     return Su2Vector.make(n, {k: SurdSum.rational(1)})
 
 
-def _coeff_E(n: int, k: int) -> SurdSum:
-    return SurdSum.sqrt(Fraction((n - k) * (n + k + 2), 4))
+def ef_matrices(n: int) -> tuple[Sparse, Sparse]:
+    """The raising and lowering matrices E and F = E^T on the index m."""
+    E = {(m + 1, m): SurdSum.sqrt((n - m) * (m + 1)) for m in range(n)}
+    return E, {(j, i): x for (i, j), x in E.items()}
 
 
-def _coeff_F(n: int, k: int) -> SurdSum:
-    return SurdSum.sqrt(Fraction((n - k + 2) * (n + k), 4))
+def error_block(n: int, t: int) -> list[Sparse]:
+    """The 2t+1 matrices ad_F^k(E^t), k = 0..2t, spanning the block V_t."""
+    E, F = ef_matrices(n)
+    x = sp_identity(n + 1, SurdSum.rational(1))
+    for _ in range(t):
+        x = sp_mul(E, x)
+    block = [x]
+    for _ in range(2 * t):
+        x = sp_sub(sp_mul(F, x), sp_mul(x, F))
+        block.append(x)
+    return block
 
 
-def apply(n: int, op: str, v: Su2Vector) -> Su2Vector:
-    """Apply E, F, H, or a word like "EFH" (rightmost letter acts first)."""
-    if v.n != n:
-        raise ValueError("vector does not belong to this representation")
-    amps = v.amp_dict()
-    for letter in reversed(op):
-        out: dict[int, SurdSum] = {}
-        for k, a in amps.items():
-            if letter == "E":
-                if k < n:
-                    out[k + 2] = out.get(k + 2, SurdSum.rational(0)) + _coeff_E(n, k) * a
-            elif letter == "F":
-                if k > -n:
-                    out[k - 2] = out.get(k - 2, SurdSum.rational(0)) + _coeff_F(n, k) * a
-            elif letter == "H":
-                out[k] = out.get(k, SurdSum.rational(0)) + k * a
-            else:
-                raise ValueError(f"unknown operator letter {letter!r}")
-        amps = {k: a for k, a in out.items() if a}
-    return Su2Vector.make(n, amps)
+def _dot(u: dict[int, SurdSum], v: dict[int, SurdSum]) -> SurdSum:
+    """sum_i u_i v_i; amplitudes are real surds."""
+    acc = SurdSum()
+    for i, b in v.items():
+        a = u.get(i)
+        if a is not None:
+            acc = acc + a * b
+    return acc
 
 
 def inner(u: Su2Vector, v: Su2Vector) -> SurdSum:
-    ua = u.amp_dict()
-    acc = SurdSum.rational(0)
-    for k, b in v.amplitudes:
-        a = ua.get(k)
-        if a is not None:
-            acc = acc + a * b  # amplitudes are real surds
-    return acc
+    return _dot(u.amp_dict(), v.amp_dict())
 
 
 def code_quarter(n: int) -> list[Su2Vector]:
@@ -128,30 +125,6 @@ def code_third(n: int) -> list[Su2Vector]:
     return vectors
 
 
-def _error_spanning_set(n: int, t: int) -> list[list[tuple[str, Fraction]]]:
-    """Words spanning the distance-t block: ad_F^k(E^t) for 0 <= k <= 2t.
-
-    Each element is a formal integer combination of operator words, kept
-    symbolic so it can be applied to exact vectors.
-    """
-    current: list[tuple[str, Fraction]] = [("E" * t, Fraction(1))]
-    out = [current]
-    for _ in range(2 * t):
-        nxt: dict[str, Fraction] = {}
-        for word, c in current:
-            nxt["F" + word] = nxt.get("F" + word, Fraction(0)) + c
-            nxt[word + "F"] = nxt.get(word + "F", Fraction(0)) - c
-        current = [(w, c) for w, c in nxt.items() if c]
-        out.append(current)
-    return out
-
-
-def _apply_combo(n: int, combo: list[tuple[str, Fraction]], v: Su2Vector) -> dict[int, SurdSum]:
-    acc: dict[int, SurdSum] = {}
-    for word, c in combo:
-        for k, a in apply(n, word, v).amplitudes:
-            acc[k] = acc.get(k, SurdSum.rational(0)) + c * a
-    return {k: a for k, a in acc.items() if a}
 
 
 def min_distance(n: int, vectors: list[Su2Vector]) -> int:
@@ -161,45 +134,28 @@ def min_distance(n: int, vectors: list[Su2Vector]) -> int:
     for v in vectors:
         if v.n != n:
             raise ValueError("vector does not belong to this representation")
-    norms = [inner(v, v).is_rational() for v in vectors]
+    # amplitudes on the matrix index m = (k+n)/2
+    vecs = [{(k + n) // 2: a for k, a in v.amplitudes} for v in vectors]
+    norms = [_dot(v, v).is_rational() for v in vecs]
     if any(x is None or x <= 0 for x in norms):
         raise ValueError("vectors must have positive rational norm squared")
-    for i, u in enumerate(vectors):
-        for v in vectors[i + 1:]:
-            if inner(u, v):
+    for i, u in enumerate(vecs):
+        for v in vecs[i + 1:]:
+            if _dot(u, v):
                 raise ValueError("vectors must be pairwise orthogonal")
     if len(vectors) == 1:
         return n + 1
 
     def block_detected(t: int) -> bool:
-        for combo in _error_spanning_set(n, t):
-            images = [_apply_combo(n, combo, v) for v in vectors]
-            # off-diagonal parts must vanish
-            for i, u in enumerate(vectors):
-                ua = u.amp_dict()
-                for j, img in enumerate(images):
-                    if i == j:
-                        continue
-                    acc = SurdSum.rational(0)
-                    for k, b in img.items():
-                        a = ua.get(k)
-                        if a is not None:
-                            acc = acc + a * b
-                    if acc:
-                        return False
-            # diagonal slopes must agree after norm division; compare
-            # cross-multiplied to stay in SurdSum arithmetic
-            diags = []
-            for i, u in enumerate(vectors):
-                ua = u.amp_dict()
-                acc = SurdSum.rational(0)
-                for k, b in images[i].items():
-                    a = ua.get(k)
-                    if a is not None:
-                        acc = acc + a * b
-                diags.append(acc)
-            for i in range(1, len(vectors)):
-                if diags[i] * norms[0] != diags[0] * norms[i]:
+        for op in error_block(n, t):
+            images = [sp_mat_vec(op, v) for v in vecs]
+            # <u_i, op u_j> must vanish for i != j, and <u_i, op u_i> be one
+            # multiple of <u_i, u_i> for every i: compared cross-multiplied
+            slope0 = _dot(vecs[0], images[0])
+            for i, u in enumerate(vecs):
+                if any(_dot(u, img) for j, img in enumerate(images) if j != i):
+                    return False
+                if _dot(u, images[i]) * norms[0] != slope0 * norms[i]:
                     return False
         return True
 

@@ -280,8 +280,15 @@ def test_table_cells_are_pinned():
     {"kind": "clifford-stabilizer", "n": 1, "generators": ["11"], "signs": [True]},
     {"kind": "su2-vectors", "family": {"su2": {"n": 0}},
      "vectors": [[{"k": 0, "amp": [{"c": "1", "r": 1}]}]]},
+    # a non-int n or k is refused, not truncated to an int
+    {"kind": "clifford-stabilizer", "n": 1.9, "generators": ["11"], "signs": [1]},
+    {"kind": "clifford-stabilizer", "n": True, "generators": ["11"], "signs": [1]},
+    {"kind": "su2-vectors", "family": {"su2": {"n": 2.0}},
+     "vectors": [[{"k": 0, "amp": [{"c": "1", "r": 1}]}]]},
+    {"kind": "su2-vectors", "family": {"su2": {"n": 2}},
+     "vectors": [[{"k": True, "amp": [{"c": "1", "r": 1}]}]]},
 ], ids=["no-n", "no-generators", "su2-no-family", "n0", "float-sign", "bool-sign",
-        "su2-n0"])
+        "su2-n0", "float-n", "bool-n", "su2-float-n", "su2-bool-k"])
 def test_verify_malformed_document_exits_2(doc):
     res = run("verify", stdin=json.dumps(doc))
     assert res.returncode == 2
@@ -318,3 +325,34 @@ def test_out_into_a_missing_directory_exits_2(tmp_path):
               "--out", str(tmp_path / "absent" / "w.json"))
     assert res.returncode == 2
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
+def test_malformed_n_was_verified_as_its_truncation():
+    # the same documents with "n": 1 verify, so exit 2 above is the type check
+    for n, code in ((1.9, 2), (True, 2), (1, 0)):
+        doc = {"kind": "clifford-stabilizer", "n": n, "generators": ["11"], "signs": [1]}
+        assert run("verify", stdin=json.dumps(doc)).returncode == code
+
+
+def test_oracle_checks_the_susym_q2_signature():
+    res = run("oracle", "--family", "su-sym", "--q", "2", "--n", "4")
+    assert res.returncode == 0
+    out = json.loads(res.stdout)
+    assert out["lambda_match"] is True and out["lambda_mismatches"] == []
+
+
+def test_lp_commands_do_not_import_the_code_modules():
+    probe = ("import sys, contextlib, io\n"
+             "from qdelsarte import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    rc = cli.main(['bound', '--family', 'su2', '--n', '5', '--d', '2'])\n"
+             "print(rc, sorted(m for m in ('qdelsarte.clifford', 'qdelsarte.su2',\n"
+             "                              'qdelsarte.oracle') if m in sys.modules))\n")
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert res.stdout.split("\n")[0] == "0 []", res.stderr
+
+
+def test_reading_choices_are_the_clifford_readings():
+    from qdelsarte import clifford
+    from qdelsarte.cli import READING_FAMILIES
+    assert tuple(READING_FAMILIES) == clifford.READINGS

@@ -28,6 +28,7 @@ from qdelsarte.oracle import (
     verify_wtj,
     wtj_bruteforce,
 )
+from qdelsarte.su2 import error_block
 from qdelsarte.wtj import lambda_signature, wtj
 
 # largest instances the oracle certifies per family
@@ -77,7 +78,7 @@ def test_closure_grid_is_every_admitted_instance():
 def test_closure_families_match_bruteforce(spec):
     report = verify_wtj(spec)
     assert report.matches, report.mismatches
-    if lambda_signature(spec) is not None and ORACLE[type(spec)].antiunitary is not None:
+    if lambda_signature(spec) is not None:  # su-ext at n = 2w, su-sym at q = 2
         report = verify_lambda(spec)
         assert report.matches, report.mismatches
 
@@ -107,6 +108,21 @@ def test_wtj_matches_bruteforce(spec):
 def test_lambda_signature_realized_by_antiunitary(spec):
     report = verify_lambda(spec)
     assert report.matches, report.mismatches
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_susym_signature_needs_the_signed_swap(n, monkeypatch):
+    # x^a y^b -> x^b y^a without the sign (-1)^b does not realise (-1)^j
+    signed = oracle._antiunitary_susym
+    monkeypatch.setitem(ORACLE, SuqSym, ORACLE[SuqSym]._replace(
+        antiunitary=lambda spec: {k: abs(x) for k, x in signed(spec).items()}))
+    assert not verify_lambda(SuqSym(2, n)).matches
+
+
+def test_su2_blocks_are_the_code_checkers_blocks():
+    for n in range(1, 7):
+        for t in range(n + 1):
+            assert v_basis(Su2(n), t).matrices == error_block(n, t)
 
 
 def test_bruteforce_example_value():

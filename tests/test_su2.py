@@ -1,18 +1,21 @@
 """Exact su(2) representation vectors and the density-1/4 and 1/3 codes."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdelsarte.linalg import sp_mat_vec, sp_mul, sp_sub
 from qdelsarte.scalars import SurdSum
 from qdelsarte.su2 import (
     Su2Vector,
-    apply,
     basis_vector,
     code_quarter,
     code_third,
+    ef_matrices,
+    error_block,
     inner,
     min_distance,
 )
@@ -36,22 +39,33 @@ def vectors(draw, n):
     return Su2Vector.make(n, dict(amps))
 
 
+def on_index(v):
+    """The amplitudes of v on the matrix index m = (k+n)/2."""
+    return {(k + v.n) // 2: a for k, a in v.amplitudes}
+
+
+def from_index(n, amps):
+    return Su2Vector.make(n, {2 * m - n: a for m, a in amps.items()})
+
+
 class TestRepresentation:
     @given(st.integers(1, 12), st.data())
     @settings(max_examples=60, deadline=None)
     def test_adjointness(self, n, data):
         u = data.draw(vectors(n))
         v = data.draw(vectors(n))
-        assert inner(apply(n, "E", u), v) == inner(u, apply(n, "F", v))
+        E, Fm = ef_matrices(n)
+        Eu = from_index(n, sp_mat_vec(E, on_index(u)))
+        Fv = from_index(n, sp_mat_vec(Fm, on_index(v)))
+        assert inner(Eu, v) == inner(u, Fv)
 
     def test_raising_and_lowering_match(self):
-        n = 4
-        # E|k> = sqrt((n-k)(n+k+2))/2 |k+2>
-        for k in weights(n)[:-1]:
-            ek = apply(n, "E", basis_vector(n, k))
-            coeff = SurdSum.sqrt(F((n - k) * (n + k + 2), 4))
-            assert ek == Su2Vector.make(n, {k + 2: coeff})
-        assert apply(n, "E", basis_vector(n, n)) == Su2Vector.make(n, {})
+        # E|k> = sqrt((n-k)(n+k+2)/4) |k+2>, zero at k = n, and F = E^T
+        for n in range(1, 13):
+            E, Fm = ef_matrices(n)
+            assert E == {((k + n) // 2 + 1, (k + n) // 2): SurdSum.sqrt(F((n - k) * (n + k + 2), 4))
+                         for k in weights(n)[:-1]}
+            assert Fm == {(j, i): x for (i, j), x in E.items()}
 
     @given(st.integers(1, 12))
     def test_basis_orthonormal(self, n):
@@ -60,14 +74,22 @@ class TestRepresentation:
         assert inner(basis_vector(n, -n), basis_vector(n, n)) == SurdSum()
 
     def test_commutator_is_h(self):
-        # (EF - FE)|k> = k|k>
-        n = 6
-        for k in weights(n):
-            v = basis_vector(n, k)
-            ef = apply(n, "EF", v)
-            fe = apply(n, "FE", v)
-            got = ef - fe if hasattr(ef, "__sub__") else None
-            assert inner(ef, v) - inner(fe, v) == SurdSum.rational(k)
+        # EF - FE = H = diag(k), k = 2m - n
+        for n in range(1, 13):
+            E, Fm = ef_matrices(n)
+            assert sp_sub(sp_mul(E, Fm), sp_mul(Fm, E)) == {
+                (m, m): SurdSum.rational(2 * m - n) for m in range(n + 1) if 2 * m != n}
+
+    def test_error_block_starts_at_the_raising_power(self):
+        E, Fm = ef_matrices(5)
+        one, = error_block(5, 0)
+        assert one == {(m, m): SurdSum.rational(1) for m in range(6)}
+        block = error_block(5, 1)
+        assert len(block) == 3 and block[0] == E
+        # ad_F(E) = -H and ad_F^2(E) = -2F
+        assert block[1] == {(m, m): SurdSum.rational(5 - 2 * m) for m in range(6)}
+        assert block[2] == {k: -2 * x for k, x in Fm.items()}
+        assert len(error_block(5, 2)) == 5
 
     def test_inadmissible_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -141,3 +163,84 @@ class TestMinDistance:
         w = Su2Vector.make(4, {0: SurdSum.rational(1), 4: SurdSum.rational(1)})
         with pytest.raises(ValueError):
             min_distance(4, [v, w])
+
+
+# --- reference: the operator-word expansion min_distance used to run -------
+
+def _word_apply(n, word, amps):
+    """Apply a word in E, F (rightmost letter acts first) to {k: amplitude}."""
+    for letter in reversed(word):
+        out = {}
+        for k, a in amps.items():
+            if letter == "E" and k < n:
+                c, to = SurdSum.sqrt(F((n - k) * (n + k + 2), 4)), k + 2
+            elif letter == "F" and k > -n:
+                c, to = SurdSum.sqrt(F((n - k + 2) * (n + k), 4)), k - 2
+            else:
+                continue
+            out[to] = out.get(to, SurdSum()) + c * a
+        amps = {k: a for k, a in out.items() if a}
+    return amps
+
+
+def _word_spanning_set(n, t):
+    """ad_F^k(E^t), k = 0..2t, as integer combinations of words."""
+    current = [("E" * t, 1)]
+    out = [current]
+    for _ in range(2 * t):
+        nxt = {}
+        for word, c in current:
+            nxt["F" + word] = nxt.get("F" + word, 0) + c
+            nxt[word + "F"] = nxt.get(word + "F", 0) - c
+        current = [(w, c) for w, c in nxt.items() if c]
+        out.append(current)
+    return out
+
+
+def reference_min_distance(n, vecs):
+    if len(vecs) == 1:
+        return n + 1
+    norms = [inner(v, v) for v in vecs]
+
+    def detected(t):
+        for combo in _word_spanning_set(n, t):
+            images = []
+            for v in vecs:
+                acc = {}
+                for word, c in combo:
+                    for k, a in _word_apply(n, word, v.amp_dict()).items():
+                        acc[k] = acc.get(k, SurdSum()) + c * a
+                images.append(Su2Vector.make(n, acc))
+            g = [[inner(u, img) for img in images] for u in vecs]
+            if any(g[i][j] for i in range(len(vecs)) for j in range(len(vecs)) if i != j):
+                return False
+            if any(g[i][i] * norms[0] != g[0][0] * norms[i] for i in range(len(vecs))):
+                return False
+        return True
+
+    d = 1
+    while d <= n and detected(d):
+        d += 1
+    return d
+
+
+BASIS_SETS = [(n, ks) for n in range(1, 7) for size in (1, 2, 3)
+              for ks in combinations(weights(n), size)]
+
+
+class TestMinDistanceMatchesWordExpansion:
+    @pytest.mark.parametrize("n", range(4, 31))
+    def test_code_third(self, n):
+        vecs = code_third(n)
+        assert min_distance(n, vecs) == reference_min_distance(n, vecs)
+
+    @pytest.mark.parametrize("n", range(3, 31))
+    def test_code_quarter(self, n):
+        vecs = code_quarter(n)
+        assert min_distance(n, vecs) == reference_min_distance(n, vecs)
+
+    def test_every_set_of_up_to_three_weight_vectors(self):
+        assert len(BASIS_SETS) == 153
+        for n, ks in BASIS_SETS:
+            vecs = [basis_vector(n, k) for k in ks]
+            assert min_distance(n, vecs) == reference_min_distance(n, vecs), (n, ks)
