@@ -14,10 +14,10 @@ the correctness argument for the fast formulas.
 the antiunitary builder and, where one exists, a matrix-free W_t(j).  The
 su(2) blocks are `su2.error_block`, the matrices `su2.min_distance` measures
 code distance with, so W_t(j) is certified on the blocks codes are checked
-against.  The Clifford-odd, Clifford-even and spinorial blocks are spanned by monomial
-Gamma_x, so their channel is composed on (mask, i-exponent) pairs with
-integer arithmetic; `phi_apply` on the matrices stays the generic path and
-the reference.  Instances are capped at sizes where dense exact arithmetic
+against.  The Clifford-odd, Clifford-even and spinorial blocks are spanned
+by monomial Gamma_x, so their channel is composed on (mask, i-exponent)
+pairs with integer arithmetic; `phi_apply` on the matrices stays the
+generic path and the reference.  Instances are capped at sizes where dense exact arithmetic
 finishes in seconds; larger parameters raise.
 """
 

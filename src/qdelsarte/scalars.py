@@ -363,9 +363,12 @@ class SurdSum:
     def from_json(obj) -> "SurdSum":
         out: dict[int, Fraction] = {}
         for term in obj:
-            d = int(term["r"])
+            d, c = term["r"], term["c"]
+            if type(d) is not int or type(c) is not str:
+                raise TypeError(f"need an integer radicand and a p/q coefficient, "
+                                f"got r={d!r}, c={c!r}")
             s, f = _squarefree_split(d)
-            out[f] = out.get(f, Fraction(0)) + parse_fraction(term["c"]) * s
+            out[f] = out.get(f, Fraction(0)) + parse_fraction(c) * s
         return SurdSum(out)
 
     def __repr__(self):

@@ -125,8 +125,6 @@ def code_third(n: int) -> list[Su2Vector]:
     return vectors
 
 
-
-
 def min_distance(n: int, vectors: list[Su2Vector]) -> int:
     """Largest d such that every error block below d is detected exactly."""
     if not vectors:

@@ -280,15 +280,20 @@ def test_table_cells_are_pinned():
     {"kind": "clifford-stabilizer", "n": 1, "generators": ["11"], "signs": [True]},
     {"kind": "su2-vectors", "family": {"su2": {"n": 0}},
      "vectors": [[{"k": 0, "amp": [{"c": "1", "r": 1}]}]]},
-    # a non-int n or k is refused, not truncated to an int
+    # a non-int n, k or r, or a non-string c, is refused, not coerced
     {"kind": "clifford-stabilizer", "n": 1.9, "generators": ["11"], "signs": [1]},
     {"kind": "clifford-stabilizer", "n": True, "generators": ["11"], "signs": [1]},
     {"kind": "su2-vectors", "family": {"su2": {"n": 2.0}},
      "vectors": [[{"k": 0, "amp": [{"c": "1", "r": 1}]}]]},
     {"kind": "su2-vectors", "family": {"su2": {"n": 2}},
      "vectors": [[{"k": True, "amp": [{"c": "1", "r": 1}]}]]},
+    {"kind": "su2-vectors", "family": {"su2": {"n": 2}},
+     "vectors": [[{"k": 0, "amp": [{"c": "1", "r": 2.9}]}]]},
+    {"kind": "su2-vectors", "family": {"su2": {"n": 2}},
+     "vectors": [[{"k": 0, "amp": [{"c": 0.1, "r": 1}]}]]},
 ], ids=["no-n", "no-generators", "su2-no-family", "n0", "float-sign", "bool-sign",
-        "su2-n0", "float-n", "bool-n", "su2-float-n", "su2-bool-k"])
+        "su2-n0", "float-n", "bool-n", "su2-float-n", "su2-bool-k", "su2-float-r",
+        "su2-float-c"])
 def test_verify_malformed_document_exits_2(doc):
     res = run("verify", stdin=json.dumps(doc))
     assert res.returncode == 2
@@ -327,11 +332,15 @@ def test_out_into_a_missing_directory_exits_2(tmp_path):
     assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
 
-def test_malformed_n_was_verified_as_its_truncation():
-    # the same documents with "n": 1 verify, so exit 2 above is the type check
-    for n, code in ((1.9, 2), (True, 2), (1, 0)):
-        doc = {"kind": "clifford-stabilizer", "n": n, "generators": ["11"], "signs": [1]}
-        assert run("verify", stdin=json.dumps(doc)).returncode == code
+def test_the_malformed_number_documents_verify_with_ints():
+    # so exit 2 above comes from the type checks: 1.9 and true used to be
+    # truncated to 1, a radicand 2.9 to 2 and c = 0.1 read as a binary
+    # float, with exit 0
+    doc = {"kind": "clifford-stabilizer", "n": 1, "generators": ["11"], "signs": [1]}
+    assert run("verify", stdin=json.dumps(doc)).returncode == 0
+    doc = {"kind": "su2-vectors", "family": {"su2": {"n": 2}},
+           "vectors": [[{"k": 0, "amp": [{"c": "1", "r": 2}]}]]}
+    assert run("verify", stdin=json.dumps(doc)).returncode == 0
 
 
 def test_oracle_checks_the_susym_q2_signature():

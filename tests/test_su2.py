@@ -63,8 +63,8 @@ class TestRepresentation:
         # E|k> = sqrt((n-k)(n+k+2)/4) |k+2>, zero at k = n, and F = E^T
         for n in range(1, 13):
             E, Fm = ef_matrices(n)
-            assert E == {((k + n) // 2 + 1, (k + n) // 2): SurdSum.sqrt(F((n - k) * (n + k + 2), 4))
-                         for k in weights(n)[:-1]}
+            assert E == {((k + n) // 2 + 1, (k + n) // 2):
+                         SurdSum.sqrt(F((n - k) * (n + k + 2), 4)) for k in weights(n)[:-1]}
             assert Fm == {(j, i): x for (i, j), x in E.items()}
 
     @given(st.integers(1, 12))
