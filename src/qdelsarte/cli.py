@@ -30,8 +30,11 @@ READING_FAMILIES = {"even": "clifford-even", "odd": "clifford-odd",
 
 def _build_family(args, **given) -> Family:
     """The family named by --family, its parameters read from args except
-    those given."""
+    those given.  A family flag the family does not take is an error."""
     cls = FAMILY_NAMES[args.family]
+    for f in FAMILY_FLAGS:
+        if f not in cls.__dataclass_fields__ and getattr(args, f, None) is not None:
+            raise FamilyError(f"{args.family} takes no --{f}")
     kwargs = {}
     for f in cls.__dataclass_fields__:
         val = given[f] if f in given else getattr(args, f, None)
@@ -43,11 +46,13 @@ def _build_family(args, **given) -> Family:
     return spec
 
 
+FAMILY_FLAGS = ("q", "n", "w")
+
+
 def _add_family_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, choices=sorted(FAMILY_NAMES))
-    p.add_argument("--q", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--w", type=int)
+    for f in FAMILY_FLAGS:
+        p.add_argument(f"--{f}", type=int)
 
 
 def _decimal(x: Fraction, places: int = 3) -> str:

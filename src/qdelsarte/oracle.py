@@ -5,20 +5,25 @@ blocks V_t, applies the block channel
 
     Phi_t(X) = sum_k F_k X F_k* / <F_k, F_k>
 
-on an orthogonal basis F_k (OperatorBasis raises ArithmeticError on any
-other), and reads off eigenvalues as rational ratios.  Nothing here trusts
-the closed forms of the family classes; agreement between the two paths is
-the correctness argument for the fast formulas.
+on an orthogonal basis F_k, and reads off eigenvalues as rational ratios.
+OperatorBasis checks every basis orthogonal, on the pairs of elements that
+share a nonzero position (the others are orthogonal anyway), and raises
+ArithmeticError otherwise.  Nothing here trusts the closed forms of the
+family classes; agreement between the two paths is the correctness
+argument for the fast formulas.
 
 `ORACLE` holds, per family class, the size ceiling, the block-basis builder,
-the antiunitary builder and, where one exists, a matrix-free W_t(j).  The
-su(2) blocks are `su2.error_block`, the matrices `su2.min_distance` measures
-code distance with, so W_t(j) is certified on the blocks codes are checked
-against.  The Clifford-odd, Clifford-even and spinorial blocks are spanned
-by monomial Gamma_x, so their channel is composed on (mask, i-exponent)
-pairs with integer arithmetic; `phi_apply` on the matrices stays the
-generic path and the reference.  Instances are capped at sizes where dense exact arithmetic
-finishes in seconds; larger parameters raise.
+the antiunitary builder and, where they exist, a matrix-free W_t(j) and a
+matrix-free antiunitary check.  The su(2) blocks are `su2.error_block`, the
+matrices `su2.min_distance` measures code distance with, so W_t(j) is
+certified on the blocks codes are checked against.  The su-ext and su-sym
+blocks are closures of a highest-weight matrix under the simple lowering
+roots.  The Clifford-odd, Clifford-even and spinorial blocks are spanned by
+monomial Gamma_x, so their channel and their antiunitary check are composed
+on (mask, i-exponent) pairs with integer arithmetic; `phi_apply` and the
+matrix sandwich stay the generic path and the reference.  Instances are
+capped at sizes where exact arithmetic finishes in seconds; larger
+parameters raise.
 """
 
 from __future__ import annotations
@@ -47,16 +52,21 @@ class OperatorBasis:
     dim: int
     # diagonal weight of the representation's inner product; None = identity
     weight: dict[int, Fraction] | None = None
-    gram: list[list[Fraction]] = field(default_factory=list)
-    # the weighted adjoint of every basis matrix, set once here
+    # <F_k, F_k> and the weighted adjoint of every basis matrix, set once here
+    norms: list[Fraction] = field(init=False)
     adjoints: list[Sparse] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.gram:
-            self.gram = [[_as_fraction(op_inner(a, b, self.weight))
-                          for b in self.matrices] for a in self.matrices]
-        if any(g for i, row in enumerate(self.gram) for j, g in enumerate(row) if i != j):
-            raise ArithmeticError(f"{self.spec} block {self.t} basis is not orthogonal")
+        # <a, b> vanishes unless a and b share a position, so only pairs that
+        # share one are checked
+        at: dict[tuple[int, int], list[int]] = {}
+        for i, a in enumerate(self.matrices):
+            met = {k for key in a for k in at.get(key, ())}
+            if any(op_inner(self.matrices[k], a, self.weight) for k in met):
+                raise ArithmeticError(f"{self.spec} block {self.t} basis is not orthogonal")
+            for key in a:
+                at.setdefault(key, []).append(i)
+        self.norms = [_as_fraction(op_inner(a, a, self.weight)) for a in self.matrices]
         self.adjoints = [op_weighted_adjoint(f, self.weight) for f in self.matrices]
 
 
@@ -145,26 +155,35 @@ def _closure_basis(spec: Family, t: int, dim: int, hw: Sparse,
     hw and the lowering operators have integer entries; they are turned
     into int matrices here, so every commutator is int arithmetic.  Each
     queued element is a weight vector, so a Cartan element would only
-    rescale it, and the raising E_ij (i < j) annihilate hw: callers pass
-    the lowering root operators E_ij (i > j) alone.  A candidate
-    is new when it lies outside the span of the accepted ones; that is
-    decided on the integer row space, and only accepted candidates are
-    orthogonalised (Gram-Schmidt in acceptance order).  No commutator is
-    formed once the span has dim V_t elements; a closure that ends short
-    of that raises.
+    rescale it, and the raising E_ij (i < j) annihilate hw.  The lowering
+    subalgebra is generated by its simple root vectors, so callers pass the
+    simple lowering roots E_{i+1,i} alone: the accepted span is closed under
+    each of them, hence under all of U(n^-).  A candidate is new when it
+    lies outside the span of the accepted ones; that is decided on the
+    integer row space, and only accepted candidates are orthogonalised
+    (Gram-Schmidt in acceptance order).  The accepted elements are
+    orthogonal, so every projection coefficient is taken on the candidate
+    as given, and it is 0 unless the two supports meet: a candidate is
+    projected onto those earlier elements only.  No commutator is formed
+    once the span has dim V_t elements; a closure that ends short of that
+    raises.  `OperatorBasis` checks the result's orthogonality.
     """
     target = profile(spec).dim_V[t]
     space = RowSpace()
     basis: list[Sparse] = []
     norms: list[Fraction] = []
+    at: dict[tuple[int, int], list[int]] = {}  # position -> elements nonzero there
 
     def accept(x: Sparse) -> None:
-        for b, nb in zip(basis, norms):
-            c = op_inner(b, x, weight)
+        y = x
+        for k in {k for key in x for k in at.get(key, ())}:
+            c = op_inner(basis[k], x, weight)
             if c:
-                x = sp_sub(x, sp_scale(b, c / nb))
-        basis.append(x)
-        norms.append(_as_fraction(op_inner(x, x, weight)))
+                y = sp_sub(y, sp_scale(basis[k], c / norms[k]))
+        for key in y:
+            at.setdefault(key, []).append(len(basis))
+        basis.append(y)
+        norms.append(_as_fraction(op_inner(y, y, weight)))
 
     hw = _integer_matrix(hw)
     lowering = [_integer_matrix(a) for a in lowering]
@@ -183,10 +202,7 @@ def _closure_basis(spec: Family, t: int, dim: int, hw: Sparse,
     if len(basis) != target:
         raise ArithmeticError(f"closure of {spec} block {t} has {len(basis)} "
                               f"elements, expected {target}")
-    zero = Fraction(0)
-    return OperatorBasis(spec, t, basis, dim, weight,
-                         [[norms[i] if i == j else zero
-                           for j in range(target)] for i in range(target)])
+    return OperatorBasis(spec, t, basis, dim, weight)
 
 
 @lru_cache(maxsize=None)
@@ -231,7 +247,7 @@ def _basis_susym(spec: SuqSym, t: int) -> OperatorBasis:
     step = _susym_e(q, n, 0, q - 1)
     for _ in range(t):
         hw = sp_mul(step, hw)
-    lowering = [_susym_e(q, n, i, j) for i in range(q) for j in range(i)]
+    lowering = [_susym_e(q, n, i + 1, i) for i in range(q - 1)]
     return _closure_basis(spec, t, len(monos), hw, lowering, weight)
 
 
@@ -261,7 +277,7 @@ def _basis_suext(spec: SunExt, t: int) -> OperatorBasis:
     hw: Sparse = {(i, i): Fraction(1) for i in range(dim)}
     for k in range(t):
         hw = sp_mul(_suext_e(n, w, k, n - 1 - k), hw)
-    lowering = [_suext_e(n, w, i, j) for i in range(n) for j in range(i)]
+    lowering = [_suext_e(n, w, i + 1, i) for i in range(n - 1)]
     return _closure_basis(spec, t, dim, hw, lowering, None)
 
 
@@ -353,11 +369,33 @@ def _antiunitary_qhamming(spec: QHamming) -> Sparse:
     return out
 
 
-def _antiunitary_gamma(spec: Family) -> Sparse:
+def _sigma_y_label(n: int) -> int:
     # the word on all sigma_y letters; equals sigma_y^{tensor n} up to
     # letter-dependent signs that the conjugation sandwich absorbs
+    return ((1 << n) - 1) << n
+
+
+def _antiunitary_gamma(spec: Family) -> Sparse:
+    return gamma(spec.n, _sigma_y_label(spec.n))
+
+
+def _lambda_gamma(spec: Family, lam: tuple[int, ...]) -> list[tuple[int, int]]:
+    """`_lambda_sandwich` on the monomials of `_gamma_block`.
+
+    With L = Gamma on the sigma_y letters as (l, f) and X as (m, e), column
+    c of L conj(X) L* lands on row c ^ m with exponent
+    f[c ^ l ^ m] - e[c ^ l] - f[c ^ l], and column c of lambda_j X* lands
+    there with exponent -e[c ^ m] + (0 if lambda_j is 1 else 2).
+    """
     n = spec.n
-    return gamma(n, ((1 << n) - 1) << n)
+    l, f = _gamma_monomial(n, _sigma_y_label(n))
+    bad = []
+    for j, sign in enumerate(lam):
+        s = 1 - sign  # i^(1 - sign) = sign for sign = +-1
+        bad += [(j, i) for i, (m, e) in enumerate(_gamma_block(spec, j))
+                if any((f[c ^ l ^ m] - e[c ^ l] - f[c ^ l] + e[c ^ m] - s) & 3
+                       for c in range(2 ** n))]
+    return bad
 
 
 def _antiunitary_su2(spec: Su2) -> Sparse:
@@ -400,6 +438,9 @@ class _Oracle(NamedTuple):
     antiunitary: Callable[[Family], Sparse]
     # W_t(j) computed without matrices; None: the block channel `phi_apply`
     wtj: Callable[[Family, int, int], Fraction] | None = None
+    # the (block, index) of every basis element X with T(X) != lambda_j X*
+    # for the given signs, computed without matrices; None: `_lambda_sandwich`
+    lambda_check: Callable[[Family, tuple[int, ...]], list[tuple[int, int]]] | None = None
 
 
 ORACLE: dict[type, _Oracle] = {
@@ -412,7 +453,7 @@ ORACLE: dict[type, _Oracle] = {
                     _antiunitary_susym),
     SunExt: _Oracle("n <= 6", lambda s: s.n <= 6, _basis_suext, _antiunitary_suext),
     **{cls: _Oracle("n <= 4", lambda s: s.n <= 4, _basis_gamma, _antiunitary_gamma,
-                    _wtj_gamma) for cls in _GAMMA_BLOCKS},
+                    _wtj_gamma, _lambda_gamma) for cls in _GAMMA_BLOCKS},
     Semispinorial: _Oracle("n <= 5", lambda s: s.n <= 5, _basis_semispin, _antiunitary_gamma),
 }
 
@@ -447,7 +488,7 @@ def v_basis(spec: Family, t: int) -> OperatorBasis:
 def phi_apply(basis: OperatorBasis, X: Sparse) -> Sparse:
     out: Sparse = {}
     for i, (f, fa) in enumerate(zip(basis.matrices, basis.adjoints)):
-        out = sp_add(out, sp_scale(sp_mul(sp_mul(f, X), fa), 1 / basis.gram[i][i]))
+        out = sp_add(out, sp_scale(sp_mul(sp_mul(f, X), fa), 1 / basis.norms[i]))
     return out
 
 
@@ -490,6 +531,18 @@ def _conj_matrix(x: Sparse) -> Sparse:
     return {k: conj(v) for k, v in x.items()}
 
 
+def _lambda_sandwich(spec: Family, lam: tuple[int, ...]) -> list[tuple[int, int]]:
+    L = ORACLE[type(spec)].antiunitary(spec)
+    Ladj = op_weighted_adjoint(L, None)
+    bad = []
+    for j, sign in enumerate(lam):
+        basis = v_basis(spec, j)
+        bad += [(j, i) for i, X in enumerate(basis.matrices)
+                if sp_mul(sp_mul(L, _conj_matrix(X)), Ladj)
+                != sp_scale(op_weighted_adjoint(X, basis.weight), sign)]
+    return bad
+
+
 @dataclass(frozen=True)
 class LambdaReport:
     spec: Family
@@ -507,21 +560,5 @@ def verify_lambda(spec: Family) -> LambdaReport:
     lam = lambda_signature(spec)
     if lam is None:
         raise ValueError(f"{spec.name} is not self-dual")
-    L = ORACLE[type(spec)].antiunitary(spec)
-    Ladj = op_weighted_adjoint(L, None)
-    r = profile(spec).diameter_r
-    bad = []
-    for j in range(r + 1):
-        basis = v_basis(spec, j)
-        for i, X in enumerate(basis.matrices):
-            tx = sp_mul(sp_mul(L, _conj_matrix(X)), Ladj)
-            want = sp_scale(op_weighted_adjoint(X, basis.weight), lam[j])
-            if not _sparse_equal(tx, want):
-                bad.append((j, i))
-    return LambdaReport(spec, not bad, tuple(bad))
-
-
-def _sparse_equal(a: Sparse, b: Sparse) -> bool:
-    if set(a) != set(b):
-        return False
-    return all(a[k] == b[k] for k in a)
+    bad = tuple((ORACLE[type(spec)].lambda_check or _lambda_sandwich)(spec, lam))
+    return LambdaReport(spec, not bad, bad)

@@ -278,7 +278,7 @@ def su2_distribution(n, vecs):
             sq = ip * ip
             val = sq.is_rational() if isinstance(sq, SurdSum) else F(sq)
             assert val is not None
-            tot += val / basis.gram[idx][idx]
+            tot += val / basis.norms[idx]
         a.append(F(prof.dim_H, K) * tot)
     w = wtj_matrix(Su2(n))
     b = [sum(w[t][j] * a[j] for j in range(n + 1)) for t in range(n + 1)]

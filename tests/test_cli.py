@@ -179,6 +179,21 @@ def test_invalid_family_parameters_exit_2():
                "--d", "2").returncode == 2
 
 
+@pytest.mark.parametrize("args,message", [
+    (("wtj", "--family", "su2", "--n", "2", "--q", "7", "--w", "9"), "su2 takes no --q"),
+    (("bound", "--family", "clifford-odd", "--n", "3", "--w", "2", "--d", "2"),
+     "clifford-odd takes no --w"),
+    (("table", "--family", "su2", "--q", "5", "--n-from", "2", "--n-to", "3",
+      "--d-from", "2", "--d-to", "2"), "su2 takes no --q"),
+    (("oracle", "--family", "qhamming", "--q", "2", "--n", "2", "--w", "1"),
+     "qhamming takes no --w"),
+], ids=["wtj", "bound", "table", "oracle"])
+def test_family_flag_the_family_does_not_take_exits_2(args, message):
+    res = run(*args)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("args", [
     ("bound", "--family", "su2", "--n", "7", "--d", "3", "--tol", "0"),
     ("bound", "--family", "su2", "--n", "7", "--d", "3", "--tol=-1/2"),

@@ -1,5 +1,6 @@
 """Brute-force operator-basis oracle for the W coefficients and self-duality."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from qdelsarte.families import (
     profile,
 )
 from qdelsarte import oracle
-from qdelsarte.linalg import sp_mul, sp_scale, sp_sub
+from qdelsarte.linalg import RowSpace, sp_mul, sp_scale, sp_sub
 from qdelsarte.oracle import (
     ORACLE,
     OperatorBasis,
@@ -119,6 +120,35 @@ def test_susym_signature_needs_the_signed_swap(n, monkeypatch):
     assert not verify_lambda(SuqSym(2, n)).matches
 
 
+GAMMA_GRID = [cls(n) for cls in (CliffordOdd, CliffordEven, Spinorial) for n in range(1, 5)]
+
+
+def lambda_sandwich(spec, j, sign):
+    """Reference: indices of block j's matrices X with L conj(X) L* != sign X*."""
+    L = oracle._antiunitary_gamma(spec)
+    Ladj = {(c, r): v.conjugate() for (r, c), v in L.items()}
+    return [i for i, X in enumerate(v_basis(spec, j).matrices)
+            if sp_mul(sp_mul(L, {k: v.conjugate() for k, v in X.items()}), Ladj)
+            != sp_scale({(c, r): v.conjugate() for (r, c), v in X.items()}, sign)]
+
+
+@pytest.mark.parametrize("spec", GAMMA_GRID, ids=str)
+def test_monomial_lambda_matches_the_matrix_sandwich(spec):
+    check = ORACLE[type(spec)].lambda_check
+    assert check is not None
+    blocks = range(profile(spec).diameter_r + 1)
+    for sign in (1, -1):
+        want = [(j, i) for j in blocks for i in lambda_sandwich(spec, j, sign)]
+        assert check(spec, (sign,) * len(blocks)) == want, sign
+
+
+@pytest.mark.parametrize("spec", GAMMA_GRID, ids=str)
+def test_gamma_signature_needs_the_sigma_y_word(spec, monkeypatch):
+    # the word on the sigma_x letters does not realise lambda_j
+    monkeypatch.setattr(oracle, "_sigma_y_label", lambda n: (1 << n) - 1)
+    assert not verify_lambda(spec).matches
+
+
 def test_su2_blocks_are_the_code_checkers_blocks():
     for n in range(1, 7):
         for t in range(n + 1):
@@ -217,7 +247,67 @@ def test_closure_basis_matches_gram_schmidt_on_every_candidate(spec, monkeypatch
     for hw, lowering, weight, out in calls:
         basis, norms = gram_schmidt_closure(hw, lowering, weight, len(out.matrices))
         assert out.matrices == basis
-        assert [out.gram[i][i] for i in range(len(basis))] == norms
+        assert [out.norms[i] for i in range(len(basis))] == norms
+
+
+def all_roots(spec):
+    if isinstance(spec, SunExt):
+        return [oracle._suext_e(spec.n, spec.w, i, j) for i in range(spec.n) for j in range(i)]
+    return [oracle._susym_e(spec.q, spec.n, i, j) for i in range(spec.q) for j in range(i)]
+
+
+@pytest.mark.parametrize("spec", CLOSURE_GRID, ids=str)
+def test_simple_roots_span_the_all_roots_closure(spec, monkeypatch):
+    calls = []
+    closure = oracle._closure_basis
+
+    def recording(*args):
+        calls.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(oracle, "_closure_basis", recording)
+    for t in range(profile(spec).diameter_r + 1):
+        simple = v_basis.__wrapped__(spec, t).matrices
+        _, _, dim, hw, lowering, weight = calls[-1]
+        assert len(lowering) == (spec.n if isinstance(spec, SunExt) else spec.q) - 1
+        full = closure(spec, t, dim, hw, all_roots(spec), weight).matrices
+        space = RowSpace()
+        assert all(space.add(x) for x in simple)
+        assert len(full) == len(simple)
+        assert not any(space.add(x) for x in full), t
+
+
+def test_closure_that_skips_a_projection_is_refused(monkeypatch):
+    scale = oracle.sp_scale
+    skipped = []
+
+    def skip_first(a, c):
+        if not skipped:
+            skipped.append(c)
+            return {}
+        return scale(a, c)
+
+    monkeypatch.setattr(oracle, "sp_scale", skip_first)
+    with pytest.raises(ArithmeticError, match="not orthogonal"):
+        v_basis.__wrapped__(SunExt(4, 2), 1)
+    assert skipped
+
+
+def test_suext_closure_work_is_capped(monkeypatch):
+    # SunExt(6, 3) made 3,942 sp_mul and 1,152 op_inner calls with the simple
+    # roots and support-restricted Gram-Schmidt (11,342 and 33,986 with all
+    # lowering roots and projections onto every earlier element)
+    counts = Counter()
+    for name in ("sp_mul", "op_inner"):
+        def counting(*args, _f=getattr(oracle, name), _name=name):
+            counts[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(oracle, name, counting)
+    spec = SunExt(6, 3)
+    for t in range(profile(spec).diameter_r + 1):
+        v_basis.__wrapped__(spec, t)
+    assert counts["sp_mul"] <= 4_340
+    assert counts["op_inner"] <= 1_270
 
 
 def test_oracle_table_covers_every_family():
@@ -235,3 +325,7 @@ def test_non_orthogonal_basis_is_rejected():
     one = Fraction(1)
     with pytest.raises(ArithmeticError, match="not orthogonal"):
         OperatorBasis(Su2(1), 0, [{(0, 0): one}, {(0, 0): one, (1, 1): one}], 2)
+    # the one overlapping pair, first and last, among disjoint supports
+    with pytest.raises(ArithmeticError, match="not orthogonal"):
+        OperatorBasis(Su2(3), 0, [{(0, 0): one}, {(0, 1): one}, {(1, 0): one},
+                                  {(1, 1): one}, {(2, 2): one, (0, 0): -one}], 4)
