@@ -16,16 +16,13 @@ import sys
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
-from .families import FAMILY_NAMES, Family, FamilyError, profile, validate
+from .families import FAMILY_NAMES, READINGS, Family, FamilyError, profile, validate
 from .lp import LPOptions, check_options, feasible as lp_feasible, lp_bound
 from .scalars import SurdSum, format_fraction, parse_fraction
 from .wtj import lambda_signature, wtj_matrix
 
 # `clifford`, `su2` and `oracle` are imported by the commands that use them,
-# so `bound`, `feasible` and `table` do not load them.  The readings of
-# `clifford.READINGS`, in its order, with the family each one reads a code in:
-READING_FAMILIES = {"even": "clifford-even", "odd": "clifford-odd",
-                    "spinorial": "spinorial"}
+# so `wtj`, `bound`, `feasible` and `table` do not load them.
 
 
 def _build_family(args, **given) -> Family:
@@ -165,7 +162,10 @@ def cmd_table(args) -> int:
     ds = list(range(args.d_from, args.d_to + 1))
     # largest n first: those cells take longest, and the grid is keyed
     jobs = [(spec, d, opts, tol, args.integer) for spec in reversed(specs) for d in ds]
-    threads = int(os.environ.get("QLP_THREADS", os.cpu_count() or 1))
+    # the CPUs this process may run on, where the platform tells
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    threads = int(os.environ.get("QLP_THREADS", cpus))
     if threads > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # ~20 ms, pooled runs only
         with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -187,11 +187,19 @@ def cmd_table(args) -> int:
     return 0
 
 
+# the one size flag each construction takes
+CODE_FLAGS = {"clifford-hamming": "s", "su2-third": "n", "su2-quarter": "n"}
+
+
 def cmd_construct(args) -> int:
     from . import clifford, su2
+    flag = CODE_FLAGS[args.code]
+    for f in ("s", "n"):
+        if f != flag and getattr(args, f) is not None:
+            raise FamilyError(f"{args.code} takes no --{f}")
+    if getattr(args, flag) is None:
+        raise FamilyError(f"{args.code} requires --{flag}")
     if args.code == "clifford-hamming":
-        if args.s is None:
-            raise FamilyError("clifford-hamming requires --s")
         stab = clifford.clifford_hamming(args.s)
         length = 2 * stab.n
         doc = {"family": {"clifford-odd": {"n": stab.n}},
@@ -200,17 +208,13 @@ def cmd_construct(args) -> int:
                "generators": [clifford.label_to_str(g, length)
                               for g in stab.generators],
                "signs": list(stab.signs)}
-    elif args.code in ("su2-third", "su2-quarter"):
-        if args.n is None:
-            raise FamilyError(f"{args.code} requires --n")
+    else:
         vectors = (su2.code_third if args.code == "su2-third"
                    else su2.code_quarter)(args.n)
         doc = {"family": {"su2": {"n": args.n}},
                "kind": "su2-vectors",
                "vectors": [[{"k": k, "amp": a.to_json()}
                             for k, a in v.amplitudes] for v in vectors]}
-    else:
-        raise FamilyError(f"unknown construction {args.code!r}")
     _emit(args, json.dumps(doc, indent=2))
     return 0
 
@@ -249,9 +253,13 @@ def _parse_code(doc: dict):
             return kind, clifford.StabilizerCode(n, gens, tuple(doc["signs"]))
         if kind == "su2-vectors":
             n = _int(doc["family"]["su2"]["n"], "n")
-            return kind, (n, [su2.Su2Vector.make(
-                n, {_int(e["k"], "k"): SurdSum.from_json(e["amp"]) for e in vec})
-                for vec in doc["vectors"]])
+            vectors = []
+            for vec in doc["vectors"]:
+                amps = {_int(e["k"], "k"): SurdSum.from_json(e["amp"]) for e in vec}
+                if len(amps) != len(vec):
+                    raise ValueError("a weight k is listed twice in one vector")
+                vectors.append(su2.Su2Vector.make(n, amps))
+            return kind, (n, vectors)
     except FamilyError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -280,7 +288,7 @@ def cmd_verify(args) -> int:
         except ValueError:
             A = B = None
         if A is not None:
-            spec = FAMILY_NAMES[READING_FAMILIES[reading]](n=n)
+            spec = READINGS[reading](n)
             # A is sparse: only its nonzero entries need W_t(j)
             support = [(j, a) for j, a in enumerate(A) if a]
             wa = [sum(spec.wtj(t, j) * a for j, a in support) for t in range(len(A))]
@@ -289,6 +297,8 @@ def cmd_verify(args) -> int:
             out["transform_check"] = wa == B
         _emit(args, json.dumps(out, indent=2))
         return 0 if out.get("transform_check", True) else 1
+    if args.reading is not None:
+        raise FamilyError(f"{kind} takes no --reading")
     n, vectors = code
     out = {"kind": kind, "n": n, "dimension": len(vectors),
            "min_distance": su2.min_distance(n, vectors)}
@@ -368,8 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("construct", help="emit an explicit code file")
-    p.add_argument("--code", required=True,
-                   choices=("clifford-hamming", "su2-third", "su2-quarter"))
+    p.add_argument("--code", required=True, choices=CODE_FLAGS)
     p.add_argument("--s", type=int)
     p.add_argument("--n", type=int)
     common(p, formats=("json",))
@@ -377,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("verify", help="verify a code file")
     p.add_argument("--code", help="code file path; stdin when omitted or '-'")
-    p.add_argument("--reading", choices=READING_FAMILIES)
+    p.add_argument("--reading", choices=READINGS)
     common(p, formats=("json",))
     p.set_defaults(func=cmd_verify)
 

@@ -15,11 +15,15 @@ Gamma_x is composed from them with integer arithmetic mod 4, in O(wt(x) 2^n).
 Labels are stored as Python ints: bit k set means letter k+1 participates.
 Two operators commute iff q(x, y) = wt(x)wt(y) + x.y vanishes mod 2, so a
 q-isotropic set of labels generates a stabilizer group whose simultaneous
-eigenspaces are quantum codes.  Detection, distance, purity, nondegeneracy
-and distance distributions are all decided on F_2: nondegeneracy counts the
-cosets of the stabilizer span that the correctable errors fall into, and B
-counts the ordinary dual of the complemented generators' span by MacWilliams,
-so only subspaces of at most 2^s labels are ever enumerated.  For
+eigenspaces are quantum codes.  A code is read in a family of
+`families.READINGS`, whose block t is `block_labels(spec, t)`: the labels of
+the weights `spec.block_weights(t)` over the 2n code letters, as letter 2n+1
+is the product of the other 2n up to phase.  Detection, distance, purity,
+nondegeneracy and distance distributions are all decided on F_2:
+nondegeneracy counts the cosets of the stabilizer span that the correctable
+errors fall into, and B counts the ordinary dual of the complemented
+generators' span by MacWilliams, so only subspaces of at most 2^s labels are
+ever enumerated.  For
 n <= MATRIX_CEILING the detection verdicts are cross-checked against the
 matrix condition P Gamma_x P = eps P on every label of every block
 t = 1..d, without sampling.  A disagreement raises ArithmeticError.
@@ -34,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .families import _krawtchouk
+from .families import READINGS, _Gamma, _krawtchouk
 from .linalg import Sparse, sp_add, sp_kron, sp_mul, sp_scale
 from .scalars import GR_ONE, GR_ZERO, GaussianRational, gr_i_power
 
@@ -253,34 +257,22 @@ def clifford_hamming(s: int) -> StabilizerCode:
     return StabilizerCode(n, tuple(rows), (1,) * (s + 1))
 
 
-READINGS = ("even", "odd", "spinorial")
-
-
-def reading_diameter(n: int, reading: str) -> int:
-    if reading == "even":
-        return 2 * n
-    if reading in ("odd", "spinorial"):
-        return n
-    raise ValueError(f"unknown reading {reading!r}")
-
-
-def block_weights(n: int, reading: str, t: int) -> tuple[int, ...]:
-    """Label weights over F_2^{2n} that make up the distance-t error block."""
-    if reading == "even":
-        return (t,)
-    if reading == "odd":
-        # weight-t words of the odd algebra reduce to weight t and 2n+1-t
-        a, b = t, 2 * n + 1 - t
-    elif reading == "spinorial":
-        a, b = 2 * t, 2 * n + 1 - 2 * t
-    else:
+def reading_family(n: int, reading: str) -> _Gamma:
+    """The family whose blocks a code on n qubits is read in."""
+    if reading not in READINGS:
         raise ValueError(f"unknown reading {reading!r}")
-    return tuple(sorted({w for w in (a, b) if 0 <= w <= 2 * n}))
+    return READINGS[reading](n)
 
 
 def _labels_of_weight(length: int, w: int):
     for bits in combinations(range(length), w):
         yield sum(1 << b for b in bits)
+
+
+def block_labels(spec: _Gamma, t: int):
+    """The 2n-letter labels of block t, by weight."""
+    for w in spec.block_weights(t):
+        yield from _labels_of_weight(2 * spec.n, w)
 
 
 @dataclass(frozen=True)
@@ -297,7 +289,8 @@ def detection_report(stab: StabilizerCode, reading: str) -> DetectionReport:
     n, length = stab.n, 2 * stab.n
     if stab.dimension == 0:
         raise ValueError("dimension-0 code")
-    r = reading_diameter(n, reading)
+    spec = reading_family(n, reading)
+    r = spec.profile().diameter_r
     coeffs = span_coefficients(stab)
     span = set(coeffs)
     gens = stab.generators
@@ -305,86 +298,67 @@ def detection_report(stab: StabilizerCode, reading: str) -> DetectionReport:
     def detected(x: int) -> bool:
         return x in span or any(q_form(x, g) for g in gens)
 
-    if stab.dimension == 1:
-        d = r + 1
-    else:
-        d = 1
-        while d <= r:
-            ok = all(detected(x)
-                     for w in block_weights(n, reading, d)
-                     for x in _labels_of_weight(length, w))
-            if not ok:
-                break
-            d += 1
+    # a one-dimensional code detects every error
+    d = 1
+    while d <= r and (stab.dimension == 1 or all(detected(x) for x in block_labels(spec, d))):
+        d += 1
 
     # labels grouped by reading-distance, up to d-1 (the detected range)
-    def block_of(x: int) -> int | None:
-        w = wt(x)
-        for t in range(r + 1):
-            if w in block_weights(n, reading, t):
-                return t
-        return None
-
+    block_of = {w: t for t in range(r + 1) for w in spec.block_weights(t)}
     slope_values = {label_to_str(0, length): Fraction(1)}
     pure = True
     for z, c in coeffs.items():
-        if z == 0:
-            continue
-        t = block_of(z)
-        if t is not None and t <= d - 1:
+        if z and block_of[wt(z)] <= d - 1:
             slope_values[label_to_str(z, length)] = Fraction(c)
             pure = False
 
     half = (d - 1) // 2
-    nondeg = _nondegenerate(stab, reading, half)
+    nondeg = _nondegenerate(stab, spec, half)
     if n <= MATRIX_CEILING:
-        _matrix_check(stab, coeffs, reading, d)
+        _matrix_check(stab, coeffs, spec, d)
 
     return DetectionReport(reading, stab.dimension, d, slope_values, pure, nondeg)
 
 
-def _nondegenerate(stab: StabilizerCode, reading: str, half: int) -> bool:
+def _nondegenerate(stab: StabilizerCode, spec: _Gamma, half: int) -> bool:
     """Is the slope form eps(Gamma_a Gamma_b) on errors up to half nonsingular?
 
     Rows a and b are proportional when a ^ b lies in the stabilizer span and
     have disjoint supports otherwise, and every diagonal entry is eps(I) = 1:
     the form is nonsingular exactly when the errors lie in distinct cosets.
     """
-    n, length = stab.n, 2 * stab.n
     echelon = _f2_echelon(stab.generators)
-    labels = [x for t in range(half + 1) for w in block_weights(n, reading, t)
-              for x in _labels_of_weight(length, w)]
+    labels = [x for t in range(half + 1) for x in block_labels(spec, t)]
     return len({_f2_reduce(x, echelon) for x in labels}) == len(labels)
 
 
 def _matrix_check(stab: StabilizerCode, coeffs: dict[int, int],
-                  reading: str, d: int) -> None:
+                  spec: _Gamma, d: int) -> None:
     """Re-derive detection verdicts from P Gamma_x P against the F_2 rule."""
-    n, length = stab.n, 2 * stab.n
-    r = reading_diameter(n, reading)
+    n = stab.n
+    r = spec.profile().diameter_r
     P = projector(stab)
     span = set(coeffs)
     gens = stab.generators
     for t in range(1, min(d + 1, r + 1)):
-        for w in block_weights(n, reading, t):
-            for x in _labels_of_weight(length, w):
-                # P Gamma_x moves column c ^ mask of P to column c, times i^e[c]
-                mask, phases = _gamma_monomial(n, x)
-                pg = {(i, c ^ mask): v * gr_i_power(phases[c ^ mask])
-                      for (i, c), v in P.items()}
-                pgp = sp_mul(pg, P)
-                if x in span:
-                    ok = pgp == sp_scale(P, GaussianRational(Fraction(coeffs[x]), 0))
-                elif any(q_form(x, g) for g in gens):
-                    ok = pgp == {}
-                else:
-                    # undetected means PXP is not a scalar multiple of P
-                    key = next(iter(P))
-                    ratio = pgp.get(key, GR_ZERO) / P[key]
-                    ok = pgp != sp_scale(P, ratio)
-                if not ok:
-                    raise ArithmeticError(f"matrix cross-check disagrees with the "
-                                          f"F_2 verdict at x={x}, t={t}")
+        for x in block_labels(spec, t):
+            # P Gamma_x moves column c ^ mask of P to column c, times i^e[c]
+            mask, phases = _gamma_monomial(n, x)
+            pg = {(i, c ^ mask): v * gr_i_power(phases[c ^ mask])
+                  for (i, c), v in P.items()}
+            pgp = sp_mul(pg, P)
+            if x in span:
+                ok = pgp == sp_scale(P, GaussianRational(Fraction(coeffs[x]), 0))
+            elif any(q_form(x, g) for g in gens):
+                ok = pgp == {}
+            else:
+                # undetected means PXP is not a scalar multiple of P
+                key = next(iter(P))
+                ratio = pgp.get(key, GR_ZERO) / P[key]
+                ok = pgp != sp_scale(P, ratio)
+            if not ok:
+                raise ArithmeticError(f"matrix cross-check disagrees with the "
+                                      f"F_2 verdict at x={x}, t={t}")
 
 
 def _weight_counts(basis: list[int], length: int) -> list[int]:
@@ -417,7 +391,8 @@ def distance_distribution(stab: StabilizerCode, reading: str
     2^s + 2^dim D labels; the blocks partition the weights 0..2n.
     """
     n, length = stab.n, 2 * stab.n
-    r = reading_diameter(n, reading)
+    spec = reading_family(n, reading)
+    r = spec.profile().diameter_r
     s = len(stab.generators)
     K = stab.dimension
     ones = (1 << length) - 1
@@ -438,7 +413,7 @@ def distance_distribution(stab: StabilizerCode, reading: str
     A: list[Fraction] = []
     B: list[Fraction] = []
     for t in range(r + 1):
-        ws = block_weights(n, reading, t)
+        ws = spec.block_weights(t)
         A.append(Fraction(K * sum(in_span[w] for w in ws)))
         B.append(Fraction(sum(in_c[w] for w in ws)))
     return A, B

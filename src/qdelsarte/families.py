@@ -7,6 +7,13 @@ sum_t dim(V_t) = dim(H)^2), its closed-form spectral table W_t(j) and, for
 self-dual families, the sign signature lambda_j.  Each family class owns all
 three; the module functions here and in `wtj` validate and dispatch.
 
+Clifford-odd, Clifford-even and spinorial are one construction, the base
+`_Gamma`: block V_t holds the Clifford words of a fixed length in the
+Weyl-Brauer generators, so the profile, W_t(j) and the label weights of each
+block (`block_weights`, what `clifford` reads codes with and `oracle`
+certifies) are written once.  `READINGS` maps each reading of a Clifford
+stabilizer code to its family.
+
 CLI / JSON names: qhamming, su2, su-sym, su-ext, clifford-odd,
 clifford-even, spinorial, semispinorial.
 """
@@ -193,13 +200,34 @@ class SunExt(Family):
         return super().signature() if self.n == 2 * self.w else None
 
 
-class _Clifford(Family):
-    """The two Clifford families share a signed binary Krawtchouk table over
-    their 2n + `odd` generators and a period-four signature."""
+class _Gamma(Family):
+    """Clifford-odd, Clifford-even and spinorial: 2^n dimensions, and block
+    V_t holds the Clifford words of length `step` t in the 2n + `odd`
+    Weyl-Brauer generators.  W_t(j) is the signed binary Krawtchouk value of
+    two such word lengths."""
     odd: ClassVar[int]
+    step: ClassVar[int] = 1
+
+    def profile(self) -> MetricProfile:
+        n, odd, step = self.n, self.odd, self.step
+        r = n if odd else 2 * n
+        return MetricProfile(2 ** n, r, tuple(comb(2 * n + odd, step * t) for t in range(r + 1)))
 
     def wtj(self, t: int, j: int) -> Fraction:
-        return Fraction((-1) ** (t * j) * _krawtchouk(2 * self.n + self.odd, t, j), 2 ** self.n)
+        a, b = self.step * t, self.step * j
+        return Fraction((-1) ** (a * b) * _krawtchouk(2 * self.n + self.odd, a, b), 2 ** self.n)
+
+    def block_weights(self, t: int) -> tuple[int, ...]:
+        """Label weights over the first 2n letters that make up block t: with
+        the last letter, a word of weight w names the complement of weight
+        2n+1-w, up to phase."""
+        w = self.step * t
+        ws = {w, 2 * self.n + 1 - w} if self.odd else {w}
+        return tuple(sorted(v for v in ws if 0 <= v <= 2 * self.n))
+
+
+class _Clifford(_Gamma):
+    """The two Clifford families share a period-four signature."""
 
     def signature(self) -> tuple[int, ...] | None:
         n = self.n
@@ -214,10 +242,6 @@ class CliffordOdd(_Clifford):
     name = "clifford-odd"
     odd = 1
 
-    def profile(self) -> MetricProfile:
-        n = self.n
-        return MetricProfile(2 ** n, n, tuple(comb(2 * n + 1, t) for t in range(n + 1)))
-
 
 @dataclass(frozen=True)
 class CliffordEven(_Clifford):
@@ -226,23 +250,14 @@ class CliffordEven(_Clifford):
     name = "clifford-even"
     odd = 0
 
-    def profile(self) -> MetricProfile:
-        n = self.n
-        return MetricProfile(2 ** n, 2 * n, tuple(comb(2 * n, t) for t in range(2 * n + 1)))
-
 
 @dataclass(frozen=True)
-class Spinorial(Family):
+class Spinorial(_Gamma):
     """so(2n+1) spinor representation; distance-t errors are weight-2t Clifford words."""
     n: int
     name = "spinorial"
-
-    def profile(self) -> MetricProfile:
-        n = self.n
-        return MetricProfile(2 ** n, n, tuple(comb(2 * n + 1, 2 * t) for t in range(n + 1)))
-
-    def wtj(self, t: int, j: int) -> Fraction:
-        return Fraction(_krawtchouk(2 * self.n + 1, 2 * t, 2 * j), 2 ** self.n)
+    odd = 1
+    step = 2
 
 
 @dataclass(frozen=True)
@@ -276,6 +291,9 @@ class Semispinorial(Family):
 
 FAMILY_NAMES = {cls.name: cls for cls in (QHamming, Su2, SuqSym, SunExt, CliffordOdd,
                                           CliffordEven, Spinorial, Semispinorial)}
+
+# the readings a Clifford stabilizer code is verified in, with their families
+READINGS = {"even": CliffordEven, "odd": CliffordOdd, "spinorial": Spinorial}
 
 
 def validate(spec: Family) -> None:

@@ -19,9 +19,11 @@ matrices `su2.min_distance` measures code distance with, so W_t(j) is
 certified on the blocks codes are checked against.  The su-ext and su-sym
 blocks are closures of a highest-weight matrix under the simple lowering
 roots.  The Clifford-odd, Clifford-even and spinorial blocks are spanned by
-monomial Gamma_x, so their channel and their antiunitary check are composed
-on (mask, i-exponent) pairs with integer arithmetic; `phi_apply` and the
-matrix sandwich stay the generic path and the reference.  Instances are
+the monomial Gamma_x of `clifford.block_labels`, the blocks `verify` reads
+codes in, so W_t(j) is certified on those too; their channel and their
+antiunitary check are composed on (mask, i-exponent) pairs with integer
+arithmetic, while `phi_apply` and the matrix sandwich stay the generic path
+and the reference.  Instances are
 capped at sizes where exact arithmetic finishes in seconds; larger
 parameters raise.
 """
@@ -34,9 +36,9 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, NamedTuple
 
-from .clifford import _gamma_monomial, _labels_of_weight, gamma
-from .families import (CliffordEven, CliffordOdd, Family, QHamming,
-                       Semispinorial, Spinorial, Su2, SunExt, SuqSym, profile)
+from .clifford import _gamma_monomial, _labels_of_weight, block_labels, gamma
+from .families import (READINGS, Family, QHamming, Semispinorial, Su2, SunExt,
+                       SuqSym, profile)
 from .linalg import (RowSpace, Sparse, conj, sp_add, sp_identity, sp_kron, sp_mul,
                      sp_scale, sp_sub)
 from .scalars import GR_ONE, GaussianRational, SurdSum
@@ -281,18 +283,9 @@ def _basis_suext(spec: SunExt, t: int) -> OperatorBasis:
     return _closure_basis(spec, t, dim, hw, lowering, None)
 
 
-# (letters beyond 2n, label weight per unit of distance) of the Gamma_x blocks
-_GAMMA_BLOCKS = {CliffordOdd: (1, 1), CliffordEven: (0, 1), Spinorial: (1, 2)}
-
-
-def _gamma_labels(spec: Family, t: int):
-    extra, step = _GAMMA_BLOCKS[type(spec)]
-    return _labels_of_weight(2 * spec.n + extra, step * t)
-
-
 def _basis_gamma(spec: Family, t: int) -> OperatorBasis:
     n = spec.n
-    return OperatorBasis(spec, t, [gamma(n, x) for x in _gamma_labels(spec, t)], 2 ** n)
+    return OperatorBasis(spec, t, [gamma(n, x) for x in block_labels(spec, t)], 2 ** n)
 
 
 # Gamma_x as the pair (m, e) that `gamma` builds its matrix from: column c
@@ -314,7 +307,7 @@ def _gamma_block(spec: Family, t: int) -> tuple[tuple[int, tuple[int, ...]], ...
     checks those: there are dim V_t of them and they are pairwise orthogonal."""
     _admit(spec, t)
     block = tuple((m, tuple(e)) for m, e in
-                  (_gamma_monomial(spec.n, x) for x in _gamma_labels(spec, t)))
+                  (_gamma_monomial(spec.n, x) for x in block_labels(spec, t)))
     _check_count(spec, t, len(block))
     by_mask: dict[int, list[tuple[int, ...]]] = {}
     for m, e in block:
@@ -453,7 +446,7 @@ ORACLE: dict[type, _Oracle] = {
                     _antiunitary_susym),
     SunExt: _Oracle("n <= 6", lambda s: s.n <= 6, _basis_suext, _antiunitary_suext),
     **{cls: _Oracle("n <= 4", lambda s: s.n <= 4, _basis_gamma, _antiunitary_gamma,
-                    _wtj_gamma, _lambda_gamma) for cls in _GAMMA_BLOCKS},
+                    _wtj_gamma, _lambda_gamma) for cls in READINGS.values()},
     Semispinorial: _Oracle("n <= 5", lambda s: s.n <= 5, _basis_semispin, _antiunitary_gamma),
 }
 

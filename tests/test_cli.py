@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -366,17 +367,95 @@ def test_oracle_checks_the_susym_q2_signature():
 
 
 def test_lp_commands_do_not_import_the_code_modules():
+    # one interpreter runs every command in turn, and after each the code
+    # modules must still be unloaded
+    commands = [["wtj", "--family", "clifford-odd", "--n", "3"],
+                ["bound", "--family", "su2", "--n", "5", "--d", "2"],
+                ["feasible", "--family", "spinorial", "--n", "3", "--d", "2", "--k", "1"],
+                ["table", "--family", "clifford-even", "--n-from", "2", "--n-to", "3",
+                 "--d-from", "2", "--d-to", "2"]]
     probe = ("import sys, contextlib, io\n"
              "from qdelsarte import cli\n"
-             "with contextlib.redirect_stdout(io.StringIO()):\n"
-             "    rc = cli.main(['bound', '--family', 'su2', '--n', '5', '--d', '2'])\n"
-             "print(rc, sorted(m for m in ('qdelsarte.clifford', 'qdelsarte.su2',\n"
-             "                              'qdelsarte.oracle') if m in sys.modules))\n")
-    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    assert res.stdout.split("\n")[0] == "0 []", res.stderr
+             f"for argv in {commands!r}:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        rc = cli.main(argv)\n"
+             "    print(argv[0], rc, sorted(m for m in ('qdelsarte.clifford', 'qdelsarte.su2',\n"
+             "                                          'qdelsarte.oracle') if m in sys.modules))\n")
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "QLP_THREADS": "1"})
+    assert res.stdout.splitlines() == [f"{argv[0]} 0 []" for argv in commands], res.stderr
 
 
 def test_reading_choices_are_the_clifford_readings():
-    from qdelsarte import clifford
-    from qdelsarte.cli import READING_FAMILIES
-    assert tuple(READING_FAMILIES) == clifford.READINGS
+    # --reading offers the readings of families.READINGS, in its order
+    from qdelsarte.families import READINGS
+    res = run("verify", "--reading", "bogus")
+    assert res.returncode == 2 and res.stdout == ""
+    assert f"invalid choice: 'bogus' (choose from {', '.join(map(repr, READINGS))})" \
+        in res.stderr
+
+
+@pytest.mark.parametrize("args,message", [
+    (("construct", "--code", "su2-quarter", "--n", "5", "--s", "3"),
+     "su2-quarter takes no --s"),
+    (("construct", "--code", "su2-third", "--n", "6", "--s", "3"), "su2-third takes no --s"),
+    (("construct", "--code", "clifford-hamming", "--s", "3", "--n", "9"),
+     "clifford-hamming takes no --n"),
+], ids=["su2-quarter", "su2-third", "clifford-hamming"])
+def test_construct_flag_the_code_does_not_take_exits_2(args, message):
+    res = run(*args)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == f"error: {message}\n"
+
+
+def test_verify_reading_of_an_su2_document_exits_2():
+    code = run("construct", "--code", "su2-third", "--n", "6").stdout
+    res = run("verify", "--reading", "odd", stdin=code)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == "error: su2-vectors takes no --reading\n"
+
+
+def test_verify_refuses_a_weight_listed_twice():
+    # a dict built from the entries kept only the last one, so the repeated
+    # document verified exactly like the original
+    doc = json.loads(run("construct", "--code", "su2-quarter", "--n", "8").stdout)
+    vec = doc["vectors"][0]
+    vec.append({"k": vec[0]["k"], "amp": [{"c": "1", "r": 1}]})
+    res = run("verify", stdin=json.dumps(doc))
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == ("error: malformed su2-vectors document: "
+                          "ValueError a weight k is listed twice in one vector\n")
+
+
+def test_table_pool_has_one_worker_per_usable_cpu(monkeypatch, capsys):
+    import concurrent.futures
+    import os as os_module
+    from qdelsarte import cli
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, f, jobs):
+            return map(f, jobs)
+
+    monkeypatch.delenv("QLP_THREADS", raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    argv = ["table", "--family", "su2", "--n-from", "3", "--n-to", "4",
+            "--d-from", "2", "--d-to", "2"]
+    # one usable CPU: no pool, whatever os.cpu_count() says
+    monkeypatch.setattr(os_module, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os_module, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli.main(argv) == 0
+    assert sizes == []
+    monkeypatch.setattr(os_module, "sched_getaffinity", lambda pid: {0, 3, 5})
+    assert cli.main(argv) == 0
+    assert sizes == [3]
+    capsys.readouterr()

@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 
 import qdelsarte
 from qdelsarte import clifford
-from qdelsarte.families import CliffordEven, CliffordOdd, Spinorial, profile
+from qdelsarte.families import READINGS, CliffordEven, CliffordOdd, Spinorial, profile
 from qdelsarte.linalg import sp_identity, sp_mul, sp_rank, sp_scale, sp_sub
 from qdelsarte.scalars import GR_ONE, GaussianRational, gr_i_power
 from qdelsarte.clifford import (
-    READINGS,
     StabilizerCode,
-    block_weights,
+    _gamma_monomial,
+    block_labels,
     clifford_hamming,
     detection_report,
     distance_distribution,
@@ -30,7 +30,7 @@ from qdelsarte.clifford import (
     label_from_str,
     label_to_str,
     q_form,
-    reading_diameter,
+    reading_family,
     span_coefficients,
     tau,
     weyl_brauer,
@@ -39,6 +39,14 @@ from qdelsarte.clifford import (
 from qdelsarte.wtj import wtj_matrix
 
 F = Fraction
+
+
+def block_weights(n, reading, t):
+    return reading_family(n, reading).block_weights(t)
+
+
+def reading_diameter(n, reading):
+    return profile(reading_family(n, reading)).diameter_r
 
 
 def dense_eq(a, b):
@@ -153,6 +161,29 @@ def test_block_weights_and_diameters():
     for t in range(2 * n + 1):
         ws = block_weights(n, "even", t)
         assert ws == (t,)
+
+
+@pytest.mark.parametrize("spec", [cls(n) for cls in (CliffordOdd, CliffordEven, Spinorial)
+                                  for n in range(1, 5)], ids=str)
+def test_block_labels_are_the_words_of_length_step_t_up_to_phase(spec):
+    # block t holds the words of length step*t in the 2n + odd generators;
+    # block_labels names each of them, up to a unit phase, by 2n letters
+    def unphased(n, x):
+        mask, phases = _gamma_monomial(n, x)
+        return mask, tuple((e - phases[0]) % 4 for e in phases)
+
+    n = spec.n
+    for t in range(profile(spec).diameter_r + 1):
+        words = sorted(unphased(n, sum(1 << b for b in bits))
+                       for bits in itertools.combinations(range(2 * n + spec.odd),
+                                                          spec.step * t))
+        labels = sorted(unphased(n, x) for x in block_labels(spec, t))
+        assert labels == words, t
+
+
+def test_unknown_reading_is_refused():
+    with pytest.raises(ValueError, match="unknown reading 'bogus'"):
+        reading_family(3, "bogus")
 
 
 class TestStabilizerCode:
@@ -294,21 +325,21 @@ def slope_form_nonsingular(code, reading, half):
 
 
 class TestNondegeneracy:
-    @given(isotropic_codes(), st.sampled_from(READINGS), st.integers(0, 2))
+    @given(isotropic_codes(), st.sampled_from(tuple(READINGS)), st.integers(0, 2))
     @settings(max_examples=200, deadline=None)
     def test_coset_count_matches_slope_form_rank(self, code, reading, half):
-        assert clifford._nondegenerate(code, reading, half) == \
+        assert clifford._nondegenerate(code, reading_family(code.n, reading), half) == \
             slope_form_nonsingular(code, reading, half)
 
     def test_hamming_s3(self):
         code = clifford_hamming(3)
-        assert clifford._nondegenerate(code, "odd", 1)
+        assert clifford._nondegenerate(code, CliffordOdd(7), 1)
         # two weight-4 labels of spinorial block 2 share a coset of the span
-        assert not clifford._nondegenerate(code, "spinorial", 2)
+        assert not clifford._nondegenerate(code, Spinorial(7), 2)
 
     def test_hamming_s4_spinorial_half_1(self):
         # the slope-form rank gives the same verdict, in about 2 s
-        assert clifford._nondegenerate(clifford_hamming(4), "spinorial", 1)
+        assert clifford._nondegenerate(clifford_hamming(4), Spinorial(15), 1)
 
 
 def first_isotropic_code(n, s):
@@ -356,12 +387,12 @@ class TestDistributions:
         a, _ = distance_distribution(code, "odd")
         assert tuple(a) == (8, 0, 0, 0, 0, 0, 0, 120)
 
-    @pytest.mark.parametrize("reading", READINGS)
+    @pytest.mark.parametrize("reading", tuple(READINGS))
     def test_matches_character_sums_on_hamming(self, reading):
         code = clifford_hamming(3)
         assert distance_distribution(code, reading) == character_sum_distribution(code, reading)
 
-    @given(isotropic_codes(), st.sampled_from(READINGS))
+    @given(isotropic_codes(), st.sampled_from(tuple(READINGS)))
     @settings(max_examples=60, deadline=None)
     def test_matches_character_sums_on_random_codes(self, code, reading):
         assert distance_distribution(code, reading) == character_sum_distribution(code, reading)
@@ -376,7 +407,7 @@ class TestDistributions:
         assert a[0] == code.dimension == 2 and b[0] == 1
 
     @pytest.mark.parametrize("s", [4, 5])
-    @pytest.mark.parametrize("reading", READINGS)
+    @pytest.mark.parametrize("reading", tuple(READINGS))
     def test_large_hamming_codes_meet_the_transform_identities(self, s, reading):
         code = clifford_hamming(s)
         a, b = distance_distribution(code, reading)
@@ -411,17 +442,18 @@ class TestMatrixCrossCheck:
         stab = StabilizerCode(2, (0b1111,), (1,))
         coeffs = {z: -c if z else c for z, c in span_coefficients(stab).items()}
         with pytest.raises(ArithmeticError):
-            clifford._matrix_check(stab, coeffs, "odd", 2)
+            clifford._matrix_check(stab, coeffs, CliffordOdd(2), 2)
 
     def test_wrong_sign_raises_under_optimize(self):
         script = (
             "import sys\n"
             "from qdelsarte.clifford import StabilizerCode, _matrix_check, "
             "span_coefficients\n"
+            "from qdelsarte.families import CliffordOdd\n"
             "stab = StabilizerCode(2, (0b1111,), (1,))\n"
             "coeffs = {z: -c if z else c for z, c in span_coefficients(stab).items()}\n"
             "try:\n"
-            "    _matrix_check(stab, coeffs, 'odd', 2)\n"
+            "    _matrix_check(stab, coeffs, CliffordOdd(2), 2)\n"
             "except ArithmeticError:\n"
             "    print('raised', sys.flags.optimize)\n"
         )

@@ -1,6 +1,7 @@
 """Family specs and metric profiles."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,7 @@ from qdelsarte.families import (
     profile,
     validate,
 )
+from qdelsarte.wtj import lambda_signature, wtj_matrix
 
 ALL_SPECS = [
     QHamming(2, 4),
@@ -107,3 +109,49 @@ def test_validate_messages_name_the_condition():
 def test_validate_accepts_all_examples():
     for spec in ALL_SPECS:
         validate(spec)
+
+
+def krawtchouk(m, k, x):
+    return sum((-1) ** s * math.comb(x, s) * math.comb(m - x, k - s) for s in range(k + 1))
+
+
+# the per-class formulas the three Gamma families had before sharing a base:
+# (dim H, r, dims V_t) and W_t(j)
+GAMMA_REFERENCE = {
+    CliffordOdd: (lambda n: (2 ** n, n, tuple(math.comb(2 * n + 1, t) for t in range(n + 1))),
+                  lambda n, t, j: Fraction((-1) ** (t * j) * krawtchouk(2 * n + 1, t, j),
+                                           2 ** n)),
+    CliffordEven: (lambda n: (2 ** n, 2 * n, tuple(math.comb(2 * n, t)
+                                                   for t in range(2 * n + 1))),
+                   lambda n, t, j: Fraction((-1) ** (t * j) * krawtchouk(2 * n, t, j),
+                                            2 ** n)),
+    Spinorial: (lambda n: (2 ** n, n, tuple(math.comb(2 * n + 1, 2 * t) for t in range(n + 1))),
+                lambda n, t, j: Fraction(krawtchouk(2 * n + 1, 2 * t, 2 * j), 2 ** n)),
+}
+
+
+@pytest.mark.parametrize("cls", list(GAMMA_REFERENCE), ids=lambda c: c.name)
+def test_gamma_base_matches_the_per_class_formulas(cls):
+    ref_profile, ref_wtj = GAMMA_REFERENCE[cls]
+    for n in range(1, 31):
+        p = profile(cls(n))
+        assert (p.dim_H, p.diameter_r, p.dim_V) == ref_profile(n), n
+        rows = range(p.diameter_r + 1)
+        assert wtj_matrix(cls(n)) == tuple(tuple(ref_wtj(n, t, j) for j in rows)
+                                           for t in rows), n
+
+
+def test_su2_is_susym_at_q_2():
+    for n in range(1, 41):
+        a, b = Su2(n), SuqSym(2, n)
+        assert profile(a) == profile(b), n
+        assert wtj_matrix(a) == wtj_matrix(b), n
+        assert lambda_signature(a) == lambda_signature(b), n
+
+
+def test_suext_is_susym_at_w_1():
+    for n in range(2, 13):
+        a, b = SunExt(n, 1), SuqSym(n, 1)
+        assert profile(a) == profile(b), n
+        assert wtj_matrix(a) == wtj_matrix(b), n
+        assert lambda_signature(a) == lambda_signature(b), n
