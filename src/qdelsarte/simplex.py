@@ -12,8 +12,14 @@ substitution is never returned.  `check_feasible` is the `Fraction` front
 door: it scales each row by the lcm of its denominators and solves with a
 fresh `WarmStart`, so it tries the float basis before the kernel.
 
-The kernel, `solve`, pivots from the all-artificial basis under Bland's
-anti-cycling rule.  It takes integer rows [a_i | b_i], their senses and
+Both phase 1s start from the slack basis (Bixby, "Implementing the simplex
+method: the initial basis", 1992), built by `_slack_start`: a >= row with
+b <= 0 is negated and its slack starts basic, so artificials sit only on eq
+rows and on >= rows with b > 0.  Both price alike: Dantzig's largest
+reduced cost, and Bland's anti-cycling rule once BLAND_AFTER degenerate
+pivots come in a row, until a pivot lowers the objective.
+
+The kernel, `solve`, takes integer rows [a_i | b_i], their senses and
 each row's positive scale s_i (row i stands for the rational row
 [a_i | b_i] / s_i, up to one common positive factor); pivots follow Edmonds
 (1967) and Bareiss (1968), so every entry is D * (B^-1 [A | b]) for the
@@ -31,7 +37,7 @@ basis comes back as (kind, index) labels: ("x", column) for a structural,
 artificial.  `point_from_basis` and `farkas_from_basis` re-solve a basis on
 another system of the same shape with one square fraction-free solve.  A
 feasible witness is the vertex of whichever basis passed, so it need not be
-the vertex Bland's rule reaches; the verdict is the same.
+the vertex the kernel reaches; the verdict is the same.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from math import gcd, lcm
 
 EQ = "eq"
 GE = "ge"
+BLAND_AFTER = 50  # degenerate pivots in a row before Bland's rule takes over
 
 Label = tuple[str, int]
 
@@ -63,48 +70,37 @@ class FeasibilityResult:
 
 def solve(rows: list[list[int]], senses: list[str], scales: list[int],
           nvars: int) -> FeasibilityResult:
-    """Phase 1 from the all-artificial basis on integer rows [a_i | b_i]."""
+    """Phase 1 from the slack basis on integer rows [a_i | b_i].
+
+    The start is `_slack_start`'s.  Dantzig pricing (the largest reduced
+    cost enters) until BLAND_AFTER degenerate pivots in a row, then Bland's
+    rule (the lowest eligible column) until a pivot lowers the objective;
+    the leaving row has the lowest ratio, ties going to the lowest basic
+    column.
+    """
     _check_shape(rows, senses, scales, nvars)
-    # columns: structural vars, one surplus/slack per >= row, then the rhs.
-    # Artificials for eq and >= rows start basic with coefficient 1 and never
-    # re-enter once they leave, so they get basis labels but no columns.
-    ncols = nvars + sum(s == GE for s in senses)
-    T: list[list[int]] = []
-    basis: list[int] = []
-    labels: list[Label] = [("x", j) for j in range(nvars)]
-    art: list[tuple[int, list[int]]] = []  # (row scale, row) per artificial
-    art_labels: list[Label] = []
-    for i, (row, sense, s) in enumerate(zip(rows, senses, scales)):
-        # negate a row with b < 0 so that every rhs is >= 0
-        sign = -1 if row[-1] < 0 else 1
-        t = [sign * x for x in row[:-1]] + [0] * (ncols - nvars) + [sign * row[-1]]
-        if sense == GE:
-            # surplus of a >= row; a flipped >= is a <= whose slack starts basic
-            t[len(labels)] = -sign
-            labels.append(("s", i))
-        if sense == GE and sign < 0:
-            basis.append(len(labels) - 1)
-        else:
-            basis.append(ncols + len(art))
-            art.append((s, t))
-            art_labels.append(("a", i))
-        T.append(t)
-    labels += art_labels
+    T, basis, labels, art_rows = _slack_start(rows, senses, nvars)
+    ncols = len(labels) - len(art_rows)
     m = len(T)
 
     # phase-1 objective as row m, a positive multiple of the artificial
     # total: sum over artificial rows of (L / s_i) * row_i with L = lcm(s_i)
-    L = lcm(*(s for s, _ in art))
+    L = lcm(*(scales[i] for i in art_rows))
     obj = [0] * (ncols + 1)
-    for s, t in art:
-        obj = [o + L // s * x for o, x in zip(obj, t)]
+    for i in art_rows:
+        obj = [o + L // scales[i] * x for o, x in zip(obj, T[i])]
     T.append(obj)
 
     D = 1
+    degenerate = 0
     while True:
-        # Bland: lowest eligible index (basic columns have obj == 0)
-        enter = next((j for j in range(ncols) if T[m][j] > 0), -1)
-        if enter < 0:
+        # basic columns have obj == 0, so they never enter
+        obj = T[m]
+        if degenerate < BLAND_AFTER:
+            enter = max(range(ncols), key=obj.__getitem__, default=-1)
+        else:
+            enter = next((j for j in range(ncols) if obj[j] > 0), -1)
+        if enter < 0 or obj[enter] <= 0:
             break
         leave = -1
         for i in range(m):
@@ -120,6 +116,7 @@ def solve(rows: list[list[int]], senses: list[str], scales: list[int],
                     leave = i
         if leave < 0:
             break  # unbounded in phase 1 cannot happen, but stay safe
+        degenerate = degenerate + 1 if T[leave][-1] == 0 else 0
         D = _pivot(T, leave, enter, D)
         basis[leave] = enter
 
@@ -139,10 +136,47 @@ def solve(rows: list[list[int]], senses: list[str], scales: list[int],
     return FeasibilityResult(True, tuple(Fraction(x, D) for x in nums), None, final)
 
 
+def _slack_start(rows: list[list[int]], senses: list[str], nvars: int
+                 ) -> tuple[list[list[int]], list[int], list[Label], list[int]]:
+    """The starting tableau of both phase 1s: the slack basis.
+
+    Columns are the structurals, one surplus or slack per >= row, then the
+    rhs.  A >= row with b <= 0 is negated into a <= row whose slack starts
+    basic at -b >= 0.  Any other row is negated when b < 0 and starts with
+    its artificial basic, so artificials sit only on eq rows (b = 0
+    included) and on >= rows with b > 0.  An artificial has coefficient 1
+    and never re-enters once it leaves, so it gets a label (after the other
+    columns) but no column.  Returns the rows [sign * a_i | slacks |
+    sign * b_i], the basic column (or artificial label) index of each row,
+    the labels and the rows that carry an artificial.
+    """
+    ncols = nvars + sum(s == GE for s in senses)
+    T: list[list[int]] = []
+    basis: list[int] = []
+    labels: list[Label] = [("x", j) for j in range(nvars)]
+    art_rows: list[int] = []
+    for i, (row, sense) in enumerate(zip(rows, senses)):
+        slack = sense == GE and row[-1] <= 0
+        sign = -1 if slack or row[-1] < 0 else 1
+        t = [sign * x for x in row[:-1]] + [0] * (ncols - nvars) + [sign * row[-1]]
+        if sense == GE:
+            t[len(labels)] = -sign
+            labels.append(("s", i))
+        if slack:
+            basis.append(len(labels) - 1)
+        else:
+            basis.append(ncols + len(art_rows))
+            art_rows.append(i)
+        T.append(t)
+    return T, basis, labels + [("a", i) for i in art_rows], art_rows
+
+
 def _check_shape(rows: list[list[int]], senses: list[str], scales: list[int],
                  nvars: int) -> None:
     """Raise ValueError unless every row is [a_i | b_i] with a known sense
     and a positive scale."""
+    if not len(rows) == len(senses) == len(scales):
+        raise ValueError(f"{len(rows)} rows, {len(senses)} senses and {len(scales)} scales")
     for row, sense, s in zip(rows, senses, scales):
         if len(row) != nvars + 1:
             raise ValueError("constraint width mismatch")
@@ -206,58 +240,42 @@ def farkas_from_basis(rows: list[list[int]], senses: list[str], scales: list[int
     return tuple(y)
 
 
-FLOAT_EPS = 1e-12       # relative: reduced cost against its terms, pivot against its column
-FLOAT_BLAND_AFTER = 50  # degenerate pivots in a row before Bland's rule takes over
+FLOAT_EPS = 1e-12  # relative: reduced cost against its terms, pivot against its column
 
 
 def float_basis(rows: list[list[int]], senses: list[str], scales: list[int],
                 nvars: int) -> tuple[Label, ...] | None:
     """A phase-1 optimal basis of the system of `solve`, found in floats.
 
-    Same columns, labels and artificial costs as `solve` (artificial i costs
-    1/s_i on the rational row), with each row divided by its largest entry
-    and its surplus rescaled to +-1, which changes no basis.  Dantzig
-    pricing, Bland's rule during a long run of degenerate pivots, and
-    tolerances relative to the terms of each reduced cost and to the largest
-    entry of the pivot column.  The basis is only a guess: None when the
-    pivots run out, and nothing here is a certificate.
+    Same start (`_slack_start`), columns, labels, artificial costs
+    (artificial i costs 1/s_i on the rational row) and pricing rule as
+    `solve`, with each row divided by its largest entry and its surplus
+    rescaled to +-1, which changes no basis.  Tolerances are relative to
+    the terms of each reduced cost and to the largest entry of the pivot
+    column, and among tied ratios Dantzig's steps take the larger pivot.
+    The basis is only a guess: None when the pivots run out, and nothing
+    here is a certificate.
     """
-    ncols = nvars + sum(s == GE for s in senses)
-    T: list[list[float]] = []
-    basis: list[int] = []
-    labels: list[Label] = [("x", j) for j in range(nvars)]
-    art_labels: list[Label] = []
-    weights: list[float] = []
-    for i, (row, sense, s) in enumerate(zip(rows, senses, scales)):
-        n = max(map(abs, row)) or 1
-        sign = -1 if row[-1] < 0 else 1
-        t = [sign * x / n for x in row[:-1]] + [0.0] * (ncols - nvars) + [sign * row[-1] / n]
-        if sense == GE:
-            t[len(labels)] = -float(sign)
-            labels.append(("s", i))
-        if sense == GE and sign < 0:
-            basis.append(len(labels) - 1)
-        else:
-            basis.append(ncols + len(weights))
-            # art_i costs 1/s_i, so the artificial art_i / n of row_i / n costs n / s_i
-            weights.append(n / s)
-            art_labels.append(("a", i))
-        T.append(t)
-    labels += art_labels
+    T0, basis, labels, art_rows = _slack_start(rows, senses, nvars)
+    ncols = len(labels) - len(art_rows)
+    norms = [max(map(abs, row)) or 1 for row in rows]
+    T = [[x / n for x in t[:nvars]] + [float(x) for x in t[nvars:ncols]] + [t[-1] / n]
+         for t, n in zip(T0, norms)]
+    # art_i costs 1/s_i, so the artificial art_i / n of row_i / n costs n / s_i
+    weights = [norms[i] / scales[i] for i in art_rows]
     top = max(weights, default=1.0)
     weights = [w / top for w in weights]
     m = len(T)
     # row m: the reduced costs, sum of the weighted rows whose artificial is basic
     obj = [0.0] * (ncols + 1)
-    for i in range(m):
-        if basis[i] >= ncols:
-            obj = [o + weights[basis[i] - ncols] * x for o, x in zip(obj, T[i])]
+    for w, i in zip(weights, art_rows):
+        obj = [o + w * x for o, x in zip(obj, T[i])]
     T.append(obj)
 
     degenerate = 0
     for _ in range(20 * (m + ncols)):
         obj = T[m]
-        bland = degenerate >= FLOAT_BLAND_AFTER
+        bland = degenerate >= BLAND_AFTER
         arts = [(weights[basis[i] - ncols], T[i]) for i in range(m) if basis[i] >= ncols]
         cands = [j for j in range(ncols) if obj[j] > 0]
         if not bland:
@@ -356,10 +374,11 @@ def check_feasible(constraints: list[Constraint], nvars: int) -> FeasibilityResu
     constraints."""
     rows, scales = [], []
     for c in constraints:
-        row = [Fraction(x) for x in (*c.coeffs, c.rhs)]
+        row = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+               for x in (*c.coeffs, c.rhs)]
         # scale to integers by the lcm of the denominators
         s = lcm(*(x.denominator for x in row))
-        rows.append([int(x * s) for x in row])
+        rows.append([x.numerator * (s // x.denominator) for x in row])
         scales.append(s)
     senses = [c.sense for c in constraints]
     res = WarmStart().solve(rows, senses, scales, nvars)
@@ -376,15 +395,19 @@ def row_multipliers(y: tuple[int, ...], scales: list[int]) -> tuple[int, ...]:
 
 
 def verify_witness(constraints: list[Constraint], witness: tuple[Fraction, ...]) -> bool:
-    return _satisfies([(*c.coeffs, c.rhs) for c in constraints],
-                      [c.sense for c in constraints], witness, 1)
+    """witness is >= 0, has one entry per coefficient of every constraint
+    and satisfies them all."""
+    return all(len(c.coeffs) == len(witness) for c in constraints) and _satisfies(
+        [(*c.coeffs, c.rhs) for c in constraints], [c.sense for c in constraints], witness, 1)
 
 
 def verify_farkas(constraints: list[Constraint], y: tuple[int, ...]) -> bool:
-    """y proves infeasibility: y_i >= 0 on >= rows, y^T A <= 0, y^T b > 0."""
-    return len(y) == len(constraints) and _is_farkas(
-        [(*c.coeffs, c.rhs) for c in constraints], [c.sense for c in constraints],
-        len(constraints[0].coeffs) if constraints else 0, y)
+    """y proves infeasibility: y_i >= 0 on >= rows, y^T A <= 0, y^T b > 0,
+    with one y_i per constraint and constraints of one width."""
+    nvars = len(constraints[0].coeffs) if constraints else 0
+    return len(y) == len(constraints) and all(
+        len(c.coeffs) == nvars for c in constraints) and _is_farkas(
+        [(*c.coeffs, c.rhs) for c in constraints], [c.sense for c in constraints], nvars, y)
 
 
 def _satisfies(rows, senses, nums, den) -> bool:

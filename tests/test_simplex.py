@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdelsarte import simplex
 from qdelsarte.families import CliffordOdd, Su2
 from qdelsarte.lp import LPOptions, feasible
-from qdelsarte.simplex import (Constraint, check_feasible, point_from_basis,
-                               row_multipliers, solve, verify_farkas, verify_witness)
+from qdelsarte.simplex import (EQ, GE, Constraint, WarmStart, check_feasible, float_basis,
+                               point_from_basis, row_multipliers, solve, verify_farkas,
+                               verify_witness)
 
 F = Fraction
 
@@ -215,3 +217,110 @@ def test_kernel_rejects_a_nonpositive_scale():
 def test_front_door_rejects_malformed_rows_before_any_basis(cons, nvars):
     with pytest.raises(ValueError):
         check_feasible(cons, nvars)
+
+
+@pytest.mark.parametrize("entry", [solve, lambda *args: WarmStart().solve(*args)],
+                         ids=["solve", "warm"])
+@pytest.mark.parametrize("senses,scales", [
+    ([EQ], [1, 1]),          # no sense for x = 3
+    ([EQ, EQ], [1]),         # no scale for x = 3
+    ([EQ, EQ, GE], [1, 1]),  # a sense with no row
+], ids=["senses", "scales", "extra-sense"])
+def test_kernels_reject_rows_senses_and_scales_of_unequal_lengths(entry, senses, scales):
+    # rows x = 1 and x = 3: zip would drop x = 3 and return the witness (1,)
+    with pytest.raises(ValueError):
+        entry([[1, 1], [1, 3]], senses, scales, 1)
+
+
+@pytest.mark.parametrize("half", [F(1, 2), 0.5, "1/2"], ids=["fraction", "float", "string"])
+def test_front_door_scales_ints_and_reads_other_entries_as_fractions(half):
+    # x + y/2 = 3/2 and 2x >= 1 + y, feasible until y >= 4 is added
+    cons = [Constraint((1, half), "eq", F(3, 2)), Constraint((2, -1), "ge", 1)]
+    res = check_feasible(cons, 2)
+    assert res.feasible and verify_witness([c([1, F(1, 2)], "eq", F(3, 2)),
+                                            c([2, -1], "ge", 1)], res.witness)
+    assert not check_feasible(cons + [Constraint((0, 1), "ge", 4)], 2).feasible
+
+
+def test_verify_witness_refuses_a_witness_that_is_too_long():
+    # the extra entry would multiply the rhs column: 1*0 + 1*1 - 1 = 0
+    assert not verify_witness([c([1], "eq", 1)], (F(0), F(1)))
+    assert verify_witness([c([1], "eq", 1)], (F(1),))
+
+
+def test_verify_witness_refuses_a_witness_that_is_too_short():
+    assert not verify_witness([c([1, 1], "eq", 1)], (F(1),))
+    assert verify_witness([c([1, 1], "eq", 1)], (F(1), F(0)))
+
+
+def test_verify_farkas_refuses_constraints_of_unequal_widths():
+    # x + y = 3 and x = 1 are feasible; read as rows [1, 1, 3] and [1, 1]
+    # the short row's rhs passes for a coefficient of y
+    cons = [c([1, 1], "eq", 3), Constraint((F(1),), "eq", F(1))]
+    assert not verify_farkas(cons, (1, -1))
+
+
+def counting_pivots(mp, cap=None):
+    """Count simplex._pivot calls; raise past cap, so a cycling kernel fails."""
+    calls = []
+    real = simplex._pivot
+
+    def counting(*args):
+        calls.append(1)
+        if cap is not None and len(calls) > cap:
+            raise RuntimeError(f"more than {cap} pivots")
+        return real(*args)
+
+    mp.setattr(simplex, "_pivot", counting)
+    return calls
+
+
+def test_nonpositive_ge_rows_start_feasible_at_the_slack_basis(monkeypatch):
+    # every >= row with b <= 0 holds at x = 0, where its slack starts basic
+    rows = [[1, -2, 0, 0], [-1, 3, 1, -2], [0, 1, -1, 0]]
+    senses, scales = [GE] * 3, [1, 1, 1]
+    assert float_basis(rows, senses, scales, 3) == (("s", 0), ("s", 1), ("s", 2))
+    calls = counting_pivots(monkeypatch)
+    res = solve(rows, senses, scales, 3)
+    assert res.feasible and res.witness == (0, 0, 0) and calls == []
+    assert res.basis == (("s", 0), ("s", 1), ("s", 2))
+
+
+def test_only_rows_that_need_one_carry_an_artificial():
+    # eq rows (b = 0 too) and >= rows with b > 0; not >= rows with b <= 0
+    rows = [[1, 1, 0], [1, -1, 0], [1, 0, 1], [0, 1, -1], [1, 1, -1]]
+    senses = [EQ, GE, GE, GE, EQ]
+    _, basis, labels, art_rows = simplex._slack_start(rows, senses, 2)
+    assert art_rows == [0, 2, 4]
+    assert [labels[b] for b in basis] == [("a", 0), ("s", 1), ("a", 2), ("s", 3), ("a", 4)]
+
+
+@st.composite
+def degenerate_systems(draw):
+    """Many b = 0 rows on shared columns, plus one normalising row sum x = 1."""
+    nvars = draw(st.integers(2, 5))
+    entry = st.integers(-2, 2)
+    cons = [Constraint(tuple(F(1) for _ in range(nvars)), "eq", F(1))]
+    for _ in range(draw(st.integers(3, 9))):
+        cons.append(Constraint(tuple(F(draw(entry)) for _ in range(nvars)),
+                               draw(st.sampled_from(["eq", "ge", "ge"])), F(0)))
+    return nvars, cons
+
+
+@given(degenerate_systems())
+@settings(max_examples=150, deadline=None)
+def test_degenerate_systems_terminate_with_one_verdict_for_any_bland_switch(sys_data):
+    nvars, cons = sys_data
+    rows, scales, senses = integer_rows(cons)
+    verdicts = set()
+    for after in (simplex.BLAND_AFTER, 1, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simplex, "BLAND_AFTER", after)
+            counting_pivots(mp, cap=10_000)
+            res = solve(rows, senses, scales, nvars)
+        verdicts.add(res.feasible)
+        if res.feasible:
+            assert verify_witness(cons, res.witness)
+        else:
+            assert verify_farkas(cons, row_multipliers(res.farkas, scales))
+    assert len(verdicts) == 1

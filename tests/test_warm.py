@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdelsarte import lp, simplex
-from qdelsarte.families import CliffordEven, CliffordOdd, QHamming, Su2, SuqSym, profile
+from qdelsarte.families import (CliffordEven, CliffordOdd, QHamming, Spinorial, Su2, SuqSym,
+                                profile)
 from qdelsarte.lp import (FeasibleReport, LPOptions, build_system, feasible, integer_system,
                           lp_bound)
 from qdelsarte.scalars import format_fraction
@@ -420,3 +421,65 @@ def test_front_door_goes_through_check_feasible(monkeypatch):
     monkeypatch.setattr(lp, "check_feasible", recording)
     feasible(Su2(8), 3, F(2), SD)
     assert calls == [9]
+
+
+# lp_bound(spec, 3) brackets at scale, pinned from the all-artificial start
+SCALE_BOUNDS = {
+    "odd40": (CliffordOdd(40), "1839225201223993205718031097/144115188075855872",
+              "229903150152999288153707359/18014398509481984"),
+    "spin40": (Spinorial(40), "46720674694436317334886947/144115188075855872",
+               "23360337347218708423257361/72057594037927936"),
+    "odd50": (CliffordOdd(50),
+              "391419301643394698064152807401157/36893488147419103232",
+              "1565677206573578793382511136447251/147573952589676412928"),
+}
+
+
+@pytest.mark.parametrize("case,cold", [("odd40", False), ("spin40", False), ("odd50", True)])
+def test_scale_bounds_keep_their_brackets_from_the_slack_start(case, cold, monkeypatch):
+    # the float basis passes on every probe of odd40 and spin40; odd50 still
+    # reaches the cold kernel
+    spec, lower, upper = SCALE_BOUNDS[case]
+    calls = counting_cold_solves(monkeypatch)
+    res = lp_bound(spec, 3)
+    assert (format_fraction(res.lower), format_fraction(res.upper), res.exact) == \
+        (lower, upper, False)
+    assert bool(calls) is cold
+
+
+def scale_k(case, end):
+    return F(SCALE_BOUNDS[case][1 + end])
+
+
+# (spec, d, opts, K, verdict, most pivots): the six LP_BOUNDS at their
+# optima, the scale bounds at both ends of their brackets and Su2(30) d=2 at
+# its optimum 15; the counts include a Farkas re-solve
+PIVOT_GUARD = (
+    *((spec, d, opts, K, True, n) for (spec, d, opts, *_), K, n
+      in zip(LP_BOUNDS, OPTIMA + (F(1),), (17, 6, 12, 7, 34, 22))),
+    (CliffordOdd(40), 3, LPOptions(), scale_k("odd40", 0), True, 7),
+    (CliffordOdd(40), 3, LPOptions(), scale_k("odd40", 1), False, 10),
+    (Spinorial(40), 3, LPOptions(), scale_k("spin40", 0), True, 42),
+    (Spinorial(40), 3, LPOptions(), scale_k("spin40", 1), False, 46),
+    (Su2(30), 2, LPOptions(), F(15), True, 3),
+)
+
+
+@pytest.mark.parametrize("spec,d,opts,K,verdict,most", PIVOT_GUARD, ids=[
+    "qhamming10", "odd8", "su2-8", "suqsym5", "even5", "su2-12",
+    "odd40-lower", "odd40-upper", "spin40-lower", "spin40-upper", "su2-30"])
+def test_cold_solves_keep_their_pivot_counts(spec, d, opts, K, verdict, most, monkeypatch):
+    # a pricing change that multiplies the pivots fails here, untimed
+    pivots = []
+    real = simplex._pivot
+
+    def counting(*args):
+        pivots.append(1)
+        return real(*args)
+
+    system = integer_system(spec, d, opts)
+    rows, scales = system.at(K)
+    monkeypatch.setattr(simplex, "_pivot", counting)
+    res = simplex.solve(rows, list(system.senses), scales, system.nvars)
+    assert res.feasible is verdict
+    assert len(pivots) <= most
