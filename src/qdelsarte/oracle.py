@@ -1,16 +1,19 @@
 """Brute-force verification of the closed-form machinery on small instances.
 
 For each family this module builds explicit matrix bases of the error
-blocks V_t, applies the block channel
+blocks V_t and reads off the eigenvalues of the block channel
 
     Phi_t(X) = sum_k F_k X F_k* / <F_k, F_k>
 
-on an orthogonal basis F_k, and reads off eigenvalues as rational ratios.
-OperatorBasis checks every basis orthogonal, on the pairs of elements that
-share a nonzero position (the others are orthogonal anyway), and raises
-ArithmeticError otherwise.  Nothing here trusts the closed forms of the
-family classes; agreement between the two paths is the correctness
-argument for the fast formulas.
+on an orthogonal basis F_k as the Rayleigh quotient <X, Phi_t(X)> / <X, X>,
+summed as sum_k <X F_k, F_k X> / (<F_k, F_k> <X, X>) without forming
+Phi_t(X); `phi_apply`, which forms it, is the reference.  The qhamming,
+su-sym and su-ext bases are primitive int matrices, so that sum runs on
+ints into one Fraction per W_t(j).  OperatorBasis checks every basis
+orthogonal, on the pairs of elements that share a nonzero position (the
+others are orthogonal anyway), and raises ArithmeticError otherwise.
+Nothing here trusts the closed forms of the family classes; agreement
+between the two paths is the correctness argument for the fast formulas.
 
 `ORACLE` holds, per family class, the size ceiling, the block-basis builder,
 the antiunitary builder and, where they exist, a matrix-free W_t(j) and a
@@ -18,14 +21,14 @@ matrix-free antiunitary check.  The su(2) blocks are `su2.error_block`, the
 matrices `su2.min_distance` measures code distance with, so W_t(j) is
 certified on the blocks codes are checked against.  The su-ext and su-sym
 blocks are closures of a highest-weight matrix under the simple lowering
-roots.  The Clifford-odd, Clifford-even and spinorial blocks are spanned by
-the monomial Gamma_x of `clifford.block_labels`, the blocks `verify` reads
-codes in, so W_t(j) is certified on those too; their channel and their
-antiunitary check are composed on (mask, i-exponent) pairs with integer
-arithmetic, while `phi_apply` and the matrix sandwich stay the generic path
-and the reference.  Instances are
-capped at sizes where exact arithmetic finishes in seconds; larger
-parameters raise.
+roots, orthogonalised fraction-free.  The Clifford-odd, Clifford-even and
+spinorial blocks are spanned by the monomial Gamma_x of
+`clifford.block_labels`, the blocks `verify` reads codes in, so W_t(j) is
+certified on those too; their channel and their antiunitary check are
+composed on (mask, i-exponent) pairs with integer arithmetic, while the
+Rayleigh quotient and the matrix sandwich stay the generic path and, with
+`phi_apply`, the reference.  Instances are capped at sizes where exact
+arithmetic finishes in seconds; larger parameters raise.
 """
 
 from __future__ import annotations
@@ -34,13 +37,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import factorial, lcm, prod
 from typing import Callable, NamedTuple
 
 from .clifford import _gamma_monomial, _labels_of_weight, block_labels, gamma
 from .families import (READINGS, Family, QHamming, Semispinorial, Su2, SunExt,
                        SuqSym, profile)
-from .linalg import (RowSpace, Sparse, conj, sp_add, sp_identity, sp_kron, sp_mul,
-                     sp_scale, sp_sub)
+from .linalg import (RowSpace, Sparse, _primitive, conj, sp_add, sp_identity, sp_kron,
+                     sp_mul, sp_scale, sp_sub)
 from .scalars import GR_ONE, GaussianRational, SurdSum
 from .su2 import error_block
 from .wtj import lambda_signature, wtj_matrix
@@ -52,69 +56,82 @@ class OperatorBasis:
     t: int
     matrices: list[Sparse]
     dim: int
-    # diagonal weight of the representation's inner product; None = identity
-    weight: dict[int, Fraction] | None = None
-    # <F_k, F_k> and the weighted adjoint of every basis matrix, set once here
-    norms: list[Fraction] = field(init=False)
-    adjoints: list[Sparse] = field(init=False)
+    # diagonal weight of the representation's inner product, positive ints;
+    # None = identity
+    weight: dict[int, int] | None = None
+    # <F_k, F_k>, an int or a Fraction, set once here
+    norms: list[int | Fraction] = field(init=False)
 
     def __post_init__(self) -> None:
+        if not all(a and all(a.values()) for a in self.matrices):
+            raise ArithmeticError(f"{self.spec} block {self.t} basis has a zero "
+                                  f"element or stores a zero entry")
+        scale = _weight_lcm(self.weight)
         # <a, b> vanishes unless a and b share a position, so only pairs that
         # share one are checked
         at: dict[tuple[int, int], list[int]] = {}
         for i, a in enumerate(self.matrices):
             met = {k for key in a for k in at.get(key, ())}
-            if any(op_inner(self.matrices[k], a, self.weight) for k in met):
+            if any(_inner(self.matrices[k], a, self.weight, scale) for k in met):
                 raise ArithmeticError(f"{self.spec} block {self.t} basis is not orthogonal")
             for key in a:
                 at.setdefault(key, []).append(i)
-        self.norms = [_as_fraction(op_inner(a, a, self.weight)) for a in self.matrices]
-        self.adjoints = [op_weighted_adjoint(f, self.weight) for f in self.matrices]
+        self.norms = [_rational(op_inner(a, a, self.weight)) for a in self.matrices]
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _rational(x) -> int | Fraction:
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     r = x.is_rational()
     if r is None:
         raise ArithmeticError(f"irrational Gram entry {x}")
     return r
 
 
-def op_inner(a: Sparse, b: Sparse, weight: dict[int, Fraction] | None):
-    """Hilbert-Schmidt inner product tr(a* b), honoring the diagonal weight."""
+def _weight_lcm(weight: dict[int, int] | None) -> int:
+    if weight is None:
+        return 1
+    if not all(isinstance(w, int) and w > 0 for w in weight.values()):
+        raise ArithmeticError("inner-product weights must be positive integers")
+    return lcm(*weight.values())
+
+
+def _inner(a: Sparse, b: Sparse, weight: dict[int, int] | None, scale: int):
+    """scale <a, b>_w: the sum of conj(a) b w_i (scale / w_j) over the shared
+    positions (i, j), scale = lcm(w), so integer matrices give an int."""
     acc = 0
     for key, va in a.items():
         vb = b.get(key)
         if vb is not None:
             term = conj(va) * vb
             if weight is not None:
-                term = term * (weight[key[0]] / weight[key[1]])
+                term = term * (weight[key[0]] * (scale // weight[key[1]]))
             acc = term + acc
     return acc
 
 
-def op_weighted_adjoint(a: Sparse, weight: dict[int, Fraction] | None) -> Sparse:
+def op_inner(a: Sparse, b: Sparse, weight: dict[int, int] | None):
+    """Hilbert-Schmidt inner product tr(a* b), honoring the diagonal weight:
+    `_inner` divided by lcm(w) once."""
+    scale = _weight_lcm(weight)
+    acc = _inner(a, b, weight, scale)
+    return acc if scale == 1 else Fraction(acc, scale)
+
+
+def op_weighted_adjoint(a: Sparse, weight: dict[int, int] | None) -> Sparse:
     if weight is None:
         return {(j, i): conj(v) for (i, j), v in a.items()}
-    return {(j, i): conj(v) * (weight[i] / weight[j]) for (i, j), v in a.items()}
+    return {(j, i): conj(v) * Fraction(weight[i], weight[j]) for (i, j), v in a.items()}
 
 
 # --- per-family bases -------------------------------------------------------
 
 def _traceless_orthogonal_basis(q: int) -> list[Sparse]:
-    out: list[Sparse] = []
-    one = Fraction(1)
-    for i in range(q):
-        for j in range(q):
-            if i != j:
-                out.append({(i, j): one})
+    out: list[Sparse] = [{(i, j): 1} for i in range(q) for j in range(q) if i != j]
     for k in range(1, q):
-        # diag(1,...,1,-k,0,...): orthogonal, traceless, rational
-        m: Sparse = {(i, i): one for i in range(k)}
-        m[(k, k)] = Fraction(-k)
+        # diag(1,...,1,-k,0,...): orthogonal, traceless, primitive
+        m: Sparse = {(i, i): 1 for i in range(k)}
+        m[(k, k)] = -k
         out.append(m)
     return out
 
@@ -122,7 +139,7 @@ def _traceless_orthogonal_basis(q: int) -> list[Sparse]:
 def _basis_qhamming(spec: QHamming, t: int) -> OperatorBasis:
     q, n = spec.q, spec.n
     traceless = _traceless_orthogonal_basis(q)
-    ident: Sparse = {(i, i): Fraction(1) for i in range(q)}
+    ident = sp_identity(q, 1)
     mats: list[Sparse] = []
     for positions in combinations(range(n), t):
         def extend(pos: int, acc: Sparse) -> None:
@@ -134,7 +151,7 @@ def _basis_qhamming(spec: QHamming, t: int) -> OperatorBasis:
                     extend(pos + 1, sp_kron(acc, f, q, q))
             else:
                 extend(pos + 1, sp_kron(acc, ident, q, q))
-        extend(0, {(0, 0): Fraction(1)})
+        extend(0, {(0, 0): 1})
     return OperatorBasis(spec, t, mats, q ** n)
 
 
@@ -142,53 +159,50 @@ def _basis_su2(spec: Su2, t: int) -> OperatorBasis:
     return OperatorBasis(spec, t, error_block(spec.n, t), spec.n + 1)
 
 
-def _integer_matrix(x: Sparse) -> Sparse:
-    out = {k: int(v) for k, v in x.items()}
-    if any(out[k] != v for k, v in x.items()):
-        raise ArithmeticError("closure generators must have integer entries")
-    return out
-
-
 def _closure_basis(spec: Family, t: int, dim: int, hw: Sparse,
                    lowering: list[Sparse],
-                   weight: dict[int, Fraction] | None) -> OperatorBasis:
+                   weight: dict[int, int] | None) -> OperatorBasis:
     """Orthogonal span of the ad-orbit of a highest-weight matrix.
 
-    hw and the lowering operators have integer entries; they are turned
-    into int matrices here, so every commutator is int arithmetic.  Each
-    queued element is a weight vector, so a Cartan element would only
-    rescale it, and the raising E_ij (i < j) annihilate hw.  The lowering
-    subalgebra is generated by its simple root vectors, so callers pass the
-    simple lowering roots E_{i+1,i} alone: the accepted span is closed under
-    each of them, hence under all of U(n^-).  A candidate is new when it
-    lies outside the span of the accepted ones; that is decided on the
-    integer row space, and only accepted candidates are orthogonalised
-    (Gram-Schmidt in acceptance order).  The accepted elements are
-    orthogonal, so every projection coefficient is taken on the candidate
-    as given, and it is 0 unless the two supports meet: a candidate is
-    projected onto those earlier elements only.  No commutator is formed
-    once the span has dim V_t elements; a closure that ends short of that
-    raises.  `OperatorBasis` checks the result's orthogonality.
+    hw and the lowering operators are int matrices, so every commutator is
+    int arithmetic.  Each queued element is a weight vector, so a Cartan
+    element would only rescale it, and the raising E_ij (i < j) annihilate
+    hw.  The lowering subalgebra is generated by its simple root vectors,
+    so callers pass the simple lowering roots E_{i+1,i} alone: the accepted
+    span is closed under each of them, hence under all of U(n^-).  A
+    candidate is new when it lies outside the span of the accepted ones;
+    that is decided on the integer row space, and only accepted candidates
+    are orthogonalised, by Gram-Schmidt in acceptance order without
+    fractions: y = m x - sum_k (m c_k / n_k) b_k with c_k = <b_k, x>,
+    n_k = <b_k, b_k> and m the lcm of the n_k projected on, made primitive.
+    Each element is thus a positive multiple of the rational Gram-Schmidt
+    one, with the same span and the same channel.  The accepted elements
+    are orthogonal, so every projection coefficient is taken on the
+    candidate as given, and it is 0 unless the two supports meet: a
+    candidate is projected onto those earlier elements only.  No commutator
+    is formed once the span has dim V_t elements; a closure that ends short
+    of that raises.  `OperatorBasis` checks the result's orthogonality.
     """
     target = profile(spec).dim_V[t]
+    scale = _weight_lcm(weight)
     space = RowSpace()
     basis: list[Sparse] = []
-    norms: list[Fraction] = []
+    norms: list[int] = []  # scale <b, b>_w, so c_k / n_k is taken at one scale
     at: dict[tuple[int, int], list[int]] = {}  # position -> elements nonzero there
 
     def accept(x: Sparse) -> None:
-        y = x
-        for k in {k for key in x for k in at.get(key, ())}:
-            c = op_inner(basis[k], x, weight)
-            if c:
-                y = sp_sub(y, sp_scale(basis[k], c / norms[k]))
+        coef = [(k, c) for k in {k for key in x for k in at.get(key, ())}
+                if (c := _inner(basis[k], x, weight, scale))]
+        m = lcm(*(norms[k] for k, _ in coef))
+        y = sp_scale(x, m)
+        for k, c in coef:
+            y = sp_sub(y, sp_scale(basis[k], m * c // norms[k]))
+        y = _primitive(y)
         for key in y:
             at.setdefault(key, []).append(len(basis))
         basis.append(y)
-        norms.append(_as_fraction(op_inner(y, y, weight)))
+        norms.append(_inner(y, y, weight, scale))
 
-    hw = _integer_matrix(hw)
-    lowering = [_integer_matrix(a) for a in lowering]
     if space.add(hw):
         accept(hw)
     queue = [hw]
@@ -219,13 +233,7 @@ def _susym_space(q: int, n: int):
             gen(rem - v, parts + [v])
     gen(n, [])
     index = {a: i for i, a in enumerate(monos)}
-    weight = {}
-    for a, i in index.items():
-        w = Fraction(1)
-        for p in a:
-            for f in range(2, p + 1):
-                w *= f
-        weight[i] = w
+    weight = {i: prod(map(factorial, a)) for a, i in index.items()}
     return monos, index, weight
 
 
@@ -238,14 +246,14 @@ def _susym_e(q: int, n: int, i: int, j: int) -> Sparse:
             b = list(a)
             b[j] -= 1
             b[i] += 1
-            out[(index[tuple(b)], col)] = Fraction(a[j])
+            out[(index[tuple(b)], col)] = a[j]
     return out
 
 
 def _basis_susym(spec: SuqSym, t: int) -> OperatorBasis:
     q, n = spec.q, spec.n
     monos, index, weight = _susym_space(q, n)
-    hw: Sparse = {(i, i): Fraction(1) for i in range(len(monos))}
+    hw = sp_identity(len(monos), 1)
     step = _susym_e(q, n, 0, q - 1)
     for _ in range(t):
         hw = sp_mul(step, hw)
@@ -268,7 +276,7 @@ def _suext_e(n: int, w: int, i: int, j: int) -> Sparse:
             lo, hi = min(i, j), max(i, j)
             sign = (-1) ** sum(1 for x in s if lo < x < hi)
             target = tuple(sorted(set(s) - {j} | {i}))
-            out[(index[target], col)] = Fraction(sign)
+            out[(index[target], col)] = sign
     return out
 
 
@@ -276,7 +284,7 @@ def _basis_suext(spec: SunExt, t: int) -> OperatorBasis:
     n, w = spec.n, spec.w
     subsets, _ = _suext_space(n, w)
     dim = len(subsets)
-    hw: Sparse = {(i, i): Fraction(1) for i in range(dim)}
+    hw = sp_identity(dim, 1)
     for k in range(t):
         hw = sp_mul(_suext_e(n, w, k, n - 1 - k), hw)
     lowering = [_suext_e(n, w, i + 1, i) for i in range(n - 1)]
@@ -355,7 +363,7 @@ def _basis_semispin(spec: Semispinorial, t: int) -> OperatorBasis:
 # at q = 2, SunExt at n = 2w.
 
 def _antiunitary_qhamming(spec: QHamming) -> Sparse:
-    sy: Sparse = {(0, 1): GaussianRational(0, -1), (1, 0): GaussianRational(0, 1)}
+    sy: Sparse = {(0, 1): 1, (1, 0): -1}  # i sigma_y
     out = sy
     for _ in range(spec.n - 1):
         out = sp_kron(out, sy, 2, 2)
@@ -403,7 +411,7 @@ def _antiunitary_su2(spec: Su2) -> Sparse:
 def _antiunitary_susym(spec: SuqSym) -> Sparse:
     # x^a y^b -> (-1)^b x^b y^a; the swap keeps the weight a! b!
     _, index, _ = _susym_space(2, spec.n)
-    return {(index[(b, a)], col): Fraction((-1) ** b) for (a, b), col in index.items()}
+    return {(index[(b, a)], col): (-1) ** b for (a, b), col in index.items()}
 
 
 def _antiunitary_suext(spec: SunExt) -> Sparse:
@@ -418,7 +426,7 @@ def _antiunitary_suext(spec: SunExt) -> Sparse:
             for b in range(a + 1, len(perm)):
                 if perm[a] > perm[b]:
                     sign = -sign
-        out[(index[comp], col)] = Fraction(sign)
+        out[(index[comp], col)] = sign
     return out
 
 
@@ -429,7 +437,7 @@ class _Oracle(NamedTuple):
     fits: Callable[[Family], bool]
     basis: Callable[[Family, int], OperatorBasis]
     antiunitary: Callable[[Family], Sparse]
-    # W_t(j) computed without matrices; None: the block channel `phi_apply`
+    # W_t(j) computed without matrices; None: `_rayleigh` on the block bases
     wtj: Callable[[Family, int, int], Fraction] | None = None
     # the (block, index) of every basis element X with T(X) != lambda_j X*
     # for the given signs, computed without matrices; None: `_lambda_sandwich`
@@ -479,23 +487,37 @@ def v_basis(spec: Family, t: int) -> OperatorBasis:
 # --- the block channel ------------------------------------------------------
 
 def phi_apply(basis: OperatorBasis, X: Sparse) -> Sparse:
+    """Phi_t(X) as a matrix: the reference `_rayleigh` is tested against."""
     out: Sparse = {}
-    for i, (f, fa) in enumerate(zip(basis.matrices, basis.adjoints)):
-        out = sp_add(out, sp_scale(sp_mul(sp_mul(f, X), fa), 1 / basis.norms[i]))
+    for f, n in zip(basis.matrices, basis.norms):
+        fa = op_weighted_adjoint(f, basis.weight)
+        out = sp_add(out, sp_scale(sp_mul(sp_mul(f, X), fa), Fraction(1, n)))
     return out
+
+
+def _rayleigh(bt: OperatorBasis, X: Sparse) -> Fraction:
+    """<X, Phi_t(X)>_w / <X, X>_w without forming Phi_t(X).
+
+    <X, F X F^+>_w = <X F, F X>_w for the weighted adjoint F^+, so the
+    quotient is sum_k <X F_k, F_k X>_w / (n_k <X, X>_w).  Both inner
+    products are taken at the scale lcm(w), which cancels, and 1 / n_k is
+    c_k / m over the common numerator m of the n_k: the sum runs on the
+    basis scalars, ints for the rational families, into one Fraction.
+    """
+    w, scale = bt.weight, _weight_lcm(bt.weight)
+    m = lcm(*(n.numerator for n in bt.norms))
+    acc = 0
+    for f, n in zip(bt.matrices, bt.norms):
+        term = _inner(sp_mul(X, f), sp_mul(f, X), w, scale)
+        acc = term * (n.denominator * (m // n.numerator)) + acc
+    return Fraction(_rational(acc), m * _rational(_inner(X, X, w, scale)))
 
 
 def wtj_bruteforce(spec: Family, t: int, j: int) -> Fraction:
     monomial = ORACLE[type(spec)].wtj
     if monomial is not None:
         return monomial(spec, t, j)
-    bt = v_basis(spec, t)
-    bj = v_basis(spec, j)
-    X = bj.matrices[0]
-    num = op_inner(X, phi_apply(bt, X), bt.weight)
-    den = op_inner(X, X, bt.weight)
-    val = _as_fraction(num) / _as_fraction(den)
-    return val
+    return _rayleigh(v_basis(spec, t), v_basis(spec, j).matrices[0])
 
 
 @dataclass(frozen=True)

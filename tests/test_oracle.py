@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -84,6 +85,15 @@ def test_closure_families_match_bruteforce(spec):
         assert report.matches, report.mismatches
 
 
+def block_channel_quotient(spec, t, j):
+    """<X, Phi_t(X)> / <X, X> with Phi_t(X) formed by phi_apply, X the first
+    element of block j."""
+    bt = v_basis(spec, t)
+    X = v_basis(spec, j).matrices[0]
+    return (Fraction(oracle._rational(op_inner(X, phi_apply(bt, X), bt.weight)))
+            / oracle._rational(op_inner(X, X, bt.weight)))
+
+
 @pytest.mark.parametrize("spec", [cls(n) for cls in (CliffordOdd, CliffordEven, Spinorial)
                                   for n in range(1, 5)], ids=str)
 def test_monomial_wtj_matches_block_channel(spec):
@@ -91,12 +101,49 @@ def test_monomial_wtj_matches_block_channel(spec):
     assert ORACLE[type(spec)].wtj is not None
     r = profile(spec).diameter_r
     for t in range(r + 1):
-        bt = v_basis(spec, t)
         for j in range(r + 1):
-            X = v_basis(spec, j).matrices[0]
-            want = (oracle._as_fraction(op_inner(X, phi_apply(bt, X), None))
-                    / oracle._as_fraction(op_inner(X, X, None)))
-            assert wtj_bruteforce(spec, t, j) == want, (t, j)
+            assert wtj_bruteforce(spec, t, j) == block_channel_quotient(spec, t, j), (t, j)
+
+
+# the families whose blocks are integer matrices
+RATIONAL_GRID = [spec for spec in ORACLE_GRID if isinstance(spec, (QHamming, SuqSym, SunExt))]
+
+
+@pytest.mark.parametrize("spec", RATIONAL_GRID, ids=str)
+def test_rayleigh_quotient_matches_block_channel(spec):
+    # the integer Rayleigh quotient against Phi_t(X) formed as a matrix
+    assert ORACLE[type(spec)].wtj is None
+    r = profile(spec).diameter_r
+    for t in range(r + 1):
+        for j in range(r + 1):
+            assert wtj_bruteforce(spec, t, j) == block_channel_quotient(spec, t, j), (t, j)
+
+
+@pytest.mark.parametrize("spec", RATIONAL_GRID, ids=str)
+def test_rational_bases_are_primitive_int_matrices(spec):
+    for t in range(profile(spec).diameter_r + 1):
+        basis = v_basis(spec, t)
+        for x, norm in zip(basis.matrices, basis.norms):
+            assert all(type(v) is int for v in x.values()), t
+            assert gcd(*x.values()) == 1, t
+            assert norm > 0, t
+
+
+def test_suext_wtj_makes_few_fraction_products(monkeypatch):
+    # verify_wtj(SunExt(6, 3)) made 6,730 Fraction products with Fraction
+    # bases and Phi_t(X) formed as a matrix, and 72 with integer bases and
+    # the Rayleigh quotient
+    count = Counter()
+    mul = Fraction.__mul__
+
+    def counting(a, b):
+        count["mul"] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Fraction, "__mul__", counting)
+    v_basis.cache_clear()
+    assert verify_wtj(SunExt(6, 3)).matches
+    assert count["mul"] <= 200
 
 
 @pytest.mark.parametrize("spec", ORACLE_GRID, ids=str)
@@ -190,6 +237,8 @@ def test_phi_eigenvalue_consistency():
             lam = wtj(spec, t, j)
             for x in bj.matrices:
                 out = phi_apply(bt, x)
+                # exact on the integer basis: no float from an int norm
+                assert not any(isinstance(v, float) for v in out.values())
                 for y in bj.matrices:
                     lhs = op_inner(out, y, bj.weight)
                     rhs = lam * op_inner(x, y, bj.weight)
@@ -204,14 +253,15 @@ def test_bruteforce_agrees_entrywise_on_su2():
 
 
 def gram_schmidt_closure(hw, lowering, weight, target):
-    """Reference closure: Gram-Schmidt on every candidate, kept if nonzero."""
+    """Reference closure: rational Gram-Schmidt on every candidate, kept if
+    nonzero."""
     basis, norms = [], []
 
     def reduce_add(x):
         for b, nb in zip(basis, norms):
             c = op_inner(b, x, weight)
             if c:
-                x = sp_sub(x, sp_scale(b, c / nb))
+                x = sp_sub(x, sp_scale(b, Fraction(c) / nb))
         if not x:
             return False
         basis.append(x)
@@ -227,6 +277,13 @@ def gram_schmidt_closure(hw, lowering, weight, target):
             if y and reduce_add(y):
                 queue.append(y)
     return basis, norms
+
+
+def primitive_multiple(x):
+    """(p, f): p the primitive integer matrix f x, f > 0."""
+    den = lcm(*(Fraction(v).denominator for v in x.values()))
+    g = gcd(*(int(v * den) for v in x.values()))
+    return {k: int(v * den) // g for k, v in x.items()}, Fraction(den, g)
 
 
 @pytest.mark.parametrize("spec", [SunExt(5, 2), SuqSym(3, 3)], ids=str)
@@ -246,8 +303,9 @@ def test_closure_basis_matches_gram_schmidt_on_every_candidate(spec, monkeypatch
     assert len(calls) == r + 1
     for hw, lowering, weight, out in calls:
         basis, norms = gram_schmidt_closure(hw, lowering, weight, len(out.matrices))
-        assert out.matrices == basis
-        assert [out.norms[i] for i in range(len(basis))] == norms
+        multiples = [primitive_multiple(b) for b in basis]
+        assert out.matrices == [p for p, _ in multiples]
+        assert out.norms == [n * f * f for n, (_, f) in zip(norms, multiples)]
 
 
 def all_roots(spec):
@@ -278,27 +336,31 @@ def test_simple_roots_span_the_all_roots_closure(spec, monkeypatch):
 
 
 def test_closure_that_skips_a_projection_is_refused(monkeypatch):
-    scale = oracle.sp_scale
+    # the integer Gram-Schmidt reads its first nonzero projection
+    # coefficient as 0, so it drops that projection
+    inner = oracle._inner
     skipped = []
 
-    def skip_first(a, c):
-        if not skipped:
+    def skip_first(a, b, weight, scale):
+        c = inner(a, b, weight, scale)
+        if c and a is not b and not skipped:
             skipped.append(c)
-            return {}
-        return scale(a, c)
+            return 0
+        return c
 
-    monkeypatch.setattr(oracle, "sp_scale", skip_first)
+    monkeypatch.setattr(oracle, "_inner", skip_first)
     with pytest.raises(ArithmeticError, match="not orthogonal"):
         v_basis.__wrapped__(SunExt(4, 2), 1)
     assert skipped
 
 
 def test_suext_closure_work_is_capped(monkeypatch):
-    # SunExt(6, 3) made 3,942 sp_mul and 1,152 op_inner calls with the simple
-    # roots and support-restricted Gram-Schmidt (11,342 and 33,986 with all
-    # lowering roots and projections onto every earlier element)
+    # SunExt(6, 3) made 3,942 sp_mul and 1,152 inner-product calls with the
+    # simple roots and support-restricted Gram-Schmidt (11,342 and 33,986
+    # with all lowering roots and projections onto every earlier element);
+    # the closure and OperatorBasis take every inner product through _inner
     counts = Counter()
-    for name in ("sp_mul", "op_inner"):
+    for name in ("sp_mul", "_inner"):
         def counting(*args, _f=getattr(oracle, name), _name=name):
             counts[_name] += 1
             return _f(*args)
@@ -307,7 +369,7 @@ def test_suext_closure_work_is_capped(monkeypatch):
     for t in range(profile(spec).diameter_r + 1):
         v_basis.__wrapped__(spec, t)
     assert counts["sp_mul"] <= 4_340
-    assert counts["op_inner"] <= 1_270
+    assert counts["_inner"] <= 1_270
 
 
 def test_oracle_table_covers_every_family():
@@ -319,6 +381,20 @@ def test_susym_ceiling_is_dim_h_twelve():
     assert verify_wtj(SuqSym(2, 11)).matches
     with pytest.raises(ValueError, match="su-sym needs q <= 3 and dim H <= 12"):
         v_basis(SuqSym(3, 4), 0)
+
+
+def test_zero_element_entry_or_weight_is_rejected():
+    one = Fraction(1)
+    # an empty element would count toward dim V_t and have norm 0
+    with pytest.raises(ArithmeticError, match="zero element"):
+        OperatorBasis(Su2(1), 0, [{(0, 0): one}, {}], 2)
+    with pytest.raises(ArithmeticError, match="zero entry"):
+        OperatorBasis(Su2(1), 0, [{(0, 0): one, (1, 1): 0}], 2)
+    # the weighted inner product is summed on integer weights
+    with pytest.raises(ArithmeticError, match="positive integers"):
+        OperatorBasis(SuqSym(2, 1), 0, [{(0, 0): 1}], 2, {0: Fraction(1, 2), 1: 1})
+    with pytest.raises(ArithmeticError, match="positive integers"):
+        op_inner({(0, 0): 1}, {(0, 0): 1}, {0: 2.0})
 
 
 def test_non_orthogonal_basis_is_rejected():
