@@ -73,8 +73,9 @@ def solve(rows: list[list[int]], senses: list[str], scales: list[int],
     """Phase 1 from the slack basis on integer rows [a_i | b_i].
 
     The start is `_slack_start`'s.  Dantzig pricing (the largest reduced
-    cost enters) until BLAND_AFTER degenerate pivots in a row, then Bland's
-    rule (the lowest eligible column) until a pivot lowers the objective;
+    cost enters, a surplus's taken per unit of its primitive row) until
+    BLAND_AFTER degenerate pivots in a row, then Bland's rule (the lowest
+    eligible column) until a pivot lowers the objective;
     the leaving row has the lowest ratio, ties going to the lowest basic
     column.
     """
@@ -91,13 +92,17 @@ def solve(rows: list[list[int]], senses: list[str], scales: list[int],
         obj = [o + L // scales[i] * x for o, x in zip(obj, T[i])]
     T.append(obj)
 
+    # Dantzig compares a surplus's reduced cost in units of its row divided
+    # by the gcd of its entries, so that rescaling a row changes no pivot
+    unit = [1] * nvars + [gcd(*row) or 1 for row, sense in zip(rows, senses) if sense == GE]
+
     D = 1
     degenerate = 0
     while True:
         # basic columns have obj == 0, so they never enter
         obj = T[m]
         if degenerate < BLAND_AFTER:
-            enter = max(range(ncols), key=obj.__getitem__, default=-1)
+            enter = max(range(ncols), key=lambda j: obj[j] * unit[j], default=-1)
         else:
             enter = next((j for j in range(ncols) if obj[j] > 0), -1)
         if enter < 0 or obj[enter] <= 0:
@@ -250,7 +255,8 @@ def float_basis(rows: list[list[int]], senses: list[str], scales: list[int],
     Same start (`_slack_start`), columns, labels, artificial costs
     (artificial i costs 1/s_i on the rational row) and pricing rule as
     `solve`, with each row divided by its largest entry and its surplus
-    rescaled to +-1, which changes no basis.  Tolerances are relative to
+    rescaled to +-1, which changes no basis (but prices a surplus per unit
+    of that row, not of the primitive row).  Tolerances are relative to
     the terms of each reduced cost and to the largest entry of the pivot
     column, and among tied ratios Dantzig's steps take the larger pivot.
     The basis is only a guess: None when the pivots run out, and nothing

@@ -182,6 +182,15 @@ def test_positive_row_rescaling_changes_no_witness(sys_data, factors):
     assert point_from_basis(rows, senses, nvars, sol.basis) == sol.witness
 
 
+@pytest.mark.parametrize("factor", [1, 2, 3, 7])
+def test_rescaling_a_ge_row_keeps_the_surplus_price(factor):
+    # x0 + x1/3 = 1, x0 >= 1/2: the surplus of the >= row must not gain
+    # Dantzig priority from a common factor of that row
+    rows, senses, scales = [[3, 1, 3], [2, 0, 1]], [EQ, GE], [3, 2]
+    sol = solve([rows[0], [factor * x for x in rows[1]]], senses, [3, 2 * factor], 2)
+    assert sol.witness == solve(rows, senses, scales, 2).witness == (F(1), F(0))
+
+
 @given(random_systems())
 @settings(max_examples=150, deadline=None)
 def test_infeasible_verdicts_carry_a_checked_farkas_vector(sys_data):
