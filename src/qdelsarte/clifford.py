@@ -18,15 +18,19 @@ q-isotropic set of labels generates a stabilizer group whose simultaneous
 eigenspaces are quantum codes.  A code is read in a family of
 `families.READINGS`, whose block t is `block_labels(spec, t)`: the labels of
 the weights `spec.block_weights(t)` over the 2n code letters, as letter 2n+1
-is the product of the other 2n up to phase.  Detection, distance, purity,
-nondegeneracy and distance distributions are all decided on F_2:
-nondegeneracy counts the cosets of the stabilizer span that the correctable
-errors fall into, and B counts the ordinary dual of the complemented
-generators' span by MacWilliams, so only subspaces of at most 2^s labels are
-ever enumerated.  For
-n <= MATRIX_CEILING the detection verdicts are cross-checked against the
-matrix condition P Gamma_x P = eps P on every label of every block
-t = 1..d, without sampling.  A disagreement raises ArithmeticError.
+is the product of the other 2n up to phase.  Everything is decided on F_2.
+`distance_distribution` counts A on the stabilizer span and B on its
+q-annihilator C, the ordinary dual of the complemented generators' span, by
+MacWilliams, so only subspaces of 2^s labels are enumerated, and a code over
+ENUMERATION_BUDGET raises ValueError before any is.  The span lies in C, and
+an undetected label is one of C outside the span, so block t holds
+B_t - A_t / K of them: d is the first t >= 1 with A_t != K B_t (r + 1 when
+there is none) and the code is pure when A_t = 0 for 0 < t < d.
+Nondegeneracy counts the cosets of the span that the correctable errors fall
+into.  For n <= MATRIX_CEILING every label of blocks 1..d is cross-checked
+against the matrix condition P Gamma_x P = eps P, without sampling, and so
+is each block's count of undetected labels; a disagreement raises
+ArithmeticError.
 """
 
 from __future__ import annotations
@@ -283,41 +287,31 @@ class DetectionReport:
     slope_values: dict[str, Fraction]
     is_pure: bool
     is_nondegenerate: bool
+    A: list[Fraction]
+    B: list[Fraction]
 
 
 def detection_report(stab: StabilizerCode, reading: str) -> DetectionReport:
-    n, length = stab.n, 2 * stab.n
-    if stab.dimension == 0:
-        raise ValueError("dimension-0 code")
-    spec = reading_family(n, reading)
-    r = spec.profile().diameter_r
+    """Distance and purity read off (A, B); for K = 1, C is the span and d = r + 1."""
+    A, B = distance_distribution(stab, reading)  # the budget, before any enumeration
+    K, r = stab.dimension, len(A) - 1
+    d = next((t for t in range(1, r + 1) if A[t] != K * B[t]), r + 1)
+    spec = reading_family(stab.n, reading)
     coeffs = span_coefficients(stab)
-    span = set(coeffs)
-    gens = stab.generators
-
-    def detected(x: int) -> bool:
-        return x in span or any(q_form(x, g) for g in gens)
-
-    # a one-dimensional code detects every error
-    d = 1
-    while d <= r and (stab.dimension == 1 or all(detected(x) for x in block_labels(spec, d))):
-        d += 1
 
     # labels grouped by reading-distance, up to d-1 (the detected range)
+    length = 2 * stab.n
     block_of = {w: t for t in range(r + 1) for w in spec.block_weights(t)}
     slope_values = {label_to_str(0, length): Fraction(1)}
-    pure = True
     for z, c in coeffs.items():
         if z and block_of[wt(z)] <= d - 1:
             slope_values[label_to_str(z, length)] = Fraction(c)
-            pure = False
 
-    half = (d - 1) // 2
-    nondeg = _nondegenerate(stab, spec, half)
-    if n <= MATRIX_CEILING:
-        _matrix_check(stab, coeffs, spec, d)
+    nondeg = _nondegenerate(stab, spec, (d - 1) // 2)
+    if stab.n <= MATRIX_CEILING:
+        _matrix_check(stab, coeffs, spec, d, A, B)
 
-    return DetectionReport(reading, stab.dimension, d, slope_values, pure, nondeg)
+    return DetectionReport(reading, K, d, slope_values, not any(A[1:d]), nondeg, A, B)
 
 
 def _nondegenerate(stab: StabilizerCode, spec: _Gamma, half: int) -> bool:
@@ -332,22 +326,22 @@ def _nondegenerate(stab: StabilizerCode, spec: _Gamma, half: int) -> bool:
     return len({_f2_reduce(x, echelon) for x in labels}) == len(labels)
 
 
-def _matrix_check(stab: StabilizerCode, coeffs: dict[int, int],
-                  spec: _Gamma, d: int) -> None:
-    """Re-derive detection verdicts from P Gamma_x P against the F_2 rule."""
+def _matrix_check(stab: StabilizerCode, coeffs: dict[int, int], spec: _Gamma,
+                  d: int, A: list[Fraction], B: list[Fraction]) -> None:
+    """Re-derive detection verdicts from P Gamma_x P against the F_2 rule,
+    and the undetected labels of each block against B_t - A_t / K."""
     n = stab.n
-    r = spec.profile().diameter_r
     P = projector(stab)
-    span = set(coeffs)
     gens = stab.generators
-    for t in range(1, min(d + 1, r + 1)):
+    for t in range(1, min(d, len(A) - 1) + 1):
+        undetected = 0
         for x in block_labels(spec, t):
             # P Gamma_x moves column c ^ mask of P to column c, times i^e[c]
             mask, phases = _gamma_monomial(n, x)
             pg = {(i, c ^ mask): v * gr_i_power(phases[c ^ mask])
                   for (i, c), v in P.items()}
             pgp = sp_mul(pg, P)
-            if x in span:
+            if x in coeffs:
                 ok = pgp == sp_scale(P, GaussianRational(Fraction(coeffs[x]), 0))
             elif any(q_form(x, g) for g in gens):
                 ok = pgp == {}
@@ -356,9 +350,13 @@ def _matrix_check(stab: StabilizerCode, coeffs: dict[int, int],
                 key = next(iter(P))
                 ratio = pgp.get(key, GR_ZERO) / P[key]
                 ok = pgp != sp_scale(P, ratio)
+                undetected += 1
             if not ok:
                 raise ArithmeticError(f"matrix cross-check disagrees with the "
                                       f"F_2 verdict at x={x}, t={t}")
+        if undetected != B[t] - A[t] / stab.dimension:
+            raise ArithmeticError(f"matrix cross-check finds {undetected} undetected "
+                                  f"labels in block {t}, against A and B")
 
 
 def _weight_counts(basis: list[int], length: int) -> list[int]:

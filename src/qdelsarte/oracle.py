@@ -45,7 +45,7 @@ from .families import (READINGS, Family, QHamming, Semispinorial, Su2, SunExt,
                        SuqSym, profile)
 from .linalg import (RowSpace, Sparse, _primitive, conj, sp_add, sp_identity, sp_kron,
                      sp_mul, sp_scale, sp_sub)
-from .scalars import GR_ONE, GaussianRational, SurdSum
+from .scalars import SurdSum
 from .su2 import error_block
 from .wtj import lambda_signature, wtj_matrix
 
@@ -55,7 +55,6 @@ class OperatorBasis:
     spec: Family
     t: int
     matrices: list[Sparse]
-    dim: int
     # diagonal weight of the representation's inner product, positive ints;
     # None = identity
     weight: dict[int, int] | None = None
@@ -152,15 +151,14 @@ def _basis_qhamming(spec: QHamming, t: int) -> OperatorBasis:
             else:
                 extend(pos + 1, sp_kron(acc, ident, q, q))
         extend(0, {(0, 0): 1})
-    return OperatorBasis(spec, t, mats, q ** n)
+    return OperatorBasis(spec, t, mats)
 
 
 def _basis_su2(spec: Su2, t: int) -> OperatorBasis:
-    return OperatorBasis(spec, t, error_block(spec.n, t), spec.n + 1)
+    return OperatorBasis(spec, t, error_block(spec.n, t))
 
 
-def _closure_basis(spec: Family, t: int, dim: int, hw: Sparse,
-                   lowering: list[Sparse],
+def _closure_basis(spec: Family, t: int, hw: Sparse, lowering: list[Sparse],
                    weight: dict[int, int] | None) -> OperatorBasis:
     """Orthogonal span of the ad-orbit of a highest-weight matrix.
 
@@ -180,8 +178,8 @@ def _closure_basis(spec: Family, t: int, dim: int, hw: Sparse,
     are orthogonal, so every projection coefficient is taken on the
     candidate as given, and it is 0 unless the two supports meet: a
     candidate is projected onto those earlier elements only.  No commutator
-    is formed once the span has dim V_t elements; a closure that ends short
-    of that raises.  `OperatorBasis` checks the result's orthogonality.
+    is formed once the span has dim V_t elements; `v_basis` refuses a closure
+    that ends short of that, and `OperatorBasis` checks its orthogonality.
     """
     target = profile(spec).dim_V[t]
     scale = _weight_lcm(weight)
@@ -215,10 +213,7 @@ def _closure_basis(spec: Family, t: int, dim: int, hw: Sparse,
             if y and space.add(y):
                 accept(y)
                 queue.append(y)
-    if len(basis) != target:
-        raise ArithmeticError(f"closure of {spec} block {t} has {len(basis)} "
-                              f"elements, expected {target}")
-    return OperatorBasis(spec, t, basis, dim, weight)
+    return OperatorBasis(spec, t, basis, weight)
 
 
 @lru_cache(maxsize=None)
@@ -258,7 +253,7 @@ def _basis_susym(spec: SuqSym, t: int) -> OperatorBasis:
     for _ in range(t):
         hw = sp_mul(step, hw)
     lowering = [_susym_e(q, n, i + 1, i) for i in range(q - 1)]
-    return _closure_basis(spec, t, len(monos), hw, lowering, weight)
+    return _closure_basis(spec, t, hw, lowering, weight)
 
 
 @lru_cache(maxsize=None)
@@ -282,18 +277,16 @@ def _suext_e(n: int, w: int, i: int, j: int) -> Sparse:
 
 def _basis_suext(spec: SunExt, t: int) -> OperatorBasis:
     n, w = spec.n, spec.w
-    subsets, _ = _suext_space(n, w)
-    dim = len(subsets)
-    hw = sp_identity(dim, 1)
+    hw = sp_identity(len(_suext_space(n, w)[0]), 1)
     for k in range(t):
         hw = sp_mul(_suext_e(n, w, k, n - 1 - k), hw)
     lowering = [_suext_e(n, w, i + 1, i) for i in range(n - 1)]
-    return _closure_basis(spec, t, dim, hw, lowering, None)
+    return _closure_basis(spec, t, hw, lowering, None)
 
 
 def _basis_gamma(spec: Family, t: int) -> OperatorBasis:
     n = spec.n
-    return OperatorBasis(spec, t, [gamma(n, x) for x in block_labels(spec, t)], 2 ** n)
+    return OperatorBasis(spec, t, [gamma(n, x) for x in block_labels(spec, t)])
 
 
 # Gamma_x as the pair (m, e) that `gamma` builds its matrix from: column c
@@ -346,16 +339,18 @@ def _wtj_gamma(spec: Family, t: int, j: int) -> Fraction:
 
 
 def _basis_semispin(spec: Semispinorial, t: int) -> OperatorBasis:
+    """P+ Gamma_x P+ over the labels of weight 2t, one of each x, x ^ omega
+    pair at 2t = n.  P+ = (I + Gamma_omega) / 2 is the 0/1 diagonal on the
+    columns where the diagonal Gamma_omega is +1, and an even-weight Gamma_x
+    commutes with Gamma_omega, so the product is Gamma_x on those columns."""
     n = spec.n
     omega = (1 << (2 * n)) - 1
-    half = GaussianRational(Fraction(1, 2), 0)
-    p_plus = sp_add(sp_scale(sp_identity(2 ** n, GR_ONE), half),
-                    sp_scale(gamma(n, omega), half))
+    _, e = _gamma_monomial(n, omega)
     labels = list(_labels_of_weight(2 * n, 2 * t))
     if 2 * t == n:
         labels = [x for x in labels if x < (x ^ omega)]
-    mats = [sp_mul(sp_mul(p_plus, gamma(n, x)), p_plus) for x in labels]
-    return OperatorBasis(spec, t, mats, 2 ** n)
+    mats = [{(r, c): v for (r, c), v in gamma(n, x).items() if not e[c]} for x in labels]
+    return OperatorBasis(spec, t, mats)
 
 
 # --- antiunitaries: the linear part, up to overall phase ---------------------

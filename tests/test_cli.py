@@ -449,7 +449,7 @@ def test_table_pool_has_one_worker_per_usable_cpu(monkeypatch, capsys):
     monkeypatch.delenv("QLP_THREADS", raising=False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     argv = ["table", "--family", "su2", "--n-from", "3", "--n-to", "4",
-            "--d-from", "2", "--d-to", "2"]
+            "--d-from", "2", "--d-to", "3"]
     # one usable CPU: no pool, whatever os.cpu_count() says
     monkeypatch.setattr(os_module, "cpu_count", lambda: 8)
     monkeypatch.setattr(os_module, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -458,4 +458,21 @@ def test_table_pool_has_one_worker_per_usable_cpu(monkeypatch, capsys):
     monkeypatch.setattr(os_module, "sched_getaffinity", lambda pid: {0, 3, 5})
     assert cli.main(argv) == 0
     assert sizes == [3]
+    # never more workers than cells: under fork each one starts at the first submit
+    monkeypatch.setenv("QLP_THREADS", "64")
+    assert cli.main(argv[:-1] + ["2"]) == 0
+    assert sizes == [3, 2]
     capsys.readouterr()
+
+
+def test_verify_over_the_enumeration_budget_exits_2(tmp_path, monkeypatch, capsys):
+    from qdelsarte import cli, clifford
+    path = tmp_path / "code.json"
+    assert cli.main(["construct", "--code", "clifford-hamming", "--s", "4",
+                     "--out", str(path)]) == 0
+    # s = 4: the span and the complemented generators' span hold 2^5 labels each
+    monkeypatch.setattr(clifford, "ENUMERATION_BUDGET", 63)
+    assert cli.main(["verify", "--code", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: distribution enumeration exceeds the operation budget\n"

@@ -435,25 +435,95 @@ class TestDistributions:
         distance_distribution(clifford_hamming(4), "even")
 
 
+def label_loop_report(code, reading):
+    """Reference (d, is_pure), label by label: d is the first block holding a
+    label outside the span that commutes with every generator, and a
+    one-dimensional code detects every error."""
+    spec = reading_family(code.n, reading)
+    r = profile(spec).diameter_r
+    span = set(span_coefficients(code))
+
+    def detected(x):
+        return x in span or any(q_form(x, g) for g in code.generators)
+
+    d = 1
+    while d <= r and (code.dimension == 1 or all(detected(x) for x in block_labels(spec, d))):
+        d += 1
+    block_of = {w: t for t in range(r + 1) for w in spec.block_weights(t)}
+    return d, all(not z or block_of[wt(z)] >= d for z in span)
+
+
+class TestDistanceFromEnumerators:
+    @given(isotropic_codes(), st.sampled_from(tuple(READINGS)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_label_loop(self, code, reading):
+        rep = detection_report(code, reading)
+        assert (rep.min_distance, rep.is_pure) == label_loop_report(code, reading)
+
+    @pytest.mark.parametrize("reading", tuple(READINGS))
+    def test_hamming_s3_matches_the_label_loop(self, reading):
+        code = clifford_hamming(3)
+        rep = detection_report(code, reading)
+        assert (rep.min_distance, rep.is_pure) == label_loop_report(code, reading)
+        assert (rep.A, rep.B) == distance_distribution(code, reading)
+
+    @pytest.mark.parametrize("reading", tuple(READINGS))
+    def test_raised_b1_is_refused_by_the_matrix_check(self, reading, monkeypatch):
+        # B_1 + 1 reads as one undetected label in block 1, so d = 1, and the
+        # matrices find none there
+        counted = clifford.distance_distribution
+
+        def raised(stab, reading):
+            a, b = counted(stab, reading)
+            return a, [b[0], b[1] + 1, *b[2:]]
+
+        monkeypatch.setattr(clifford, "distance_distribution", raised)
+        with pytest.raises(ArithmeticError, match="undetected labels in block 1"):
+            detection_report(clifford_hamming(3), reading)
+
+    def test_raised_b1_is_refused_under_optimize(self):
+        script = (
+            "import sys\n"
+            "from qdelsarte import clifford\n"
+            "counted = clifford.distance_distribution\n"
+            "def raised(stab, reading):\n"
+            "    a, b = counted(stab, reading)\n"
+            "    return a, [b[0], b[1] + 1, *b[2:]]\n"
+            "clifford.distance_distribution = raised\n"
+            "try:\n"
+            "    clifford.detection_report(clifford.clifford_hamming(3), 'even')\n"
+            "except ArithmeticError:\n"
+            "    print('raised', sys.flags.optimize)\n"
+        )
+        src = str(Path(qdelsarte.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        res = subprocess.run([sys.executable, "-O", "-c", script],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "raised 1\n"
+
+
 class TestMatrixCrossCheck:
     """A symbolic verdict the matrices contradict raises, also under python -O."""
 
     def test_wrong_sign_raises(self):
         stab = StabilizerCode(2, (0b1111,), (1,))
         coeffs = {z: -c if z else c for z, c in span_coefficients(stab).items()}
+        a, b = distance_distribution(stab, "odd")
         with pytest.raises(ArithmeticError):
-            clifford._matrix_check(stab, coeffs, CliffordOdd(2), 2)
+            clifford._matrix_check(stab, coeffs, CliffordOdd(2), 2, a, b)
 
     def test_wrong_sign_raises_under_optimize(self):
         script = (
             "import sys\n"
             "from qdelsarte.clifford import StabilizerCode, _matrix_check, "
-            "span_coefficients\n"
+            "distance_distribution, span_coefficients\n"
             "from qdelsarte.families import CliffordOdd\n"
             "stab = StabilizerCode(2, (0b1111,), (1,))\n"
             "coeffs = {z: -c if z else c for z, c in span_coefficients(stab).items()}\n"
+            "a, b = distance_distribution(stab, 'odd')\n"
             "try:\n"
-            "    _matrix_check(stab, coeffs, CliffordOdd(2), 2)\n"
+            "    _matrix_check(stab, coeffs, CliffordOdd(2), 2, a, b)\n"
             "except ArithmeticError:\n"
             "    print('raised', sys.flags.optimize)\n"
         )

@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 import pytest
@@ -19,7 +20,8 @@ from qdelsarte.families import (
     profile,
 )
 from qdelsarte import oracle
-from qdelsarte.linalg import RowSpace, sp_mul, sp_scale, sp_sub
+from qdelsarte.clifford import gamma
+from qdelsarte.linalg import RowSpace, sp_add, sp_identity, sp_mul, sp_scale, sp_sub
 from qdelsarte.oracle import (
     ORACLE,
     OperatorBasis,
@@ -30,6 +32,7 @@ from qdelsarte.oracle import (
     verify_wtj,
     wtj_bruteforce,
 )
+from qdelsarte.scalars import GR_ONE, GaussianRational
 from qdelsarte.su2 import error_block
 from qdelsarte.wtj import lambda_signature, wtj
 
@@ -215,6 +218,22 @@ def test_basis_dimensions_match_profile():
             assert len(v_basis(spec, t).matrices) == prof.dim_V[t]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_semispinorial_blocks_are_projected_gammas(n):
+    # reference: P+ Gamma_x P+ as two matrix products, P+ = (I + Gamma_omega) / 2
+    omega = (1 << (2 * n)) - 1
+    half = GaussianRational(Fraction(1, 2), 0)
+    p_plus = sp_add(sp_scale(sp_identity(2 ** n, GR_ONE), half),
+                    sp_scale(gamma(n, omega), half))
+    spec = Semispinorial(n)
+    for t in range(profile(spec).diameter_r + 1):
+        labels = [sum(1 << b for b in bits) for bits in combinations(range(2 * n), 2 * t)]
+        if 2 * t == n:  # Gamma_x and Gamma_{x ^ omega} agree on P+ up to phase
+            labels = [x for x in labels if x < x ^ omega]
+        assert v_basis.__wrapped__(spec, t).matrices == \
+            [sp_mul(sp_mul(p_plus, gamma(n, x)), p_plus) for x in labels], t
+
+
 def test_blocks_mutually_orthogonal():
     spec = Su2(4)
     for t in range(5):
@@ -291,8 +310,8 @@ def test_closure_basis_matches_gram_schmidt_on_every_candidate(spec, monkeypatch
     calls = []
     closure = oracle._closure_basis
 
-    def recording(spec, t, dim, hw, lowering, weight):
-        out = closure(spec, t, dim, hw, lowering, weight)
+    def recording(spec, t, hw, lowering, weight):
+        out = closure(spec, t, hw, lowering, weight)
         calls.append((hw, lowering, weight, out))
         return out
 
@@ -326,9 +345,9 @@ def test_simple_roots_span_the_all_roots_closure(spec, monkeypatch):
     monkeypatch.setattr(oracle, "_closure_basis", recording)
     for t in range(profile(spec).diameter_r + 1):
         simple = v_basis.__wrapped__(spec, t).matrices
-        _, _, dim, hw, lowering, weight = calls[-1]
+        _, _, hw, lowering, weight = calls[-1]
         assert len(lowering) == (spec.n if isinstance(spec, SunExt) else spec.q) - 1
-        full = closure(spec, t, dim, hw, all_roots(spec), weight).matrices
+        full = closure(spec, t, hw, all_roots(spec), weight).matrices
         space = RowSpace()
         assert all(space.add(x) for x in simple)
         assert len(full) == len(simple)
@@ -387,12 +406,12 @@ def test_zero_element_entry_or_weight_is_rejected():
     one = Fraction(1)
     # an empty element would count toward dim V_t and have norm 0
     with pytest.raises(ArithmeticError, match="zero element"):
-        OperatorBasis(Su2(1), 0, [{(0, 0): one}, {}], 2)
+        OperatorBasis(Su2(1), 0, [{(0, 0): one}, {}])
     with pytest.raises(ArithmeticError, match="zero entry"):
-        OperatorBasis(Su2(1), 0, [{(0, 0): one, (1, 1): 0}], 2)
+        OperatorBasis(Su2(1), 0, [{(0, 0): one, (1, 1): 0}])
     # the weighted inner product is summed on integer weights
     with pytest.raises(ArithmeticError, match="positive integers"):
-        OperatorBasis(SuqSym(2, 1), 0, [{(0, 0): 1}], 2, {0: Fraction(1, 2), 1: 1})
+        OperatorBasis(SuqSym(2, 1), 0, [{(0, 0): 1}], {0: Fraction(1, 2), 1: 1})
     with pytest.raises(ArithmeticError, match="positive integers"):
         op_inner({(0, 0): 1}, {(0, 0): 1}, {0: 2.0})
 
@@ -400,8 +419,8 @@ def test_zero_element_entry_or_weight_is_rejected():
 def test_non_orthogonal_basis_is_rejected():
     one = Fraction(1)
     with pytest.raises(ArithmeticError, match="not orthogonal"):
-        OperatorBasis(Su2(1), 0, [{(0, 0): one}, {(0, 0): one, (1, 1): one}], 2)
+        OperatorBasis(Su2(1), 0, [{(0, 0): one}, {(0, 0): one, (1, 1): one}])
     # the one overlapping pair, first and last, among disjoint supports
     with pytest.raises(ArithmeticError, match="not orthogonal"):
         OperatorBasis(Su2(3), 0, [{(0, 0): one}, {(0, 1): one}, {(1, 0): one},
-                                  {(1, 1): one}, {(2, 2): one, (0, 0): -one}], 4)
+                                  {(1, 1): one}, {(2, 2): one, (0, 0): -one}])
