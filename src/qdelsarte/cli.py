@@ -17,7 +17,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 from .families import FAMILY_NAMES, READINGS, Family, FamilyError, profile, validate
-from .lp import LPOptions, check_options, feasible as lp_feasible, lp_bound
+from .lp import DEFAULT_TOL, LPOptions, check_options, feasible as lp_feasible, lp_bound
 from .scalars import SurdSum, format_fraction, parse_fraction
 from .wtj import lambda_signature, wtj_matrix
 
@@ -342,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--d", type=int, required=True)
         p.add_argument("--self-dual", action="store_true", dest="self_dual")
         p.add_argument("--pure", action="store_true")
-        p.add_argument("--tol", default="1/100000")
+        p.add_argument("--tol", default=format_fraction(DEFAULT_TOL))
 
     p = sub.add_parser("bound", help="LP upper bound on code dimension")
     _add_family_args(p)
@@ -369,7 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--self-dual", action="store_true", dest="self_dual")
     p.add_argument("--pure", action="store_true")
     p.add_argument("--integer", action="store_true")
-    p.add_argument("--tol", default="1/100000")
+    p.add_argument("--tol", default=format_fraction(DEFAULT_TOL))
     common(p)
     p.set_defaults(func=cmd_table)
 

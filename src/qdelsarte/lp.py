@@ -10,15 +10,15 @@ has a distance distribution A_0..A_r satisfying
     A_t = 0 for 1 <= t <= d-1        (pure codes only)
 
 so the supremum of K making this system feasible bounds every code.  The
-search is a rational bisection.  `build_system` is the only definition of
-the LP; each verdict of `feasible` carries a certificate checked by
+search is a rational bisection.  `affine_rows` is the only definition of
+the LP, each row written once as K*a + b, and `build_system` evaluates it
+at K; each verdict of `feasible` carries a certificate checked by
 substitution, a witness point when feasible and a Farkas vector when not.
 
-The system is affine in K, so the bisection does not rebuild it: the
-`IntegerSystem` of (spec, d, opts), derived once from `build_system` at
-K = 0 and K = 1 and cached, gives row i at K = p/q as the integer row
-p*A_i + q*B_i (or B_i when the row does not depend on K), and is compared
-with `build_system` at a third K when it is built.  `lp_bound` passes one
+Since the rows are affine in K, the bisection does not rebuild them: the
+`IntegerSystem` of (spec, d, opts), the affine rows in integers and cached,
+gives row i at K = p/q as the integer row p*A_i + q*B_i (or B_i when the
+row does not depend on K).  `lp_bound` passes one
 `WarmStart` to all of its probes, so a probe first re-solves the final
 basis of the last feasible probe (accepted when the vertex passes integer
 substitution) and of the last infeasible probe (accepted when its phase-1
@@ -65,44 +65,57 @@ def check_options(spec: Family, opts: LPOptions) -> None:
         raise ValueError(f"{spec.name} has no self-dual signature")
 
 
-def build_system(spec: Family, d: int, K: Fraction,
-                 opts: LPOptions = LPOptions()) -> tuple[list[Constraint], int]:
-    prof = profile(spec)
-    r = prof.diameter_r
-    if not (1 <= d <= r + 1):
-        raise ValueError(f"distance d={d} outside 1..{r + 1}")
+def affine_rows(spec: Family, d: int,
+                opts: LPOptions = LPOptions()) -> tuple[list[tuple[tuple, tuple, str]], int]:
+    """The LP of the module docstring as rows affine in K, and its nvars.
+
+    Each row is (a, b, sense) over [coefficients | rhs]: the constraint at K
+    is K*a + b.  a is all zero when the row does not depend on K; when it
+    does, b is integral.
+    """
+    nvars = profile(spec).diameter_r + 1
+    if not (1 <= d <= nvars):
+        raise ValueError(f"distance d={d} outside 1..{nvars}")
     check_options(spec, opts)
     W = wtj_matrix(spec)
-    nvars = r + 1
-    cons: list[Constraint] = []
-
-    def row(t: int) -> list[Fraction]:
-        return [K * W[t][j] for j in range(nvars)]
-
-    e = lambda t: tuple(Fraction(1 if j == t else 0) for j in range(nvars))
-    cons.append(Constraint(e(0), EQ, K))
-    for t in range(r + 1):
-        coeffs = row(t)
-        coeffs[t] -= 1
-        sense = EQ if t < d else GE
-        cons.append(Constraint(tuple(coeffs), sense, Fraction(0)))
+    zero, one = Fraction(0), Fraction(1)
+    zeros = (0,) * (nvars + 1)
+    # A_0 = K, then K * sum_j W_t(j) A_j - A_t (= or >=) 0
+    rows = [(zeros[:-1] + (1,), (1,) + zeros[1:], EQ)]
+    rows += [((*W[t], 0), zeros[:t] + (-1,) + zeros[t + 1:], EQ if t < d else GE)
+             for t in range(nvars)]
     if opts.self_dual:
+        # lambda_j W_t(j), negated where lambda_j = -1
         lam = lambda_signature(spec)
-        for t in range(r + 1):
-            cons.append(Constraint(tuple(lam[j] * W[t][j] for j in range(nvars)),
-                                   GE, Fraction(0)))
+        rows += [(zeros, (*(w if s > 0 else -w for s, w in zip(lam, W[t])), zero), GE)
+                 for t in range(nvars)]
     if opts.pure:
-        for t in range(1, d):
-            cons.append(Constraint(e(t), EQ, Fraction(0)))
+        rows += [(zeros, tuple(one if j == t else zero for j in range(nvars + 1)), EQ)
+                 for t in range(1, d)]
+    return rows, nvars
+
+
+def build_system(spec: Family, d: int, K: Fraction,
+                 opts: LPOptions = LPOptions()) -> tuple[list[Constraint], int]:
+    """The affine_rows of (spec, d, opts) at K, as Fraction constraints."""
+    rows, nvars = affine_rows(spec, d, opts)
+    p, q = K.numerator, K.denominator
+    cons = []
+    for a, b, sense in rows:
+        if any(a):
+            # K*u + v = (p*u + q*v) / q as one fraction, v an integer
+            b = [Fraction(p * u.numerator + q * v * u.denominator, q * u.denominator)
+                 for u, v in zip(a, b)]
+        cons.append(Constraint(tuple(b[:-1]), sense, b[-1]))
     return cons, nvars
 
 
 @dataclass(frozen=True)
 class IntegerSystem:
-    """build_system(spec, d, K, opts) as rows affine in K.
+    """affine_rows(spec, d, opts) in integers.
 
     Row i at K = p/q is (p*A_i + q*B_i) / (q*c_i), or B_i / c_i when A_i is
-    zero, with every A_i, B_i integer and c_i > 0.
+    zero, with every A_i, B_i integer and c_i > 0: build_system's row i at K.
     """
     A: tuple[tuple[int, ...], ...]
     B: tuple[tuple[int, ...], ...]
@@ -127,39 +140,24 @@ class IntegerSystem:
 
 @lru_cache(maxsize=None)
 def integer_system(spec: Family, d: int, opts: LPOptions = LPOptions()) -> IntegerSystem:
-    """The IntegerSystem of build_system(spec, d, K, opts), from K = 0 and K = 1.
+    """The IntegerSystem of affine_rows(spec, d, opts).
 
-    Each row is brought to integers over the lcm of all its denominators at
-    both K, then divided by the gcd of those integers and that lcm, which
-    leaves the least scale c_i making A_i and B_i integral.
+    Each row (a, b) is brought to integers over the lcm of all the
+    denominators of a and b, then divided by the gcd of those integers and
+    that lcm, which leaves the least scale c_i making A_i and B_i integral.
     """
-    cons0, nvars = build_system(spec, d, Fraction(0), opts)
-    cons1, _ = build_system(spec, d, Fraction(1), opts)
+    rows, nvars = affine_rows(spec, d, opts)
     A, B, scales = [], [], []
-    for c0, c1 in zip(cons0, cons1):
-        if c0.sense != c1.sense:
-            raise ArithmeticError(f"constraint senses depend on K for {spec}")
-        x0, x1 = (*c0.coeffs, c0.rhs), (*c1.coeffs, c1.rhs)
-        c = lcm(*(x.denominator for x in x0 + x1))
-        b = [x.numerator * (c // x.denominator) for x in x0]
-        a = [y.numerator * (c // y.denominator) - v for y, v in zip(x1, b)]
-        g = gcd(c, *a, *b)
-        A.append(tuple(v // g for v in a))
-        B.append(tuple(v // g for v in b))
+    for a, b, _ in rows:
+        c = lcm(*(x.denominator for x in a + b))
+        ai = [x.numerator * (c // x.denominator) for x in a]
+        bi = [x.numerator * (c // x.denominator) for x in b]
+        g = gcd(c, *ai, *bi)
+        A.append(tuple(v // g for v in ai))
+        B.append(tuple(v // g for v in bi))
         scales.append(c // g)
-    system = IntegerSystem(tuple(A), tuple(B), tuple(scales),
-                           tuple(c.sense for c in cons0), nvars)
-    # build_system stays the definition: the template must reproduce it,
-    # entry by entry, x / s == e checked as x * den(e) == num(e) * s
-    K = Fraction(7, 3)
-    cons, _ = build_system(spec, d, K, opts)
-    rows, row_scales = system.at(K)
-    if [c.sense for c in cons] != list(system.senses) or any(
-            len(row) != len(c.coeffs) + 1
-            or any(x * e.denominator != e.numerator * s for x, e in zip(row, (*c.coeffs, c.rhs)))
-            for c, row, s in zip(cons, rows, row_scales)):
-        raise ArithmeticError(f"the LP of {spec} at d={d} is not affine in K")
-    return system
+    return IntegerSystem(tuple(A), tuple(B), tuple(scales),
+                         tuple(sense for *_, sense in rows), nvars)
 
 
 def feasible(spec: Family, d: int, K: Fraction,

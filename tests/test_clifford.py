@@ -133,6 +133,10 @@ class TestGammaOperators:
             for z in range(16):
                 assert q_form(x ^ y, z) == (q_form(x, z) + q_form(y, z)) % 2
 
+    def test_q_form_is_alternating(self):
+        # why is_q_isotropic checks only pairs of distinct labels
+        assert not any(q_form(x, x) for x in range(2 ** 10))
+
     def test_tau(self):
         assert [tau(x) for x in (0b0, 0b1, 0b11, 0b111, 0b1111)] == [0, 0, 1, 3, 6]
 

@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdelsarte import lp, simplex
-from qdelsarte.families import (CliffordEven, CliffordOdd, QHamming, Spinorial, Su2, SuqSym,
-                                profile)
+from qdelsarte.families import (CliffordEven, CliffordOdd, QHamming, Semispinorial, Spinorial,
+                                Su2, SunExt, SuqSym, profile)
 from qdelsarte.lp import (FeasibleReport, LPOptions, build_system, feasible, integer_system,
                           lp_bound)
 from qdelsarte.scalars import format_fraction
 from qdelsarte.simplex import WarmStart, verify_farkas, verify_witness
+from qdelsarte.wtj import lambda_signature, wtj_matrix
 
 F = Fraction
 SD = LPOptions(self_dual=True)
@@ -76,40 +77,76 @@ def test_template_equals_build_system(spec, d, opts, p, q):
         assert s > 0 and [F(x, s) for x in row] == [*c.coeffs, c.rhs]
 
 
-def test_template_is_cached_and_checked_at_a_third_k():
+# two members of each of the eight families, with and without a self-dual
+# signature where the family has both
+GRID_SPECS = (QHamming(2, 3), QHamming(3, 2), Su2(4), Su2(5), SuqSym(2, 3), SuqSym(3, 3),
+              SunExt(4, 2), SunExt(5, 2), CliffordOdd(2), CliffordOdd(3), CliffordEven(2),
+              CliffordEven(3), Spinorial(2), Spinorial(3), Semispinorial(4), Semispinorial(5))
+GRID = tuple((spec, d, LPOptions(self_dual, pure))
+             for spec in GRID_SPECS for d in range(1, profile(spec).diameter_r + 2)
+             for self_dual in (False, True) for pure in (False, True)
+             if not self_dual or lambda_signature(spec) is not None)
+
+
+def reference_system(spec, d, K, opts=LPOptions()):
+    """The LP of the lp module docstring at K, written out row by row."""
+    prof = profile(spec)
+    r = prof.diameter_r
+    if not (1 <= d <= r + 1):
+        raise ValueError(f"distance d={d} outside 1..{r + 1}")
+    lp.check_options(spec, opts)
+    W = wtj_matrix(spec)
+    nvars = r + 1
+    cons = []
+
+    def row(t):
+        return [K * W[t][j] for j in range(nvars)]
+
+    e = lambda t: tuple(F(1 if j == t else 0) for j in range(nvars))
+    cons.append(simplex.Constraint(e(0), simplex.EQ, K))
+    for t in range(r + 1):
+        coeffs = row(t)
+        coeffs[t] -= 1
+        sense = simplex.EQ if t < d else simplex.GE
+        cons.append(simplex.Constraint(tuple(coeffs), sense, F(0)))
+    if opts.self_dual:
+        lam = lambda_signature(spec)
+        for t in range(r + 1):
+            cons.append(simplex.Constraint(tuple(lam[j] * W[t][j] for j in range(nvars)),
+                                           simplex.GE, F(0)))
+    if opts.pure:
+        for t in range(1, d):
+            cons.append(simplex.Constraint(e(t), simplex.EQ, F(0)))
+    return cons, nvars
+
+
+@given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+@settings(max_examples=10, deadline=None)
+def test_build_system_and_template_equal_the_reference_system(p, q):
+    K = F(p, q)
+    for spec, d, opts in GRID:
+        cons, nvars = reference_system(spec, d, K, opts)
+        assert build_system(spec, d, K, opts) == (cons, nvars)
+        system = integer_system(spec, d, opts)
+        rows, scales = system.at(K)
+        assert system.nvars == nvars and list(system.senses) == [c.sense for c in cons]
+        assert [[F(x, s) for x in row] for row, s in zip(rows, scales)] \
+            == [[*c.coeffs, c.rhs] for c in cons]
+
+
+def test_template_is_cached_and_built_without_build_system(monkeypatch):
     integer_system.cache_clear()
     calls = []
     original = lp.build_system
 
     def counting(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args)
         return original(*args, **kwargs)
 
-    lp.build_system = counting
-    try:
-        for K in (F(2), F(5, 2), F(3)):
-            feasible(Su2(8), 3, K, SD, WarmStart())
-    finally:
-        lp.build_system = original
-    assert len(calls) == 3 and len(set(calls)) == 3
-
-
-def test_template_rejects_a_system_that_is_not_affine_in_k():
-    integer_system.cache_clear()
-    original = lp.build_system
-
-    def quadratic(spec, d, K, opts=LPOptions()):
-        cons, nvars = original(spec, d, K, opts)
-        c = cons[0]
-        return [simplex.Constraint(c.coeffs, c.sense, K * K)] + cons[1:], nvars
-
-    lp.build_system = quadratic
-    try:
-        with pytest.raises(ArithmeticError):
-            integer_system(Su2(6), 3, LPOptions())
-    finally:
-        lp.build_system = original
-        integer_system.cache_clear()
+    monkeypatch.setattr(lp, "build_system", counting)
+    for K in (F(2), F(5, 2), F(3)):
+        feasible(Su2(8), 3, K, SD, WarmStart())
+    assert calls == [] and integer_system.cache_info().misses == 1
 
 
 @st.composite
