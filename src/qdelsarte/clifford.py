@@ -30,7 +30,9 @@ Nondegeneracy counts the cosets of the span that the correctable errors fall
 into.  For n <= MATRIX_CEILING every label of blocks 1..d is cross-checked
 against the matrix condition P Gamma_x P = eps P, without sampling, and so
 is each block's count of undetected labels; a disagreement raises
-ArithmeticError.
+ArithmeticError.  The cross-check runs on Gaussian integers, (re, im) pairs
+of ints: `projector` gives 2^s P, built from the span's monomial Gamma_z,
+and each Gamma_x is composed only at the columns P occupies.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .families import READINGS, _Gamma, _krawtchouk
-from .linalg import Sparse, sp_add, sp_kron, sp_mul, sp_scale
-from .scalars import GR_ONE, GR_ZERO, GaussianRational, gr_i_power
+from .linalg import GI_UNITS, Sparse, gi_mul, gi_times, sp_kron
+from .scalars import GR_ONE, GaussianRational, gr_i_power
 
 MATRIX_CEILING = 7  # qubit count above which only the symbolic path runs
 ENUMERATION_BUDGET = 5_000_000  # labels distance_distribution may enumerate
@@ -113,18 +115,29 @@ def _generator_monomials(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(out)
 
 
-def _gamma_monomial(n: int, x: int) -> tuple[int, list[int]]:
-    """(xor mask, i-exponent per column) of Gamma_x.
+def _gamma_monomial(n: int, x: int, columns: Iterable[int] | None = None
+                    ) -> tuple[int, list[int]]:
+    """(xor mask, i-exponent per column) of Gamma_x, at every column or, given
+    `columns`, at those in their order.
 
     With A sending c to c ^ a and B sending c to c ^ b, column c of A B
-    lands on row c ^ a ^ b with phase e_B[c] + e_A[c ^ b].
+    lands on row c ^ a ^ b with phase e_B[c] + e_A[c ^ b]: each column
+    passes the factors of the word right to left.
     """
     gens = _generator_monomials(n)
-    mask, phases = 0, [-tau(x) % 4] * 2 ** n
-    for b in sorted(_letters(x), key=lambda b: _interleave_key(b, n)):
-        g_mask, g_phases = gens[b]
-        phases = [(e + phases[c ^ g_mask]) & 3 for c, e in enumerate(g_phases)]
+    word = [gens[b] for b in sorted(_letters(x), key=lambda b: _interleave_key(b, n),
+                                    reverse=True)]
+    mask = 0
+    for g_mask, _ in word:
         mask ^= g_mask
+    start = -tau(x)
+    phases = []
+    for c in range(2 ** n) if columns is None else columns:
+        e = start
+        for g_mask, g_phases in word:
+            e += g_phases[c]
+            c ^= g_mask
+        phases.append(e & 3)
     return mask, phases
 
 
@@ -237,15 +250,20 @@ def span_coefficients(stab: StabilizerCode) -> dict[int, int]:
 
 
 def projector(stab: StabilizerCode) -> Sparse:
+    """2^s P as a Gaussian-integer matrix: entry (c ^ m_z, c) collects
+    c_z i^{e_z[c]} over the Gamma_z = (m_z, e_z) of the span, as an (re, im)
+    pair of ints."""
     if stab.n > MATRIX_CEILING:
         raise ValueError(f"matrix path limited to n <= {MATRIX_CEILING}; "
                          "use the symbolic operations instead")
-    s = len(stab.generators)
-    scale = GaussianRational(Fraction(1, 2 ** s), 0)
-    out: Sparse = {}
-    for z, c in span_coefficients(stab).items():
-        out = sp_add(out, sp_scale(gamma(stab.n, z), scale * c))
-    return out
+    acc: dict[tuple[int, int], tuple[int, int]] = {}
+    for z, cz in span_coefficients(stab).items():
+        mask, phases = _gamma_monomial(stab.n, z)
+        for c, e in enumerate(phases):
+            ur, ui = GI_UNITS[e]
+            re, im = acc.get((c ^ mask, c), (0, 0))
+            acc[(c ^ mask, c)] = (re + cz * ur, im + cz * ui)
+    return {k: v for k, v in acc.items() if v != (0, 0)}
 
 
 def clifford_hamming(s: int) -> StabilizerCode:
@@ -329,27 +347,33 @@ def _nondegenerate(stab: StabilizerCode, spec: _Gamma, half: int) -> bool:
 def _matrix_check(stab: StabilizerCode, coeffs: dict[int, int], spec: _Gamma,
                   d: int, A: list[Fraction], B: list[Fraction]) -> None:
     """Re-derive detection verdicts from P Gamma_x P against the F_2 rule,
-    and the undetected labels of each block against B_t - A_t / K."""
+    and the undetected labels of each block against B_t - A_t / K.
+
+    On the Gaussian integers Q = 2^s P, P Gamma_x P = eps P reads
+    Q Gamma_x Q = eps 2^s Q, and Q Gamma_x Q is a multiple of Q exactly when
+    it matches Q cross-multiplied at one entry of Q.  Q Gamma_x Q reads
+    Gamma_x only at the columns Q occupies, so only those phases are formed.
+    """
     n = stab.n
-    P = projector(stab)
+    Q = projector(stab)
+    columns = sorted({c for _, c in Q})
+    key = next(iter(Q))
+    scale = 2 ** len(stab.generators)
     gens = stab.generators
     for t in range(1, min(d, len(A) - 1) + 1):
         undetected = 0
         for x in block_labels(spec, t):
-            # P Gamma_x moves column c ^ mask of P to column c, times i^e[c]
-            mask, phases = _gamma_monomial(n, x)
-            pg = {(i, c ^ mask): v * gr_i_power(phases[c ^ mask])
-                  for (i, c), v in P.items()}
-            pgp = sp_mul(pg, P)
+            mask, phases = _gamma_monomial(n, x, columns)
+            gx = {(c ^ mask, c): GI_UNITS[e] for c, e in zip(columns, phases)}
+            qgq = gi_mul(gi_mul(Q, gx), Q)
             if x in coeffs:
-                ok = pgp == sp_scale(P, GaussianRational(Fraction(coeffs[x]), 0))
+                eps = coeffs[x] * scale
+                ok = qgq == {k: (eps * re, eps * im) for k, (re, im) in Q.items()}
             elif any(q_form(x, g) for g in gens):
-                ok = pgp == {}
+                ok = qgq == {}
             else:
                 # undetected means PXP is not a scalar multiple of P
-                key = next(iter(P))
-                ratio = pgp.get(key, GR_ZERO) / P[key]
-                ok = pgp != sp_scale(P, ratio)
+                ok = not _proportional(qgq, Q, key)
                 undetected += 1
             if not ok:
                 raise ArithmeticError(f"matrix cross-check disagrees with the "
@@ -357,6 +381,14 @@ def _matrix_check(stab: StabilizerCode, coeffs: dict[int, int], spec: _Gamma,
         if undetected != B[t] - A[t] / stab.dimension:
             raise ArithmeticError(f"matrix cross-check finds {undetected} undetected "
                                   f"labels in block {t}, against A and B")
+
+
+def _proportional(m: Sparse, q: Sparse, key: tuple[int, int]) -> bool:
+    """Is m = lambda q for a Gaussian integer matrix q with q[key] != 0?
+    lambda can only be m[key] / q[key], so m q[key] = q m[key] decides."""
+    mk, qk = m.get(key, (0, 0)), q[key]
+    return all(gi_times(m.get(k, (0, 0)), qk) == gi_times(q.get(k, (0, 0)), mk)
+               for k in m.keys() | q.keys())
 
 
 def _weight_counts(basis: list[int], length: int) -> list[int]:

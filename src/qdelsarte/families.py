@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import ClassVar
 
@@ -37,11 +38,24 @@ class MetricProfile:
     dim_V: tuple[int, ...]
 
 
+@lru_cache(maxsize=None)
+def _krawtchouk_row(m: int, x: int, a: int) -> tuple[int, ...]:
+    """K_0(x), ..., K_m(x) by the three-term recurrence (MacWilliams and
+    Sloane, ch. 5) (k+1) K_{k+1} = (a(m-k) + k - (a+1)x) K_k - a(m-k+1) K_{k-1},
+    whose division is exact."""
+    row, prev = [1], 0
+    for k in range(m):
+        prev, nxt = row[k], ((a * (m - k) + k - (a + 1) * x) * row[k]
+                             - a * (m - k + 1) * prev) // (k + 1)
+        row.append(nxt)
+    return tuple(row)
+
+
 def _krawtchouk(m: int, k: int, x: int, a: int = 1) -> int:
     """sum_s (-1)^s a^(k-s) C(x, s) C(m-x, k-s): the Krawtchouk polynomial
-    over an alphabet of a + 1 letters (binary for a = 1)."""
-    return sum((-1) ** s * a ** (k - s) * comb(x, s) * comb(m - x, k - s)
-               for s in range(k + 1))
+    over an alphabet of a + 1 letters (binary for a = 1), read off the cached
+    row at x; 0 for k outside 0..m, as the sum is."""
+    return _krawtchouk_row(m, x, a)[k] if 0 <= k <= m else 0
 
 
 def _integer(d: Fraction, t: int, spec: Family) -> int:
@@ -302,7 +316,10 @@ def validate(spec: Family) -> None:
         raise FamilyError(f"{spec.name} needs {spec.requires}, got {got}")
 
 
+@lru_cache(maxsize=None)
 def profile(spec: Family) -> MetricProfile:
+    """The checked profile, cached per spec; an invalid spec raises, and
+    raises again on every call, as a raise is not cached."""
     validate(spec)
     return spec.profile()
 

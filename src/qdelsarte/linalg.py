@@ -3,6 +3,8 @@
 A matrix is a dict mapping (row, col) to a nonzero scalar, together with an
 explicit shape where an operation needs one.  Scalars only need +, *, -,
 conjugate(), and truthiness, so the three exact types are interchangeable.
+Gaussian integers have their own product, `gi_mul`: each entry is an
+(re, im) pair of ints, so no scalar object is made per entry.
 """
 
 from __future__ import annotations
@@ -53,6 +55,29 @@ def sp_mul(a: Sparse, b: Sparse) -> Sparse:
             else:
                 out.pop(key, None)
     return out
+
+
+# i^e as a Gaussian integer (re, im), e = 0..3
+GI_UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def gi_times(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    """Product of two Gaussian integers given as (re, im) pairs of ints."""
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def gi_mul(a: Sparse, b: Sparse) -> Sparse:
+    """a b for sparse matrices of Gaussian integers, entries (re, im) pairs
+    of ints; entries that cancel to (0, 0) are dropped."""
+    by_row: dict[int, list[tuple[int, tuple[int, int]]]] = {}
+    for (i, j), v in b.items():
+        by_row.setdefault(i, []).append((j, v))
+    out: dict[tuple[int, int], tuple[int, int]] = {}
+    for (i, k), (ar, ai) in a.items():
+        for j, (br, bi) in by_row.get(k, ()):
+            re, im = out.get((i, j), (0, 0))
+            out[(i, j)] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
+    return {key: v for key, v in out.items() if v != (0, 0)}
 
 
 def sp_mat_vec(a: Sparse, v: dict[int, Any]) -> dict[int, Any]:

@@ -9,7 +9,10 @@ on an orthogonal basis F_k as the Rayleigh quotient <X, Phi_t(X)> / <X, X>,
 summed as sum_k <X F_k, F_k X> / (<F_k, F_k> <X, X>) without forming
 Phi_t(X); `phi_apply`, which forms it, is the reference.  The qhamming,
 su-sym and su-ext bases are primitive int matrices, so that sum runs on
-ints into one Fraction per W_t(j).  OperatorBasis checks every basis
+ints into one Fraction per W_t(j).  The su(2) blocks hold surds; the
+W_t(j) entry runs the same sum on their conjugates by a diagonal matrix,
+which are int matrices under a diagonal weight, and raises ArithmeticError
+if an entry is not an integer there.  OperatorBasis checks every basis
 orthogonal, on the pairs of elements that share a nonzero position (the
 others are orthogonal anyway), and raises ArithmeticError otherwise.
 Nothing here trusts the closed forms of the family classes; agreement
@@ -24,15 +27,19 @@ blocks are closures of a highest-weight matrix under the simple lowering
 roots, orthogonalised fraction-free.  The Clifford-odd, Clifford-even and
 spinorial blocks are spanned by the monomial Gamma_x of
 `clifford.block_labels`, the blocks `verify` reads codes in, so W_t(j) is
-certified on those too; their channel and their antiunitary check are
-composed on (mask, i-exponent) pairs with integer arithmetic, while the
-Rayleigh quotient and the matrix sandwich stay the generic path and, with
+certified on those too; the semispinorial blocks are the even-weight
+Gamma_x restricted to the columns of the chirality projector P+.  On all
+four Gamma families the channel and the antiunitary check are composed on
+(mask, i-exponent) pairs with integer arithmetic, traces taken over the
+block's columns, while the Rayleigh quotient and the matrix sandwich on
+the GaussianRational and SurdSum bases stay the generic path and, with
 `phi_apply`, the reference.  Instances are capped at sizes where exact
 arithmetic finishes in seconds; larger parameters raise.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -156,6 +163,46 @@ def _basis_qhamming(spec: QHamming, t: int) -> OperatorBasis:
 
 def _basis_su2(spec: Su2, t: int) -> OperatorBasis:
     return OperatorBasis(spec, t, error_block(spec.n, t))
+
+
+# The su(2) blocks on ints: with a_m = (n - m)(m + 1), E has sqrt(a_m) at
+# (m + 1, m), so D = diag(sqrt(prod_{m<i} a_m)) turns E into the integer
+# matrix with a_m there and F into ones above the diagonal.  Conjugating by
+# D is a similarity, and tr(A* B) = <D A D^-1, D B D^-1>_w for the weights
+# w_i = prod_{m>=i} a_m, so the block channel keeps its eigenvalues.
+
+def _su2_steps(n: int) -> list[int]:
+    return [(n - m) * (m + 1) for m in range(n)]
+
+
+def _su2_integer(n: int, b: Sparse) -> Sparse:
+    """D b D^-1: entry (i, j) of b times p = sqrt(prod a_m) over
+    min(i, j) <= m < max(i, j) below the diagonal, divided by p above it;
+    raises ArithmeticError unless each entry is then an int."""
+    a = _su2_steps(n)
+    out: Sparse = {}
+    for (i, j), v in b.items():
+        if i != j:
+            p = prod(a[min(i, j):max(i, j)])
+            v = v * SurdSum.sqrt(p if i > j else Fraction(1, p))
+        x = v.is_rational()
+        if x is None or x.denominator != 1:
+            raise ArithmeticError(f"su2 block entry ({i}, {j}) is not an integer "
+                                  f"after the diagonal similarity: {v}")
+        out[(i, j)] = x.numerator
+    return out
+
+
+@lru_cache(maxsize=None)
+def _su2_integer_block(spec: Su2, t: int) -> OperatorBasis:
+    """`v_basis(spec, t)` conjugated by D, with the weights w."""
+    n, a = spec.n, _su2_steps(spec.n)
+    return OperatorBasis(spec, t, [_su2_integer(n, b) for b in v_basis(spec, t).matrices],
+                         {i: prod(a[i:]) for i in range(n + 1)})
+
+
+def _wtj_su2(spec: Su2, t: int, j: int) -> Fraction:
+    return _rayleigh(_su2_integer_block(spec, t), _su2_integer_block(spec, j).matrices[0])
 
 
 def _closure_basis(spec: Family, t: int, hw: Sparse, lowering: list[Sparse],
@@ -284,73 +331,91 @@ def _basis_suext(spec: SunExt, t: int) -> OperatorBasis:
     return _closure_basis(spec, t, hw, lowering, None)
 
 
-def _basis_gamma(spec: Family, t: int) -> OperatorBasis:
+@lru_cache(maxsize=None)
+def _plus_columns(n: int) -> frozenset[int]:
+    """The columns of P+ = (I + Gamma_omega) / 2: where the diagonal
+    Gamma_omega is +1."""
+    _, e = _gamma_monomial(n, (1 << (2 * n)) - 1)
+    return frozenset(c for c in range(2 ** n) if not e[c])
+
+
+def _gamma_words(spec: Family, t: int) -> tuple[Iterable[int], Collection[int]]:
+    """Block t of a Clifford reading: the Gamma_x of `block_labels` on every
+    column."""
+    return block_labels(spec, t), range(2 ** spec.n)
+
+
+def _semispin_words(spec: Semispinorial, t: int) -> tuple[Iterable[int], Collection[int]]:
+    """Block t of the half-spinor space: P+ Gamma_x P+ over the labels of
+    weight 2t, one of each x, x ^ omega pair at 2t = n.  P+ is the 0/1
+    diagonal on `_plus_columns`, and an even-weight Gamma_x commutes with
+    Gamma_omega, so the product is Gamma_x on those columns."""
     n = spec.n
-    return OperatorBasis(spec, t, [gamma(n, x) for x in block_labels(spec, t)])
+    omega = (1 << (2 * n)) - 1
+    labels = _labels_of_weight(2 * n, 2 * t)
+    if 2 * t == n:
+        labels = (x for x in labels if x < (x ^ omega))
+    return labels, _plus_columns(n)
+
+
+def _basis_gamma(spec: Family, t: int) -> OperatorBasis:
+    """The Gamma_x of block t restricted to the block's columns, as sparse
+    GaussianRational matrices."""
+    labels, columns = ORACLE[type(spec)].words(spec, t)
+    return OperatorBasis(spec, t, [{(r, c): v for (r, c), v in gamma(spec.n, x).items()
+                                    if c in columns} for x in labels])
 
 
 # Gamma_x as the pair (m, e) that `gamma` builds its matrix from: column c
 # goes to row c ^ m with phase i^e[c].  Then Gamma_x* sends c to c ^ m with
 # phase i^-e[c ^ m], products of monomials are monomials, and tr(A* B) is
 # sum_c i^(e_B[c] - e_A[c]) when A and B share their mask, 0 otherwise.
+# A block element is Gamma_x restricted to the columns that the family's
+# `words` give, which the Gamma_x of the block map onto themselves: all 2^n
+# columns for the Clifford-odd, Clifford-even and spinorial blocks, the
+# 2^(n-1) columns of P+ for the semispinorial ones; traces run over those.
 
-def _trace_units(ea: tuple[int, ...], eb: tuple[int, ...]) -> tuple[int, int]:
-    """tr(A* B) = re + i im for monomials A, B with one mask, as (re, im)."""
+def _trace_units(exponents: Iterable[int]) -> tuple[int, int]:
+    """sum_k i^(exponents_k) as (re, im)."""
     count = [0, 0, 0, 0]
-    for a, b in zip(ea, eb):
-        count[(b - a) & 3] += 1
+    for e in exponents:
+        count[e & 3] += 1
     return count[0] - count[2], count[1] - count[3]
 
 
 @lru_cache(maxsize=None)
-def _gamma_block(spec: Family, t: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The monomials of `v_basis(spec, t).matrices`, checked as `v_basis`
-    checks those: there are dim V_t of them and they are pairwise orthogonal."""
+def _gamma_block(spec: Family, t: int
+                 ) -> tuple[tuple[tuple[int, list[int]], ...], Collection[int]]:
+    """The monomials of `v_basis(spec, t).matrices` and their columns,
+    checked as `v_basis` checks those: there are dim V_t of them and they
+    are pairwise orthogonal."""
     _admit(spec, t)
-    block = tuple((m, tuple(e)) for m, e in
-                  (_gamma_monomial(spec.n, x) for x in block_labels(spec, t)))
+    labels, columns = ORACLE[type(spec)].words(spec, t)
+    block = tuple(_gamma_monomial(spec.n, x) for x in labels)
     _check_count(spec, t, len(block))
-    by_mask: dict[int, list[tuple[int, ...]]] = {}
+    by_mask: dict[int, list[list[int]]] = {}
     for m, e in block:
         by_mask.setdefault(m, []).append(e)
-    if any(_trace_units(a, b) != (0, 0)
+    if any(_trace_units(b[c] - a[c] for c in columns) != (0, 0)
            for group in by_mask.values() for a, b in combinations(group, 2)):
         raise ArithmeticError(f"{spec} block {t} basis is not orthogonal")
-    return block
+    return block, columns
 
 
 def _wtj_gamma(spec: Family, t: int, j: int) -> Fraction:
-    """<X, Phi_t(X)> / <X, X> on monomials, X the first Gamma of block j.
+    """<X, Phi_t(X)> / <X, X> on monomials, X the first element of block j.
 
     Gamma_x X Gamma_x* has X's mask and, at column c, the exponent
-    e_x[c ^ m_x ^ m_X] + e_X[c ^ m_x] - e_x[c ^ m_x]; every Gamma has
-    <Gamma, Gamma> = 2^n, X included.
+    e_x[c ^ m_x ^ m_X] + e_X[c ^ m_x] - e_x[c ^ m_x]; every element has
+    <F, F> = the number of columns, X included.
     """
-    size = 2 ** spec.n
-    mx, ex = _gamma_block(spec, j)[0]
-    re = im = 0
-    for m, e in _gamma_block(spec, t):
-        moved = [(e[c ^ m ^ mx] + ex[c ^ m] - e[c ^ m]) & 3 for c in range(size)]
-        dr, di = _trace_units(ex, moved)
-        re, im = re + dr, im + di
+    block_j, columns = _gamma_block(spec, j)
+    mx, ex = block_j[0]
+    re, im = _trace_units(e[c ^ m ^ mx] + ex[c ^ m] - e[c ^ m] - ex[c]
+                          for m, e in _gamma_block(spec, t)[0] for c in columns)
     if im:
         raise ArithmeticError(f"{spec}: <X, Phi_{t}(X)> is not real at j={j}")
-    return Fraction(re, size * size)
-
-
-def _basis_semispin(spec: Semispinorial, t: int) -> OperatorBasis:
-    """P+ Gamma_x P+ over the labels of weight 2t, one of each x, x ^ omega
-    pair at 2t = n.  P+ = (I + Gamma_omega) / 2 is the 0/1 diagonal on the
-    columns where the diagonal Gamma_omega is +1, and an even-weight Gamma_x
-    commutes with Gamma_omega, so the product is Gamma_x on those columns."""
-    n = spec.n
-    omega = (1 << (2 * n)) - 1
-    _, e = _gamma_monomial(n, omega)
-    labels = list(_labels_of_weight(2 * n, 2 * t))
-    if 2 * t == n:
-        labels = [x for x in labels if x < (x ^ omega)]
-    mats = [{(r, c): v for (r, c), v in gamma(n, x).items() if not e[c]} for x in labels]
-    return OperatorBasis(spec, t, mats)
+    return Fraction(re, len(columns) ** 2)
 
 
 # --- antiunitaries: the linear part, up to overall phase ---------------------
@@ -381,16 +446,20 @@ def _lambda_gamma(spec: Family, lam: tuple[int, ...]) -> list[tuple[int, int]]:
     With L = Gamma on the sigma_y letters as (l, f) and X as (m, e), column
     c of L conj(X) L* lands on row c ^ m with exponent
     f[c ^ l ^ m] - e[c ^ l] - f[c ^ l], and column c of lambda_j X* lands
-    there with exponent -e[c ^ m] + (0 if lambda_j is 1 else 2).
+    there with exponent -e[c ^ m] + (0 if lambda_j is 1 else 2).  Both vanish
+    off the block's columns, and the first does at c too when L moves c
+    off them.
     """
     n = spec.n
     l, f = _gamma_monomial(n, _sigma_y_label(n))
     bad = []
     for j, sign in enumerate(lam):
         s = 1 - sign  # i^(1 - sign) = sign for sign = +-1
-        bad += [(j, i) for i, (m, e) in enumerate(_gamma_block(spec, j))
-                if any((f[c ^ l ^ m] - e[c ^ l] - f[c ^ l] + e[c ^ m] - s) & 3
-                       for c in range(2 ** n))]
+        block, columns = _gamma_block(spec, j)
+        bad += [(j, i) for i, (m, e) in enumerate(block)
+                if any(c ^ l not in columns
+                       or (f[c ^ l ^ m] - e[c ^ l] - f[c ^ l] + e[c ^ m] - s) & 3
+                       for c in columns)]
     return bad
 
 
@@ -437,20 +506,24 @@ class _Oracle(NamedTuple):
     # the (block, index) of every basis element X with T(X) != lambda_j X*
     # for the given signs, computed without matrices; None: `_lambda_sandwich`
     lambda_check: Callable[[Family, tuple[int, ...]], list[tuple[int, int]]] | None = None
+    # the labels of block t and the columns their Gamma_x are restricted
+    # to, for the families whose blocks are monomials
+    words: Callable[[Family, int], tuple[Iterable[int], Collection[int]]] | None = None
 
 
 ORACLE: dict[type, _Oracle] = {
     QHamming: _Oracle("q = 2 and n <= 3, or q = 3 and n <= 2",
                       lambda s: (s.q == 2 and s.n <= 3) or (s.q == 3 and s.n <= 2),
                       _basis_qhamming, _antiunitary_qhamming),
-    Su2: _Oracle("n <= 6", lambda s: s.n <= 6, _basis_su2, _antiunitary_su2),
+    Su2: _Oracle("n <= 6", lambda s: s.n <= 6, _basis_su2, _antiunitary_su2, _wtj_su2),
     SuqSym: _Oracle("q <= 3 and dim H <= 12",
                     lambda s: s.q <= 3 and profile(s).dim_H <= 12, _basis_susym,
                     _antiunitary_susym),
     SunExt: _Oracle("n <= 6", lambda s: s.n <= 6, _basis_suext, _antiunitary_suext),
     **{cls: _Oracle("n <= 4", lambda s: s.n <= 4, _basis_gamma, _antiunitary_gamma,
-                    _wtj_gamma, _lambda_gamma) for cls in READINGS.values()},
-    Semispinorial: _Oracle("n <= 5", lambda s: s.n <= 5, _basis_semispin, _antiunitary_gamma),
+                    _wtj_gamma, _lambda_gamma, _gamma_words) for cls in READINGS.values()},
+    Semispinorial: _Oracle("n <= 5", lambda s: s.n <= 5, _basis_gamma, _antiunitary_gamma,
+                           _wtj_gamma, _lambda_gamma, _semispin_words),
 }
 
 
@@ -497,7 +570,8 @@ def _rayleigh(bt: OperatorBasis, X: Sparse) -> Fraction:
     quotient is sum_k <X F_k, F_k X>_w / (n_k <X, X>_w).  Both inner
     products are taken at the scale lcm(w), which cancels, and 1 / n_k is
     c_k / m over the common numerator m of the n_k: the sum runs on the
-    basis scalars, ints for the rational families, into one Fraction.
+    basis scalars, ints for the rational families and the su(2) integer
+    blocks, into one Fraction.
     """
     w, scale = bt.weight, _weight_lcm(bt.weight)
     m = lcm(*(n.numerator for n in bt.norms))

@@ -476,3 +476,17 @@ def test_verify_over_the_enumeration_budget_exits_2(tmp_path, monkeypatch, capsy
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: distribution enumeration exceeds the operation budget\n"
+
+
+def test_verify_of_an_n255_code_builds_few_krawtchouk_rows(tmp_path, capsys):
+    # MacWilliams and W.A over 510 letters read a handful of cached rows; a
+    # sum per coefficient made 1.57 M math.comb calls in the even reading
+    from qdelsarte import cli, families
+    path = tmp_path / "code.json"
+    assert cli.main(["construct", "--code", "clifford-hamming", "--s", "8",
+                     "--out", str(path)]) == 0
+    for reading in ("even", "odd", "spinorial"):
+        families._krawtchouk_row.cache_clear()
+        assert cli.main(["verify", "--code", str(path), "--reading", reading]) == 0
+        assert json.loads(capsys.readouterr().out)["transform_check"] is True
+        assert families._krawtchouk_row.cache_info().misses <= 8, reading

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 import qdelsarte
 from qdelsarte import clifford
 from qdelsarte.families import READINGS, CliffordEven, CliffordOdd, Spinorial, profile
-from qdelsarte.linalg import sp_identity, sp_mul, sp_rank, sp_scale, sp_sub
-from qdelsarte.scalars import GR_ONE, GaussianRational, gr_i_power
+from qdelsarte.linalg import sp_add, sp_identity, sp_mul, sp_rank, sp_scale, sp_sub
+from qdelsarte.scalars import GR_ONE, GR_ZERO, GaussianRational, gr_i_power
 from qdelsarte.clifford import (
     StabilizerCode,
     _gamma_monomial,
@@ -235,13 +236,14 @@ class TestCliffordHamming:
 
     def test_code_parameters_s3(self, monkeypatch):
         # gamma and the matrix cross-check both build Gamma_x from its
-        # (mask, phases) pair, so recording there sees every label checked
+        # (mask, phases) pair, the check at the projector's columns only, so
+        # recording there sees every label checked
         seen = set()
         monomial = clifford._gamma_monomial
 
-        def recording_monomial(n, x):
+        def recording_monomial(n, x, *columns):
             seen.add(x)
-            return monomial(n, x)
+            return monomial(n, x, *columns)
 
         monkeypatch.setattr(clifford, "_gamma_monomial", recording_monomial)
         code = clifford_hamming(3)
@@ -507,8 +509,116 @@ class TestDistanceFromEnumerators:
         assert res.stdout == "raised 1\n"
 
 
+def reference_projector(stab):
+    """P = 2^-s sum_z c_z Gamma_z as a sum of GaussianRational matrices."""
+    scale = GaussianRational(F(1, 2 ** len(stab.generators)), 0)
+    out = {}
+    for z, c in span_coefficients(stab).items():
+        out = sp_add(out, sp_scale(gamma(stab.n, z), scale * c))
+    return out
+
+
+def reference_matrix_check(stab, coeffs, spec, d, A, B):
+    """Reference cross-check on GaussianRational matrices: P Gamma_x P from
+    two sparse products, a multiple of P tested against the ratio at one
+    entry."""
+    n = stab.n
+    P = reference_projector(stab)
+    gens = stab.generators
+    for t in range(1, min(d, len(A) - 1) + 1):
+        undetected = 0
+        for x in block_labels(spec, t):
+            # P Gamma_x moves column c ^ mask of P to column c, times i^e[c]
+            mask, phases = _gamma_monomial(n, x)
+            pg = {(i, c ^ mask): v * gr_i_power(phases[c ^ mask])
+                  for (i, c), v in P.items()}
+            pgp = sp_mul(pg, P)
+            if x in coeffs:
+                ok = pgp == sp_scale(P, GaussianRational(F(coeffs[x]), 0))
+            elif any(q_form(x, g) for g in gens):
+                ok = pgp == {}
+            else:
+                # undetected means PXP is not a scalar multiple of P
+                key = next(iter(P))
+                ratio = pgp.get(key, GR_ZERO) / P[key]
+                ok = pgp != sp_scale(P, ratio)
+                undetected += 1
+            if not ok:
+                raise ArithmeticError(f"matrix cross-check disagrees with the "
+                                      f"F_2 verdict at x={x}, t={t}")
+        if undetected != B[t] - A[t] / stab.dimension:
+            raise ArithmeticError(f"matrix cross-check finds {undetected} undetected "
+                                  f"labels in block {t}, against A and B")
+
+
+def check_outcome(check, *args):
+    """None when the check passes, else the message of its ArithmeticError."""
+    try:
+        check(*args)
+    except ArithmeticError as exc:
+        return str(exc)
+    return None
+
+
+def cross_check_args(code, reading):
+    """The arguments detection_report hands the matrix cross-check."""
+    A, B = distance_distribution(code, reading)
+    K = code.dimension
+    d = next((t for t in range(1, len(A)) if A[t] != K * B[t]), len(A))
+    return code, span_coefficients(code), reading_family(code.n, reading), d, A, B
+
+
 class TestMatrixCrossCheck:
     """A symbolic verdict the matrices contradict raises, also under python -O."""
+
+    @given(isotropic_codes(), st.sampled_from(tuple(READINGS)),
+           st.sampled_from(("none", "sign", "count")))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_gaussian_rational_check(self, code, reading, tamper):
+        stab, coeffs, spec, d, a, b = cross_check_args(code, reading)
+        if tamper == "sign":  # the sign of the largest span label flips
+            z = max(coeffs)
+            coeffs = {**coeffs, z: -coeffs[z]}
+        elif tamper == "count":  # one undetected label too many in block 1
+            b = [b[0], b[1] + 1, *b[2:]]
+            d = 1
+        args = (stab, coeffs, spec, d, a, b)
+        assert check_outcome(clifford._matrix_check, *args) == \
+            check_outcome(reference_matrix_check, *args)
+
+    @pytest.mark.parametrize("reading", tuple(READINGS))
+    def test_hamming_s3_matches_the_gaussian_rational_check(self, reading):
+        args = cross_check_args(clifford_hamming(3), reading)
+        assert check_outcome(clifford._matrix_check, *args) is None
+        assert check_outcome(reference_matrix_check, *args) is None
+
+    def test_projector_is_the_scaled_gaussian_rational_projector(self):
+        for code in (clifford_hamming(3), StabilizerCode(2, (0b1111,), (-1,))):
+            scale = 2 ** len(code.generators)
+            assert {k: GaussianRational(re, im) for k, (re, im) in
+                    clifford.projector(code).items()} == \
+                sp_scale(reference_projector(code), scale)
+
+    def test_makes_no_gaussian_rational_on_hamming_s3(self, monkeypatch):
+        # the GaussianRational check made 123,419 of them in these three runs
+        code = clifford_hamming(3)
+        clifford._generator_monomials(code.n)  # read once per n off weyl_brauer
+        made = Counter()
+        init, make = GaussianRational.__init__, GaussianRational._make
+
+        def counting_init(self, *args):
+            made["init"] += 1
+            init(self, *args)
+
+        def counting_make(*args):
+            made["make"] += 1
+            return make(*args)
+
+        monkeypatch.setattr(GaussianRational, "__init__", counting_init)
+        monkeypatch.setattr(GaussianRational, "_make", staticmethod(counting_make))
+        for reading in READINGS:
+            clifford._matrix_check(*cross_check_args(code, reading))
+        assert not made
 
     def test_wrong_sign_raises(self):
         stab = StabilizerCode(2, (0b1111,), (1,))

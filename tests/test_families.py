@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qdelsarte import families
 from qdelsarte.families import (
     CliffordEven,
     CliffordOdd,
@@ -111,8 +112,27 @@ def test_validate_accepts_all_examples():
         validate(spec)
 
 
-def krawtchouk(m, k, x):
-    return sum((-1) ** s * math.comb(x, s) * math.comb(m - x, k - s) for s in range(k + 1))
+def krawtchouk(m, k, x, a=1):
+    """Reference: the Krawtchouk sum over an alphabet of a + 1 letters."""
+    return sum((-1) ** s * a ** (k - s) * math.comb(x, s) * math.comb(m - x, k - s)
+               for s in range(k + 1))
+
+
+@pytest.mark.parametrize("a,top", [(1, 40), (3, 15), (8, 15)])
+def test_krawtchouk_rows_match_the_sum(a, top):
+    for m in range(top + 1):
+        for x in range(m + 1):
+            assert families._krawtchouk_row(m, x, a) == \
+                tuple(krawtchouk(m, k, x, a) for k in range(m + 1)), (m, x)
+    # beyond the row the sum vanishes
+    assert families._krawtchouk(5, 6, 2, a) == krawtchouk(5, 6, 2, a) == 0
+
+
+def test_profile_is_cached_per_spec_and_an_invalid_spec_raises_every_call():
+    assert profile(SuqSym(3, 5)) is profile(SuqSym(3, 5))
+    for _ in range(3):
+        with pytest.raises(FamilyError, match="su-sym needs q >= 2"):
+            profile(SuqSym(1, 5))
 
 
 # the per-class formulas the three Gamma families had before sharing a base:

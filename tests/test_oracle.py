@@ -1,12 +1,17 @@
 """Brute-force operator-basis oracle for the W coefficients and self-duality."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 
+import qdelsarte
 from qdelsarte.families import (
     FAMILY_NAMES,
     CliffordEven,
@@ -19,7 +24,7 @@ from qdelsarte.families import (
     SuqSym,
     profile,
 )
-from qdelsarte import oracle
+from qdelsarte import clifford, oracle
 from qdelsarte.clifford import gamma
 from qdelsarte.linalg import RowSpace, sp_add, sp_identity, sp_mul, sp_scale, sp_sub
 from qdelsarte.oracle import (
@@ -32,7 +37,7 @@ from qdelsarte.oracle import (
     verify_wtj,
     wtj_bruteforce,
 )
-from qdelsarte.scalars import GR_ONE, GaussianRational
+from qdelsarte.scalars import GR_ONE, GaussianRational, SurdSum
 from qdelsarte.su2 import error_block
 from qdelsarte.wtj import lambda_signature, wtj
 
@@ -197,6 +202,116 @@ def test_gamma_signature_needs_the_sigma_y_word(spec, monkeypatch):
     # the word on the sigma_x letters does not realise lambda_j
     monkeypatch.setattr(oracle, "_sigma_y_label", lambda n: (1 << n) - 1)
     assert not verify_lambda(spec).matches
+
+
+def matrix_rayleigh(spec, t, j):
+    """Reference: the Rayleigh quotient on the v_basis matrices, over their
+    GaussianRational or SurdSum entries."""
+    return oracle._rayleigh(v_basis(spec, t), v_basis(spec, j).matrices[0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_semispinorial_monomial_path_matches_the_matrices(n):
+    spec = Semispinorial(n)
+    entry = ORACLE[Semispinorial]
+    blocks = range(profile(spec).diameter_r + 1)
+    for t in blocks:
+        for j in blocks:
+            assert entry.wtj(spec, t, j) == matrix_rayleigh(spec, t, j), (t, j)
+    # at odd n the sigma_y word leaves P+, and every element fails
+    for lam in [(sign,) * len(blocks) for sign in (1, -1)] + [lambda_signature(spec)]:
+        if lam is not None:
+            assert entry.lambda_check(spec, lam) == oracle._lambda_sandwich(spec, lam), lam
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_su2_integer_channel_matches_the_surd_rayleigh_quotient(n):
+    spec = Su2(n)
+    assert ORACLE[Su2].wtj is not None
+    for t in range(n + 1):
+        assert all(type(v) is int for x in oracle._su2_integer_block(spec, t).matrices
+                   for v in x.values()), t
+        for j in range(n + 1):
+            assert wtj_bruteforce(spec, t, j) == matrix_rayleigh(spec, t, j), (t, j)
+
+
+def tampered_su2_entries():
+    """E on n = 3 with sqrt(3) at (1, 0) times sqrt(2), and the identity with
+    1/2 on the diagonal: neither is an integer after the similarity."""
+    e = dict(error_block(3, 1)[0])
+    e[(1, 0)] = e[(1, 0)] * SurdSum.sqrt(2)
+    one = dict(error_block(3, 0)[0])
+    one[(2, 2)] = SurdSum.rational(Fraction(1, 2))
+    return e, one
+
+
+def test_su2_entry_off_the_integers_is_refused():
+    for b in tampered_su2_entries():
+        with pytest.raises(ArithmeticError, match="not an integer"):
+            oracle._su2_integer(3, b)
+
+
+def test_su2_entry_off_the_integers_is_refused_under_optimize():
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from test_oracle import tampered_su2_entries\n"
+        "from qdelsarte import oracle\n"
+        "for b in tampered_su2_entries():\n"
+        "    try:\n"
+        "        oracle._su2_integer(3, b)\n"
+        "    except ArithmeticError:\n"
+        "        print('raised', sys.flags.optimize)\n"
+    )
+    src = str(Path(qdelsarte.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    res = subprocess.run([sys.executable, "-O", "-c", script, str(Path(__file__).parent)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "raised 1\nraised 1\n"
+
+
+def test_semispinorial_oracle_makes_no_gaussian_rational(monkeypatch):
+    # verify_wtj and verify_lambda on the GaussianRational matrices made
+    # 158,094 of them over these four instances
+    for n in range(2, 6):
+        clifford._generator_monomials(n)  # read once per n off weyl_brauer
+    oracle._gamma_block.cache_clear()
+    oracle._plus_columns.cache_clear()
+    made = Counter()
+    init, make = GaussianRational.__init__, GaussianRational._make
+
+    def counting_init(self, *args):
+        made["init"] += 1
+        init(self, *args)
+
+    def counting_make(*args):
+        made["make"] += 1
+        return make(*args)
+
+    monkeypatch.setattr(GaussianRational, "__init__", counting_init)
+    monkeypatch.setattr(GaussianRational, "_make", staticmethod(counting_make))
+    for n in range(2, 6):
+        spec = Semispinorial(n)
+        assert verify_wtj(spec).matches
+        if lambda_signature(spec) is not None:
+            assert verify_lambda(spec).matches
+    assert not made
+
+
+def test_su2_wtj_makes_one_surd_product_per_block_entry(monkeypatch):
+    # on the SurdSum blocks, verify_wtj(Su2(6)) made 2,796 SurdSum products
+    spec = Su2(6)
+    entries = sum(len(x) for t in range(7) for x in v_basis(spec, t).matrices)
+    oracle._su2_integer_block.cache_clear()
+    count = Counter()
+    for name in ("__mul__", "__rmul__", "__truediv__"):
+        def counting(a, b, _f=getattr(SurdSum, name)):
+            count["products"] += 1
+            return _f(a, b)
+        monkeypatch.setattr(SurdSum, name, counting)
+    assert verify_wtj(spec).matches
+    assert count["products"] <= entries == 216
 
 
 def test_su2_blocks_are_the_code_checkers_blocks():
