@@ -7,10 +7,11 @@ interleaved letter order (1, n+1, 2, n+2, ..., n, 2n, 2n+1); the phase
 involutive, and gives Gamma_{1...1} (all 2n letters) equal to the last
 generator sigma_z^{tensor n}.
 
-Every Gamma_x is a monomial matrix: an XOR-mask permutation (column c goes
-to row c ^ mask) times phases i^e[c].  Each generator's mask and phases are
-read once per n off its sparse Kronecker definition in `weyl_brauer`, and
-Gamma_x is composed from them with integer arithmetic mod 4, in O(wt(x) 2^n).
+Every Gamma_x is a Pauli string up to phase, i^k X^a Z^b, the binary
+symplectic form of Calderbank, Rains, Shor and Sloane (1998): column c goes
+to row c ^ a with phase i^(k + 2|b & c|).  `_pauli` gives (k, a, b) in closed
+form, and products follow from it; `weyl_brauer` keeps the Kronecker
+definition only as the reference the tests compare against.
 
 Labels are stored as Python ints: bit k set means letter k+1 participates.
 Two operators commute iff q(x, y) = wt(x)wt(y) + x.y vanishes mod 2, so a
@@ -37,11 +38,9 @@ and each Gamma_x is composed only at the columns P occupies.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from .families import READINGS, _Gamma, _krawtchouk
@@ -82,63 +81,37 @@ def tau(x: int) -> int:
     return w * (w - 1) // 2
 
 
-def _interleave_key(bit: int, n: int) -> int:
-    # product order of letters: 1, n+1, 2, n+2, ..., n, 2n, 2n+1
-    if bit < n:
-        return 2 * bit
-    if bit < 2 * n:
-        return 2 * (bit - n) + 1
-    return 2 * n
+def _pauli(n: int, x: int) -> tuple[int, int, int]:
+    """Gamma_x = i^k X^a Z^b as (k mod 4, a, b), a and b over the column bits.
 
-
-def _letters(x: int) -> list[int]:
-    return [b for b in range(x.bit_length()) if (x >> b) & 1]
-
-
-@lru_cache(maxsize=None)
-def _generator_monomials(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(xor mask, i-exponent per column) of weyl_brauer(n, k), k = 1..2n+1.
-
-    Every generator sends column c to row c ^ mask with phase i^e[c]; both are
-    read off the sparse definition, so the generators are defined only once.
+    Qubit p carries the sigma_x letter p+1 and the sigma_y letter n+p+1, and
+    is column bit n-1-p.  Letter p+1 is Z on the qubits before p times X_p,
+    letter n+p+1 the same with sigma_y = i X Z in place of X_p, and letter
+    2n+1 is Z on every qubit.  In the interleaved order no X passes a Z on
+    its own qubit, so with u, v, w the sigma_x, sigma_y and last letters,
+    a_p = u_p ^ v_p, b_p = v_p ^ (xor of a_q over q > p) ^ w and
+    k = |v| - tau(x).  a and b are F_2-linear in x.
     """
-    exponent = {gr_i_power(e): e for e in range(4)}
-    out = []
-    for k in range(1, 2 * n + 2):
-        phases = [0] * 2 ** n
-        masks = set()
-        for (row, col), v in weyl_brauer(n, k).items():
-            masks.add(row ^ col)
-            phases[col] = exponent[v]
-        (mask,) = masks
-        out.append((mask, tuple(phases)))
-    return tuple(out)
+    if x >> (2 * n + 1):
+        raise IndexError(f"label {x} has a letter beyond {2 * n + 1}")
+    ones = (1 << n) - 1
+    u, v = (int(f"{h:0{n}b}"[::-1], 2) for h in (x & ones, (x >> n) & ones))
+    a = u ^ v
+    below, shift = a << 1, 1  # bit j: xor of a over the column bits under j
+    while shift < n:
+        below ^= below << shift
+        shift <<= 1
+    b = v ^ (below & ones) ^ (ones if x >> (2 * n) else 0)
+    return (v.bit_count() - tau(x)) & 3, a, b
 
 
 def _gamma_monomial(n: int, x: int, columns: Iterable[int] | None = None
                     ) -> tuple[int, list[int]]:
     """(xor mask, i-exponent per column) of Gamma_x, at every column or, given
-    `columns`, at those in their order.
-
-    With A sending c to c ^ a and B sending c to c ^ b, column c of A B
-    lands on row c ^ a ^ b with phase e_B[c] + e_A[c ^ b]: each column
-    passes the factors of the word right to left.
-    """
-    gens = _generator_monomials(n)
-    word = [gens[b] for b in sorted(_letters(x), key=lambda b: _interleave_key(b, n),
-                                    reverse=True)]
-    mask = 0
-    for g_mask, _ in word:
-        mask ^= g_mask
-    start = -tau(x)
-    phases = []
-    for c in range(2 ** n) if columns is None else columns:
-        e = start
-        for g_mask, g_phases in word:
-            e += g_phases[c]
-            c ^= g_mask
-        phases.append(e & 3)
-    return mask, phases
+    `columns`, at those in their order."""
+    k, a, b = _pauli(n, x)
+    return a, [(k + 2 * (b & c).bit_count()) & 3
+               for c in (range(2 ** n) if columns is None else columns)]
 
 
 def gamma(n: int, x: int) -> Sparse:
@@ -149,14 +122,13 @@ def gamma(n: int, x: int) -> Sparse:
 
 
 def gamma_mul(n: int, x: int, y: int) -> tuple[int, int]:
-    """Gamma_x Gamma_y = i^phase Gamma_{x xor y}; returns (phase mod 4, x xor y)."""
-    z = x ^ y
-    inv = 0
-    ykeys = sorted(_interleave_key(b, n) for b in _letters(y))
-    for a in _letters(x):
-        inv += bisect_left(ykeys, _interleave_key(a, n))
-    phase = (tau(z) - tau(x) - tau(y) + 2 * inv) % 4
-    return phase, z
+    """Gamma_x Gamma_y = i^phase Gamma_{x xor y}; returns (phase mod 4, x xor y).
+
+    Z^b X^a = (-1)^{|a & b|} X^a Z^b, and a, b are linear in the label.
+    """
+    kx, _, bx = _pauli(n, x)
+    ky, ay, _ = _pauli(n, y)
+    return (kx + ky + 2 * (bx & ay).bit_count() - _pauli(n, x ^ y)[0]) & 3, x ^ y
 
 
 def q_form(x: int, y: int) -> int:

@@ -490,3 +490,43 @@ def test_verify_of_an_n255_code_builds_few_krawtchouk_rows(tmp_path, capsys):
         assert cli.main(["verify", "--code", str(path), "--reading", reading]) == 0
         assert json.loads(capsys.readouterr().out)["transform_check"] is True
         assert families._krawtchouk_row.cache_info().misses <= 8, reading
+
+
+def test_verify_and_oracle_leave_the_kronecker_definition_alone(tmp_path, monkeypatch,
+                                                                capsys):
+    # weyl_brauer and its GaussianRational entries are only the tests' reference
+    from collections import Counter
+    from qdelsarte import cli, clifford, families, oracle, wtj
+    from qdelsarte.scalars import GaussianRational
+    path = tmp_path / "code.json"
+    assert cli.main(["construct", "--code", "clifford-hamming", "--s", "3",
+                     "--out", str(path)]) == 0
+    capsys.readouterr()
+    for module in (clifford, families, oracle, wtj):
+        for f in vars(module).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
+    made = Counter()
+    init, make = GaussianRational.__init__, GaussianRational._make
+
+    def counting_init(self, *args):
+        made["init"] += 1
+        init(self, *args)
+
+    def counting_make(*args):
+        made["make"] += 1
+        return make(*args)
+
+    def refuse(*args):
+        raise AssertionError("weyl_brauer called")
+
+    monkeypatch.setattr(clifford, "weyl_brauer", refuse)
+    monkeypatch.setattr(GaussianRational, "__init__", counting_init)
+    monkeypatch.setattr(GaussianRational, "_make", staticmethod(counting_make))
+    for reading in ("even", "odd", "spinorial"):
+        assert cli.main(["verify", "--code", str(path), "--reading", reading]) == 0
+    for family, n in (("clifford-odd", 3), ("clifford-even", 3), ("spinorial", 3),
+                      ("semispinorial", 4)):
+        assert cli.main(["oracle", "--family", family, "--n", str(n)]) == 0, family
+    capsys.readouterr()
+    assert not made

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -68,6 +69,17 @@ def kron_gamma(n, x):
     return sp_scale(out, gr_i_power(-tau(x) % 4))
 
 
+def gamma_mul_reference(n, x, y):
+    """Gamma_x Gamma_y = i^phase Gamma_{x xor y} by counting the inversions
+    between the two words in interleaved letter order."""
+    def key(b):  # 1, n+1, 2, n+2, ..., n, 2n, 2n+1
+        return 2 * b if b < n else 2 * (b - n) + 1 if b < 2 * n else 2 * n
+
+    ys = sorted(key(b) for b in range(y.bit_length()) if (y >> b) & 1)
+    inv = sum(bisect_left(ys, key(b)) for b in range(x.bit_length()) if (x >> b) & 1)
+    return (tau(x ^ y) - tau(x) - tau(y) + 2 * inv) % 4, x ^ y
+
+
 class TestGammaOperators:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_monomial_gamma_matches_kronecker_products_exhaustive(self, n):
@@ -127,6 +139,26 @@ class TestGammaOperators:
         sign = (pxy - pyx) % 4
         assert sign in (0, 2)
         assert (sign // 2) == q_form(x, y)
+
+    @given(st.sampled_from([7, 63, 1023]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_multiplication_rule_matches_the_inversion_count(self, n, data):
+        m = 2 * n + 1
+        x = data.draw(st.integers(0, 2 ** m - 1))
+        y = data.draw(st.integers(0, 2 ** m - 1))
+        assert gamma_mul(n, x, y) == gamma_mul_reference(n, x, y)
+
+    def test_a_letter_beyond_2n_plus_1_raises_index_error(self):
+        for x in (1 << 5, 1 << 7, -1):
+            with pytest.raises(IndexError):
+                gamma(2, x)
+            with pytest.raises(IndexError):
+                _gamma_monomial(2, x, [0])
+            with pytest.raises(IndexError):
+                gamma_mul(2, x, 1)
+            with pytest.raises(IndexError):
+                gamma_mul(2, 1, x)
+        assert gamma_mul(2, (1 << 5) - 1, 1) == gamma_mul_reference(2, (1 << 5) - 1, 1)
 
     def test_q_form_symmetric_bilinear_over_f2(self):
         for x, y in itertools.product(range(16), repeat=2):
@@ -602,7 +634,6 @@ class TestMatrixCrossCheck:
     def test_makes_no_gaussian_rational_on_hamming_s3(self, monkeypatch):
         # the GaussianRational check made 123,419 of them in these three runs
         code = clifford_hamming(3)
-        clifford._generator_monomials(code.n)  # read once per n off weyl_brauer
         made = Counter()
         init, make = GaussianRational.__init__, GaussianRational._make
 

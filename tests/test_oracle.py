@@ -24,7 +24,7 @@ from qdelsarte.families import (
     SuqSym,
     profile,
 )
-from qdelsarte import clifford, oracle
+from qdelsarte import oracle
 from qdelsarte.clifford import gamma
 from qdelsarte.linalg import RowSpace, sp_add, sp_identity, sp_mul, sp_scale, sp_sub
 from qdelsarte.oracle import (
@@ -274,8 +274,6 @@ def test_su2_entry_off_the_integers_is_refused_under_optimize():
 def test_semispinorial_oracle_makes_no_gaussian_rational(monkeypatch):
     # verify_wtj and verify_lambda on the GaussianRational matrices made
     # 158,094 of them over these four instances
-    for n in range(2, 6):
-        clifford._generator_monomials(n)  # read once per n off weyl_brauer
     oracle._gamma_block.cache_clear()
     oracle._plus_columns.cache_clear()
     made = Counter()
