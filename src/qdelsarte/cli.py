@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 from .families import FAMILY_NAMES, READINGS, Family, FamilyError, profile, validate
@@ -52,10 +51,12 @@ def _add_family_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(f"--{f}", type=int)
 
 
-def _decimal(x: Fraction, places: int = 3) -> str:
-    quantum = Decimal(1).scaleb(-places)
-    return str((Decimal(x.numerator) / Decimal(x.denominator))
-               .quantize(quantum, rounding=ROUND_HALF_UP))
+def _decimal(x: Fraction) -> str:
+    """x to three decimals, ties away from zero, in integers: every exact
+    value prints, however large."""
+    units, rest = divmod(abs(x.numerator) * 1000, x.denominator)
+    digits = str(units + (2 * rest >= x.denominator)).rjust(4, "0")
+    return f"{'-' if x < 0 else ''}{digits[:-3]}.{digits[-3:]}"
 
 
 def _emit(args, text: str) -> None:

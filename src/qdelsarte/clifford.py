@@ -405,10 +405,10 @@ def distance_distribution(stab: StabilizerCode, reading: str
         raise ValueError("distribution enumeration exceeds the operation budget")
     in_span = _weight_counts(list(stab.generators), length)
     in_d = _weight_counts(d_basis, length)
+    nonzero = [(i, c) for i, c in enumerate(in_d) if c]
     in_c = []
     for w in range(length + 1):
-        count, rem = divmod(sum(c * _krawtchouk(length, w, i)
-                                for i, c in enumerate(in_d) if c), size_d)
+        count, rem = divmod(sum(c * _krawtchouk(length, w, i) for i, c in nonzero), size_d)
         if rem:
             raise ArithmeticError(f"MacWilliams count of weight {w} is not an integer")
         in_c.append(count)

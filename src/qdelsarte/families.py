@@ -224,8 +224,11 @@ class _Gamma(Family):
 
     def profile(self) -> MetricProfile:
         n, odd, step = self.n, self.odd, self.step
-        r = n if odd else 2 * n
-        return MetricProfile(2 ** n, r, tuple(comb(2 * n + odd, step * t) for t in range(r + 1)))
+        r, m = (n if odd else 2 * n), 2 * n + odd
+        row = [1]  # comb(m, k) for k <= step r, by comb(m, k+1) = comb(m, k) (m-k) / (k+1)
+        for k in range(step * r):
+            row.append(row[k] * (m - k) // (k + 1))
+        return MetricProfile(2 ** n, r, tuple(row[::step]))
 
     def wtj(self, t: int, j: int) -> Fraction:
         a, b = self.step * t, self.step * j

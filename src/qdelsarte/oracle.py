@@ -8,33 +8,34 @@ blocks V_t and reads off the eigenvalues of the block channel
 on an orthogonal basis F_k as the Rayleigh quotient <X, Phi_t(X)> / <X, X>,
 summed as sum_k <X F_k, F_k X> / (<F_k, F_k> <X, X>) without forming
 Phi_t(X); `phi_apply`, which forms it, is the reference.  The qhamming,
-su-sym and su-ext bases are primitive int matrices, so that sum runs on
-ints into one Fraction per W_t(j).  The su(2) blocks hold surds; the
-W_t(j) entry runs the same sum on their conjugates by a diagonal matrix,
-which are int matrices under a diagonal weight, and raises ArithmeticError
-if an entry is not an integer there.  OperatorBasis checks every basis
+su-sym and su-ext bases are primitive int matrices.  The su(2) blocks are
+`su2.error_block`, the surd matrices `su2.min_distance` measures code
+distance with, so W_t(j) is certified on the blocks codes are checked
+against; their basis is their conjugate by one diagonal matrix, an int
+matrix under a diagonal weight, and building it raises ArithmeticError if
+an entry is not an integer there.  OperatorBasis checks every basis
 orthogonal, on the pairs of elements that share a nonzero position (the
 others are orthogonal anyway), and raises ArithmeticError otherwise.
 Nothing here trusts the closed forms of the family classes; agreement
 between the two paths is the correctness argument for the fast formulas.
 
 `ORACLE` holds, per family class, the size ceiling, the block-basis builder,
-the antiunitary builder and, where they exist, a matrix-free W_t(j) and a
-matrix-free antiunitary check.  The su(2) blocks are `su2.error_block`, the
-matrices `su2.min_distance` measures code distance with, so W_t(j) is
-certified on the blocks codes are checked against.  The su-ext and su-sym
-blocks are closures of a highest-weight matrix under the simple lowering
-roots, orthogonalised fraction-free.  The Clifford-odd, Clifford-even and
-spinorial blocks are spanned by the monomial Gamma_x of
+the antiunitary builder and, for the four Gamma families, the words of
+each block; whether a family has words picks one of two channels.  Without
+words, W_t(j) is the Rayleigh quotient above, summed on ints into one
+Fraction per W_t(j), and the signature is checked as
+L conj(X) = lambda_j X^+ L, both on the int bases.  The su-ext and su-sym blocks are closures of
+a highest-weight matrix under the simple lowering roots, orthogonalised
+fraction-free.  With words, the blocks are the monomial Gamma_x: for the
+Clifford-odd, Clifford-even and spinorial families those of
 `clifford.block_labels`, the blocks `verify` reads codes in, so W_t(j) is
-certified on those too; the semispinorial blocks are the even-weight
-Gamma_x restricted to the columns of the chirality projector P+.  On all
-four Gamma families the channel and the antiunitary check are composed on
-(mask, i-exponent) pairs with integer arithmetic, traces taken over the
-block's columns, while the Rayleigh quotient and the matrix sandwich on
-the GaussianRational and SurdSum bases stay the generic path and, with
-`phi_apply`, the reference.  Instances are capped at sizes where exact
-arithmetic finishes in seconds; larger parameters raise.
+certified on those too; for the semispinorial family the even-weight
+Gamma_x restricted to the columns of the chirality projector P+.  There
+the channel and the antiunitary check are composed on (mask, i-exponent)
+pairs with integer arithmetic, traces taken over the block's columns,
+while the Rayleigh quotient and the sandwich on the GaussianRational bases
+stay, with `phi_apply`, the reference.  Instances are capped at sizes where
+exact arithmetic finishes in seconds; larger parameters raise.
 """
 
 from __future__ import annotations
@@ -161,29 +162,26 @@ def _basis_qhamming(spec: QHamming, t: int) -> OperatorBasis:
     return OperatorBasis(spec, t, mats)
 
 
-def _basis_su2(spec: Su2, t: int) -> OperatorBasis:
-    return OperatorBasis(spec, t, error_block(spec.n, t))
-
-
 # The su(2) blocks on ints: with a_m = (n - m)(m + 1), E has sqrt(a_m) at
 # (m + 1, m), so D = diag(sqrt(prod_{m<i} a_m)) turns E into the integer
 # matrix with a_m there and F into ones above the diagonal.  Conjugating by
 # D is a similarity, and tr(A* B) = <D A D^-1, D B D^-1>_w for the weights
 # w_i = prod_{m>=i} a_m, so the block channel keeps its eigenvalues.
 
-def _su2_steps(n: int) -> list[int]:
-    return [(n - m) * (m + 1) for m in range(n)]
+def _su2_weights(n: int) -> dict[int, int]:
+    return {i: prod((n - m) * (m + 1) for m in range(i, n)) for i in range(n + 1)}
 
 
 def _su2_integer(n: int, b: Sparse) -> Sparse:
     """D b D^-1: entry (i, j) of b times p = sqrt(prod a_m) over
-    min(i, j) <= m < max(i, j) below the diagonal, divided by p above it;
-    raises ArithmeticError unless each entry is then an int."""
-    a = _su2_steps(n)
+    min(i, j) <= m < max(i, j), which is w_min(i, j) / w_max(i, j), below
+    the diagonal, divided by p above it; raises ArithmeticError unless each
+    entry is then an int."""
+    w = _su2_weights(n)
     out: Sparse = {}
     for (i, j), v in b.items():
         if i != j:
-            p = prod(a[min(i, j):max(i, j)])
+            p = w[min(i, j)] // w[max(i, j)]
             v = v * SurdSum.sqrt(p if i > j else Fraction(1, p))
         x = v.is_rational()
         if x is None or x.denominator != 1:
@@ -193,16 +191,11 @@ def _su2_integer(n: int, b: Sparse) -> Sparse:
     return out
 
 
-@lru_cache(maxsize=None)
-def _su2_integer_block(spec: Su2, t: int) -> OperatorBasis:
-    """`v_basis(spec, t)` conjugated by D, with the weights w."""
-    n, a = spec.n, _su2_steps(spec.n)
-    return OperatorBasis(spec, t, [_su2_integer(n, b) for b in v_basis(spec, t).matrices],
-                         {i: prod(a[i:]) for i in range(n + 1)})
-
-
-def _wtj_su2(spec: Su2, t: int, j: int) -> Fraction:
-    return _rayleigh(_su2_integer_block(spec, t), _su2_integer_block(spec, j).matrices[0])
+def _basis_su2(spec: Su2, t: int) -> OperatorBasis:
+    """`su2.error_block(n, t)` conjugated by D, with the weights w."""
+    n = spec.n
+    return OperatorBasis(spec, t, [_su2_integer(n, b) for b in error_block(n, t)],
+                         _su2_weights(n))
 
 
 def _closure_basis(spec: Family, t: int, hw: Sparse, lowering: list[Sparse],
@@ -464,12 +457,11 @@ def _lambda_gamma(spec: Family, lam: tuple[int, ...]) -> list[tuple[int, int]]:
 
 
 def _antiunitary_su2(spec: Su2) -> Sparse:
-    n = spec.n
-    out: Sparse = {}
-    for m in range(n + 1):  # |k> -> (-1)^{(n+k)/2} |-k>
-        k = 2 * m - n
-        out[(n - m, m)] = SurdSum.rational((-1) ** ((n + k) // 2))
-    return out
+    # |k> -> (-1)^m |-k>, k = 2m - n, conjugated by D: D and the swap
+    # m -> n - m give w_m / sqrt(w_0) at (n - m, m), as a_m = a_{n-1-m}, and
+    # the constant 1 / sqrt(w_0) cancels in the sandwich
+    w = _su2_weights(spec.n)
+    return {(spec.n - m, m): (-1) ** m * w[m] for m in w}
 
 
 def _antiunitary_susym(spec: SuqSym) -> Sparse:
@@ -501,13 +493,10 @@ class _Oracle(NamedTuple):
     fits: Callable[[Family], bool]
     basis: Callable[[Family, int], OperatorBasis]
     antiunitary: Callable[[Family], Sparse]
-    # W_t(j) computed without matrices; None: `_rayleigh` on the block bases
-    wtj: Callable[[Family, int, int], Fraction] | None = None
-    # the (block, index) of every basis element X with T(X) != lambda_j X*
-    # for the given signs, computed without matrices; None: `_lambda_sandwich`
-    lambda_check: Callable[[Family, tuple[int, ...]], list[tuple[int, int]]] | None = None
     # the labels of block t and the columns their Gamma_x are restricted
-    # to, for the families whose blocks are monomials
+    # to, for the families whose blocks are monomials: W_t(j) and the
+    # signature are then checked on monomials (`_wtj_gamma`, `_lambda_gamma`),
+    # and on the integer bases by `_rayleigh` and `_lambda_sandwich` otherwise
     words: Callable[[Family, int], tuple[Iterable[int], Collection[int]]] | None = None
 
 
@@ -515,15 +504,15 @@ ORACLE: dict[type, _Oracle] = {
     QHamming: _Oracle("q = 2 and n <= 3, or q = 3 and n <= 2",
                       lambda s: (s.q == 2 and s.n <= 3) or (s.q == 3 and s.n <= 2),
                       _basis_qhamming, _antiunitary_qhamming),
-    Su2: _Oracle("n <= 6", lambda s: s.n <= 6, _basis_su2, _antiunitary_su2, _wtj_su2),
+    Su2: _Oracle("n <= 6", lambda s: s.n <= 6, _basis_su2, _antiunitary_su2),
     SuqSym: _Oracle("q <= 3 and dim H <= 12",
                     lambda s: s.q <= 3 and profile(s).dim_H <= 12, _basis_susym,
                     _antiunitary_susym),
     SunExt: _Oracle("n <= 6", lambda s: s.n <= 6, _basis_suext, _antiunitary_suext),
     **{cls: _Oracle("n <= 4", lambda s: s.n <= 4, _basis_gamma, _antiunitary_gamma,
-                    _wtj_gamma, _lambda_gamma, _gamma_words) for cls in READINGS.values()},
+                    _gamma_words) for cls in READINGS.values()},
     Semispinorial: _Oracle("n <= 5", lambda s: s.n <= 5, _basis_gamma, _antiunitary_gamma,
-                           _wtj_gamma, _lambda_gamma, _semispin_words),
+                           _semispin_words),
 }
 
 
@@ -570,8 +559,8 @@ def _rayleigh(bt: OperatorBasis, X: Sparse) -> Fraction:
     quotient is sum_k <X F_k, F_k X>_w / (n_k <X, X>_w).  Both inner
     products are taken at the scale lcm(w), which cancels, and 1 / n_k is
     c_k / m over the common numerator m of the n_k: the sum runs on the
-    basis scalars, ints for the rational families and the su(2) integer
-    blocks, into one Fraction.
+    basis scalars, ints on every basis but the GaussianRational references,
+    into one Fraction.
     """
     w, scale = bt.weight, _weight_lcm(bt.weight)
     m = lcm(*(n.numerator for n in bt.norms))
@@ -583,10 +572,9 @@ def _rayleigh(bt: OperatorBasis, X: Sparse) -> Fraction:
 
 
 def wtj_bruteforce(spec: Family, t: int, j: int) -> Fraction:
-    monomial = ORACLE[type(spec)].wtj
-    if monomial is not None:
-        return monomial(spec, t, j)
-    return _rayleigh(v_basis(spec, t), v_basis(spec, j).matrices[0])
+    if ORACLE[type(spec)].words is None:
+        return _rayleigh(v_basis(spec, t), v_basis(spec, j).matrices[0])
+    return _wtj_gamma(spec, t, j)
 
 
 @dataclass(frozen=True)
@@ -616,14 +604,18 @@ def _conj_matrix(x: Sparse) -> Sparse:
 
 
 def _lambda_sandwich(spec: Family, lam: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The (block, index) of every basis element X with
+    L conj(X) != lambda_j X^+ L, X^+ the weighted adjoint: that is
+    T(X) = lambda_j X* for T = L conj(.) L^-1, so L need only be
+    invertible; the su(2) L is D L0 D^-1, up to a constant, for the unitary
+    L0 of the surd frame."""
     L = ORACLE[type(spec)].antiunitary(spec)
-    Ladj = op_weighted_adjoint(L, None)
     bad = []
     for j, sign in enumerate(lam):
         basis = v_basis(spec, j)
         bad += [(j, i) for i, X in enumerate(basis.matrices)
-                if sp_mul(sp_mul(L, _conj_matrix(X)), Ladj)
-                != sp_scale(op_weighted_adjoint(X, basis.weight), sign)]
+                if sp_mul(L, _conj_matrix(X))
+                != sp_mul(sp_scale(op_weighted_adjoint(X, basis.weight), sign), L)]
     return bad
 
 
@@ -644,5 +636,6 @@ def verify_lambda(spec: Family) -> LambdaReport:
     lam = lambda_signature(spec)
     if lam is None:
         raise ValueError(f"{spec.name} is not self-dual")
-    bad = tuple((ORACLE[type(spec)].lambda_check or _lambda_sandwich)(spec, lam))
+    check = _lambda_sandwich if ORACLE[type(spec)].words is None else _lambda_gamma
+    bad = tuple(check(spec, lam))
     return LambdaReport(spec, not bad, bad)

@@ -40,9 +40,9 @@ from qdelsarte.lp import (
     lp_bound,
     volume_bound,
 )
-from qdelsarte.oracle import op_inner, v_basis, verify_lambda, verify_wtj
+from qdelsarte.oracle import OperatorBasis, op_inner, verify_lambda, verify_wtj
 from qdelsarte.scalars import SurdSum
-from qdelsarte.su2 import code_quarter, code_third, min_distance
+from qdelsarte.su2 import code_quarter, code_third, error_block, min_distance
 from qdelsarte.wtj import lambda_signature, wtj_matrix, wtj_properties
 
 F = Fraction
@@ -271,7 +271,7 @@ def su2_distribution(n, vecs):
                 P[key] = P.get(key, SurdSum()) + a1 * a2
     a = []
     for t in range(n + 1):
-        basis = v_basis(Su2(n), t)
+        basis = OperatorBasis(Su2(n), t, error_block(n, t))
         tot = F(0)
         for idx, e in enumerate(basis.matrices):
             ip = op_inner(e, P, basis.weight)

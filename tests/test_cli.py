@@ -5,9 +5,13 @@ import json
 import os
 import subprocess
 import sys
+from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
+
+from qdelsarte.cli import _decimal
 
 CLI = [sys.executable, "-m", "qdelsarte.cli"]
 
@@ -40,6 +44,30 @@ def test_bound_exact_and_decimal():
     assert out["exact"] is True
     assert out["lower"] == out["upper"] == "2"
     assert out["decimal"] == "2.000"
+
+
+@pytest.mark.parametrize("x, want", [
+    (Fraction(0), "0.000"),
+    (Fraction(1, 2000), "0.001"),  # half-way ties round up
+    (Fraction(3, 2000), "0.002"),
+    (Fraction(-1, 2000), "-0.001"),
+    (Fraction(1, 2001), "0.000"),
+    (Fraction(10 ** 25), "1" + "0" * 25 + ".000"),
+    (Fraction(10 ** 100), "1" + "0" * 100 + ".000"),
+    (Fraction(2 ** 1023 - 1, 3), f"{(2 ** 1023 - 1) // 3}.333"),
+    (2 ** 1023 - Fraction(1, 2000), f"{2 ** 1023}.000"),  # a tie that carries
+], ids=["0", "1/2000", "3/2000", "-1/2000", "1/2001", "10^25", "10^100", "(2^1023-1)/3",
+        "2^1023-1/2000"])
+def test_decimal_column_renders_every_value(x, want):
+    # the 28-digit decimal context raised InvalidOperation from 10^25 on
+    assert _decimal(x) == want
+
+
+@given(st.fractions(max_denominator=10 ** 9).filter(lambda x: abs(x) < 10 ** 20))
+def test_decimal_column_matches_decimal_half_up(x):
+    quantum = Decimal("0.001")
+    want = (Decimal(x.numerator) / Decimal(x.denominator)).quantize(quantum, ROUND_HALF_UP)
+    assert _decimal(x) == str(want)
 
 
 def test_bound_self_dual_flag_changes_value():

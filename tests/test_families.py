@@ -159,6 +159,9 @@ def test_gamma_base_matches_the_per_class_formulas(cls):
         rows = range(p.diameter_r + 1)
         assert wtj_matrix(cls(n)) == tuple(tuple(ref_wtj(n, t, j) for j in rows)
                                            for t in rows), n
+    for n in (63, 255, 1023):  # the binomial row alone, built by ratios
+        p = cls(n).profile()
+        assert (p.dim_H, p.diameter_r, p.dim_V) == ref_profile(n), n
 
 
 def test_su2_is_susym_at_q_2():

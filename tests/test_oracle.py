@@ -6,7 +6,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -106,28 +106,30 @@ def block_channel_quotient(spec, t, j):
                                   for n in range(1, 5)], ids=str)
 def test_monomial_wtj_matches_block_channel(spec):
     # the monomial path against phi_apply on the sparse gamma matrices
-    assert ORACLE[type(spec)].wtj is not None
+    assert ORACLE[type(spec)].words is not None
     r = profile(spec).diameter_r
     for t in range(r + 1):
         for j in range(r + 1):
             assert wtj_bruteforce(spec, t, j) == block_channel_quotient(spec, t, j), (t, j)
 
 
-# the families whose blocks are integer matrices
-RATIONAL_GRID = [spec for spec in ORACLE_GRID if isinstance(spec, (QHamming, SuqSym, SunExt))]
+# the families whose bases are integer matrices: every one without words
+RATIONAL_GRID = [spec for spec in ORACLE_GRID if ORACLE[type(spec)].words is None]
 
 
 @pytest.mark.parametrize("spec", RATIONAL_GRID, ids=str)
 def test_rayleigh_quotient_matches_block_channel(spec):
     # the integer Rayleigh quotient against Phi_t(X) formed as a matrix
-    assert ORACLE[type(spec)].wtj is None
+    assert ORACLE[type(spec)].words is None
     r = profile(spec).diameter_r
     for t in range(r + 1):
         for j in range(r + 1):
             assert wtj_bruteforce(spec, t, j) == block_channel_quotient(spec, t, j), (t, j)
 
 
-@pytest.mark.parametrize("spec", RATIONAL_GRID, ids=str)
+# the su(2) bases are the integer conjugates of `error_block`, not made
+# primitive
+@pytest.mark.parametrize("spec", [s for s in RATIONAL_GRID if not isinstance(s, Su2)], ids=str)
 def test_rational_bases_are_primitive_int_matrices(spec):
     for t in range(profile(spec).diameter_r + 1):
         basis = v_basis(spec, t)
@@ -189,12 +191,11 @@ def lambda_sandwich(spec, j, sign):
 
 @pytest.mark.parametrize("spec", GAMMA_GRID, ids=str)
 def test_monomial_lambda_matches_the_matrix_sandwich(spec):
-    check = ORACLE[type(spec)].lambda_check
-    assert check is not None
+    assert ORACLE[type(spec)].words is not None
     blocks = range(profile(spec).diameter_r + 1)
     for sign in (1, -1):
         want = [(j, i) for j in blocks for i in lambda_sandwich(spec, j, sign)]
-        assert check(spec, (sign,) * len(blocks)) == want, sign
+        assert oracle._lambda_gamma(spec, (sign,) * len(blocks)) == want, sign
 
 
 @pytest.mark.parametrize("spec", GAMMA_GRID, ids=str)
@@ -204,35 +205,56 @@ def test_gamma_signature_needs_the_sigma_y_word(spec, monkeypatch):
     assert not verify_lambda(spec).matches
 
 
-def matrix_rayleigh(spec, t, j):
-    """Reference: the Rayleigh quotient on the v_basis matrices, over their
-    GaussianRational or SurdSum entries."""
-    return oracle._rayleigh(v_basis(spec, t), v_basis(spec, j).matrices[0])
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_semispinorial_monomial_path_matches_the_matrices(n):
+    # the monomials against the Rayleigh quotient and the sandwich on the
+    # GaussianRational v_basis matrices
     spec = Semispinorial(n)
-    entry = ORACLE[Semispinorial]
     blocks = range(profile(spec).diameter_r + 1)
     for t in blocks:
         for j in blocks:
-            assert entry.wtj(spec, t, j) == matrix_rayleigh(spec, t, j), (t, j)
+            assert oracle._wtj_gamma(spec, t, j) == \
+                oracle._rayleigh(v_basis(spec, t), v_basis(spec, j).matrices[0]), (t, j)
     # at odd n the sigma_y word leaves P+, and every element fails
     for lam in [(sign,) * len(blocks) for sign in (1, -1)] + [lambda_signature(spec)]:
         if lam is not None:
-            assert entry.lambda_check(spec, lam) == oracle._lambda_sandwich(spec, lam), lam
+            assert oracle._lambda_gamma(spec, lam) == oracle._lambda_sandwich(spec, lam), lam
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_su2_integer_channel_matches_the_surd_rayleigh_quotient(n):
+    # reference: the Rayleigh quotient on the surd blocks themselves
     spec = Su2(n)
-    assert ORACLE[Su2].wtj is not None
+    assert ORACLE[Su2].words is None
     for t in range(n + 1):
-        assert all(type(v) is int for x in oracle._su2_integer_block(spec, t).matrices
-                   for v in x.values()), t
+        assert all(type(v) is int for x in v_basis(spec, t).matrices for v in x.values()), t
+        surd = OperatorBasis(spec, t, error_block(n, t))
         for j in range(n + 1):
-            assert wtj_bruteforce(spec, t, j) == matrix_rayleigh(spec, t, j), (t, j)
+            assert wtj_bruteforce(spec, t, j) == \
+                oracle._rayleigh(surd, error_block(n, j)[0]), (t, j)
+
+
+def su2_surd_sandwich(n, lam):
+    """Reference: the (block, index) of the surd block elements X with
+    L conj(X) L* != lambda_j X* for the unitary L |k> -> (-1)^((n+k)/2) |-k>,
+    k = 2m - n at index m."""
+    L = {(n - m, m): SurdSum.rational((-1) ** m) for m in range(n + 1)}
+    Ladj = {(c, r): v.conjugate() for (r, c), v in L.items()}
+    return [(j, i) for j, sign in enumerate(lam) for i, X in enumerate(error_block(n, j))
+            if sp_mul(sp_mul(L, {k: v.conjugate() for k, v in X.items()}), Ladj)
+            != sp_scale({(c, r): v.conjugate() for (r, c), v in X.items()}, sign)]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_su2_integer_sandwich_matches_the_surd_sandwich(n):
+    spec = Su2(n)
+    lam = lambda_signature(spec)
+    assert verify_lambda(spec).mismatches == tuple(su2_surd_sandwich(n, lam)) == ()
+    for sign in (1, -1):
+        const = (sign,) * (n + 1)
+        want = su2_surd_sandwich(n, const)
+        assert want  # every other block breaks a constant signature
+        assert oracle._lambda_sandwich(spec, const) == want, sign
 
 
 def tampered_su2_entries():
@@ -297,25 +319,46 @@ def test_semispinorial_oracle_makes_no_gaussian_rational(monkeypatch):
     assert not made
 
 
-def test_su2_wtj_makes_one_surd_product_per_block_entry(monkeypatch):
-    # on the SurdSum blocks, verify_wtj(Su2(6)) made 2,796 SurdSum products
+def test_su2_oracle_makes_surd_products_only_in_the_similarity(monkeypatch):
+    # with the su(2) blocks kept as SurdSum matrices, verify_wtj(Su2(6))
+    # made 2,796 SurdSum products and verify_lambda one sandwich per element
     spec = Su2(6)
-    entries = sum(len(x) for t in range(7) for x in v_basis(spec, t).matrices)
-    oracle._su2_integer_block.cache_clear()
+    blocks = {t: error_block(6, t) for t in range(7)}
+    monkeypatch.setattr(oracle, "error_block", lambda n, t: blocks[t])
     count = Counter()
+    inside = []
+    similarity = oracle._su2_integer
+
+    def marked(*args):
+        inside.append(True)
+        try:
+            return similarity(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(oracle, "_su2_integer", marked)
     for name in ("__mul__", "__rmul__", "__truediv__"):
         def counting(a, b, _f=getattr(SurdSum, name)):
-            count["products"] += 1
+            count["inside" if inside else "outside"] += 1
             return _f(a, b)
         monkeypatch.setattr(SurdSum, name, counting)
-    assert verify_wtj(spec).matches
-    assert count["products"] <= entries == 216
+    v_basis.cache_clear()
+    assert verify_wtj(spec).matches and verify_lambda(spec).matches
+    entries = sum(len(x) for block in blocks.values() for x in block)
+    assert not count["outside"]
+    assert 0 < count["inside"] <= entries == 216
+    count.clear()
+    assert verify_wtj(spec).matches and verify_lambda(spec).matches
+    assert not count
 
 
 def test_su2_blocks_are_the_code_checkers_blocks():
     for n in range(1, 7):
+        a = [(n - m) * (m + 1) for m in range(n)]
         for t in range(n + 1):
-            assert v_basis(Su2(n), t).matrices == error_block(n, t)
+            basis = v_basis(Su2(n), t)
+            assert basis.matrices == [oracle._su2_integer(n, b) for b in error_block(n, t)]
+            assert basis.weight == {i: prod(a[i:]) for i in range(n + 1)}
 
 
 def test_bruteforce_example_value():
