@@ -7,6 +7,10 @@ sum_t dim(V_t) = dim(H)^2), its closed-form spectral table W_t(j) and, for
 self-dual families, the sign signature lambda_j.  Each family class owns all
 three; the module functions here and in `wtj` validate and dispatch.
 
+`table()` builds the whole matrix: su2, su-sym and su-ext (`_Recurrent`)
+by the three-term recurrence from rows 0-2, in integers, checked for the
+dim V symmetry at every entry; the Krawtchouk families entry by entry.
+
 Clifford-odd, Clifford-even and spinorial are one construction, the base
 `_Gamma`: block V_t holds the Clifford words of a fixed length in the
 Weyl-Brauer generators, so the profile, W_t(j) and the label weights of each
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from typing import ClassVar
 
 
@@ -89,6 +93,66 @@ class Family:
         """Block signs of the antiunitary symmetry, or None if there is none."""
         return tuple((-1) ** j for j in range(self.profile().diameter_r + 1))
 
+    def table(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The full W matrix, rows t and columns j, entry by entry."""
+        r = profile(self).diameter_r
+        return tuple(tuple(self.wtj(t, j) for j in range(r + 1)) for t in range(r + 1))
+
+
+def check_symmetry(spec: Family, rows: list[tuple[int, list[int]]]) -> None:
+    """Raise ArithmeticError unless W_t(j) dim V_j = W_j(t) dim V_t for
+    W_t(j) = u_t[j] / d_t, rows[t] = (d_t, u_t): u_t[j] a_j = u_j[t] a_t
+    with a_t = dim V_t d_t."""
+    a = [m * d for m, (d, _) in zip(profile(spec).dim_V, rows)]
+    for t, (_, u) in enumerate(rows):
+        for j in range(t):
+            if u[j] * a[j] != rows[j][1][t] * a[t]:
+                raise ArithmeticError(f"W[{t}][{j}] breaks dim_V symmetry for {spec}")
+
+
+def _det3(a: list[int], b: list[int], c: list[int]) -> int:
+    """The determinant of the 3 x 3 matrix with columns a[:3], b[:3], c[:3]."""
+    return (a[0] * (b[1] * c[2] - b[2] * c[1]) - b[0] * (a[1] * c[2] - a[2] * c[1])
+            + c[0] * (a[1] * b[2] - a[2] * b[1]))
+
+
+def _over_one_denominator(row: list[Fraction]) -> tuple[int, list[int]]:
+    d = lcm(*(v.denominator for v in row))
+    return d, [v.numerator * (d // v.denominator) for v in row]
+
+
+class _Recurrent(Family):
+    """su2, su-sym and su-ext: the table of a P-polynomial scheme,
+    W_1(j) W_t(j) = x_t W_{t-1}(j) + y_t W_t(j) + z_t W_{t+1}(j) at every j.
+    Rows 0-2 come from `wtj`, and the dim V symmetry gives columns 0-2 of
+    row t+1 from them, which fix x_t, y_t and z_t; the recurrence fills the
+    rest, each row as integers over one denominator.  A family that is not
+    P-polynomial, or a wrong entry in rows 0-2, breaks the symmetry, which
+    is checked at every entry."""
+
+    def table(self) -> tuple[tuple[Fraction, ...], ...]:
+        dims = profile(self).dim_V
+        r = len(dims) - 1
+        head = [[self.wtj(t, j) for j in range(r + 1)] for t in range(min(r, 2) + 1)]
+        rows = [_over_one_denominator(row) for row in head]
+        for t in range(2, r):
+            # columns 0-2 of row t+1 are c / e by the symmetry; there the
+            # recurrence reads w1 v = x' u + y' v + z' c on integers, and by
+            # Cramer's rule row t+1 is (det w1 v - dx u - dy v) / (dz e)
+            e, c = _over_one_denominator([head[j][t + 1] * dims[t + 1] / dims[j]
+                                          for j in range(3)])
+            (_, w1), (_, u), (_, v) = rows[1], rows[t - 1], rows[t]
+            b = [w1[j] * v[j] for j in range(3)]
+            det, dx, dy, dz = _det3(u, v, c), _det3(b, v, c), _det3(u, b, c), _det3(u, v, b)
+            if not (det and dz):
+                raise ArithmeticError(f"W has no three-term recurrence at row {t} "
+                                      f"for {self}")
+            num = [det * p * q - dx * s - dy * q for p, q, s in zip(w1, v, u)]
+            g = gcd(dz * e, *num) * (1 if dz * e > 0 else -1)
+            rows.append((dz * e // g, [x // g for x in num]))
+        check_symmetry(self, rows)
+        return tuple(tuple(Fraction(x, d) for x in u) for d, u in rows)
+
 
 @dataclass(frozen=True)
 class QHamming(Family):
@@ -116,7 +180,7 @@ class QHamming(Family):
 
 
 @dataclass(frozen=True)
-class Su2(Family):
+class Su2(_Recurrent):
     """Irreducible su(2) representation of dimension n+1, errors generated by E, F, H."""
     n: int
     name = "su2"
@@ -128,6 +192,8 @@ class Su2(Family):
     def wtj(self, t: int, j: int) -> Fraction:
         n = self.n
         lo, hi = max(t, j), min(t + j, n)
+        # one entry in O(n); su2, su-sym and su-ext tables read rows 0-2 of
+        # it and build the rest by the symmetry-checked recurrence (`_Recurrent`).
         # term s has denominator (s-t)!^2 (s-j)!^2 (t+j-s)!^2 (n-s)!, and
         # lo <= s <= hi makes each factor divide the matching one of Q, so
         # the sum runs in integers over the common denominator Q
@@ -144,7 +210,7 @@ class Su2(Family):
 
 
 @dataclass(frozen=True)
-class SuqSym(Family):
+class SuqSym(_Recurrent):
     """n-th symmetric power of the defining representation of su(q)."""
     q: int
     n: int
@@ -179,7 +245,7 @@ class SuqSym(Family):
 
 
 @dataclass(frozen=True)
-class SunExt(Family):
+class SunExt(_Recurrent):
     """w-th exterior power of the defining representation of su(n)."""
     n: int
     w: int

@@ -41,7 +41,7 @@ exact arithmetic finishes in seconds; larger parameters raise.
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -66,8 +66,9 @@ class OperatorBasis:
     # diagonal weight of the representation's inner product, positive ints;
     # None = identity
     weight: dict[int, int] | None = None
-    # <F_k, F_k>, an int or a Fraction, set once here
-    norms: list[int | Fraction] = field(init=False)
+    # <F_k, F_k>, an int or a Fraction: computed here unless the builder
+    # has them already
+    norms: list[int | Fraction] | None = None
 
     def __post_init__(self) -> None:
         if not all(a and all(a.values()) for a in self.matrices):
@@ -83,7 +84,8 @@ class OperatorBasis:
                 raise ArithmeticError(f"{self.spec} block {self.t} basis is not orthogonal")
             for key in a:
                 at.setdefault(key, []).append(i)
-        self.norms = [_rational(op_inner(a, a, self.weight)) for a in self.matrices]
+        if self.norms is None:
+            self.norms = [_rational(op_inner(a, a, self.weight)) for a in self.matrices]
 
 
 def _rational(x) -> int | Fraction:
@@ -253,7 +255,8 @@ def _closure_basis(spec: Family, t: int, hw: Sparse, lowering: list[Sparse],
             if y and space.add(y):
                 accept(y)
                 queue.append(y)
-    return OperatorBasis(spec, t, basis, weight)
+    return OperatorBasis(spec, t, basis, weight,
+                         [n if scale == 1 else Fraction(n, scale) for n in norms])
 
 
 @lru_cache(maxsize=None)
@@ -599,22 +602,20 @@ def verify_wtj(spec: Family) -> WtjReport:
 
 # --- antiunitary signatures -------------------------------------------------
 
-def _conj_matrix(x: Sparse) -> Sparse:
-    return {k: conj(v) for k, v in x.items()}
-
-
 def _lambda_sandwich(spec: Family, lam: tuple[int, ...]) -> list[tuple[int, int]]:
     """The (block, index) of every basis element X with
     L conj(X) != lambda_j X^+ L, X^+ the weighted adjoint: that is
     T(X) = lambda_j X* for T = L conj(.) L^-1, so L need only be
     invertible; the su(2) L is D L0 D^-1, up to a constant, for the unitary
     L0 of the surd frame."""
-    L = ORACLE[type(spec)].antiunitary(spec)
+    entry = ORACLE[type(spec)]
+    L = entry.antiunitary(spec)
     bad = []
     for j, sign in enumerate(lam):
         basis = v_basis(spec, j)
+        # the bases without words are int matrices, which conj leaves as they are
         bad += [(j, i) for i, X in enumerate(basis.matrices)
-                if sp_mul(L, _conj_matrix(X))
+                if sp_mul(L, X if entry.words is None else {k: conj(v) for k, v in X.items()})
                 != sp_mul(sp_scale(op_weighted_adjoint(X, basis.weight), sign), L)]
     return bad
 

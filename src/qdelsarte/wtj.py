@@ -10,6 +10,12 @@ and returns a Fraction; the full matrix W = (W_t(j)) satisfies
     W_t(0) = dim(V_t) / dim(H)
     W_0(j) = 1 / dim(H)
 
+`wtj_matrix` caches the table each family class builds (`Family.table`):
+su2, su-sym and su-ext by the three-term recurrence from rows 0-2, in
+integers, refused with ArithmeticError unless the dim V symmetry holds at
+every entry; the other families entry by entry.  `wtj_properties` checks
+all four identities on integers, W scaled by the lcm of its denominators.
+
 Self-dual families also carry a sign signature lambda_j in {+1, -1} per
 block, realized by an antiunitary; families without one report None.
 """
@@ -18,8 +24,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
-from .families import Family, profile, validate
+from .families import Family, check_symmetry, profile, validate
 
 
 def wtj(spec: Family, t: int, j: int) -> Fraction:
@@ -32,28 +40,32 @@ def wtj(spec: Family, t: int, j: int) -> Fraction:
 @lru_cache(maxsize=None)
 def wtj_matrix(spec: Family) -> tuple[tuple[Fraction, ...], ...]:
     """Full (r+1) x (r+1) matrix, rows indexed by t and columns by j."""
-    r = profile(spec).diameter_r
-    return tuple(tuple(spec.wtj(t, j) for j in range(r + 1)) for t in range(r + 1))
+    return spec.table()
 
 
 def wtj_properties(spec: Family) -> None:
-    """Check the four structural identities of the W matrix.
+    """Check the four structural identities of the W matrix, on integers.
 
-    Raises ArithmeticError naming the first identity that fails.
+    With L the lcm of the denominators of W and M = L W, they read
+    M_t(j) dim V_j = M_j(t) dim V_t, M M = L^2 I, M_t(0) dim H = L dim V_t
+    and M_0(j) dim H = L.  Raises ArithmeticError naming the first identity
+    that fails, checked in that order.
     """
     prof = profile(spec)
     W = wtj_matrix(spec)
-    r = prof.diameter_r
-    for t in range(r + 1):
-        for j in range(r + 1):
-            acc = sum(W[t][s] * W[s][j] for s in range(r + 1))
-            if acc != (1 if t == j else 0):
-                raise ArithmeticError(f"(W^2)[{t}][{j}] = {acc} for {spec}")
-            if W[t][j] * prof.dim_V[j] != W[j][t] * prof.dim_V[t]:
-                raise ArithmeticError(f"W[{t}][{j}] breaks dim_V symmetry for {spec}")
-        if W[t][0] != Fraction(prof.dim_V[t], prof.dim_H):
+    L = lcm(*(v.denominator for row in W for v in row))
+    M = [[v.numerator * (L // v.denominator) for v in row] for row in W]
+    check_symmetry(spec, [(1, row) for row in M])
+    cols = list(zip(*M))
+    for t, row in enumerate(M):
+        for j, col in enumerate(cols):
+            acc = sum(map(mul, row, col))
+            if acc != (L * L if t == j else 0):
+                raise ArithmeticError(f"(W^2)[{t}][{j}] = {Fraction(acc, L * L)} for {spec}")
+    for t, row in enumerate(M):
+        if row[0] * prof.dim_H != prof.dim_V[t] * L:
             raise ArithmeticError(f"W[{t}][0] = {W[t][0]} for {spec}")
-        if W[0][t] != Fraction(1, prof.dim_H):
+        if M[0][t] * prof.dim_H != L:
             raise ArithmeticError(f"W[0][{t}] = {W[0][t]} for {spec}")
 
 

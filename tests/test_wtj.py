@@ -1,12 +1,18 @@
 """Exact W_t(j) coefficient matrices and the self-dual signature catalog."""
 
+import os
+import subprocess
+import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qdelsarte
 from qdelsarte.families import (
     FAMILY_NAMES,
     CliffordEven,
@@ -20,6 +26,7 @@ from qdelsarte.families import (
     SuqSym,
     profile,
 )
+from qdelsarte.lp import lp_bound
 from qdelsarte.wtj import lambda_signature, wtj, wtj_matrix, wtj_properties
 
 # the grid over which the coefficient identities are certified exactly
@@ -32,6 +39,14 @@ PROPERTY_GRID = (
     + [CliffordEven(n) for n in range(1, 13)]
     + [Spinorial(n) for n in range(1, 13)]
     + [Semispinorial(n) for n in range(2, 13)]
+    + [Su2(60), Su2(100), SuqSym(3, 20), SunExt(30, 15)]
+)
+
+# the families whose table is built by the three-term recurrence
+RECURRENT_GRID = (
+    [Su2(n) for n in range(1, 41)] + [Su2(60)]
+    + [SuqSym(q, n) for q in (2, 3, 4) for n in range(1, 11)]
+    + [SunExt(n, w) for n in range(2, 17) for w in range(1, n)]
 )
 
 
@@ -135,6 +150,95 @@ def test_su2_integer_sum_matches_the_per_term_fraction_sum():
         spec = Su2(n)
         assert [[spec.wtj(t, j) for j in range(n + 1)] for t in range(n + 1)] == \
             [[su2_wtj_reference(n, t, j) for j in range(n + 1)] for t in range(n + 1)]
+
+
+def closed_form_table(spec):
+    r = profile(spec).diameter_r
+    return tuple(tuple(spec.wtj(t, j) for j in range(r + 1)) for t in range(r + 1))
+
+
+@pytest.mark.parametrize("spec", RECURRENT_GRID, ids=str)
+def test_recurrence_table_is_the_closed_form(spec):
+    assert wtj_matrix(spec) == closed_form_table(spec)
+
+
+@pytest.mark.parametrize("spec", [Su2(12), Su2(25), SuqSym(3, 9), SuqSym(4, 6),
+                                  SunExt(12, 5), SunExt(16, 8)], ids=str)
+def test_recurrence_reads_rows_zero_to_two_only(spec, monkeypatch):
+    # rows 0-2 alone: reading every entry would make (r + 1)^2 calls
+    want = closed_form_table(spec)
+    closed, calls = type(spec).wtj, []
+
+    def counted(self, t, j):
+        calls.append(t)
+        return closed(self, t, j)
+
+    monkeypatch.setattr(type(spec), "wtj", counted)
+    r = profile(spec).diameter_r
+    assert wtj_matrix.__wrapped__(spec) == want
+    assert len(calls) <= 3 * (r + 1) < (r + 1) ** 2
+    assert set(calls) == {0, 1, 2}
+
+
+@pytest.mark.parametrize("j", [0, 2, 17, 40])
+def test_a_wrong_row_one_entry_is_refused(j, monkeypatch):
+    closed = Su2.wtj
+    monkeypatch.setattr(Su2, "wtj", lambda self, t, k: closed(self, t, k)
+                        + (Fraction(1, 7) if (t, k) == (1, j) else 0))
+    wtj_matrix.cache_clear()
+    with pytest.raises(ArithmeticError, match="breaks dim_V symmetry"):
+        wtj_matrix(Su2(40))
+    with pytest.raises(ArithmeticError, match="breaks dim_V symmetry"):
+        lp_bound(Su2(40), 3)
+
+
+def test_a_wrong_row_one_entry_is_refused_under_optimize():
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from qdelsarte.families import Su2\n"
+        "from qdelsarte.wtj import wtj_matrix\n"
+        "closed = Su2.wtj\n"
+        "Su2.wtj = lambda self, t, j: closed(self, t, j) + (Fraction(1, 7) if (t, j) == (1, 17) else 0)\n"
+        "try:\n"
+        "    wtj_matrix(Su2(40))\n"
+        "except ArithmeticError as exc:\n"
+        "    print('breaks dim_V symmetry' in str(exc), sys.flags.optimize)\n"
+    )
+    src = str(Path(qdelsarte.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    res = subprocess.run([sys.executable, "-O", "-c", script],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "True 1\n"
+
+
+@dataclass(frozen=True)
+class SwappedSu2(Su2):
+    """Su2 with blocks 3 and 5 swapped: W is still an involution with the
+    dim V symmetry, but W_3 is no polynomial of degree 3 in W_1."""
+    name = "swapped-su2"
+
+    def profile(self):
+        p = super().profile()
+        return type(p)(p.dim_H, p.diameter_r, tuple(p.dim_V[self.swap(t)]
+                                                    for t in range(p.diameter_r + 1)))
+
+    def wtj(self, t, j):
+        return super().wtj(self.swap(t), self.swap(j))
+
+    @staticmethod
+    def swap(t):
+        return {3: 5, 5: 3}.get(t, t)
+
+
+def test_a_family_without_the_recurrence_is_refused():
+    spec = SwappedSu2(8)
+    W, dims = Family.table(spec), profile(spec).dim_V
+    # read entry by entry, the table keeps the dim V symmetry
+    assert all(W[t][j] * dims[j] == W[j][t] * dims[t] for t in range(9) for j in range(9))
+    with pytest.raises(ArithmeticError, match="breaks dim_V symmetry"):
+        wtj_matrix(spec)
 
 
 class TestLambdaSignature:
