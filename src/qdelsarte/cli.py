@@ -10,10 +10,12 @@ oracle), 2 usage error, also for a file that cannot be read or written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 from .families import FAMILY_NAMES, READINGS, Family, FamilyError, profile, validate
 from .lp import DEFAULT_TOL, LPOptions, check_options, feasible as lp_feasible, lp_bound
@@ -150,6 +152,69 @@ def _table_cell(job):
         else _decimal(res.lower)
 
 
+def _forked_cells(jobs: list, workers: int) -> dict[int, str]:
+    """The cells of jobs that `workers` processes computed, by job index:
+    this one and workers - 1 forked children.
+
+    Share k is jobs k, k + workers, ...; this process takes share 0, child k
+    share k, which it writes to a pipe as `index<TAB>cell` lines.  A share
+    that raised, or whose child died, is cut short there, and the caller
+    computes the rest.  With fewer than two workers, or no fork, this
+    process computes nothing and forks nothing.
+    """
+    cells: dict[int, str] = {}
+    if workers < 2 or not hasattr(os, "fork"):
+        return cells
+    children: dict[int, int] = {}  # pid -> read end of its pipe
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes: the caller computes the rest
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                _table_child(jobs, range(k, len(jobs), workers), w,
+                             (r, *children.values()))
+            os.close(w)
+            children[pid] = r
+        try:
+            for i in range(0, len(jobs), workers):
+                cells[i] = _table_cell(jobs[i])
+        except Exception:  # raised again by the caller, in job order
+            pass
+        for r in children.values():
+            with open(r, "rb", closefd=False) as pipe:
+                lines = pipe.read().split(b"\n")[:-1]  # the last is cut short or empty
+            for line in lines:
+                i, cell = line.decode().split("\t", 1)
+                cells[int(i)] = cell
+    finally:
+        for pid, r in children.items():
+            os.close(r)  # a child still writing ends on the broken pipe
+            os.waitpid(pid, 0)
+    return cells
+
+
+def _table_child(jobs: list, share: range, fd: int, read_ends: tuple) -> NoReturn:
+    """Compute the cells of share into fd, then end this forked process.  It
+    never returns into the caller, so no caller code runs and no stdio buffer
+    it inherited is flushed twice."""
+    status = 1
+    try:
+        for r in read_ends:  # the parent's, inherited by the fork
+            os.close(r)
+        for i in share:
+            line = f"{i}\t{_table_cell(jobs[i])}\n".encode()
+            while line:
+                line = line[os.write(fd, line):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def cmd_table(args) -> int:
     for x in ("n", "d"):
         lo, hi = getattr(args, f"{x}_from"), getattr(args, f"{x}_to")
@@ -166,14 +231,13 @@ def cmd_table(args) -> int:
     # the CPUs this process may run on, where the platform tells
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
-    threads = int(os.environ.get("QLP_THREADS", cpus))
-    if threads > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # ~20 ms, pooled runs only
-        # under fork every worker starts at the first submit: one per cell at most
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            cells = list(pool.map(_table_cell, jobs))
-    else:
-        cells = [_table_cell(j) for j in jobs]
+    # QLP_THREADS may lower the count, never raise it past the CPUs or the cells
+    workers = min(int(os.environ.get("QLP_THREADS", cpus)), cpus, len(jobs))
+    done = _forked_cells(jobs, workers)
+    # computed here, in job order, is every cell no worker delivered: all of
+    # them in a serial run, and the rest of a share that raised or whose child
+    # died, so an error surfaces just as in a serial run
+    cells = [done[i] if i in done else _table_cell(job) for i, job in enumerate(jobs)]
     grid = {}
     for (spec, d, *_), cell in zip(jobs, cells):
         grid[(spec.n, d)] = cell
@@ -323,7 +387,9 @@ def cmd_oracle(args) -> int:
     return 0 if ok else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built at the first `main` call of a process."""
     parser = argparse.ArgumentParser(
         prog="qdelsarte",
         description="Exact linear programming bounds and explicit codes for "
@@ -391,8 +457,11 @@ def main(argv: list[str] | None = None) -> int:
     _add_family_args(p)
     common(p, formats=("json",))
     p.set_defaults(func=cmd_oracle)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (FamilyError, ValueError, OSError) as exc:

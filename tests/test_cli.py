@@ -456,41 +456,172 @@ def test_verify_refuses_a_weight_listed_twice():
 
 
 def test_table_pool_has_one_worker_per_usable_cpu(monkeypatch, capsys):
-    import concurrent.futures
     import os as os_module
     from qdelsarte import cli
     sizes = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, f, jobs):
-            return map(f, jobs)
+    def serial(jobs, workers):  # records the count, forks nothing
+        sizes.append(workers)
+        return {}
 
     monkeypatch.delenv("QLP_THREADS", raising=False)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli, "_forked_cells", serial)
     argv = ["table", "--family", "su2", "--n-from", "3", "--n-to", "4",
             "--d-from", "2", "--d-to", "3"]
-    # one usable CPU: no pool, whatever os.cpu_count() says
+    # one usable CPU: one worker, so nothing is forked, whatever os.cpu_count() says
     monkeypatch.setattr(os_module, "cpu_count", lambda: 8)
     monkeypatch.setattr(os_module, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert cli.main(argv) == 0
-    assert sizes == []
+    assert sizes == [1]
     monkeypatch.setattr(os_module, "sched_getaffinity", lambda pid: {0, 3, 5})
     assert cli.main(argv) == 0
-    assert sizes == [3]
-    # never more workers than cells: under fork each one starts at the first submit
+    assert sizes == [1, 3]
+    # never more workers than cells
     monkeypatch.setenv("QLP_THREADS", "64")
     assert cli.main(argv[:-1] + ["2"]) == 0
-    assert sizes == [3, 2]
+    assert sizes == [1, 3, 2]
+    # nor than CPUs: an oversized request forks one child per CPU, not per cell
+    monkeypatch.setenv("QLP_THREADS", "100000")
+    assert cli.main(argv) == 0
+    assert sizes == [1, 3, 2, 3]
     capsys.readouterr()
+
+
+SWEEP_TABLES = [  # the four tables of the table-sweep benchmark
+    ["--family", "clifford-odd", "--n-from", "3", "--n-to", "8"],
+    ["--family", "qhamming", "--q", "2", "--n-from", "2", "--n-to", "7"],
+    ["--family", "su-sym", "--q", "3", "--n-from", "2", "--n-to", "6"],
+    ["--family", "su2", "--self-dual", "--n-from", "4", "--n-to", "8"],
+]
+
+
+def _table(argv, threads, capsys, monkeypatch):
+    """(exit code, stdout, stderr) of an in-process `table` on two usable CPUs;
+    afterwards no child of this process is left, running or unreaped."""
+    from qdelsarte import cli
+    monkeypatch.setenv("QLP_THREADS", str(threads))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    rc = cli.main(["table", *argv, "--d-from", "2", "--d-to", "4", "--tol", "1/2000"])
+    out, err = capsys.readouterr()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return rc, out, err
+
+
+@pytest.mark.parametrize("argv", SWEEP_TABLES, ids=lambda a: a[1])
+def test_forked_table_prints_what_the_serial_one_does(argv, capsys, monkeypatch):
+    serial = _table(argv, 1, capsys, monkeypatch)
+    assert serial[0] == 0 and serial[2] == ""
+    assert _table(argv, 2, capsys, monkeypatch) == serial
+
+
+def _hook_lp_bound(monkeypatch, hook):
+    """Run hook(spec, d) before each lp_bound of cli."""
+    from qdelsarte import cli
+    real = cli.lp_bound
+
+    def lp_bound(spec, d, *args, **kwargs):
+        hook(spec, d)
+        return real(spec, d, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "lp_bound", lp_bound)
+
+
+# jobs run largest n first, d = 2, 3, 4 for each n; of two workers, this
+# process takes the even jobs, the child the odd ones
+@pytest.mark.parametrize("bad", [{(8, 2)}, {(7, 2)}, {(7, 3)}, {(7, 3), (7, 2)}, {(3, 4)}],
+                         ids=["first-job", "child", "parent", "both", "last-job"])
+def test_a_cell_that_raises_fails_as_in_a_serial_run(bad, capsys, monkeypatch):
+    def hook(spec, d):
+        if (spec.n, d) in bad:
+            raise ValueError(f"no bound at n={spec.n}, d={d}")
+
+    _hook_lp_bound(monkeypatch, hook)
+    serial = _table(SWEEP_TABLES[0], 1, capsys, monkeypatch)
+    n, d = max(bad, key=lambda nd: (nd[0], -nd[1]))  # the first in job order
+    assert serial == (2, "", f"error: no bound at n={n}, d={d}\n")
+    assert _table(SWEEP_TABLES[0], 2, capsys, monkeypatch) == serial
+
+
+def test_a_child_that_dies_leaves_its_cells_to_the_parent(capsys, monkeypatch):
+    import signal
+    parent, in_parent = os.getpid(), set()
+
+    def hook(spec, d):  # the child dies at its first cell of n = 6
+        if os.getpid() != parent and spec.n == 6:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if os.getpid() == parent:
+            in_parent.add((spec.n, d))
+
+    want = _table(SWEEP_TABLES[1], 1, capsys, monkeypatch)
+    _hook_lp_bound(monkeypatch, hook)
+    assert _table(SWEEP_TABLES[1], 2, capsys, monkeypatch) == want
+    # the child delivered (7, 3) before it died at (6, 2)
+    assert (6, 2) in in_parent and (7, 3) not in in_parent
+
+
+def test_a_child_that_exits_runs_none_of_the_callers_code():
+    # stdout is a pipe, so "before" sits in the caller's buffer while it forks;
+    # a child that flushed it, or returned into the caller, would print twice
+    probe = ("import os, sys\n"
+             "from qdelsarte import cli\n"
+             "parent, real = os.getpid(), cli.lp_bound\n"
+             "def lp_bound(spec, *args, **kwargs):\n"
+             "    if os.getpid() != parent:\n"
+             "        raise SystemExit(7)\n"
+             "    return real(spec, *args, **kwargs)\n"
+             "cli.lp_bound = lp_bound\n"
+             "os.sched_getaffinity = lambda pid: {0, 1}\n"
+             "sys.stdout.write('before ')\n"
+             "try:\n"
+             "    rc = cli.main(['table', '--family', 'su2', '--n-from', '3', '--n-to', '5',\n"
+             "                   '--d-from', '2', '--d-to', '3', '--format', 'csv'])\n"
+             "except SystemExit as exc:\n"
+             "    rc = f'caught {exc.code}'\n"
+             "print('rc', rc)\n")
+    runs = [subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                           env={**os.environ, "QLP_THREADS": threads}, timeout=60)
+            for threads in ("1", "2")]
+    serial, forked = [(r.returncode, r.stdout, r.stderr) for r in runs]
+    assert serial[1].startswith("before n,d=2,d=3\n") and serial[1].endswith("\nrc 0\n")
+    assert forked == serial
+
+
+def test_a_forked_table_imports_no_process_pool():
+    probe = ("import os, sys, contextlib, io\n"
+             "from qdelsarte import cli\n"
+             "os.sched_getaffinity = lambda pid: {0, 1}\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    rc = cli.main(['table', '--family', 'su2', '--n-from', '3', '--n-to', '4',\n"
+             "                   '--d-from', '2', '--d-to', '3'])\n"
+             "print(rc, sorted(m for m in ('concurrent.futures.process', 'multiprocessing')\n"
+             "                 if m in sys.modules))\n")
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "QLP_THREADS": "2"}, timeout=60)
+    assert res.stdout == "0 []\n", res.stderr
+
+
+def test_main_calls_share_no_parsed_state(capsys):
+    # the parser is built once per process; each call still parses afresh
+    from qdelsarte import cli
+    bound = ["bound", "--family", "su2", "--n", "8", "--d", "3", "--tol", "1/1000"]
+    assert cli.main(bound + ["--self-dual", "--integer"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert cli.main(["feasible", "--family", "su2", "--n", "8", "--d", "3", "--k", "2"]) == 0
+    capsys.readouterr()
+    assert cli.main(bound) == 0
+    plain = json.loads(capsys.readouterr().out)
+    assert (first["self_dual"], first["integer"]) == (True, True)
+    assert (plain["self_dual"], plain["integer"]) == (False, False)
+    assert plain == json.loads(run(*bound).stdout)
+    assert cli._parser() is cli._parser()
+    usage = ["table", "--family", "su2", "--n-from", "3"]
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(usage)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", run(*usage).stderr)
 
 
 def test_verify_over_the_enumeration_budget_exits_2(tmp_path, monkeypatch, capsys):
