@@ -10,8 +10,8 @@ generator sigma_z^{tensor n}.
 Every Gamma_x is a Pauli string up to phase, i^k X^a Z^b, the binary
 symplectic form of Calderbank, Rains, Shor and Sloane (1998): column c goes
 to row c ^ a with phase i^(k + 2|b & c|).  `_pauli` gives (k, a, b) in closed
-form, and products follow from it; `weyl_brauer` keeps the Kronecker
-definition only as the reference the tests compare against.
+form, and products follow from it.  The Kronecker-product definition of
+the generators is kept only as the reference the tests compare against.
 
 Labels are stored as Python ints: bit k set means letter k+1 participates.
 Two operators commute iff q(x, y) = wt(x)wt(y) + x.y vanishes mod 2, so a
@@ -44,32 +44,11 @@ from fractions import Fraction
 from itertools import combinations
 
 from .families import READINGS, _Gamma, _krawtchouk
-from .linalg import GI_UNITS, Sparse, gi_mul, gi_times, sp_kron
-from .scalars import GR_ONE, GaussianRational, gr_i_power
+from .linalg import GI_UNITS, Sparse, gi_mul, gi_times
+from .scalars import gr_i_power
 
 MATRIX_CEILING = 7  # qubit count above which only the symbolic path runs
 ENUMERATION_BUDGET = 5_000_000  # labels distance_distribution may enumerate
-
-_SIGMA_X: Sparse = {(0, 1): GR_ONE, (1, 0): GR_ONE}
-_SIGMA_Y: Sparse = {(0, 1): GaussianRational(0, -1), (1, 0): GaussianRational(0, 1)}
-_SIGMA_Z: Sparse = {(0, 0): GR_ONE, (1, 1): -GR_ONE}
-_ID2: Sparse = {(0, 0): GR_ONE, (1, 1): GR_ONE}
-
-
-def weyl_brauer(n: int, k: int) -> Sparse:
-    """k-th anticommuting generator on n qubits, 1 <= k <= 2n+1."""
-    if not 1 <= k <= 2 * n + 1:
-        raise IndexError(f"k={k} outside 1..{2 * n + 1}")
-    if k == 2 * n + 1:
-        factors = [_SIGMA_Z] * n
-    else:
-        pos = (k - 1) % n
-        mid = _SIGMA_X if k <= n else _SIGMA_Y
-        factors = [_SIGMA_Z] * pos + [mid] + [_ID2] * (n - pos - 1)
-    out = factors[0]
-    for f in factors[1:]:
-        out = sp_kron(out, f, 2, 2)
-    return out
 
 
 def wt(x: int) -> int:

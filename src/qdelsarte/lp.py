@@ -22,17 +22,18 @@ row does not depend on K).  `lp_bound` passes one
 `WarmStart` to all of its probes, so a probe first re-solves the final
 basis of the last feasible probe (accepted when the vertex passes integer
 substitution) and of the last infeasible probe (accepted when its phase-1
-dual passes as a Farkas vector), then the basis a floating-point phase 1
-picks (accepted on the same two checks), and runs a cold exact simplex only
-when none of them passes.  The front-door `feasible` (no `WarmStart`) takes
-the same path through `simplex.check_feasible` with a fresh `WarmStart`:
-the float basis first, the cold simplex only when it is rejected.  No float
-value reaches a verdict.
+dual passes as a Farkas vector), the one matching the last verdict first,
+then the basis a floating-point phase 1 picks (accepted on the same two
+checks), and runs a cold exact simplex only when none of them passes.  The
+front-door `feasible` (no `WarmStart`) takes the same path through
+`simplex.check_feasible` with a fresh `WarmStart`: the float basis first,
+the cold simplex only when it is rejected.  No float value reaches a
+verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -122,19 +123,18 @@ class IntegerSystem:
     scales: tuple[int, ...]  # c_i
     senses: tuple[str, ...]
     nvars: int
+    varies: tuple[bool, ...] = field(init=False, repr=False, compare=False)  # A_i != 0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "varies", tuple(map(any, self.A)))
 
     def at(self, K: Fraction) -> tuple[list[list[int]], list[int]]:
         """Integer rows at K and their positive scales (row / scale is the
         build_system row)."""
         p, q = K.numerator, K.denominator
-        rows, scales = [], []
-        for a, b, c in zip(self.A, self.B, self.scales):
-            if any(a):
-                rows.append([p * x + q * y for x, y in zip(a, b)])
-                scales.append(q * c)
-            else:
-                rows.append(list(b))
-                scales.append(c)
+        rows = [[p * x + q * y for x, y in zip(a, b)] if v else list(b)
+                for a, b, v in zip(self.A, self.B, self.varies)]
+        scales = [q * c if v else c for c, v in zip(self.scales, self.varies)]
         return rows, scales
 
 
@@ -187,7 +187,7 @@ def feasible(spec: Family, d: int, K: Fraction,
         return FeasibleReport(res.feasible, res.witness, res.farkas)
     system = integer_system(spec, d, opts)
     rows, scales = system.at(K)
-    res = warm.solve(rows, list(system.senses), scales, system.nvars)
+    res = warm.solve(rows, system.senses, scales, system.nvars)
     if res.feasible:
         return FeasibleReport(True, res.witness)
     return FeasibleReport(False, None, row_multipliers(res.farkas, scales))

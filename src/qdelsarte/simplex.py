@@ -3,14 +3,18 @@
 Decides feasibility of {A x (=|>=) b, x >= 0} by minimizing the sum of
 artificial variables.  Every verdict takes one path, `WarmStart.solve`: it
 tries the last feasible and the last infeasible basis of a sequence of
-nearby systems, then the basis that `float_basis` (the phase 1 in floating
-point) ends on, and runs the cold exact kernel `solve` only when none of
-them passes.  Floats only choose a basis (Applegate, Cook, Dash and
-Espinoza, "Exact solutions to linear programming problems", 2007): the
-certificate is always solved from it in integers, and one that fails
-substitution is never returned.  `check_feasible` is the `Fraction` front
-door: it scales each row by the lcm of its denominators and solves with a
-fresh `WarmStart`, so it tries the float basis before the kernel.
+nearby systems, the one whose verdict matches the last solve first, then
+the basis that `float_basis` (the phase 1 in floating point) ends on, its
+Farkas vector first when an artificial is basic in it, and runs the cold
+exact kernel `solve` only when none of them passes.  A feasible system has
+no Farkas vector and an infeasible one no witness, so at most one re-solve
+of a basis passes and the order only skips the one that cannot.  Floats
+only choose a basis (Applegate, Cook, Dash and Espinoza, "Exact solutions
+to linear programming problems", 2007): the certificate is always solved
+from it in integers, and one that fails substitution is never returned.
+`check_feasible` is the `Fraction` front door: it scales each row by the
+lcm of its denominators and solves with a fresh `WarmStart`, so it tries
+the float basis before the kernel.
 
 Both phase 1s start from the slack basis (Bixby, "Implementing the simplex
 method: the initial basis", 1992), built by `_slack_start`: a >= row with
@@ -42,6 +46,7 @@ the vertex the kernel reaches; the verdict is the same.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -51,6 +56,8 @@ GE = "ge"
 BLAND_AFTER = 50  # degenerate pivots in a row before Bland's rule takes over
 
 Label = tuple[str, int]
+# (basic structural columns, tight rows, artificial rows) of a basis
+Split = tuple[list[int], list[int], list[int]]
 
 
 @dataclass(frozen=True)
@@ -68,7 +75,7 @@ class FeasibilityResult:
     basis: tuple[Label, ...] | None = None  # final basis
 
 
-def solve(rows: list[list[int]], senses: list[str], scales: list[int],
+def solve(rows: list[list[int]], senses: Sequence[str], scales: list[int],
           nvars: int) -> FeasibilityResult:
     """Phase 1 from the slack basis on integer rows [a_i | b_i].
 
@@ -141,7 +148,7 @@ def solve(rows: list[list[int]], senses: list[str], scales: list[int],
     return FeasibilityResult(True, tuple(Fraction(x, D) for x in nums), None, final)
 
 
-def _slack_start(rows: list[list[int]], senses: list[str], nvars: int
+def _slack_start(rows: list[list[int]], senses: Sequence[str], nvars: int
                  ) -> tuple[list[list[int]], list[int], list[Label], list[int]]:
     """The starting tableau of both phase 1s: the slack basis.
 
@@ -176,7 +183,7 @@ def _slack_start(rows: list[list[int]], senses: list[str], nvars: int
     return T, basis, labels + [("a", i) for i in art_rows], art_rows
 
 
-def _check_shape(rows: list[list[int]], senses: list[str], scales: list[int],
+def _check_shape(rows: list[list[int]], senses: Sequence[str], scales: list[int],
                  nvars: int) -> None:
     """Raise ValueError unless every row is [a_i | b_i] with a known sense
     and a positive scale."""
@@ -191,14 +198,19 @@ def _check_shape(rows: list[list[int]], senses: list[str], scales: list[int],
             raise ValueError(f"row scale must be positive, got {s}")
 
 
-def point_from_basis(rows: list[list[int]], senses: list[str], nvars: int,
+def point_from_basis(rows: list[list[int]], senses: Sequence[str], nvars: int,
                      basis: tuple[Label, ...]) -> tuple[Fraction, ...] | None:
     """The vertex of basis on rows, if it exists and passes substitution.
 
     The basic structurals are solved on the rows whose surplus and
     artificial are both nonbasic; the other structurals are zero.
     """
-    split = _split_basis(basis, senses, nvars)
+    return _vertex(rows, senses, nvars, _split_basis(basis, senses, nvars))
+
+
+def _vertex(rows: list[list[int]], senses: Sequence[str], nvars: int,
+            split: Split | None) -> tuple[Fraction, ...] | None:
+    """`point_from_basis` on a basis already split by `_split_basis`."""
     if split is None:
         return None
     cols, tight, _ = split
@@ -215,7 +227,7 @@ def point_from_basis(rows: list[list[int]], senses: list[str], nvars: int,
     return tuple(Fraction(x, den) for x in nums)
 
 
-def farkas_from_basis(rows: list[list[int]], senses: list[str], scales: list[int],
+def farkas_from_basis(rows: list[list[int]], senses: Sequence[str], scales: list[int],
                       nvars: int, basis: tuple[Label, ...]) -> tuple[int, ...] | None:
     """The phase-1 dual y of basis on rows, if it passes as a Farkas vector.
 
@@ -224,7 +236,12 @@ def farkas_from_basis(rows: list[list[int]], senses: list[str], scales: list[int
     scales), and on the other rows solves y^T a_j = 0 for each basic
     structural j.
     """
-    split = _split_basis(basis, senses, nvars)
+    return _dual(rows, senses, scales, nvars, _split_basis(basis, senses, nvars))
+
+
+def _dual(rows: list[list[int]], senses: Sequence[str], scales: list[int], nvars: int,
+          split: Split | None) -> tuple[int, ...] | None:
+    """`farkas_from_basis` on a basis already split by `_split_basis`."""
     if split is None:
         return None
     cols, tight, arts = split
@@ -248,7 +265,7 @@ def farkas_from_basis(rows: list[list[int]], senses: list[str], scales: list[int
 FLOAT_EPS = 1e-12  # relative: reduced cost against its terms, pivot against its column
 
 
-def float_basis(rows: list[list[int]], senses: list[str], scales: list[int],
+def float_basis(rows: list[list[int]], senses: Sequence[str], scales: list[int],
                 nvars: int) -> tuple[Label, ...] | None:
     """A phase-1 optimal basis of the system of `solve`, found in floats.
 
@@ -325,53 +342,81 @@ def float_basis(rows: list[list[int]], senses: list[str], scales: list[int],
 class WarmStart:
     """Final bases carried across the solves of a sequence of nearby systems.
 
-    `solve` first tries the vertex of the last feasible basis, then the
-    phase-1 dual of the last infeasible basis, then the vertex and the dual
-    of the basis `float_basis` picks, each accepted only after substitution;
-    otherwise it solves cold.  The basis that passed becomes the stored
-    feasible or infeasible basis.
+    `solve` re-solves first the stored basis whose verdict matches the last
+    solve (the phase-1 dual of the infeasible basis after an infeasible
+    verdict, the vertex of the feasible basis otherwise), then the other
+    one, then the basis `float_basis` picks, its dual first when an
+    artificial is basic in it and its vertex first otherwise.  Each is
+    accepted only after substitution; otherwise it solves cold.  At most
+    one re-solve of a basis can pass (a feasible system has no Farkas
+    vector, an infeasible one no witness), so the order changes no
+    certificate, stored basis or counter.  The basis that passed becomes
+    the stored feasible or infeasible basis.  Each basis is split once, in
+    a memo kept for the senses and nvars of the last solve.
     """
 
     def __init__(self) -> None:
         self.feasible_basis: tuple[Label, ...] | None = None
         self.infeasible_basis: tuple[Label, ...] | None = None
         self.warm_feasible = self.warm_infeasible = self.guided = self.cold = 0
+        self._last_feasible = True  # the verdict of the last solve
+        self._shape: tuple[tuple[str, ...], int] | None = None  # (senses, nvars) of the memo
+        self._splits: dict[tuple[Label, ...], Split | None] = {}
 
-    def solve(self, rows: list[list[int]], senses: list[str], scales: list[int],
+    def solve(self, rows: list[list[int]], senses: Sequence[str], scales: list[int],
               nvars: int) -> FeasibilityResult:
         _check_shape(rows, senses, scales, nvars)
-        if self.feasible_basis is not None:
-            point = point_from_basis(rows, senses, nvars, self.feasible_basis)
-            if point is not None:
-                self.warm_feasible += 1
-                return FeasibilityResult(True, point, None, self.feasible_basis)
-        if self.infeasible_basis is not None:
-            y = farkas_from_basis(rows, senses, scales, nvars, self.infeasible_basis)
-            if y is not None:
-                self.warm_infeasible += 1
-                return FeasibilityResult(False, None, y, self.infeasible_basis)
+        shape = (tuple(senses), nvars)
+        if shape != self._shape:
+            self._shape, self._splits = shape, {}
+        stored = ((True, self.feasible_basis), (False, self.infeasible_basis))
+        for verdict, basis in stored if self._last_feasible else stored[::-1]:
+            if basis is not None and (
+                    res := self._resolve(rows, senses, scales, nvars, basis, verdict)):
+                if verdict:
+                    self.warm_feasible += 1
+                else:
+                    self.warm_infeasible += 1
+                self._last_feasible = verdict
+                return res
         try:
             guess = float_basis(rows, senses, scales, nvars)
         except OverflowError:  # an entry beyond the float range
             guess = None
         if guess is not None:
-            point = point_from_basis(rows, senses, nvars, guess)
-            if point is not None:
-                self.guided += 1
-                self.feasible_basis = guess
-                return FeasibilityResult(True, point, None, guess)
-            y = farkas_from_basis(rows, senses, scales, nvars, guess)
-            if y is not None:
-                self.guided += 1
-                self.infeasible_basis = guess
-                return FeasibilityResult(False, None, y, guess)
+            dual_first = any(kind == "a" for kind, _ in guess)
+            for verdict in (not dual_first, dual_first):
+                if res := self._resolve(rows, senses, scales, nvars, guess, verdict):
+                    self.guided += 1
+                    if verdict:
+                        self.feasible_basis = guess
+                    else:
+                        self.infeasible_basis = guess
+                    self._last_feasible = verdict
+                    return res
         sol = solve(rows, senses, scales, nvars)
         self.cold += 1
         if sol.feasible:
             self.feasible_basis = sol.basis
         else:
             self.infeasible_basis = sol.basis
+        self._last_feasible = sol.feasible
         return sol
+
+    def _resolve(self, rows: list[list[int]], senses: Sequence[str], scales: list[int],
+                 nvars: int, basis: tuple[Label, ...], verdict: bool
+                 ) -> FeasibilityResult | None:
+        """The vertex (verdict True) or the phase-1 dual (verdict False) of
+        basis on rows, if it passes substitution."""
+        if basis in self._splits:
+            split = self._splits[basis]
+        else:
+            split = self._splits[basis] = _split_basis(basis, senses, nvars)
+        if verdict:
+            point = _vertex(rows, senses, nvars, split)
+            return None if point is None else FeasibilityResult(True, point, None, basis)
+        y = _dual(rows, senses, scales, nvars, split)
+        return None if y is None else FeasibilityResult(False, None, y, basis)
 
 
 def check_feasible(constraints: list[Constraint], nvars: int) -> FeasibilityResult:
@@ -438,8 +483,8 @@ def _is_farkas(rows, senses, nvars, y) -> bool:
     return sum(v * row[-1] for v, row in pairs) > 0
 
 
-def _split_basis(basis: tuple[Label, ...], senses: list[str],
-                 nvars: int) -> tuple[list[int], list[int], list[int]] | None:
+def _split_basis(basis: tuple[Label, ...], senses: Sequence[str],
+                 nvars: int) -> Split | None:
     """(basic structural columns, rows with no basic surplus or artificial,
     rows with a basic artificial), or None unless basis has that square shape."""
     m = len(senses)

@@ -35,10 +35,10 @@ from qdelsarte.clifford import (
     reading_family,
     span_coefficients,
     tau,
-    weyl_brauer,
     wt,
 )
 from qdelsarte.wtj import wtj_matrix
+from reference import weyl_brauer
 
 F = Fraction
 

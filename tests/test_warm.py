@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -380,6 +381,139 @@ def test_a_float_basis_is_never_trusted(flags):
     assert res.stdout.split() == ["checked", "16"]
 
 
+def reference_solve(self, rows, senses, scales, nvars):
+    """`WarmStart.solve` with one fixed attempt order, whatever the last
+    verdict and the float basis: the vertex of the last feasible basis, the
+    dual of the last infeasible basis, the vertex and then the dual of the
+    float basis, and a cold solve."""
+    simplex._check_shape(rows, senses, scales, nvars)
+    if self.feasible_basis is not None:
+        point = simplex.point_from_basis(rows, senses, nvars, self.feasible_basis)
+        if point is not None:
+            self.warm_feasible += 1
+            return simplex.FeasibilityResult(True, point, None, self.feasible_basis)
+    if self.infeasible_basis is not None:
+        y = simplex.farkas_from_basis(rows, senses, scales, nvars, self.infeasible_basis)
+        if y is not None:
+            self.warm_infeasible += 1
+            return simplex.FeasibilityResult(False, None, y, self.infeasible_basis)
+    try:
+        guess = simplex.float_basis(rows, senses, scales, nvars)
+    except OverflowError:  # an entry beyond the float range
+        guess = None
+    if guess is not None:
+        point = simplex.point_from_basis(rows, senses, nvars, guess)
+        if point is not None:
+            self.guided += 1
+            self.feasible_basis = guess
+            return simplex.FeasibilityResult(True, point, None, guess)
+        y = simplex.farkas_from_basis(rows, senses, scales, nvars, guess)
+        if y is not None:
+            self.guided += 1
+            self.infeasible_basis = guess
+            return simplex.FeasibilityResult(False, None, y, guess)
+    sol = simplex.solve(rows, senses, scales, nvars)
+    self.cold += 1
+    if sol.feasible:
+        self.feasible_basis = sol.basis
+    else:
+        self.infeasible_basis = sol.basis
+    return sol
+
+
+def warm_state(warm):
+    return (warm.feasible_basis, warm.infeasible_basis,
+            warm.warm_feasible, warm.warm_infeasible, warm.guided, warm.cold)
+
+
+@st.composite
+def bisections(draw):
+    """An lp_bound search on a SYSTEMS family at d = 2..4: K = 1, K = dim H,
+    then each probe splits the current bracket."""
+    spec, _, opts = draw(st.sampled_from(SYSTEMS))
+    d = draw(st.integers(2, min(4, profile(spec).diameter_r + 1)))
+    cut = st.just(F(1, 2)) | st.builds(F, st.integers(1, 99), st.just(100))
+    return spec, d, opts, draw(st.lists(cut, max_size=20))
+
+
+@given(bisections())
+@settings(max_examples=40, deadline=None)
+def test_attempt_order_changes_no_result(data):
+    # the reordered attempts skip only re-solves that cannot pass
+    spec, d, opts, cuts = data
+    system = integer_system(spec, d, opts)
+    lo, hi = F(1), F(profile(spec).dim_H)
+    warm, ref = WarmStart(), WarmStart()
+    for K in [lo, hi] + [None] * len(cuts):
+        if K is None:
+            K = lo + (hi - lo) * cuts.pop()
+        rows, scales = system.at(K)
+        got = warm.solve(rows, system.senses, scales, system.nvars)
+        assert got == reference_solve(ref, rows, list(system.senses), scales, system.nvars)
+        assert warm_state(warm) == warm_state(ref)
+        # the front door's fresh WarmStart
+        cons, nvars = build_system(spec, d, K, opts)
+        front = simplex.check_feasible(cons, nvars)
+        with patch.object(simplex.WarmStart, "solve", reference_solve):
+            assert simplex.check_feasible(cons, nvars) == front
+        assert front.feasible == got.feasible
+        if got.feasible:
+            lo = K
+        else:
+            hi = K
+
+
+@pytest.mark.parametrize("spec,d,opts", SYSTEMS)
+def test_kernels_take_senses_as_a_tuple(spec, d, opts):
+    # lp.feasible passes IntegerSystem.senses, a tuple, as it is
+    system = integer_system(spec, d, opts)
+    rows, scales = system.at(F(profile(spec).dim_H, 2) + F(1, 7))
+    nvars, senses = system.nvars, system.senses
+    assert isinstance(senses, tuple)
+    res = simplex.solve(rows, senses, scales, nvars)
+    for f in (simplex.solve, simplex.float_basis, lambda *args: WarmStart().solve(*args)):
+        assert f(rows, senses, scales, nvars) == f(rows, list(senses), scales, nvars)
+    assert simplex.point_from_basis(rows, senses, nvars, res.basis) == res.witness
+    assert simplex.farkas_from_basis(rows, senses, scales, nvars, res.basis) == res.farkas
+
+
+def test_an_infeasible_run_re_solves_once_per_probe(monkeypatch):
+    # after an infeasible verdict, the next infeasible probe tries the stored
+    # infeasible basis first, and its Farkas vector passes
+    warm = WarmStart()
+    assert feasible(Su2(8), 3, F(1), SD, warm).feasible
+    assert not feasible(Su2(8), 3, F(9), SD, warm).feasible
+    calls = counting_calls(monkeypatch, "_solve_square")
+    assert not feasible(Su2(8), 3, F(5), SD, warm).feasible
+    assert len(calls) == 1 and warm.warm_infeasible == 1
+
+
+# the benchmark's table-sweep cells: d = 2..4 within the diameter
+TABLE_SWEEP = tuple(
+    (spec, d, opts)
+    for specs, opts in (([CliffordOdd(n) for n in range(3, 9)], LPOptions()),
+                        ([QHamming(2, n) for n in range(2, 8)], LPOptions()),
+                        ([SuqSym(3, n) for n in range(2, 7)], LPOptions()),
+                        ([Su2(n) for n in range(4, 9)], SD))
+    for spec in specs for d in (2, 3, 4) if d <= profile(spec).diameter_r + 1)
+
+
+@pytest.mark.parametrize("bounds,most_squares,floats", [
+    (tuple((spec, d, opts, F(1, 2000), False) for spec, d, opts in TABLE_SWEEP), 1850, 217),
+    (tuple(case[:5] for case in LP_BOUNDS), 215, 30),
+], ids=["table-sweep", "lp-bounds"])
+def test_bounds_keep_their_amount_of_work(bounds, most_squares, floats, monkeypatch):
+    # square re-solves were 2,305 and 240 when every probe tried the
+    # feasible basis first
+    squares = counting_calls(monkeypatch, "_solve_square")
+    guesses = counting_calls(monkeypatch, "float_basis")
+    colds = counting_cold_solves(monkeypatch)
+    for spec, d, opts, tol, integer in bounds:
+        lp_bound(spec, d, opts, tol=tol, integer=integer)
+    assert len(TABLE_SWEEP) == 64
+    assert len(squares) <= most_squares and len(guesses) == floats and colds == []
+
+
 def test_rows_beyond_the_float_range_are_solved_cold():
     # x = 10**400 overflows the float phase, which then leaves the probe to solve
     warm = WarmStart()
@@ -407,16 +541,21 @@ def front_door_probes(seed):
     return probes
 
 
-def counting_cold_solves(monkeypatch):
+def counting_calls(monkeypatch, name):
+    """The argument tuples of every call of simplex.<name> from now on."""
     calls = []
-    real = simplex.solve
+    real = getattr(simplex, name)
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(simplex, "solve", counting)
+    monkeypatch.setattr(simplex, name, counting)
     return calls
+
+
+def counting_cold_solves(monkeypatch):
+    return counting_calls(monkeypatch, "solve")
 
 
 @pytest.mark.parametrize("seed", [1, 11, 29])
