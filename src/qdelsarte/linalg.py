@@ -1,8 +1,9 @@
-"""Sparse exact linear algebra over Fraction, GaussianRational, or SurdSum.
+"""Sparse exact linear algebra over int, Fraction, or GaussianRational.
 
 A matrix is a dict mapping (row, col) to a nonzero scalar, together with an
 explicit shape where an operation needs one.  Scalars only need +, *, -,
-conjugate(), and truthiness, so the three exact types are interchangeable.
+conjugate(), and truthiness, so the exact types are interchangeable; the
+su(2) code vectors, of SurdSum amplitudes, meet only int matrices.
 Gaussian integers have their own product, `gi_mul`: each entry is an
 (re, im) pair of ints, so no scalar object is made per entry.
 """

@@ -8,12 +8,10 @@ blocks V_t and reads off the eigenvalues of the block channel
 on an orthogonal basis F_k as the Rayleigh quotient <X, Phi_t(X)> / <X, X>,
 summed as sum_k <X F_k, F_k X> / (<F_k, F_k> <X, X>) without forming
 Phi_t(X); `phi_apply`, which forms it, is the reference.  The qhamming,
-su-sym and su-ext bases are primitive int matrices.  The su(2) blocks are
-`su2.error_block`, the surd matrices `su2.min_distance` measures code
-distance with, so W_t(j) is certified on the blocks codes are checked
-against; their basis is their conjugate by one diagonal matrix, an int
-matrix under a diagonal weight, and building it raises ArithmeticError if
-an entry is not an integer there.  OperatorBasis checks every basis
+su-sym and su-ext bases are primitive int matrices.  The su(2) basis is
+`su2.error_block` under the weight `su2.weights`, the int matrices
+`su2.min_distance` measures code distance with, so W_t(j) is certified on
+the blocks codes are checked against.  OperatorBasis checks every basis
 orthogonal, on the pairs of elements that share a nonzero position (the
 others are orthogonal anyway), and raises ArithmeticError otherwise.
 Nothing here trusts the closed forms of the family classes; agreement
@@ -53,8 +51,7 @@ from .families import (READINGS, Family, QHamming, Semispinorial, Su2, SunExt,
                        SuqSym, profile)
 from .linalg import (RowSpace, Sparse, _primitive, conj, sp_add, sp_identity, sp_kron,
                      sp_mul, sp_scale, sp_sub)
-from .scalars import SurdSum
-from .su2 import error_block
+from . import su2
 from .wtj import lambda_signature, wtj_matrix
 
 
@@ -164,40 +161,8 @@ def _basis_qhamming(spec: QHamming, t: int) -> OperatorBasis:
     return OperatorBasis(spec, t, mats)
 
 
-# The su(2) blocks on ints: with a_m = (n - m)(m + 1), E has sqrt(a_m) at
-# (m + 1, m), so D = diag(sqrt(prod_{m<i} a_m)) turns E into the integer
-# matrix with a_m there and F into ones above the diagonal.  Conjugating by
-# D is a similarity, and tr(A* B) = <D A D^-1, D B D^-1>_w for the weights
-# w_i = prod_{m>=i} a_m, so the block channel keeps its eigenvalues.
-
-def _su2_weights(n: int) -> dict[int, int]:
-    return {i: prod((n - m) * (m + 1) for m in range(i, n)) for i in range(n + 1)}
-
-
-def _su2_integer(n: int, b: Sparse) -> Sparse:
-    """D b D^-1: entry (i, j) of b times p = sqrt(prod a_m) over
-    min(i, j) <= m < max(i, j), which is w_min(i, j) / w_max(i, j), below
-    the diagonal, divided by p above it; raises ArithmeticError unless each
-    entry is then an int."""
-    w = _su2_weights(n)
-    out: Sparse = {}
-    for (i, j), v in b.items():
-        if i != j:
-            p = w[min(i, j)] // w[max(i, j)]
-            v = v * SurdSum.sqrt(p if i > j else Fraction(1, p))
-        x = v.is_rational()
-        if x is None or x.denominator != 1:
-            raise ArithmeticError(f"su2 block entry ({i}, {j}) is not an integer "
-                                  f"after the diagonal similarity: {v}")
-        out[(i, j)] = x.numerator
-    return out
-
-
 def _basis_su2(spec: Su2, t: int) -> OperatorBasis:
-    """`su2.error_block(n, t)` conjugated by D, with the weights w."""
-    n = spec.n
-    return OperatorBasis(spec, t, [_su2_integer(n, b) for b in error_block(n, t)],
-                         _su2_weights(n))
+    return OperatorBasis(spec, t, su2.error_block(spec.n, t), su2.weights(spec.n))
 
 
 def _closure_basis(spec: Family, t: int, hw: Sparse, lowering: list[Sparse],
@@ -463,7 +428,7 @@ def _antiunitary_su2(spec: Su2) -> Sparse:
     # |k> -> (-1)^m |-k>, k = 2m - n, conjugated by D: D and the swap
     # m -> n - m give w_m / sqrt(w_0) at (n - m, m), as a_m = a_{n-1-m}, and
     # the constant 1 / sqrt(w_0) cancels in the sandwich
-    w = _su2_weights(spec.n)
+    w = su2.weights(spec.n)
     return {(spec.n - m, m): (-1) ** m * w[m] for m in w}
 
 

@@ -9,8 +9,8 @@ Rationals are plain ``fractions.Fraction``.  The two custom types here are
   Clifford operators, code projectors, and phases live here.
 * ``SurdSum``: a finite sum ``sum_d c_d * sqrt(d)`` with squarefree integer
   radicands d >= 1 and nonzero rational coefficients c_d.  Real only.
-  Amplitudes of the su(2) code vectors and raising/lowering matrix entries
-  live here.  The representation is canonical, so equality is map equality.
+  Amplitudes of the su(2) code vectors live here.  The representation is
+  canonical, so equality is map equality.
 
 Both types are immutable and mix freely with int/Fraction operands; a
 value equal to an int or Fraction also hashes like it.
@@ -22,11 +22,17 @@ from fractions import Fraction
 from math import gcd
 
 
+# The largest radicand `SurdSum.from_json` factors.  `construct` writes
+# radicands of at most 2n^2, far below it for every n that `verify` can
+# finish; trial division up to it takes milliseconds.
+MAX_RADICAND = 2 ** 32
+
+
 def _squarefree_split(d: int) -> tuple[int, int]:
     """Return (s, f) with d = s^2 * f and f squarefree.
 
-    Trial division; radicands in this artifact stay small (products of a few
-    integers bounded by the largest family parameter squared).
+    Trial division, so only for small d: the radicands of `SurdSum.sqrt`
+    and `from_json`.  Products of surds never factor.
     """
     if d <= 0:
         raise ValueError("radicand must be positive")
@@ -306,27 +312,15 @@ class SurdSum:
         out: dict[int, Fraction] = {}
         for d1, c1 in self.terms.items():
             for d2, c2 in o.terms.items():
-                # a rational factor leaves the other radicand squarefree
-                s, f = _squarefree_split(d1 * d2) if d1 > 1 < d2 else (1, d1 * d2)
-                c = c1 * c2 * s
+                # d1 and d2 are squarefree, so d1/g and d2/g are coprime
+                # squarefree and sqrt(d1 d2) = g sqrt((d1/g)(d2/g))
+                g = gcd(d1, d2)
+                f = (d1 // g) * (d2 // g)
+                c = c1 * c2 * g
                 out[f] = out[f] + c if f in out else c
         return SurdSum._make(out)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        """Division by a rational (or a single-term surd); general inverses unneeded."""
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return SurdSum._make({d: c / other for d, c in self.terms.items()})
-        if isinstance(other, SurdSum):
-            if len(other.terms) == 1:
-                ((d, c),) = other.terms.items()
-                # 1/(c*sqrt(d)) = sqrt(d)/(c*d)
-                return self * SurdSum({d: Fraction(1, 1) / (c * d)})
-            raise ValueError("division only by rationals or single surd terms")
-        return NotImplemented
 
     def conjugate(self):
         return self
@@ -352,9 +346,6 @@ class SurdSum:
             return self.terms[1]
         return None
 
-    def __float__(self):
-        return float(sum(float(c) * (d ** 0.5) for d, c in self.terms.items()))
-
     def to_json(self):
         return [{"c": format_fraction(c), "r": d}
                 for d, c in sorted(self.terms.items())]
@@ -367,6 +358,8 @@ class SurdSum:
             if type(d) is not int or type(c) is not str:
                 raise TypeError(f"need an integer radicand and a p/q coefficient, "
                                 f"got r={d!r}, c={c!r}")
+            if d > MAX_RADICAND:
+                raise ValueError(f"radicand {d} exceeds {MAX_RADICAND}")
             s, f = _squarefree_split(d)
             out[f] = out.get(f, Fraction(0)) + parse_fraction(c) * s
         return SurdSum(out)

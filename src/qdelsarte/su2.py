@@ -7,12 +7,17 @@ Amplitudes are SurdSum, so raising and lowering act exactly:
     F|k> = sqrt((n-k+2)(n+k)/4) |k-2>   (zero at k = -n)
     H|k> = k |k>
 
-As matrices on the index m = (k+n)/2, E has the entries sqrt((n-m)(m+1))
-just below the diagonal and F is its transpose.  `error_block(n, t)` is the
-spanning set {ad_F^k(E^t) : 0 <= k <= 2t} of the error block V_t; the
-minimum-distance checker here and the brute-force oracle both use it.  Two
-explicit distance-2 code families are provided, occupying roughly a
-quarter and a third of the weight range.
+As matrices on the index m = (k+n)/2, E has sqrt(a_m), a_m = (n-m)(m+1),
+just below the diagonal and F is its transpose.  The operators here are
+their conjugates by D = diag(sqrt(p_m)), p_m = prod_{k<m} a_k: D E D^-1 has
+a_m at (m+1, m) and D F D^-1 has ones above the diagonal, so every word in
+them is an integer matrix.  `error_block(n, t)` is the spanning set
+{ad_F^k(E^t) : 0 <= k <= 2t} of the error block V_t in that frame; the
+minimum-distance checker here and the brute-force oracle both use it.  The
+similarity keeps commutators and traces, and tr(A* B) is the sum of
+A'_ij B'_ij w_i / w_j over the conjugates, with w_i = prod_{m>=i} a_m
+(`weights`).  Two explicit distance-2 code families are provided, occupying
+roughly a quarter and a third of the weight range.
 """
 
 from __future__ import annotations
@@ -51,15 +56,26 @@ def basis_vector(n: int, k: int) -> Su2Vector:
 
 
 def ef_matrices(n: int) -> tuple[Sparse, Sparse]:
-    """The raising and lowering matrices E and F = E^T on the index m."""
-    E = {(m + 1, m): SurdSum.sqrt((n - m) * (m + 1)) for m in range(n)}
-    return E, {(j, i): x for (i, j), x in E.items()}
+    """The raising and lowering matrices D E D^-1 and D F D^-1 on the index
+    m: a_m at (m+1, m), and ones at (m, m+1)."""
+    return ({(m + 1, m): (n - m) * (m + 1) for m in range(n)},
+            {(m, m + 1): 1 for m in range(n)})
+
+
+def weights(n: int) -> dict[int, int]:
+    """w_i = prod_{m>=i} a_m, the diagonal weight of tr(A* B) in the D frame:
+    p_i w_i is the same for every i."""
+    w = [1]
+    for m in reversed(range(n)):
+        w.append(w[-1] * (n - m) * (m + 1))
+    return dict(enumerate(reversed(w)))
 
 
 def error_block(n: int, t: int) -> list[Sparse]:
-    """The 2t+1 matrices ad_F^k(E^t), k = 0..2t, spanning the block V_t."""
+    """The 2t+1 integer matrices ad_F^k(E^t), k = 0..2t, spanning the block
+    V_t, in the D frame."""
     E, F = ef_matrices(n)
-    x = sp_identity(n + 1, SurdSum.rational(1))
+    x = sp_identity(n + 1, 1)
     for _ in range(t):
         x = sp_mul(E, x)
     block = [x]
@@ -143,17 +159,27 @@ def min_distance(n: int, vectors: list[Su2Vector]) -> int:
                 raise ValueError("vectors must be pairwise orthogonal")
     if len(vectors) == 1:
         return n + 1
+    # <u, X v> = (D^-1 u) . (D X D^-1) (D v), and the error blocks are
+    # D X D^-1: D = diag(g_m) with g_m = sqrt(p_m), built as a running
+    # product up to the largest index used, and 1 / g_m = g_m / p_m
+    g, p = [SurdSum.rational(1)], [1]
+    for m in range(max(max(v) for v in vecs)):
+        a = (n - m) * (m + 1)
+        g.append(g[-1] * SurdSum.sqrt(a))
+        p.append(p[-1] * a)
+    xs = [{m: g[m] * u for m, u in v.items()} for v in vecs]
+    ys = [{m: g[m] * u * Fraction(1, p[m]) for m, u in v.items()} for v in vecs]
 
     def block_detected(t: int) -> bool:
         for op in error_block(n, t):
-            images = [sp_mat_vec(op, v) for v in vecs]
-            # <u_i, op u_j> must vanish for i != j, and <u_i, op u_i> be one
+            images = [sp_mat_vec(op, x) for x in xs]
+            # <u_i, X u_j> must vanish for i != j, and <u_i, X u_i> be one
             # multiple of <u_i, u_i> for every i: compared cross-multiplied
-            slope0 = _dot(vecs[0], images[0])
-            for i, u in enumerate(vecs):
-                if any(_dot(u, img) for j, img in enumerate(images) if j != i):
+            slope0 = _dot(ys[0], images[0])
+            for i, y in enumerate(ys):
+                if any(_dot(y, img) for j, img in enumerate(images) if j != i):
                     return False
-                if _dot(u, images[i]) * norms[0] != slope0 * norms[i]:
+                if _dot(y, images[i]) * norms[0] != slope0 * norms[i]:
                     return False
         return True
 

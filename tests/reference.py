@@ -1,7 +1,10 @@
 """Reference definitions the tests compare the package against."""
 
-from qdelsarte.linalg import Sparse, sp_kron
-from qdelsarte.scalars import GR_ONE, GaussianRational
+from fractions import Fraction
+from math import prod
+
+from qdelsarte.linalg import Sparse, sp_identity, sp_kron, sp_mul, sp_sub
+from qdelsarte.scalars import GR_ONE, GaussianRational, SurdSum
 
 _SIGMA_X: Sparse = {(0, 1): GR_ONE, (1, 0): GR_ONE}
 _SIGMA_Y: Sparse = {(0, 1): GaussianRational(0, -1), (1, 0): GaussianRational(0, 1)}
@@ -24,3 +27,32 @@ def weyl_brauer(n: int, k: int) -> Sparse:
     for f in factors[1:]:
         out = sp_kron(out, f, 2, 2)
     return out
+
+
+def surd_ef_matrices(n: int) -> tuple[Sparse, Sparse]:
+    """The su(2) raising and lowering matrices E and F = E^T on the index
+    m = (k+n)/2 of the orthonormal weight basis: sqrt((n-m)(m+1)) at
+    (m+1, m)."""
+    E = {(m + 1, m): SurdSum.sqrt((n - m) * (m + 1)) for m in range(n)}
+    return E, {(j, i): x for (i, j), x in E.items()}
+
+
+def surd_error_block(n: int, t: int) -> list[Sparse]:
+    """ad_F^k(E^t), k = 0..2t, on the orthonormal weight basis, as SurdSum
+    matrices."""
+    E, F = surd_ef_matrices(n)
+    x = sp_identity(n + 1, SurdSum.rational(1))
+    for _ in range(t):
+        x = sp_mul(E, x)
+    block = [x]
+    for _ in range(2 * t):
+        x = sp_sub(sp_mul(F, x), sp_mul(x, F))
+        block.append(x)
+    return block
+
+
+def d_conjugate(n: int, b: Sparse) -> Sparse:
+    """D b D^-1 for D = diag(sqrt(p_i)), p_i = prod_{m<i} (n-m)(m+1): entry
+    (i, j) of b times sqrt(p_i / p_j)."""
+    p = [prod((n - m) * (m + 1) for m in range(i)) for i in range(n + 1)]
+    return {(i, j): v * SurdSum.sqrt(Fraction(p[i], p[j])) for (i, j), v in b.items()}

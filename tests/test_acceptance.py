@@ -42,8 +42,9 @@ from qdelsarte.lp import (
 )
 from qdelsarte.oracle import OperatorBasis, op_inner, verify_lambda, verify_wtj
 from qdelsarte.scalars import SurdSum
-from qdelsarte.su2 import code_quarter, code_third, error_block, min_distance
+from qdelsarte.su2 import code_quarter, code_third, min_distance
 from qdelsarte.wtj import lambda_signature, wtj_matrix, wtj_properties
+from reference import surd_error_block
 
 F = Fraction
 TOL = F(1, 2000)
@@ -271,7 +272,8 @@ def su2_distribution(n, vecs):
                 P[key] = P.get(key, SurdSum()) + a1 * a2
     a = []
     for t in range(n + 1):
-        basis = OperatorBasis(Su2(n), t, error_block(n, t))
+        # the orthonormal-frame blocks, in which P is the code projector
+        basis = OperatorBasis(Su2(n), t, surd_error_block(n, t))
         tot = F(0)
         for idx, e in enumerate(basis.matrices):
             ip = op_inner(e, P, basis.weight)

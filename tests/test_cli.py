@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
@@ -342,6 +343,18 @@ def test_verify_malformed_document_exits_2(doc):
     res = run("verify", stdin=json.dumps(doc))
     assert res.returncode == 2
     assert res.stderr.startswith("error: malformed") and "Traceback" not in res.stderr
+
+
+def test_verify_refuses_a_huge_radicand_fast():
+    # factoring the prime r = 2^61 - 1 by trial division runs for minutes
+    doc = {"kind": "su2-vectors", "family": {"su2": {"n": 2}},
+           "vectors": [[{"k": 0, "amp": [{"c": "1", "r": 2 ** 61 - 1}]}]]}
+    start = time.perf_counter()
+    res = run("verify", stdin=json.dumps(doc), timeout=60)
+    assert time.perf_counter() - start < 2
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: malformed su2-vectors document")
+    assert "exceeds" in res.stderr and "Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize("fmt", ["csv", "md"])

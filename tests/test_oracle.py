@@ -1,17 +1,12 @@
 """Brute-force operator-basis oracle for the W coefficients and self-duality."""
 
-import os
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
-from pathlib import Path
 
 import pytest
 
-import qdelsarte
 from qdelsarte.families import (
     FAMILY_NAMES,
     CliffordEven,
@@ -40,6 +35,7 @@ from qdelsarte.oracle import (
 from qdelsarte.scalars import GR_ONE, GaussianRational, SurdSum
 from qdelsarte.su2 import error_block
 from qdelsarte.wtj import lambda_signature, wtj
+from reference import d_conjugate, surd_error_block
 
 # largest instances the oracle certifies per family
 ORACLE_GRID = [
@@ -127,8 +123,7 @@ def test_rayleigh_quotient_matches_block_channel(spec):
             assert wtj_bruteforce(spec, t, j) == block_channel_quotient(spec, t, j), (t, j)
 
 
-# the su(2) bases are the integer conjugates of `error_block`, not made
-# primitive
+# the su(2) bases are `error_block` as it is, not made primitive
 @pytest.mark.parametrize("spec", [s for s in RATIONAL_GRID if not isinstance(s, Su2)], ids=str)
 def test_rational_bases_are_primitive_int_matrices(spec):
     for t in range(profile(spec).diameter_r + 1):
@@ -223,15 +218,15 @@ def test_semispinorial_monomial_path_matches_the_matrices(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_su2_integer_channel_matches_the_surd_rayleigh_quotient(n):
-    # reference: the Rayleigh quotient on the surd blocks themselves
+    # reference: the Rayleigh quotient on the orthonormal-frame surd blocks
     spec = Su2(n)
     assert ORACLE[Su2].words is None
     for t in range(n + 1):
         assert all(type(v) is int for x in v_basis(spec, t).matrices for v in x.values()), t
-        surd = OperatorBasis(spec, t, error_block(n, t))
+        surd = OperatorBasis(spec, t, surd_error_block(n, t))
         for j in range(n + 1):
             assert wtj_bruteforce(spec, t, j) == \
-                oracle._rayleigh(surd, error_block(n, j)[0]), (t, j)
+                oracle._rayleigh(surd, surd_error_block(n, j)[0]), (t, j)
 
 
 def su2_surd_sandwich(n, lam):
@@ -240,7 +235,7 @@ def su2_surd_sandwich(n, lam):
     k = 2m - n at index m."""
     L = {(n - m, m): SurdSum.rational((-1) ** m) for m in range(n + 1)}
     Ladj = {(c, r): v.conjugate() for (r, c), v in L.items()}
-    return [(j, i) for j, sign in enumerate(lam) for i, X in enumerate(error_block(n, j))
+    return [(j, i) for j, sign in enumerate(lam) for i, X in enumerate(surd_error_block(n, j))
             if sp_mul(sp_mul(L, {k: v.conjugate() for k, v in X.items()}), Ladj)
             != sp_scale({(c, r): v.conjugate() for (r, c), v in X.items()}, sign)]
 
@@ -255,42 +250,6 @@ def test_su2_integer_sandwich_matches_the_surd_sandwich(n):
         want = su2_surd_sandwich(n, const)
         assert want  # every other block breaks a constant signature
         assert oracle._lambda_sandwich(spec, const) == want, sign
-
-
-def tampered_su2_entries():
-    """E on n = 3 with sqrt(3) at (1, 0) times sqrt(2), and the identity with
-    1/2 on the diagonal: neither is an integer after the similarity."""
-    e = dict(error_block(3, 1)[0])
-    e[(1, 0)] = e[(1, 0)] * SurdSum.sqrt(2)
-    one = dict(error_block(3, 0)[0])
-    one[(2, 2)] = SurdSum.rational(Fraction(1, 2))
-    return e, one
-
-
-def test_su2_entry_off_the_integers_is_refused():
-    for b in tampered_su2_entries():
-        with pytest.raises(ArithmeticError, match="not an integer"):
-            oracle._su2_integer(3, b)
-
-
-def test_su2_entry_off_the_integers_is_refused_under_optimize():
-    script = (
-        "import sys\n"
-        "sys.path.insert(0, sys.argv[1])\n"
-        "from test_oracle import tampered_su2_entries\n"
-        "from qdelsarte import oracle\n"
-        "for b in tampered_su2_entries():\n"
-        "    try:\n"
-        "        oracle._su2_integer(3, b)\n"
-        "    except ArithmeticError:\n"
-        "        print('raised', sys.flags.optimize)\n"
-    )
-    src = str(Path(qdelsarte.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    res = subprocess.run([sys.executable, "-O", "-c", script, str(Path(__file__).parent)],
-                         capture_output=True, text=True, env=env, timeout=60)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout == "raised 1\nraised 1\n"
 
 
 def test_semispinorial_oracle_makes_no_gaussian_rational(monkeypatch):
@@ -319,45 +278,36 @@ def test_semispinorial_oracle_makes_no_gaussian_rational(monkeypatch):
     assert not made
 
 
-def test_su2_oracle_makes_surd_products_only_in_the_similarity(monkeypatch):
+def test_su2_oracle_makes_no_surd(monkeypatch):
     # with the su(2) blocks kept as SurdSum matrices, verify_wtj(Su2(6))
-    # made 2,796 SurdSum products and verify_lambda one sandwich per element
-    spec = Su2(6)
-    blocks = {t: error_block(6, t) for t in range(7)}
-    monkeypatch.setattr(oracle, "error_block", lambda n, t: blocks[t])
+    # made 2,796 SurdSum products, and with them conjugated to integers
+    # entry by entry up to 216
+    assert not hasattr(oracle, "SurdSum")
     count = Counter()
-    inside = []
-    similarity = oracle._su2_integer
-
-    def marked(*args):
-        inside.append(True)
-        try:
-            return similarity(*args)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(oracle, "_su2_integer", marked)
-    for name in ("__mul__", "__rmul__", "__truediv__"):
-        def counting(a, b, _f=getattr(SurdSum, name)):
-            count["inside" if inside else "outside"] += 1
-            return _f(a, b)
-        monkeypatch.setattr(SurdSum, name, counting)
+    for name in ("__init__", "_make", "__mul__", "__rmul__"):
+        def counting(*args, _f=getattr(SurdSum, name)):
+            count[name] += 1
+            return _f(*args)
+        monkeypatch.setattr(SurdSum, name, staticmethod(counting) if name == "_make"
+                            else counting)
     v_basis.cache_clear()
-    assert verify_wtj(spec).matches and verify_lambda(spec).matches
-    entries = sum(len(x) for block in blocks.values() for x in block)
-    assert not count["outside"]
-    assert 0 < count["inside"] <= entries == 216
-    count.clear()
-    assert verify_wtj(spec).matches and verify_lambda(spec).matches
+    assert verify_wtj(Su2(6)).matches and verify_lambda(Su2(6)).matches
     assert not count
 
 
 def test_su2_blocks_are_the_code_checkers_blocks():
+    # the integer blocks are the orthonormal-frame surd blocks conjugated by
+    # D entry by entry, and the oracle takes them as they are
+    for n in range(1, 13):
+        for t in range(n + 1):
+            block = error_block(n, t)
+            assert all(type(v) is int for x in block for v in x.values()), (n, t)
+            assert block == [d_conjugate(n, b) for b in surd_error_block(n, t)], (n, t)
     for n in range(1, 7):
         a = [(n - m) * (m + 1) for m in range(n)]
         for t in range(n + 1):
             basis = v_basis(Su2(n), t)
-            assert basis.matrices == [oracle._su2_integer(n, b) for b in error_block(n, t)]
+            assert basis.matrices == error_block(n, t)
             assert basis.weight == {i: prod(a[i:]) for i in range(n + 1)}
 
 

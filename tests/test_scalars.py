@@ -11,8 +11,10 @@ from qdelsarte.scalars import (
     GR_I,
     GR_ONE,
     GR_ZERO,
+    MAX_RADICAND,
     GaussianRational,
     SurdSum,
+    _squarefree_split,
     format_fraction,
     gr_i_power,
     parse_fraction,
@@ -176,7 +178,7 @@ class TestSurdSum:
 
     def test_sqrt_canonicalization(self):
         assert SurdSum.sqrt(8) == SurdSum.sqrt(2) * 2
-        assert SurdSum.sqrt(Fraction(1, 2)) == SurdSum.sqrt(2) / 2
+        assert SurdSum.sqrt(Fraction(1, 2)) == SurdSum.sqrt(2) * Fraction(1, 2)
         assert SurdSum.sqrt(36) == SurdSum.rational(6)
         assert SurdSum.sqrt(18) * SurdSum.sqrt(2) == SurdSum.rational(6)
 
@@ -189,11 +191,14 @@ class TestSurdSum:
         b = SurdSum.sqrt(Fraction(1, 3))
         assert a * a + b * b == SurdSum.rational(1)
 
-    @given(surds())
-    @settings(max_examples=60)
-    def test_float_agreement(self, a):
-        sq = a * a
-        assert abs(float(sq) - float(a) ** 2) <= 1e-9 * (1 + float(sq))
+    @given(st.integers(1, 3000), st.integers(1, 3000), st.integers(1, 30),
+           fractions, fractions)
+    def test_product_of_squarefree_radicands(self, x, y, c, p, q):
+        # the gcd product g sqrt((d1/g)(d2/g)) against factoring d1 d2; the
+        # common factor c makes g > 1 often
+        d1, d2 = (_squarefree_split(v * c)[1] for v in (x, y))
+        s, f = _squarefree_split(d1 * d2)
+        assert SurdSum({d1: p}) * SurdSum({d2: q}) == SurdSum({f: p * q * s})
 
     @given(surds())
     def test_is_rational(self, a):
@@ -205,10 +210,11 @@ class TestSurdSum:
         x = SurdSum({1: Fraction(1, 3), 2: Fraction(-5, 7)})
         assert SurdSum.from_json(x.to_json()) == x
 
-    def test_division_by_single_surd(self):
-        assert SurdSum.rational(1) / SurdSum.sqrt(2) == SurdSum.sqrt(2) / 2
-        with pytest.raises(ValueError):
-            SurdSum.rational(1) / (SurdSum.sqrt(2) + 1)
+    def test_json_radicand_is_bounded_before_factoring(self):
+        assert SurdSum.from_json([{"c": "1", "r": MAX_RADICAND}]) == \
+            SurdSum.sqrt(MAX_RADICAND)
+        with pytest.raises(ValueError, match="exceeds"):
+            SurdSum.from_json([{"c": "1", "r": MAX_RADICAND + 1}])
 
     def test_negative_sqrt_rejected(self):
         with pytest.raises(ValueError):

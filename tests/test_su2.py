@@ -18,7 +18,9 @@ from qdelsarte.su2 import (
     error_block,
     inner,
     min_distance,
+    weights as frame_weights,
 )
+from reference import d_conjugate, surd_ef_matrices
 
 F = Fraction
 
@@ -44,28 +46,43 @@ def on_index(v):
     return {(k + v.n) // 2: a for k, a in v.amplitudes}
 
 
-def from_index(n, amps):
-    return Su2Vector.make(n, {2 * m - n: a for m, a in amps.items()})
-
-
 class TestRepresentation:
     @given(st.integers(1, 12), st.data())
     @settings(max_examples=60, deadline=None)
     def test_adjointness(self, n, data):
-        u = data.draw(vectors(n))
-        v = data.draw(vectors(n))
+        # F = E^T in the orthonormal frame, so in the D frame <E u, v>_w =
+        # <u, F v>_w under the weights w
+        u = on_index(data.draw(vectors(n)))
+        v = on_index(data.draw(vectors(n)))
         E, Fm = ef_matrices(n)
-        Eu = from_index(n, sp_mat_vec(E, on_index(u)))
-        Fv = from_index(n, sp_mat_vec(Fm, on_index(v)))
-        assert inner(Eu, v) == inner(u, Fv)
+        w = frame_weights(n)
+
+        def wdot(x, y):
+            return sum(a * y[m] * w[m] for m, a in x.items() if m in y)
+
+        assert wdot(sp_mat_vec(E, u), v) == wdot(u, sp_mat_vec(Fm, v))
+
+    def test_weights_are_inverse_to_the_frame(self):
+        # p_m w_m = w_0, p_m = D_m^2 = prod_{k<m} a_k
+        for n in range(1, 13):
+            w, p = frame_weights(n), 1
+            assert sorted(w) == list(range(n + 1)) and w[n] == 1
+            for m in range(n + 1):
+                assert p * w[m] == w[0], (n, m)
+                p *= (n - m) * (m + 1)
 
     def test_raising_and_lowering_match(self):
-        # E|k> = sqrt((n-k)(n+k+2)/4) |k+2>, zero at k = n, and F = E^T
+        # E|k> = sqrt((n-k)(n+k+2)/4) |k+2>, zero at k = n, and F = E^T on
+        # the orthonormal basis; the package holds their D conjugates
         for n in range(1, 13):
-            E, Fm = ef_matrices(n)
+            E, Fm = surd_ef_matrices(n)
             assert E == {((k + n) // 2 + 1, (k + n) // 2):
                          SurdSum.sqrt(F((n - k) * (n + k + 2), 4)) for k in weights(n)[:-1]}
             assert Fm == {(j, i): x for (i, j), x in E.items()}
+            Ed, Fd = ef_matrices(n)
+            assert Ed == {(m + 1, m): (n - m) * (m + 1) for m in range(n)}
+            assert Fd == {(m, m + 1): 1 for m in range(n)}
+            assert (Ed, Fd) == (d_conjugate(n, E), d_conjugate(n, Fm))
 
     @given(st.integers(1, 12))
     def test_basis_orthonormal(self, n):
@@ -78,16 +95,16 @@ class TestRepresentation:
         for n in range(1, 13):
             E, Fm = ef_matrices(n)
             assert sp_sub(sp_mul(E, Fm), sp_mul(Fm, E)) == {
-                (m, m): SurdSum.rational(2 * m - n) for m in range(n + 1) if 2 * m != n}
+                (m, m): 2 * m - n for m in range(n + 1) if 2 * m != n}
 
     def test_error_block_starts_at_the_raising_power(self):
         E, Fm = ef_matrices(5)
         one, = error_block(5, 0)
-        assert one == {(m, m): SurdSum.rational(1) for m in range(6)}
+        assert one == {(m, m): 1 for m in range(6)}
         block = error_block(5, 1)
         assert len(block) == 3 and block[0] == E
         # ad_F(E) = -H and ad_F^2(E) = -2F
-        assert block[1] == {(m, m): SurdSum.rational(5 - 2 * m) for m in range(6)}
+        assert block[1] == {(m, m): 5 - 2 * m for m in range(6)}
         assert block[2] == {k: -2 * x for k, x in Fm.items()}
         assert len(error_block(5, 2)) == 5
 
@@ -244,3 +261,35 @@ class TestMinDistanceMatchesWordExpansion:
         for n, ks in BASIS_SETS:
             vecs = [basis_vector(n, k) for k in ks]
             assert min_distance(n, vecs) == reference_min_distance(n, vecs), (n, ks)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_orthogonal_surd_superpositions(self, data):
+        # u = a|k1> + b|k2> and v = b|k1> - a|k2>, or v = c|k3> + d|k4> on
+        # two other weights; amplitudes c sqrt(r).  With k2 = -k1, b = +-a,
+        # k4 = -k3 and d = +-c, H has zero expectation on both, so the
+        # distance can pass 1
+        n = data.draw(st.integers(1, 10))
+        amp = st.builds(lambda c, r: SurdSum.sqrt(r) * c,
+                        st.sampled_from([-2, -1, 1, 2]), st.sampled_from([1, 2, 3, 6]))
+        sign = st.sampled_from([-1, 1])
+        positive = [k for k in weights(n) if k > 0]
+        if len(positive) >= 2 and data.draw(st.booleans()):
+            k1, k3 = data.draw(st.lists(st.sampled_from(positive), min_size=2,
+                                        max_size=2, unique=True))
+            a, c = data.draw(amp), data.draw(amp)
+            u = Su2Vector.make(n, {k1: a, -k1: a * data.draw(sign)})
+            v = Su2Vector.make(n, {k3: c, -k3: c * data.draw(sign)})
+        else:
+            k1, k2 = data.draw(st.lists(st.sampled_from(weights(n)), min_size=2,
+                                        max_size=2, unique=True))
+            a, b = data.draw(amp), data.draw(amp)
+            u = Su2Vector.make(n, {k1: a, k2: b})
+            rest = [k for k in weights(n) if k not in (k1, k2)]
+            if len(rest) >= 2 and data.draw(st.booleans()):
+                k3, k4 = data.draw(st.lists(st.sampled_from(rest), min_size=2,
+                                            max_size=2, unique=True))
+                v = Su2Vector.make(n, {k3: data.draw(amp), k4: data.draw(amp)})
+            else:
+                v = Su2Vector.make(n, {k1: b, k2: -a})
+        assert min_distance(n, [u, v]) == reference_min_distance(n, [u, v])
