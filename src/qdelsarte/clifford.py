@@ -11,7 +11,8 @@ Every Gamma_x is a Pauli string up to phase, i^k X^a Z^b, the binary
 symplectic form of Calderbank, Rains, Shor and Sloane (1998): column c goes
 to row c ^ a with phase i^(k + 2|b & c|).  `_pauli` gives (k, a, b) in closed
 form, and products follow from it.  The Kronecker-product definition of
-the generators is kept only as the reference the tests compare against.
+the generators is `weyl_brauer` in `tests/reference.py`, which the tests
+compare against.
 
 Labels are stored as Python ints: bit k set means letter k+1 participates.
 Two operators commute iff q(x, y) = wt(x)wt(y) + x.y vanishes mod 2, so a

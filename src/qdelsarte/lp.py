@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from .families import Family, profile
 from .simplex import (EQ, GE, Constraint, WarmStart, check_feasible, row_multipliers,
@@ -142,20 +142,19 @@ class IntegerSystem:
 def integer_system(spec: Family, d: int, opts: LPOptions = LPOptions()) -> IntegerSystem:
     """The IntegerSystem of affine_rows(spec, d, opts).
 
-    Each row (a, b) is brought to integers over the lcm of all the
-    denominators of a and b, then divided by the gcd of those integers and
-    that lcm, which leaves the least scale c_i making A_i and B_i integral.
+    Each row (a, b) is brought to integers by c_i, the lcm of all the
+    denominators of a and b, the least such scale.  No common factor of
+    c_i, A_i and B_i is left: each prime power p^e exactly dividing c_i
+    divides the denominator of some entry, which scales to an integer prime
+    to p.
     """
     rows, nvars = affine_rows(spec, d, opts)
     A, B, scales = [], [], []
     for a, b, _ in rows:
         c = lcm(*(x.denominator for x in a + b))
-        ai = [x.numerator * (c // x.denominator) for x in a]
-        bi = [x.numerator * (c // x.denominator) for x in b]
-        g = gcd(c, *ai, *bi)
-        A.append(tuple(v // g for v in ai))
-        B.append(tuple(v // g for v in bi))
-        scales.append(c // g)
+        A.append(tuple(x.numerator * (c // x.denominator) for x in a))
+        B.append(tuple(x.numerator * (c // x.denominator) for x in b))
+        scales.append(c)
     return IntegerSystem(tuple(A), tuple(B), tuple(scales),
                          tuple(sense for *_, sense in rows), nvars)
 
@@ -222,21 +221,14 @@ def lp_bound(spec: Family, d: int, opts: LPOptions = LPOptions(),
         return BoundResult(hi_cap, hi_cap, True)
 
     lo, hi = Fraction(1), hi_cap
-    if integer:
-        while hi - lo > 1:
-            mid = Fraction((lo + hi) // 2)
-            if feasible(spec, d, mid, opts, warm).feasible:
-                lo = mid
-            else:
-                hi = mid
-        return BoundResult(lo, hi, True)
-
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
+    while hi - lo > (1 if integer else tol):
+        mid = Fraction((lo + hi) // 2) if integer else (lo + hi) / 2
         if feasible(spec, d, mid, opts, warm).feasible:
             lo = mid
         else:
             hi = mid
+    if integer:
+        return BoundResult(lo, hi, True)
     # snap to an integer supremum if one sits inside the final bracket; with
     # tol >= 1 the test point k + tol/2 can lie far above the bracket, where
     # its infeasibility says nothing about (k, hi]

@@ -35,13 +35,15 @@ changes no pivot and no witness.
 Every verdict carries a certificate that is checked by integer substitution
 before it is returned: a feasible system yields a witness point, an
 infeasible one a Farkas vector y (y_i >= 0 on >= rows, y^T A <= 0,
-y^T b > 0), solved from the final basis as the phase-1 dual.  The final
-basis comes back as (kind, index) labels: ("x", column) for a structural,
-("s", row) for the surplus or slack of a >= row, ("a", row) for an
-artificial.  `point_from_basis` and `farkas_from_basis` re-solve a basis on
-another system of the same shape with one square fraction-free solve.  A
-feasible witness is the vertex of whichever basis passed, so it need not be
-the vertex the kernel reaches; the verdict is the same.
+y^T b > 0), solved from the final basis as the phase-1 dual.  A basis is
+kept as the split it is re-solved from, a `Basis` (cols, tight, arts): the
+sorted basic structural columns, the tight rows (neither their surplus nor
+their artificial is basic) and the rows whose artificial is basic.
+`point_from_basis` and `farkas_from_basis` re-solve a basis on another
+system of the same shape with one square fraction-free solve, and a basis
+with len(cols) != len(tight) yields neither.  A feasible witness is the
+vertex of whichever basis passed, so it need not be the vertex the kernel
+reaches; the verdict is the same.
 """
 
 from __future__ import annotations
@@ -55,9 +57,8 @@ EQ = "eq"
 GE = "ge"
 BLAND_AFTER = 50  # degenerate pivots in a row before Bland's rule takes over
 
-Label = tuple[str, int]
-# (basic structural columns, tight rows, artificial rows) of a basis
-Split = tuple[list[int], list[int], list[int]]
+# (sorted basic structural columns, tight rows, rows whose artificial is basic)
+Basis = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class FeasibilityResult:
     feasible: bool
     witness: tuple[Fraction, ...] | None
     farkas: tuple[int, ...] | None = None  # multipliers of the rows or constraints
-    basis: tuple[Label, ...] | None = None  # final basis
+    basis: Basis | None = None  # final basis
 
 
 def solve(rows: list[list[int]], senses: Sequence[str], scales: list[int],
@@ -87,8 +88,8 @@ def solve(rows: list[list[int]], senses: Sequence[str], scales: list[int],
     column.
     """
     _check_shape(rows, senses, scales, nvars)
-    T, basis, labels, art_rows = _slack_start(rows, senses, nvars)
-    ncols = len(labels) - len(art_rows)
+    T, basis, ge_rows, art_rows = _slack_start(rows, senses, nvars)
+    ncols = nvars + len(ge_rows)
     m = len(T)
 
     # phase-1 objective as row m, a positive multiple of the artificial
@@ -132,7 +133,7 @@ def solve(rows: list[list[int]], senses: Sequence[str], scales: list[int],
         D = _pivot(T, leave, enter, D)
         basis[leave] = enter
 
-    final = tuple(labels[b] for b in basis)
+    final = _split(basis, nvars, ge_rows, art_rows)
     if T[m][-1] != 0:
         y = farkas_from_basis(rows, senses, scales, nvars, final)
         if y is None:
@@ -149,7 +150,7 @@ def solve(rows: list[list[int]], senses: Sequence[str], scales: list[int],
 
 
 def _slack_start(rows: list[list[int]], senses: Sequence[str], nvars: int
-                 ) -> tuple[list[list[int]], list[int], list[Label], list[int]]:
+                 ) -> tuple[list[list[int]], list[int], list[int], list[int]]:
     """The starting tableau of both phase 1s: the slack basis.
 
     Columns are the structurals, one surplus or slack per >= row, then the
@@ -157,30 +158,40 @@ def _slack_start(rows: list[list[int]], senses: Sequence[str], nvars: int
     basic at -b >= 0.  Any other row is negated when b < 0 and starts with
     its artificial basic, so artificials sit only on eq rows (b = 0
     included) and on >= rows with b > 0.  An artificial has coefficient 1
-    and never re-enters once it leaves, so it gets a label (after the other
+    and never re-enters once it leaves, so it gets an index (after the
     columns) but no column.  Returns the rows [sign * a_i | slacks |
-    sign * b_i], the basic column (or artificial label) index of each row,
-    the labels and the rows that carry an artificial.
+    sign * b_i], the basic column (or artificial) index of each row, the
+    row of each surplus column and the rows that carry an artificial.
     """
     ncols = nvars + sum(s == GE for s in senses)
     T: list[list[int]] = []
     basis: list[int] = []
-    labels: list[Label] = [("x", j) for j in range(nvars)]
+    ge_rows: list[int] = []
     art_rows: list[int] = []
     for i, (row, sense) in enumerate(zip(rows, senses)):
         slack = sense == GE and row[-1] <= 0
         sign = -1 if slack or row[-1] < 0 else 1
         t = [sign * x for x in row[:-1]] + [0] * (ncols - nvars) + [sign * row[-1]]
         if sense == GE:
-            t[len(labels)] = -sign
-            labels.append(("s", i))
+            t[nvars + len(ge_rows)] = -sign
+            ge_rows.append(i)
         if slack:
-            basis.append(len(labels) - 1)
+            basis.append(nvars + len(ge_rows) - 1)
         else:
             basis.append(ncols + len(art_rows))
             art_rows.append(i)
         T.append(t)
-    return T, basis, labels + [("a", i) for i in art_rows], art_rows
+    return T, basis, ge_rows, art_rows
+
+
+def _split(basis: list[int], nvars: int, ge_rows: list[int], art_rows: list[int]) -> Basis:
+    """The Basis whose basic column (or artificial) indices, numbered as by
+    `_slack_start`, are basis."""
+    ncols = nvars + len(ge_rows)
+    arts = sorted(art_rows[b - ncols] for b in basis if b >= ncols)
+    covered = {ge_rows[b - nvars] for b in basis if nvars <= b < ncols}.union(arts)
+    return (tuple(sorted(b for b in basis if b < nvars)),
+            tuple(i for i in range(len(basis)) if i not in covered), tuple(arts))
 
 
 def _check_shape(rows: list[list[int]], senses: Sequence[str], scales: list[int],
@@ -199,21 +210,15 @@ def _check_shape(rows: list[list[int]], senses: Sequence[str], scales: list[int]
 
 
 def point_from_basis(rows: list[list[int]], senses: Sequence[str], nvars: int,
-                     basis: tuple[Label, ...]) -> tuple[Fraction, ...] | None:
+                     basis: Basis) -> tuple[Fraction, ...] | None:
     """The vertex of basis on rows, if it exists and passes substitution.
 
-    The basic structurals are solved on the rows whose surplus and
-    artificial are both nonbasic; the other structurals are zero.
+    The basic structurals are solved on the tight rows; the other
+    structurals are zero.
     """
-    return _vertex(rows, senses, nvars, _split_basis(basis, senses, nvars))
-
-
-def _vertex(rows: list[list[int]], senses: Sequence[str], nvars: int,
-            split: Split | None) -> tuple[Fraction, ...] | None:
-    """`point_from_basis` on a basis already split by `_split_basis`."""
-    if split is None:
+    cols, tight, _ = basis
+    if len(cols) != len(tight):
         return None
-    cols, tight, _ = split
     sol = _solve_square([[rows[i][j] for j in cols] for i in tight],
                         [rows[i][-1] for i in tight])
     if sol is None:
@@ -228,23 +233,17 @@ def _vertex(rows: list[list[int]], senses: Sequence[str], nvars: int,
 
 
 def farkas_from_basis(rows: list[list[int]], senses: Sequence[str], scales: list[int],
-                      nvars: int, basis: tuple[Label, ...]) -> tuple[int, ...] | None:
+                      nvars: int, basis: Basis) -> tuple[int, ...] | None:
     """The phase-1 dual y of basis on rows, if it passes as a Farkas vector.
 
     y is zero on rows whose surplus is basic, (L / s_i) * sign(b_i) on rows
     whose artificial is basic (the artificial's cost, L = lcm of those
-    scales), and on the other rows solves y^T a_j = 0 for each basic
+    scales), and on the tight rows solves y^T a_j = 0 for each basic
     structural j.
     """
-    return _dual(rows, senses, scales, nvars, _split_basis(basis, senses, nvars))
-
-
-def _dual(rows: list[list[int]], senses: Sequence[str], scales: list[int], nvars: int,
-          split: Split | None) -> tuple[int, ...] | None:
-    """`farkas_from_basis` on a basis already split by `_split_basis`."""
-    if split is None:
+    cols, tight, arts = basis
+    if len(cols) != len(tight):
         return None
-    cols, tight, arts = split
     L = lcm(*(scales[i] for i in arts))
     y = [0] * len(rows)
     for i in arts:
@@ -266,10 +265,10 @@ FLOAT_EPS = 1e-12  # relative: reduced cost against its terms, pivot against its
 
 
 def float_basis(rows: list[list[int]], senses: Sequence[str], scales: list[int],
-                nvars: int) -> tuple[Label, ...] | None:
+                nvars: int) -> Basis | None:
     """A phase-1 optimal basis of the system of `solve`, found in floats.
 
-    Same start (`_slack_start`), columns, labels, artificial costs
+    Same start (`_slack_start`), columns, artificial costs
     (artificial i costs 1/s_i on the rational row) and pricing rule as
     `solve`, with each row divided by its largest entry and its surplus
     rescaled to +-1, which changes no basis (but prices a surplus per unit
@@ -279,8 +278,8 @@ def float_basis(rows: list[list[int]], senses: Sequence[str], scales: list[int],
     The basis is only a guess: None when the pivots run out, and nothing
     here is a certificate.
     """
-    T0, basis, labels, art_rows = _slack_start(rows, senses, nvars)
-    ncols = len(labels) - len(art_rows)
+    T0, basis, ge_rows, art_rows = _slack_start(rows, senses, nvars)
+    ncols = nvars + len(ge_rows)
     norms = [max(map(abs, row)) or 1 for row in rows]
     T = [[x / n for x in t[:nvars]] + [float(x) for x in t[nvars:ncols]] + [t[-1] / n]
          for t, n in zip(T0, norms)]
@@ -317,7 +316,7 @@ def float_basis(rows: list[list[int]], senses: Sequence[str], scales: list[int],
                         leave = i
                         continue
                     # lower ratio, then the larger pivot (Dantzig) or the
-                    # lower label (Bland)
+                    # lower basic index (Bland)
                     lhs = max(T[i][-1], 0.0) * col[leave]
                     rhs = max(T[leave][-1], 0.0) * a
                     if lhs < rhs - FLOAT_EPS * rhs or (
@@ -327,7 +326,7 @@ def float_basis(rows: list[list[int]], senses: Sequence[str], scales: list[int],
             if leave >= 0:  # a column with no pivot is rounding noise
                 break
         else:
-            return tuple(labels[b] for b in basis)
+            return _split(basis, nvars, ge_rows, art_rows)
         degenerate = degenerate + 1 if T[leave][-1] <= FLOAT_EPS * col[leave] else 0
         p = col[leave]
         prow = T[leave] = [x / p for x in T[leave]]
@@ -351,28 +350,30 @@ class WarmStart:
     one re-solve of a basis can pass (a feasible system has no Farkas
     vector, an infeasible one no witness), so the order changes no
     certificate, stored basis or counter.  The basis that passed becomes
-    the stored feasible or infeasible basis.  Each basis is split once, in
-    a memo kept for the senses and nvars of the last solve.
+    the stored feasible or infeasible basis.  Both stored bases are dropped
+    when the senses or nvars differ from those of the last solve; bases
+    stored before the first solve are tried on it.
     """
 
     def __init__(self) -> None:
-        self.feasible_basis: tuple[Label, ...] | None = None
-        self.infeasible_basis: tuple[Label, ...] | None = None
+        self.feasible_basis: Basis | None = None
+        self.infeasible_basis: Basis | None = None
         self.warm_feasible = self.warm_infeasible = self.guided = self.cold = 0
         self._last_feasible = True  # the verdict of the last solve
-        self._shape: tuple[tuple[str, ...], int] | None = None  # (senses, nvars) of the memo
-        self._splits: dict[tuple[Label, ...], Split | None] = {}
+        self._shape: tuple[tuple[str, ...], int] | None = None  # (senses, nvars) of the last solve
 
     def solve(self, rows: list[list[int]], senses: Sequence[str], scales: list[int],
               nvars: int) -> FeasibilityResult:
         _check_shape(rows, senses, scales, nvars)
         shape = (tuple(senses), nvars)
         if shape != self._shape:
-            self._shape, self._splits = shape, {}
+            if self._shape is not None:
+                self.feasible_basis = self.infeasible_basis = None
+            self._shape = shape
         stored = ((True, self.feasible_basis), (False, self.infeasible_basis))
         for verdict, basis in stored if self._last_feasible else stored[::-1]:
             if basis is not None and (
-                    res := self._resolve(rows, senses, scales, nvars, basis, verdict)):
+                    res := _resolve(rows, senses, scales, nvars, basis, verdict)):
                 if verdict:
                     self.warm_feasible += 1
                 else:
@@ -384,9 +385,9 @@ class WarmStart:
         except OverflowError:  # an entry beyond the float range
             guess = None
         if guess is not None:
-            dual_first = any(kind == "a" for kind, _ in guess)
+            dual_first = bool(guess[2])
             for verdict in (not dual_first, dual_first):
-                if res := self._resolve(rows, senses, scales, nvars, guess, verdict):
+                if res := _resolve(rows, senses, scales, nvars, guess, verdict):
                     self.guided += 1
                     if verdict:
                         self.feasible_basis = guess
@@ -403,20 +404,16 @@ class WarmStart:
         self._last_feasible = sol.feasible
         return sol
 
-    def _resolve(self, rows: list[list[int]], senses: Sequence[str], scales: list[int],
-                 nvars: int, basis: tuple[Label, ...], verdict: bool
-                 ) -> FeasibilityResult | None:
-        """The vertex (verdict True) or the phase-1 dual (verdict False) of
-        basis on rows, if it passes substitution."""
-        if basis in self._splits:
-            split = self._splits[basis]
-        else:
-            split = self._splits[basis] = _split_basis(basis, senses, nvars)
-        if verdict:
-            point = _vertex(rows, senses, nvars, split)
-            return None if point is None else FeasibilityResult(True, point, None, basis)
-        y = _dual(rows, senses, scales, nvars, split)
-        return None if y is None else FeasibilityResult(False, None, y, basis)
+
+def _resolve(rows: list[list[int]], senses: Sequence[str], scales: list[int], nvars: int,
+             basis: Basis, verdict: bool) -> FeasibilityResult | None:
+    """The vertex (verdict True) or the phase-1 dual (verdict False) of
+    basis on rows, if it passes substitution."""
+    if verdict:
+        point = point_from_basis(rows, senses, nvars, basis)
+        return None if point is None else FeasibilityResult(True, point, None, basis)
+    y = farkas_from_basis(rows, senses, scales, nvars, basis)
+    return None if y is None else FeasibilityResult(False, None, y, basis)
 
 
 def check_feasible(constraints: list[Constraint], nvars: int) -> FeasibilityResult:
@@ -481,30 +478,6 @@ def _is_farkas(rows, senses, nvars, y) -> bool:
     if any(sum(v * row[j] for v, row in pairs) > 0 for j in range(nvars)):
         return False
     return sum(v * row[-1] for v, row in pairs) > 0
-
-
-def _split_basis(basis: tuple[Label, ...], senses: Sequence[str],
-                 nvars: int) -> Split | None:
-    """(basic structural columns, rows with no basic surplus or artificial,
-    rows with a basic artificial), or None unless basis has that square shape."""
-    m = len(senses)
-    cols: list[int] = []
-    covered: set[int] = set()
-    arts: list[int] = []
-    for kind, k in basis:
-        if kind == "x" and 0 <= k < nvars:
-            cols.append(k)
-        elif kind in ("s", "a") and 0 <= k < m and k not in covered \
-                and (kind == "a" or senses[k] == GE):
-            covered.add(k)
-            if kind == "a":
-                arts.append(k)
-        else:
-            return None
-    tight = [i for i in range(m) if i not in covered]
-    if len(basis) != m or len(set(cols)) != len(cols) or len(tight) != len(cols):
-        return None
-    return sorted(cols), tight, arts
 
 
 def _solve_square(M: list[list[int]], b: list[int]) -> tuple[list[int], int] | None:

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from qdelsarte import simplex
 from qdelsarte.families import CliffordOdd, Su2
 from qdelsarte.lp import LPOptions, feasible
-from qdelsarte.simplex import (EQ, GE, Constraint, WarmStart, check_feasible, float_basis,
-                               point_from_basis, row_multipliers, solve, verify_farkas,
-                               verify_witness)
+from qdelsarte.simplex import (EQ, GE, Constraint, WarmStart, check_feasible,
+                               farkas_from_basis, float_basis, point_from_basis,
+                               row_multipliers, solve, verify_farkas, verify_witness)
 
 F = Fraction
 
@@ -169,6 +169,25 @@ def test_verdicts_are_self_consistent(sys_data):
             assert res.witness is None
 
 
+@given(random_systems())
+@settings(max_examples=150, deadline=None)
+def test_the_final_basis_re_solves_to_the_kernel_certificate(sys_data):
+    nvars, rows = sys_data
+    cons = [Constraint(coeffs, sense, F(1)) for coeffs, sense in rows]
+    rows, scales, senses = integer_rows(cons)
+    sol = solve(rows, senses, scales, nvars)
+    cols, tight, arts = sol.basis
+    assert len(cols) == len(tight)
+    assert point_from_basis(rows, senses, nvars, sol.basis) == sol.witness
+    assert farkas_from_basis(rows, senses, scales, nvars, sol.basis) == sol.farkas
+    # a basis that is not square yields no certificate, even one that would
+    # pass substitution (x0 = 0 without its tight row re-solves to x = 0)
+    if cols:
+        for bad in ((cols[1:], tight, arts), (cols, tight[1:], arts)):
+            assert point_from_basis(rows, senses, nvars, bad) is None
+            assert farkas_from_basis(rows, senses, scales, nvars, bad) is None
+
+
 @given(rational_systems(), st.lists(st.integers(1, 50), min_size=5, max_size=5))
 @settings(max_examples=150, deadline=None)
 def test_positive_row_rescaling_changes_no_witness(sys_data, factors):
@@ -288,20 +307,22 @@ def test_nonpositive_ge_rows_start_feasible_at_the_slack_basis(monkeypatch):
     # every >= row with b <= 0 holds at x = 0, where its slack starts basic
     rows = [[1, -2, 0, 0], [-1, 3, 1, -2], [0, 1, -1, 0]]
     senses, scales = [GE] * 3, [1, 1, 1]
-    assert float_basis(rows, senses, scales, 3) == (("s", 0), ("s", 1), ("s", 2))
+    assert float_basis(rows, senses, scales, 3) == ((), (), ())
     calls = counting_pivots(monkeypatch)
     res = solve(rows, senses, scales, 3)
     assert res.feasible and res.witness == (0, 0, 0) and calls == []
-    assert res.basis == (("s", 0), ("s", 1), ("s", 2))
+    assert res.basis == ((), (), ())
 
 
 def test_only_rows_that_need_one_carry_an_artificial():
     # eq rows (b = 0 too) and >= rows with b > 0; not >= rows with b <= 0
     rows = [[1, 1, 0], [1, -1, 0], [1, 0, 1], [0, 1, -1], [1, 1, -1]]
     senses = [EQ, GE, GE, GE, EQ]
-    _, basis, labels, art_rows = simplex._slack_start(rows, senses, 2)
-    assert art_rows == [0, 2, 4]
-    assert [labels[b] for b in basis] == [("a", 0), ("s", 1), ("a", 2), ("s", 3), ("a", 4)]
+    _, basis, ge_rows, art_rows = simplex._slack_start(rows, senses, 2)
+    assert ge_rows == [1, 2, 3] and art_rows == [0, 2, 4]
+    # columns: x0, x1, the surpluses of rows 1..3, then the artificials
+    assert basis == [5, 2, 6, 4, 7]
+    assert simplex._split(basis, 2, ge_rows, art_rows) == ((), (), (0, 2, 4))
 
 
 @st.composite

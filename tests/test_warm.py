@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 from unittest.mock import patch
 
 import pytest
@@ -135,6 +136,16 @@ def test_build_system_and_template_equal_the_reference_system(p, q):
             == [[*c.coeffs, c.rhs] for c in cons]
 
 
+def test_template_scales_are_the_lcm_of_each_row_s_denominators():
+    # so no common factor is left to divide out of c_i, A_i and B_i
+    for spec, d, opts in GRID:
+        rows, _ = lp.affine_rows(spec, d, opts)
+        system = integer_system(spec, d, opts)
+        for (a, b, _), c, ai, bi in zip(rows, system.scales, system.A, system.B):
+            assert c == lcm(*(F(x).denominator for x in a + b))
+            assert gcd(c, *ai, *bi) == 1
+
+
 def test_template_is_cached_and_built_without_build_system(monkeypatch):
     integer_system.cache_clear()
     calls = []
@@ -247,22 +258,20 @@ def final_bases(spec, d, opts, feasible_k, infeasible_k):
 
 
 def swap_structural(basis):
-    cols = {k for kind, k in basis if kind == "x"}
-    other = min(set(range(9)) - cols)
-    i = next(i for i, (kind, _) in enumerate(basis) if kind == "x")
-    return basis[:i] + (("x", other),) + basis[i + 1:]
+    cols, tight, arts = basis
+    other = min(set(range(9)) - set(cols))
+    return tuple(sorted(cols[1:] + (other,))), tight, arts
 
 
 @pytest.mark.parametrize("tamper,malformed", [
-    (lambda b: b[:-1], True),                            # too short
-    (lambda b: b[:-1] + (b[0],), True),                  # a label twice
-    (lambda b: b[:-1] + (("x", 99),), True),             # no such column
-    (lambda b: (("s", 0),) + b[1:], True),               # surplus of the eq row
+    (lambda b: (b[0], b[1][:-1], b[2]), True),           # a tight row missing
+    (lambda b: (b[0][1:], b[1], b[2]), True),            # a basic column missing
     (swap_structural, False),                            # another vertex
 ])
 def test_tampered_bases_fall_back_to_a_cold_solve(tamper, malformed):
     spec, d, opts = Su2(8), 3, SD
     fb, ib = final_bases(spec, d, opts, F(2), F(3))
+    assert fb[0] and ib[0]  # so a column can go missing
     for K in (F(2), F(41, 20), F(3), F(5)):
         warm = WarmStart()
         warm.feasible_basis, warm.infeasible_basis = tamper(fb), tamper(ib)
@@ -271,6 +280,25 @@ def test_tampered_bases_fall_back_to_a_cold_solve(tamper, malformed):
         check_report(spec, d, K, opts, rep)
         if malformed:
             assert warm.guided + warm.cold == 1
+
+
+def test_bases_are_dropped_when_the_shape_changes():
+    # the d = 3 final bases re-solve at their own K when stored before the
+    # first solve, but not after a solve at d = 2, where row 3 (t = 2) is a
+    # >= row
+    spec, opts = Su2(8), SD
+    fb, ib = final_bases(spec, 3, opts, F(2), F(3))
+    for K in (F(2), F(3)):
+        for first in (None, 2):
+            warm = WarmStart()
+            if first is not None:
+                feasible(spec, first, F(1), opts, warm)
+            warm.feasible_basis, warm.infeasible_basis = fb, ib
+            before = warm.warm_feasible + warm.warm_infeasible
+            rep = feasible(spec, 3, K, opts, warm)
+            assert rep.feasible == cold_report(spec, 3, K, opts).feasible
+            check_report(spec, 3, K, opts, rep)
+            assert warm.warm_feasible + warm.warm_infeasible - before == (first is None)
 
 
 def test_swapped_bases_are_rejected_by_substitution():
@@ -336,14 +364,13 @@ def final_basis(K):
 fb, ib = final_basis(F(2)), final_basis(F(3))
 real = simplex.float_basis
 def other_vertex(rows, senses, scales, nvars):
-    b = real(rows, senses, scales, nvars)
-    i = next(i for i, (kind, _) in enumerate(b) if kind == "x")
-    other = min(set(range(nvars)) - {k for kind, k in b if kind == "x"})
-    return b[:i] + (("x", other),) + b[i + 1:]
+    cols, tight, arts = real(rows, senses, scales, nvars)
+    other = min(set(range(nvars)) - set(cols))
+    return tuple(sorted(cols[1:] + (other,))), tight, arts
 def swapped(rows, senses, scales, nvars):
     return ib if simplex.solve(rows, senses, scales, nvars).feasible else fb
 guesses = {
-    "malformed": lambda *args: fb[:-1] + (fb[0],),
+    "malformed": lambda *args: (fb[0], fb[1][:-1], fb[2]),
     "other-vertex": other_vertex,
     "swapped": swapped,
     "none": lambda *args: None,
