@@ -18,16 +18,25 @@ substitution, a witness point when feasible and a Farkas vector when not.
 Since the rows are affine in K, the bisection does not rebuild them: the
 `IntegerSystem` of (spec, d, opts), the affine rows in integers and cached,
 gives row i at K = p/q as the integer row p*A_i + q*B_i (or B_i when the
-row does not depend on K).  `lp_bound` passes one
-`WarmStart` to all of its probes, so a probe first re-solves the final
-basis of the last feasible probe (accepted when the vertex passes integer
-substitution) and of the last infeasible probe (accepted when its phase-1
-dual passes as a Farkas vector), the one matching the last verdict first,
-then the basis a floating-point phase 1 picks (accepted on the same two
-checks), and runs a cold exact simplex only when none of them passes.  The
-front-door `feasible` (no `WarmStart`) takes the same path through
-`simplex.check_feasible` with a fresh `WarmStart`: the float basis first,
-the cold simplex only when it is rejected.  No float value reaches a
+row does not depend on K).
+
+A probe of `lp_bound` first tries the `closed_forms` of the system, built
+once per (spec, d, opts): the witness (e_0 + W e_0) / (1 + W_0(0)) at K = 1
+(W^2 = I, so B = A), the forced point (dim H, 0, ..., 0) at K = dim H when
+d = 1, and for d >= 2 the Farkas vector on rows 0-2 from the proof of
+`dist2_bound` (Shor-Laflamme and Rains, "Quantum weight enumerators",
+1998), which settles every K above that bound.  Each is checked by the
+integer substitution the simplex layer uses, so a closed form is never
+trusted; one that fails leaves the probe to the LP.  The LP probes share
+one `WarmStart`, so an LP probe first re-solves the final basis of the last
+feasible probe (accepted when the vertex passes integer substitution) and
+of the last infeasible probe (accepted when its phase-1 dual passes as a
+Farkas vector), the one matching the last verdict first, then the basis a
+floating-point phase 1 picks (accepted on the same two checks), and runs a
+cold exact simplex only when none of them passes.  The front-door
+`feasible` (no `WarmStart`) tries no closed form; it takes the same path
+through `simplex.check_feasible` with a fresh `WarmStart`: the float basis
+first, the cold simplex only when it is rejected.  No float value reaches a
 verdict.
 """
 
@@ -39,8 +48,8 @@ from functools import lru_cache
 from math import lcm
 
 from .families import Family, profile
-from .simplex import (EQ, GE, Constraint, WarmStart, check_feasible, row_multipliers,
-                      verify_farkas, verify_witness)
+from .simplex import (EQ, GE, Constraint, WarmStart, _is_farkas, _satisfies, check_feasible,
+                      row_multipliers, verify_farkas, verify_witness)
 from .wtj import lambda_signature, wtj_matrix
 
 DEFAULT_TOL = Fraction(1, 100_000)
@@ -128,13 +137,13 @@ class IntegerSystem:
     def __post_init__(self) -> None:
         object.__setattr__(self, "varies", tuple(map(any, self.A)))
 
-    def at(self, K: Fraction) -> tuple[list[list[int]], list[int]]:
+    def at(self, K: Fraction, head: int | None = None) -> tuple[list[list[int]], list[int]]:
         """Integer rows at K and their positive scales (row / scale is the
-        build_system row)."""
+        build_system row), of all the rows or of the first head."""
         p, q = K.numerator, K.denominator
         rows = [[p * x + q * y for x, y in zip(a, b)] if v else list(b)
-                for a, b, v in zip(self.A, self.B, self.varies)]
-        scales = [q * c if v else c for c, v in zip(self.scales, self.varies)]
+                for a, b, v in zip(self.A[:head], self.B, self.varies)]
+        scales = [q * c if v else c for c, v in zip(self.scales[:head], self.varies)]
         return rows, scales
 
 
@@ -192,6 +201,93 @@ def feasible(spec: Family, d: int, K: Fraction,
     return FeasibleReport(False, None, row_multipliers(res.farkas, scales))
 
 
+def unit_witness(W: tuple[tuple[Fraction, ...], ...]) -> tuple[Fraction, ...]:
+    """A = (e_0 + W e_0) / (1 + W_0(0)), the +1 eigenvector of W (W^2 = I):
+    at K = 1 it has A_0 = 1 and B = K W A = A."""
+    scale = 1 + W[0][0]
+    return tuple(((t == 0) + row[0]) / scale for t, row in enumerate(W))
+
+
+def dist2_multipliers(N: int, w1: tuple[int, int, int, int], K: Fraction
+                      ) -> tuple[int, int, int]:
+    """The multipliers of the integer rows 0-2 (A_0 = K, t = 0, t = 1) at K
+    in the proof of `dist2_bound`, with w1 = (W_1(0), W_1(1),
+    min_{j>=2} W_1(j)) times their common denominator c, then c.
+
+    On the rational rows they are (nu, mu, -1) with mu = N min(min_{j>=2}
+    W_1(j), W_1(1) - 1/K) and nu = K W_1(0) + mu (1 - K/N).  With W_0(j) =
+    1/N, mu keeps every column j >= 1 of y^T A at or below 0 and nu sets
+    column 0 to 0, so y^T b = nu K > 0 exactly when nu > 0, which holds
+    above dist2_bound.  At K = p/q the integer rows 0-2 are these rows
+    times q, q N and q c, so their multipliers are (nu / q, mu / (q N),
+    -1 / (q c)), which times c p q^2 are the integers
+    (p^2 c W_1(0) + m (N q - p), q m, -p q) with m = c p mu / N.
+    """
+    p, q = K.numerator, K.denominator
+    b0, b1, low, c = w1
+    m = min(p * low, p * b1 - q * c)
+    return p * p * b0 + m * (N * q - p), q * m, -p * q
+
+
+@dataclass(frozen=True)
+class ClosedForms:
+    """The closed-form certificates of the system of (spec, d, opts).
+
+    witnesses holds the feasible reports at K = 1 (`unit_witness`) and, at
+    d = 1, at K = dim(H) (the forced point (dim H, 0, ..., 0); for d >= 2
+    row t = 1 forbids it, since W_1(0) > 0), each kept only when it passed
+    integer substitution into integer_system(spec, d, opts) at its K.
+    dim_H and w1 feed `dist2_multipliers`, for d >= 2 only: rows 0-2 are in
+    every such system, and row t = 1 is then an equation, so its multiplier
+    may be negative.
+    """
+    witnesses: dict[Fraction, FeasibleReport]
+    dim_H: int
+    w1: tuple[int, int, int, int] | None
+
+    def settle(self, system: IntegerSystem, K: Fraction, dist2: bool = True
+               ) -> FeasibleReport | None:
+        """The verdict at K of a closed-form certificate, or None.
+
+        A witness at its K; otherwise, unless dist2 is false, the
+        distance-2 vector, when it passes integer substitution into rows
+        0-2 of system at K (it is zero on every other row).
+        """
+        if K in self.witnesses:
+            return self.witnesses[K]
+        if self.w1 is None or not dist2:
+            return None
+        rows, scales = system.at(K, 3)
+        y = dist2_multipliers(self.dim_H, self.w1, K)
+        if not _is_farkas(rows, system.senses, system.nvars, y):
+            return None
+        pad = (0,) * (len(system.senses) - len(y))
+        return FeasibleReport(False, None, row_multipliers(y, scales) + pad)
+
+
+@lru_cache(maxsize=None)
+def closed_forms(spec: Family, d: int, opts: LPOptions = LPOptions()) -> ClosedForms:
+    """The ClosedForms of (spec, d, opts), cached like integer_system."""
+    W = wtj_matrix(spec)
+    N = profile(spec).dim_H
+    system = integer_system(spec, d, opts)
+    candidates = {Fraction(1): unit_witness(W)}
+    if d == 1:
+        candidates[Fraction(N)] = (Fraction(N),) + (Fraction(0),) * (system.nvars - 1)
+    witnesses = {}
+    for K, x in candidates.items():
+        den = lcm(*(v.denominator for v in x))
+        if _satisfies(system.at(K)[0], system.senses,
+                      [v.numerator * (den // v.denominator) for v in x], den):
+            witnesses[K] = FeasibleReport(True, x)
+    w1 = None
+    if d >= 2:
+        # row 2 is c W_1 | -c e_1 in integers, c its scale
+        b = system.A[2]
+        w1 = (b[0], b[1], min(b[2:system.nvars], default=b[1]), system.scales[2])
+    return ClosedForms(witnesses, N, w1)
+
+
 @dataclass(frozen=True)
 class BoundResult:
     lower: Fraction  # feasible
@@ -205,25 +301,41 @@ def lp_bound(spec: Family, d: int, opts: LPOptions = LPOptions(),
 
     With integer=True only whole K are probed, returning the largest
     feasible integer (an exact bound on exact-dimension codes).  A tol
-    <= 0 raises ValueError, since the bisection would never stop.  The
-    probes share one WarmStart, so consecutive probes reuse final bases.
+    <= 0 raises ValueError, since the bisection would never stop.  Each
+    probe first tries the `closed_forms` of the system: a witness at K = 1
+    (and at K = dim(H) when d = 1), then, for d >= 2, the distance-2 Farkas
+    vector, skipped at every K at or below the largest K where it failed in
+    this bound.  A probe none of them settles is an LP probe, `feasible`
+    with one WarmStart shared by all of them, so consecutive LP probes
+    reuse final bases.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     prof = profile(spec)
     hi_cap = Fraction(prof.dim_H)
+    system = integer_system(spec, d, opts)
+    forms = closed_forms(spec, d, opts)
     warm = WarmStart()
-    if not feasible(spec, d, Fraction(1), opts, warm).feasible:
+    failed = Fraction(0)  # the largest K where the distance-2 vector failed
+
+    def probe(K: Fraction) -> bool:
+        nonlocal failed
+        if (rep := forms.settle(system, K, K > failed)) is None:
+            failed = max(failed, K)
+            rep = feasible(spec, d, K, opts, warm)
+        return rep.feasible
+
+    if not probe(Fraction(1)):
         # K = 1 always embeds a single state; an infeasible system here
         # means the distance is unattainable at all
         return BoundResult(Fraction(0), Fraction(1), True)
-    if feasible(spec, d, hi_cap, opts, warm).feasible:
+    if probe(hi_cap):
         return BoundResult(hi_cap, hi_cap, True)
 
     lo, hi = Fraction(1), hi_cap
     while hi - lo > (1 if integer else tol):
         mid = Fraction((lo + hi) // 2) if integer else (lo + hi) / 2
-        if feasible(spec, d, mid, opts, warm).feasible:
+        if probe(mid):
             lo = mid
         else:
             hi = mid
@@ -233,8 +345,7 @@ def lp_bound(spec: Family, d: int, opts: LPOptions = LPOptions(),
     # tol >= 1 the test point k + tol/2 can lie far above the bracket, where
     # its infeasibility says nothing about (k, hi]
     k = Fraction(round(lo))
-    if tol < 1 and lo <= k <= hi and feasible(spec, d, k, opts, warm).feasible \
-            and not feasible(spec, d, k + tol / 2, opts, warm).feasible:
+    if tol < 1 and lo <= k <= hi and probe(k) and not probe(k + tol / 2):
         return BoundResult(k, k, True)
     return BoundResult(lo, hi, False)
 

@@ -40,8 +40,9 @@ kept as the split it is re-solved from, a `Basis` (cols, tight, arts): the
 sorted basic structural columns, the tight rows (neither their surplus nor
 their artificial is basic) and the rows whose artificial is basic.
 `point_from_basis` and `farkas_from_basis` re-solve a basis on another
-system of the same shape with one square fraction-free solve, and a basis
-with len(cols) != len(tight) yields neither.  A feasible witness is the
+system of the same shape with one square fraction-free solve (Bareiss
+elimination below each pivot, then back substitution of det * x), and a
+basis with len(cols) != len(tight) yields neither.  A feasible witness is the
 vertex of whichever basis passed, so it need not be the vertex the kernel
 reaches; the verdict is the same.
 """
@@ -481,20 +482,36 @@ def _is_farkas(rows, senses, nvars, y) -> bool:
 
 
 def _solve_square(M: list[list[int]], b: list[int]) -> tuple[list[int], int] | None:
-    """x = nums / den (den > 0) with M x = b, by fraction-free Gauss-Jordan
-    elimination; None when M is singular."""
+    """x = nums / den with M x = b and den = |det M|, by fraction-free
+    (Bareiss) elimination below each pivot and back substitution of det * x;
+    None when M is singular."""
+    n = len(M)
     T = [row + [v] for row, v in zip(M, b)]
-    free = list(range(len(T)))
-    order, D = [], 1
-    for k in range(len(T)):
-        r = next((i for i in free if T[i][k]), -1)
+    D = 1
+    for k in range(n):
+        r = next((i for i in range(k, n) if T[i][k]), -1)
         if r < 0:
             return None
-        free.remove(r)
-        order.append(r)
-        D = _pivot(T, r, k, D)
-    sign = -1 if D < 0 else 1
-    return [sign * T[r][-1] for r in order], sign * D
+        T[k], T[r] = T[r], T[k]
+        prow = T[k]
+        p = prow[k]
+        for i in range(k + 1, n):
+            row = T[i]
+            f = row[k]
+            if f:
+                T[i] = [(x * p - f * y) // D for x, y in zip(row, prow)]
+            elif p != D:
+                T[i] = [x * p // D for x in row]
+        D = p
+    # D = +-det M, and row k reads T_kk x_k + sum_{j>k} T_kj x_j = c_k, so
+    # X = D x is integral and solved upward with one exact division per row
+    X = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = T[k]
+        X[k] = (D * row[-1] - sum(u * x for u, x in zip(row[k + 1:-1], X[k + 1:]))) // row[k]
+    if D < 0:
+        return [-x for x in X], -D
+    return X, D
 
 
 def _pivot(T: list[list[int]], r: int, k: int, D: int) -> int:

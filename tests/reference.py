@@ -5,6 +5,7 @@ from math import prod
 
 from qdelsarte.linalg import Sparse, sp_identity, sp_kron, sp_mul, sp_sub
 from qdelsarte.scalars import GR_ONE, GaussianRational, SurdSum
+from qdelsarte.simplex import _pivot
 
 _SIGMA_X: Sparse = {(0, 1): GR_ONE, (1, 0): GR_ONE}
 _SIGMA_Y: Sparse = {(0, 1): GaussianRational(0, -1), (1, 0): GaussianRational(0, 1)}
@@ -56,3 +57,20 @@ def d_conjugate(n: int, b: Sparse) -> Sparse:
     (i, j) of b times sqrt(p_i / p_j)."""
     p = [prod((n - m) * (m + 1) for m in range(i)) for i in range(n + 1)]
     return {(i, j): v * SurdSum.sqrt(Fraction(p[i], p[j])) for (i, j), v in b.items()}
+
+
+def gauss_jordan_solve(M: list[list[int]], b: list[int]) -> tuple[list[int], int] | None:
+    """x = nums / den (den > 0) with M x = b, by fraction-free Gauss-Jordan
+    elimination (every pivot rewrites every row); None when M is singular."""
+    T = [row + [v] for row, v in zip(M, b)]
+    free = list(range(len(T)))
+    order, D = [], 1
+    for k in range(len(T)):
+        r = next((i for i in free if T[i][k]), -1)
+        if r < 0:
+            return None
+        free.remove(r)
+        order.append(r)
+        D = _pivot(T, r, k, D)
+    sign = -1 if D < 0 else 1
+    return [sign * T[r][-1] for r in order], sign * D

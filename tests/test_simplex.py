@@ -14,6 +14,7 @@ from qdelsarte.lp import LPOptions, feasible
 from qdelsarte.simplex import (EQ, GE, Constraint, WarmStart, check_feasible,
                                farkas_from_basis, float_basis, point_from_basis,
                                row_multipliers, solve, verify_farkas, verify_witness)
+from reference import gauss_jordan_solve
 
 F = Fraction
 
@@ -354,3 +355,29 @@ def test_degenerate_systems_terminate_with_one_verdict_for_any_bland_switch(sys_
         else:
             assert verify_farkas(cons, row_multipliers(res.farkas, scales))
     assert len(verdicts) == 1
+
+
+@st.composite
+def square_systems(draw):
+    """M x = b with n <= 7, singular about one time in three: a row made a
+    combination of two others, or a zero column."""
+    n = draw(st.integers(0, 7))
+    entry = st.integers(-6, 6) | st.integers(-2 ** 70, 2 ** 70)
+    M = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n >= 3 and draw(st.integers(0, 2)) == 0:
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        a, c = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        if draw(st.booleans()):
+            M[i] = [a * x + c * y for x, y in zip(M[j], M[k])]
+        else:
+            for row in M:
+                row[i] = 0
+    return M, [draw(entry) for _ in range(n)]
+
+
+@given(square_systems())
+@settings(max_examples=300, deadline=None)
+def test_bareiss_solves_return_what_gauss_jordan_does(system):
+    # raw (nums, den = |det M|), or None on both for a singular M
+    M, b = system
+    assert simplex._solve_square(M, b) == gauss_jordan_solve(M, b)

@@ -525,20 +525,36 @@ TABLE_SWEEP = tuple(
     for spec in specs for d in (2, 3, 4) if d <= profile(spec).diameter_r + 1)
 
 
-@pytest.mark.parametrize("bounds,most_squares,floats", [
-    (tuple((spec, d, opts, F(1, 2000), False) for spec, d, opts in TABLE_SWEEP), 1850, 217),
-    (tuple(case[:5] for case in LP_BOUNDS), 215, 30),
+@pytest.mark.parametrize("bounds,squares,floats,probes,settled,vectors", [
+    (tuple((spec, d, opts, F(1, 2000), False) for spec, d, opts in TABLE_SWEEP),
+     928, 102, 793, 421, 546),
+    (tuple(case[:5] for case in LP_BOUNDS), 156, 19, 104, 20, 20),
 ], ids=["table-sweep", "lp-bounds"])
-def test_bounds_keep_their_amount_of_work(bounds, most_squares, floats, monkeypatch):
-    # square re-solves were 2,305 and 240 when every probe tried the
-    # feasible basis first
-    squares = counting_calls(monkeypatch, "_solve_square")
+def test_bounds_keep_their_amount_of_work(bounds, squares, floats, probes, settled, vectors,
+                                          monkeypatch):
+    # before probes were settled in closed form: 1,214 and 124 LP probes,
+    # 217 and 30 float bases, at most 1,850 and 215 square re-solves
+    # (2,305 and 240 when every probe tried the feasible basis first)
+    square_calls = counting_calls(monkeypatch, "_solve_square")
     guesses = counting_calls(monkeypatch, "float_basis")
     colds = counting_cold_solves(monkeypatch)
+    lp_probes = counting_calls(monkeypatch, "feasible", lp)
+    tries = counting_calls(monkeypatch, "dist2_multipliers", lp)
+    verdicts = []
+    real_settle = lp.ClosedForms.settle
+
+    def settle(*args):
+        verdicts.append(rep := real_settle(*args))
+        return rep
+
+    monkeypatch.setattr(lp.ClosedForms, "settle", settle)
     for spec, d, opts, tol, integer in bounds:
         lp_bound(spec, d, opts, tol=tol, integer=integer)
     assert len(TABLE_SWEEP) == 64
-    assert len(squares) <= most_squares and len(guesses) == floats and colds == []
+    assert (len(square_calls), len(guesses), len(lp_probes)) == (squares, floats, probes)
+    assert sum(rep is not None for rep in verdicts) == settled and colds == []
+    # the distance-2 vector is skipped at or below a K where it failed
+    assert len(tries) == vectors
 
 
 def test_rows_beyond_the_float_range_are_solved_cold():
@@ -568,16 +584,16 @@ def front_door_probes(seed):
     return probes
 
 
-def counting_calls(monkeypatch, name):
-    """The argument tuples of every call of simplex.<name> from now on."""
+def counting_calls(monkeypatch, name, module=simplex):
+    """The argument tuples of every call of <module>.<name> from now on."""
     calls = []
-    real = getattr(simplex, name)
+    real = getattr(module, name)
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(simplex, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -656,14 +672,15 @@ def scale_k(case, end):
 
 # (spec, d, opts, K, verdict, most pivots): the six LP_BOUNDS at their
 # optima, the scale bounds at both ends of their brackets and Su2(30) d=2 at
-# its optimum 15; the counts include a Farkas re-solve
+# its optimum 15; the Farkas re-solve of an infeasible one (Bareiss, in
+# _solve_square) pivots no tableau, so it is not counted (10 and 46 when it was)
 PIVOT_GUARD = (
     *((spec, d, opts, K, True, n) for (spec, d, opts, *_), K, n
       in zip(LP_BOUNDS, OPTIMA + (F(1),), (17, 6, 12, 7, 34, 22))),
     (CliffordOdd(40), 3, LPOptions(), scale_k("odd40", 0), True, 7),
-    (CliffordOdd(40), 3, LPOptions(), scale_k("odd40", 1), False, 10),
+    (CliffordOdd(40), 3, LPOptions(), scale_k("odd40", 1), False, 7),
     (Spinorial(40), 3, LPOptions(), scale_k("spin40", 0), True, 42),
-    (Spinorial(40), 3, LPOptions(), scale_k("spin40", 1), False, 46),
+    (Spinorial(40), 3, LPOptions(), scale_k("spin40", 1), False, 42),
     (Su2(30), 2, LPOptions(), F(15), True, 3),
 )
 
