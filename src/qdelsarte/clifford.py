@@ -34,7 +34,9 @@ against the matrix condition P Gamma_x P = eps P, without sampling, and so
 is each block's count of undetected labels; a disagreement raises
 ArithmeticError.  The cross-check runs on Gaussian integers, (re, im) pairs
 of ints: `projector` gives 2^s P, built from the span's monomial Gamma_z,
-and each Gamma_x is composed only at the columns P occupies.
+and its rows are indexed once.  Gamma_x is composed only at the columns P
+occupies, and Q Gamma_x is the columns of Q relabelled by Gamma_x's mask,
+times its phases, before the one general product with Q.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .families import READINGS, _Gamma, _krawtchouk
-from .linalg import GI_UNITS, Sparse, gi_mul, gi_times
+from .linalg import GI_UNITS, Sparse, gi_mul_mono, gi_mul_rows, gi_times, monomial, rows_of
 from .scalars import gr_i_power
 
 MATRIX_CEILING = 7  # qubit count above which only the symbolic path runs
@@ -304,11 +306,13 @@ def _matrix_check(stab: StabilizerCode, coeffs: dict[int, int], spec: _Gamma,
     On the Gaussian integers Q = 2^s P, P Gamma_x P = eps P reads
     Q Gamma_x Q = eps 2^s Q, and Q Gamma_x Q is a multiple of Q exactly when
     it matches Q cross-multiplied at one entry of Q.  Q Gamma_x Q reads
-    Gamma_x only at the columns Q occupies, so only those phases are formed.
+    Gamma_x only at the columns Q occupies, so only those phases are formed,
+    and Q Gamma_x relabels Q's columns.
     """
     n = stab.n
     Q = projector(stab)
     columns = sorted({c for _, c in Q})
+    rows = rows_of(Q)
     key = next(iter(Q))
     scale = 2 ** len(stab.generators)
     gens = stab.generators
@@ -316,8 +320,8 @@ def _matrix_check(stab: StabilizerCode, coeffs: dict[int, int], spec: _Gamma,
         undetected = 0
         for x in block_labels(spec, t):
             mask, phases = _gamma_monomial(n, x, columns)
-            gx = {(c ^ mask, c): GI_UNITS[e] for c, e in zip(columns, phases)}
-            qgq = gi_mul(gi_mul(Q, gx), Q)
+            gx = monomial({(c ^ mask, c): GI_UNITS[e] for c, e in zip(columns, phases)})
+            qgq = gi_mul_rows(gi_mul_mono(Q, gx), rows)
             if x in coeffs:
                 eps = coeffs[x] * scale
                 ok = qgq == {k: (eps * re, eps * im) for k, (re, im) in Q.items()}

@@ -4,8 +4,13 @@ A matrix is a dict mapping (row, col) to a nonzero scalar, together with an
 explicit shape where an operation needs one.  Scalars only need +, *, -,
 conjugate(), and truthiness, so the exact types are interchangeable; the
 su(2) code vectors, of SurdSum amplitudes, meet only int matrices.
-Gaussian integers have their own product, `gi_mul`: each entry is an
-(re, im) pair of ints, so no scalar object is made per entry.
+An operand that several products share is indexed once, by rows
+(`rows_of`) or by columns (`cols_of`).  A monomial operator, at most one
+entry in each row and each column, is indexed by `monomial`, and a product
+with it is a relabelling of the other factor's entries, in O(nnz).
+Gaussian integers have their own products, `gi_mul_rows` and
+`gi_mul_mono`: each entry is an (re, im) pair of ints, so no scalar object
+is made per entry.
 """
 
 from __future__ import annotations
@@ -42,19 +47,92 @@ def sp_scale(a: Sparse, c: Any) -> Sparse:
     return {k: c * v for k, v in a.items()}
 
 
-def sp_mul(a: Sparse, b: Sparse) -> Sparse:
-    by_row: dict[int, list[tuple[int, Any]]] = {}
+Index = dict[int, list[tuple[int, Any]]]
+# column -> (row, value) and row -> (column, value) of a monomial operator
+Monomial = tuple[dict[int, tuple[int, Any]], dict[int, tuple[int, Any]]]
+
+
+def rows_of(b: Sparse) -> Index:
+    """b by rows: row -> [(column, value)]."""
+    out: Index = {}
     for (i, j), v in b.items():
-        by_row.setdefault(i, []).append((j, v))
+        out.setdefault(i, []).append((j, v))
+    return out
+
+
+def cols_of(a: Sparse) -> Index:
+    """a by columns: column -> [(row, value)]."""
+    return rows_of({(j, i): v for (i, j), v in a.items()})
+
+
+def sp_mul(a: Sparse, b: Sparse) -> Sparse:
+    return mul_rows(a, rows_of(b))
+
+
+def mul_rows(a: Sparse, rows: Index) -> Sparse:
+    """a b for b given as `rows_of(b)`."""
     out: Sparse = {}
     for (i, k), va in a.items():
-        for j, vb in by_row.get(k, ()):
+        for j, vb in rows.get(k, ()):
             key = (i, j)
             w = out[key] + va * vb if key in out else va * vb
             if w:
                 out[key] = w
             else:
                 out.pop(key, None)
+    return out
+
+
+def cols_mul(cols: Index, b: Sparse) -> Sparse:
+    """a b for a given as `cols_of(a)`."""
+    out: Sparse = {}
+    for (k, j), vb in b.items():
+        for i, va in cols.get(k, ()):
+            key = (i, j)
+            w = out[key] + va * vb if key in out else va * vb
+            if w:
+                out[key] = w
+            else:
+                out.pop(key, None)
+    return out
+
+
+def monomial(a: Sparse) -> Monomial:
+    """a indexed by column and by row; ArithmeticError unless a is monomial."""
+    by_col = {j: (i, v) for (i, j), v in a.items()}
+    by_row = {i: (j, v) for (i, j), v in a.items()}
+    if len(by_col) < len(a) or len(by_row) < len(a):
+        raise ArithmeticError("not monomial: a row or a column holds two entries")
+    return by_col, by_row
+
+
+def mono_mul(m: Monomial, x: Sparse) -> Sparse:
+    """a x for m = monomial(a): entry (j, k) of x moves to (i, k) times a_ij,
+    the entry of column j; a product of nonzeros is nonzero."""
+    col = m[0]
+    return {(col[j][0], k): col[j][1] * v for (j, k), v in x.items() if j in col}
+
+
+def mul_mono(x: Sparse, m: Monomial) -> Sparse:
+    """x a for m = monomial(a): entry (i, j) of x moves to (i, k) times a_jk,
+    the entry of row j."""
+    row = m[1]
+    return {(i, row[j][0]): v * row[j][1] for (i, j), v in x.items() if j in row}
+
+
+def mono_commutator(m: Monomial, x: Sparse) -> Sparse:
+    """[a, x] = a x - x a for m = monomial(a), by relabelling."""
+    out = mono_mul(m, x)
+    row = m[1]
+    for (i, j), v in x.items():
+        if j in row:
+            k, u = row[j]
+            key = (i, k)
+            w = out[key] - v * u if key in out else -(v * u)
+            if w:
+                out[key] = w
+            else:
+                del out[key]
     return out
 
 
@@ -67,28 +145,27 @@ def gi_times(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
     return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
 
 
-def gi_mul(a: Sparse, b: Sparse) -> Sparse:
+def gi_mul_rows(a: Sparse, rows: Index) -> Sparse:
     """a b for sparse matrices of Gaussian integers, entries (re, im) pairs
-    of ints; entries that cancel to (0, 0) are dropped."""
-    by_row: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for (i, j), v in b.items():
-        by_row.setdefault(i, []).append((j, v))
+    of ints, b given as `rows_of(b)`; entries that cancel to (0, 0) are
+    dropped."""
     out: dict[tuple[int, int], tuple[int, int]] = {}
     for (i, k), (ar, ai) in a.items():
-        for j, (br, bi) in by_row.get(k, ()):
+        for j, (br, bi) in rows.get(k, ()):
             re, im = out.get((i, j), (0, 0))
             out[(i, j)] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
     return {key: v for key, v in out.items() if v != (0, 0)}
 
 
-def sp_mat_vec(a: Sparse, v: dict[int, Any]) -> dict[int, Any]:
-    """a v for a sparse vector v, a dict from index to nonzero scalar."""
-    out: dict[int, Any] = {}
-    for (i, j), x in a.items():
-        y = v.get(j)
-        if y is not None:
-            out[i] = out[i] + x * y if i in out else x * y
-    return {i: w for i, w in out.items() if w}
+def gi_mul_mono(x: Sparse, m: Monomial) -> Sparse:
+    """x a for Gaussian-integer matrices and m = monomial(a), by relabelling."""
+    out: dict[tuple[int, int], tuple[int, int]] = {}
+    row = m[1]
+    for (i, j), (xr, xi) in x.items():
+        if j in row:
+            k, (ur, ui) = row[j]
+            out[(i, k)] = (xr * ur - xi * ui, xr * ui + xi * ur)
+    return out
 
 
 def conj(v: Any) -> Any:

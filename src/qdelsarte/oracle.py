@@ -21,19 +21,22 @@ between the two paths is the correctness argument for the fast formulas.
 the antiunitary builder and, for the four Gamma families, the words of
 each block; whether a family has words picks one of two channels.  Without
 words, W_t(j) is the Rayleigh quotient above, summed on ints into one
-Fraction per W_t(j), and the signature is checked as
-L conj(X) = lambda_j X^+ L, both on the int bases.  The su-ext and su-sym blocks are closures of
-a highest-weight matrix under the simple lowering roots, orthogonalised
-fraction-free.  With words, the blocks are the monomial Gamma_x: for the
-Clifford-odd, Clifford-even and spinorial families those of
-`clifford.block_labels`, the blocks `verify` reads codes in, so W_t(j) is
-certified on those too; for the semispinorial family the even-weight
-Gamma_x restricted to the columns of the chirality projector P+.  There
-the channel and the antiunitary check are composed on (mask, i-exponent)
-pairs with integer arithmetic, traces taken over the block's columns,
-while the Rayleigh quotient and the sandwich on the GaussianRational bases
-stay, with `phi_apply`, the reference.  Instances are capped at sizes where
-exact arithmetic finishes in seconds; larger parameters raise.
+Fraction per W_t(j) with X indexed by rows and columns once, and the
+signature is checked as L conj(X) = lambda_j X^+ L, both on the int bases.
+The su-ext and su-sym blocks are closures of a highest-weight matrix under
+the simple lowering roots, orthogonalised fraction-free.  The roots and L
+are monomial, indexed once by `linalg.monomial`, and a product or
+commutator with one relabels the other factor's entries.  With words, the
+blocks are the monomial Gamma_x: for the Clifford-odd, Clifford-even and
+spinorial families those of `clifford.block_labels`, the blocks `verify`
+reads codes in, so W_t(j) is certified on those too; for the
+semispinorial family the even-weight Gamma_x restricted to the columns of
+the chirality projector P+.  There the channel and the antiunitary check
+are composed on (mask, i-exponent) pairs with integer arithmetic, traces
+taken over the block's columns, while the Rayleigh quotient and the
+sandwich on the GaussianRational bases stay, with `phi_apply`, the
+reference.  Instances are capped at sizes where exact arithmetic finishes
+in seconds; larger parameters raise.
 """
 
 from __future__ import annotations
@@ -49,8 +52,9 @@ from typing import Callable, NamedTuple
 from .clifford import _gamma_monomial, _labels_of_weight, block_labels, gamma
 from .families import (READINGS, Family, QHamming, Semispinorial, Su2, SunExt,
                        SuqSym, profile)
-from .linalg import (RowSpace, Sparse, _primitive, conj, sp_add, sp_identity, sp_kron,
-                     sp_mul, sp_scale, sp_sub)
+from .linalg import (RowSpace, Sparse, _primitive, cols_mul, cols_of, conj, monomial,
+                     mono_commutator, mono_mul, mul_mono, mul_rows, rows_of, sp_add,
+                     sp_identity, sp_kron, sp_mul, sp_scale, sp_sub)
 from . import su2
 from .wtj import lambda_signature, wtj_matrix
 
@@ -169,10 +173,11 @@ def _closure_basis(spec: Family, t: int, hw: Sparse, lowering: list[Sparse],
                    weight: dict[int, int] | None) -> OperatorBasis:
     """Orthogonal span of the ad-orbit of a highest-weight matrix.
 
-    hw and the lowering operators are int matrices, so every commutator is
-    int arithmetic.  Each queued element is a weight vector, so a Cartan
-    element would only rescale it, and the raising E_ij (i < j) annihilate
-    hw.  The lowering subalgebra is generated by its simple root vectors,
+    hw and the lowering operators are int matrices, and the operators are
+    monomial: each is indexed once, and a commutator relabels an element's
+    entries in int arithmetic.  Each queued element is a weight vector, so
+    a Cartan element would only rescale it, and the raising E_ij (i < j)
+    annihilate hw.  The lowering subalgebra is generated by its simple root vectors,
     so callers pass the simple lowering roots E_{i+1,i} alone: the accepted
     span is closed under each of them, hence under all of U(n^-).  A
     candidate is new when it lies outside the span of the accepted ones;
@@ -190,6 +195,7 @@ def _closure_basis(spec: Family, t: int, hw: Sparse, lowering: list[Sparse],
     """
     target = profile(spec).dim_V[t]
     scale = _weight_lcm(weight)
+    roots = [monomial(a) for a in lowering]
     space = RowSpace()
     basis: list[Sparse] = []
     norms: list[int] = []  # scale <b, b>_w, so c_k / n_k is taken at one scale
@@ -213,10 +219,10 @@ def _closure_basis(spec: Family, t: int, hw: Sparse, lowering: list[Sparse],
     queue = [hw]
     while queue and len(basis) < target:
         x = queue.pop()
-        for a in lowering:
+        for a in roots:
             if len(basis) == target:
                 break
-            y = sp_sub(sp_mul(a, x), sp_mul(x, a))
+            y = mono_commutator(a, x)
             if y and space.add(y):
                 accept(y)
                 queue.append(y)
@@ -257,9 +263,9 @@ def _basis_susym(spec: SuqSym, t: int) -> OperatorBasis:
     q, n = spec.q, spec.n
     monos, index, weight = _susym_space(q, n)
     hw = sp_identity(len(monos), 1)
-    step = _susym_e(q, n, 0, q - 1)
+    step = monomial(_susym_e(q, n, 0, q - 1))
     for _ in range(t):
-        hw = sp_mul(step, hw)
+        hw = mono_mul(step, hw)
     lowering = [_susym_e(q, n, i + 1, i) for i in range(q - 1)]
     return _closure_basis(spec, t, hw, lowering, weight)
 
@@ -287,7 +293,7 @@ def _basis_suext(spec: SunExt, t: int) -> OperatorBasis:
     n, w = spec.n, spec.w
     hw = sp_identity(len(_suext_space(n, w)[0]), 1)
     for k in range(t):
-        hw = sp_mul(_suext_e(n, w, k, n - 1 - k), hw)
+        hw = mono_mul(monomial(_suext_e(n, w, k, n - 1 - k)), hw)
     lowering = [_suext_e(n, w, i + 1, i) for i in range(n - 1)]
     return _closure_basis(spec, t, hw, lowering, None)
 
@@ -524,7 +530,8 @@ def _rayleigh(bt: OperatorBasis, X: Sparse) -> Fraction:
     """<X, Phi_t(X)>_w / <X, X>_w without forming Phi_t(X).
 
     <X, F X F^+>_w = <X F, F X>_w for the weighted adjoint F^+, so the
-    quotient is sum_k <X F_k, F_k X>_w / (n_k <X, X>_w).  Both inner
+    quotient is sum_k <X F_k, F_k X>_w / (n_k <X, X>_w), X indexed by
+    columns and by rows once for all k.  Both inner
     products are taken at the scale lcm(w), which cancels, and 1 / n_k is
     c_k / m over the common numerator m of the n_k: the sum runs on the
     basis scalars, ints on every basis but the GaussianRational references,
@@ -532,9 +539,10 @@ def _rayleigh(bt: OperatorBasis, X: Sparse) -> Fraction:
     """
     w, scale = bt.weight, _weight_lcm(bt.weight)
     m = lcm(*(n.numerator for n in bt.norms))
+    rows, cols = rows_of(X), cols_of(X)
     acc = 0
     for f, n in zip(bt.matrices, bt.norms):
-        term = _inner(sp_mul(X, f), sp_mul(f, X), w, scale)
+        term = _inner(cols_mul(cols, f), mul_rows(f, rows), w, scale)
         acc = term * (n.denominator * (m // n.numerator)) + acc
     return Fraction(_rational(acc), m * _rational(_inner(X, X, w, scale)))
 
@@ -572,16 +580,16 @@ def _lambda_sandwich(spec: Family, lam: tuple[int, ...]) -> list[tuple[int, int]
     L conj(X) != lambda_j X^+ L, X^+ the weighted adjoint: that is
     T(X) = lambda_j X* for T = L conj(.) L^-1, so L need only be
     invertible; the su(2) L is D L0 D^-1, up to a constant, for the unitary
-    L0 of the surd frame."""
+    L0 of the surd frame.  Every L is monomial, so both products relabel."""
     entry = ORACLE[type(spec)]
-    L = entry.antiunitary(spec)
+    L = monomial(entry.antiunitary(spec))
     bad = []
     for j, sign in enumerate(lam):
         basis = v_basis(spec, j)
         # the bases without words are int matrices, which conj leaves as they are
         bad += [(j, i) for i, X in enumerate(basis.matrices)
-                if sp_mul(L, X if entry.words is None else {k: conj(v) for k, v in X.items()})
-                != sp_mul(sp_scale(op_weighted_adjoint(X, basis.weight), sign), L)]
+                if mono_mul(L, X if entry.words is None else {k: conj(v) for k, v in X.items()})
+                != mul_mono(sp_scale(op_weighted_adjoint(X, basis.weight), sign), L)]
     return bad
 
 

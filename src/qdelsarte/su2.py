@@ -13,7 +13,10 @@ their conjugates by D = diag(sqrt(p_m)), p_m = prod_{k<m} a_k: D E D^-1 has
 a_m at (m+1, m) and D F D^-1 has ones above the diagonal, so every word in
 them is an integer matrix.  `error_block(n, t)` is the spanning set
 {ad_F^k(E^t) : 0 <= k <= 2t} of the error block V_t in that frame; the
-minimum-distance checker here and the brute-force oracle both use it.  The
+minimum-distance checker here and the brute-force oracle both use it.  E
+and F are monomial, so E^t and every ad_F step relabel entries.  Each
+block matrix is monomial too, moving index m to m + t - k, so
+`min_distance` pairs only the code vectors whose supports it joins.  The
 similarity keeps commutators and traces, and tr(A* B) is the sum of
 A'_ij B'_ij w_i / w_j over the conjugates, with w_i = prod_{m>=i} a_m
 (`weights`).  Two explicit distance-2 code families are provided, occupying
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Sparse, sp_identity, sp_mat_vec, sp_mul, sp_sub
+from .linalg import Sparse, monomial, mono_commutator, mono_mul, sp_identity
 from .scalars import SurdSum
 
 
@@ -74,13 +77,13 @@ def weights(n: int) -> dict[int, int]:
 def error_block(n: int, t: int) -> list[Sparse]:
     """The 2t+1 integer matrices ad_F^k(E^t), k = 0..2t, spanning the block
     V_t, in the D frame."""
-    E, F = ef_matrices(n)
+    E, F = map(monomial, ef_matrices(n))
     x = sp_identity(n + 1, 1)
     for _ in range(t):
-        x = sp_mul(E, x)
+        x = mono_mul(E, x)
     block = [x]
     for _ in range(2 * t):
-        x = sp_sub(sp_mul(F, x), sp_mul(x, F))
+        x = mono_commutator(F, x)
         block.append(x)
     return block
 
@@ -153,10 +156,19 @@ def min_distance(n: int, vectors: list[Su2Vector]) -> int:
     norms = [_dot(v, v).is_rational() for v in vecs]
     if any(x is None or x <= 0 for x in norms):
         raise ValueError("vectors must have positive rational norm squared")
-    for i, u in enumerate(vecs):
-        for v in vecs[i + 1:]:
-            if _dot(u, v):
-                raise ValueError("vectors must be pairwise orthogonal")
+    at: dict[int, list[int]] = {}  # index -> the vectors nonzero there
+    for j, v in enumerate(vecs):
+        for m in v:
+            at.setdefault(m, []).append(j)
+
+    def meeting(shifts: set[int]) -> set[tuple[int, int]]:
+        """The (i, j) where u_j's support moved by a shift meets u_i's; at
+        any other, <u_i, X u_j> = 0 for X moving each m to an m + s."""
+        return {(i, j) for j, v in enumerate(vecs) for m in v for s in shifts
+                for i in at.get(m + s, ())}
+
+    if any(i < j and _dot(vecs[i], vecs[j]) for i, j in meeting({0})):
+        raise ValueError("vectors must be pairwise orthogonal")
     if len(vectors) == 1:
         return n + 1
     # <u, X v> = (D^-1 u) . (D X D^-1) (D v), and the error blocks are
@@ -172,15 +184,19 @@ def min_distance(n: int, vectors: list[Su2Vector]) -> int:
 
     def block_detected(t: int) -> bool:
         for op in error_block(n, t):
-            images = [sp_mat_vec(op, x) for x in xs]
+            # X' moves index c to col[c][0]: X' x_j relabels, for the j it joins
+            col = monomial(op)[0]
+            pairs = meeting({r - c for c, (r, _) in col.items()})
+            images = {j: {col[m][0]: col[m][1] * a for m, a in xs[j].items() if m in col}
+                      for j in {j for _, j in pairs}}
             # <u_i, X u_j> must vanish for i != j, and <u_i, X u_i> be one
             # multiple of <u_i, u_i> for every i: compared cross-multiplied
-            slope0 = _dot(ys[0], images[0])
-            for i, y in enumerate(ys):
-                if any(_dot(y, img) for j, img in enumerate(images) if j != i):
-                    return False
-                if _dot(y, images[i]) * norms[0] != slope0 * norms[i]:
-                    return False
+            if any(i != j and _dot(ys[i], images[j]) for i, j in pairs):
+                return False
+            diag = [_dot(ys[i], images[i]) if (i, i) in pairs else SurdSum()
+                    for i in range(len(vecs))]
+            if any(x * norms[0] != diag[0] * norms[i] for i, x in enumerate(diag)):
+                return False
         return True
 
     d = 1

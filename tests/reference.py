@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import prod
+from typing import Any
 
 from qdelsarte.linalg import Sparse, sp_identity, sp_kron, sp_mul, sp_sub
 from qdelsarte.scalars import GR_ONE, GaussianRational, SurdSum
@@ -28,6 +29,16 @@ def weyl_brauer(n: int, k: int) -> Sparse:
     for f in factors[1:]:
         out = sp_kron(out, f, 2, 2)
     return out
+
+
+def sp_mat_vec(a: Sparse, v: dict[int, Any]) -> dict[int, Any]:
+    """a v for a sparse vector v, a dict from index to nonzero scalar."""
+    out: dict[int, Any] = {}
+    for (i, j), x in a.items():
+        y = v.get(j)
+        if y is not None:
+            out[i] = out[i] + x * y if i in out else x * y
+    return {i: w for i, w in out.items() if w}
 
 
 def surd_ef_matrices(n: int) -> tuple[Sparse, Sparse]:

@@ -483,9 +483,11 @@ def test_suext_closure_work_is_capped(monkeypatch):
     # SunExt(6, 3) made 3,942 sp_mul and 1,152 inner-product calls with the
     # simple roots and support-restricted Gram-Schmidt (11,342 and 33,986
     # with all lowering roots and projections onto every earlier element);
-    # the closure and OperatorBasis take every inner product through _inner
+    # the closure and OperatorBasis take every inner product through _inner.
+    # Each commutator with a simple root is now a relabelling, 1,968 of them,
+    # and no general product is formed at all
     counts = Counter()
-    for name in ("sp_mul", "_inner"):
+    for name in ("sp_mul", "_inner", "mono_commutator"):
         def counting(*args, _f=getattr(oracle, name), _name=name):
             counts[_name] += 1
             return _f(*args)
@@ -495,6 +497,8 @@ def test_suext_closure_work_is_capped(monkeypatch):
         v_basis.__wrapped__(spec, t)
     assert counts["sp_mul"] <= 4_340
     assert counts["_inner"] <= 1_270
+    assert counts["sp_mul"] == 0
+    assert counts["mono_commutator"] == 1_968
 
 
 def test_oracle_table_covers_every_family():

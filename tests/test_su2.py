@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdelsarte.linalg import sp_mat_vec, sp_mul, sp_sub
+from qdelsarte.linalg import sp_mul, sp_sub
 from qdelsarte.scalars import SurdSum
 from qdelsarte.su2 import (
     Su2Vector,
@@ -20,7 +20,7 @@ from qdelsarte.su2 import (
     min_distance,
     weights as frame_weights,
 )
-from reference import d_conjugate, surd_ef_matrices
+from reference import d_conjugate, sp_mat_vec, surd_ef_matrices
 
 F = Fraction
 
