@@ -2,15 +2,16 @@
 
 A matrix is a dict mapping (row, col) to a nonzero scalar, together with an
 explicit shape where an operation needs one.  Scalars only need +, *, -,
-conjugate(), and truthiness, so the exact types are interchangeable; the
-su(2) code vectors, of SurdSum amplitudes, meet only int matrices.
-An operand that several products share is indexed once, by rows
-(`rows_of`) or by columns (`cols_of`).  A monomial operator, at most one
-entry in each row and each column, is indexed by `monomial`, and a product
-with it is a relabelling of the other factor's entries, in O(nnz).
-Gaussian integers have their own products, `gi_mul_rows` and
-`gi_mul_mono`: each entry is an (re, im) pair of ints, so no scalar object
-is made per entry.
+and truthiness, so the exact types are interchangeable, and a caller that
+conjugates calls the scalar's own conjugate(), which int and Fraction
+define too; the su(2) code vectors, of SurdSum amplitudes, meet only int
+matrices.  A monomial operator, at most one entry in each row and each
+column, is indexed once by `monomial`, and a product with it is a
+relabelling of the other factor's entries, in O(nnz).  Every other product
+is general, one per scalar kind: `sp_mul`, and `gi_mul_rows` for Gaussian
+integers, whose entries are (re, im) pairs of ints, so no scalar object is
+made per entry; it takes its right factor as `rows_of(b)`, indexed once for
+the products that share it, and `gi_mul_mono` relabels by a monomial.
 """
 
 from __future__ import annotations
@@ -60,34 +61,11 @@ def rows_of(b: Sparse) -> Index:
     return out
 
 
-def cols_of(a: Sparse) -> Index:
-    """a by columns: column -> [(row, value)]."""
-    return rows_of({(j, i): v for (i, j), v in a.items()})
-
-
 def sp_mul(a: Sparse, b: Sparse) -> Sparse:
-    return mul_rows(a, rows_of(b))
-
-
-def mul_rows(a: Sparse, rows: Index) -> Sparse:
-    """a b for b given as `rows_of(b)`."""
     out: Sparse = {}
+    rows = rows_of(b)
     for (i, k), va in a.items():
         for j, vb in rows.get(k, ()):
-            key = (i, j)
-            w = out[key] + va * vb if key in out else va * vb
-            if w:
-                out[key] = w
-            else:
-                out.pop(key, None)
-    return out
-
-
-def cols_mul(cols: Index, b: Sparse) -> Sparse:
-    """a b for a given as `cols_of(a)`."""
-    out: Sparse = {}
-    for (k, j), vb in b.items():
-        for i, va in cols.get(k, ()):
             key = (i, j)
             w = out[key] + va * vb if key in out else va * vb
             if w:
@@ -166,10 +144,6 @@ def gi_mul_mono(x: Sparse, m: Monomial) -> Sparse:
             k, (ur, ui) = row[j]
             out[(i, k)] = (xr * ur - xi * ui, xr * ui + xi * ur)
     return out
-
-
-def conj(v: Any) -> Any:
-    return v.conjugate() if hasattr(v, "conjugate") else v
 
 
 def sp_kron(a: Sparse, b: Sparse, bn: int, bm: int) -> Sparse:

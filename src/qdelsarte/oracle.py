@@ -21,11 +21,11 @@ between the two paths is the correctness argument for the fast formulas.
 the antiunitary builder and, for the four Gamma families, the words of
 each block; whether a family has words picks one of two channels.  Without
 words, W_t(j) is the Rayleigh quotient above, summed on ints into one
-Fraction per W_t(j) with X indexed by rows and columns once, and the
-signature is checked as L conj(X) = lambda_j X^+ L, both on the int bases.
-The su-ext and su-sym blocks are closures of a highest-weight matrix under
-the simple lowering roots, orthogonalised fraction-free.  The roots and L
-are monomial, indexed once by `linalg.monomial`, and a product or
+Fraction per W_t(j), and the signature is checked as
+L conj(X) = lambda_j X^+ L, both on the int bases.  The su-ext and su-sym
+blocks are closures of a highest-weight matrix under the simple lowering
+roots, orthogonalised fraction-free.  The roots, L and the X of each
+quotient are monomial, indexed once by `linalg.monomial`, and a product or
 commutator with one relabels the other factor's entries.  With words, the
 blocks are the monomial Gamma_x: for the Clifford-odd, Clifford-even and
 spinorial families those of `clifford.block_labels`, the blocks `verify`
@@ -52,9 +52,8 @@ from typing import Callable, NamedTuple
 from .clifford import _gamma_monomial, _labels_of_weight, block_labels, gamma
 from .families import (READINGS, Family, QHamming, Semispinorial, Su2, SunExt,
                        SuqSym, profile)
-from .linalg import (RowSpace, Sparse, _primitive, cols_mul, cols_of, conj, monomial,
-                     mono_commutator, mono_mul, mul_mono, mul_rows, rows_of, sp_add,
-                     sp_identity, sp_kron, sp_mul, sp_scale, sp_sub)
+from .linalg import (RowSpace, Sparse, _primitive, monomial, mono_commutator, mono_mul,
+                     mul_mono, sp_add, sp_identity, sp_kron, sp_mul, sp_scale, sp_sub)
 from . import su2
 from .wtj import lambda_signature, wtj_matrix
 
@@ -113,7 +112,7 @@ def _inner(a: Sparse, b: Sparse, weight: dict[int, int] | None, scale: int):
     for key, va in a.items():
         vb = b.get(key)
         if vb is not None:
-            term = conj(va) * vb
+            term = va.conjugate() * vb
             if weight is not None:
                 term = term * (weight[key[0]] * (scale // weight[key[1]]))
             acc = term + acc
@@ -130,8 +129,8 @@ def op_inner(a: Sparse, b: Sparse, weight: dict[int, int] | None):
 
 def op_weighted_adjoint(a: Sparse, weight: dict[int, int] | None) -> Sparse:
     if weight is None:
-        return {(j, i): conj(v) for (i, j), v in a.items()}
-    return {(j, i): conj(v) * Fraction(weight[i], weight[j]) for (i, j), v in a.items()}
+        return {(j, i): v.conjugate() for (i, j), v in a.items()}
+    return {(j, i): v.conjugate() * Fraction(weight[i], weight[j]) for (i, j), v in a.items()}
 
 
 # --- per-family bases -------------------------------------------------------
@@ -527,22 +526,23 @@ def phi_apply(basis: OperatorBasis, X: Sparse) -> Sparse:
 
 
 def _rayleigh(bt: OperatorBasis, X: Sparse) -> Fraction:
-    """<X, Phi_t(X)>_w / <X, X>_w without forming Phi_t(X).
+    """<X, Phi_t(X)>_w / <X, X>_w without forming Phi_t(X), for a monomial X.
 
     <X, F X F^+>_w = <X F, F X>_w for the weighted adjoint F^+, so the
-    quotient is sum_k <X F_k, F_k X>_w / (n_k <X, X>_w), X indexed by
-    columns and by rows once for all k.  Both inner
-    products are taken at the scale lcm(w), which cancels, and 1 / n_k is
-    c_k / m over the common numerator m of the n_k: the sum runs on the
-    basis scalars, ints on every basis but the GaussianRational references,
-    into one Fraction.
+    quotient is sum_k <X F_k, F_k X>_w / (n_k <X, X>_w).  X, the first
+    element of a block, is monomial on every family: it is indexed once by
+    `monomial`, which raises ArithmeticError otherwise, and X F_k and F_k X
+    relabel the entries of F_k.  Both inner products are taken at the scale
+    lcm(w), which cancels, and 1 / n_k is c_k / m over the common numerator
+    m of the n_k: the sum runs on the basis scalars, ints on every basis but
+    the GaussianRational references, into one Fraction.
     """
     w, scale = bt.weight, _weight_lcm(bt.weight)
     m = lcm(*(n.numerator for n in bt.norms))
-    rows, cols = rows_of(X), cols_of(X)
+    x = monomial(X)
     acc = 0
     for f, n in zip(bt.matrices, bt.norms):
-        term = _inner(cols_mul(cols, f), mul_rows(f, rows), w, scale)
+        term = _inner(mono_mul(x, f), mul_mono(f, x), w, scale)
         acc = term * (n.denominator * (m // n.numerator)) + acc
     return Fraction(_rational(acc), m * _rational(_inner(X, X, w, scale)))
 
@@ -586,9 +586,10 @@ def _lambda_sandwich(spec: Family, lam: tuple[int, ...]) -> list[tuple[int, int]
     bad = []
     for j, sign in enumerate(lam):
         basis = v_basis(spec, j)
-        # the bases without words are int matrices, which conj leaves as they are
+        # the bases without words are int matrices, which conjugation leaves as they are
         bad += [(j, i) for i, X in enumerate(basis.matrices)
-                if mono_mul(L, X if entry.words is None else {k: conj(v) for k, v in X.items()})
+                if mono_mul(L, X if entry.words is None
+                            else {k: v.conjugate() for k, v in X.items()})
                 != mul_mono(sp_scale(op_weighted_adjoint(X, basis.weight), sign), L)]
     return bad
 

@@ -379,8 +379,7 @@ class WarmStart:
                     self.warm_feasible += 1
                 else:
                     self.warm_infeasible += 1
-                self._last_feasible = verdict
-                return res
+                return self._keep(res)
         try:
             guess = float_basis(rows, senses, scales, nvars)
         except OverflowError:  # an entry beyond the float range
@@ -390,20 +389,20 @@ class WarmStart:
             for verdict in (not dual_first, dual_first):
                 if res := _resolve(rows, senses, scales, nvars, guess, verdict):
                     self.guided += 1
-                    if verdict:
-                        self.feasible_basis = guess
-                    else:
-                        self.infeasible_basis = guess
-                    self._last_feasible = verdict
-                    return res
+                    return self._keep(res)
         sol = solve(rows, senses, scales, nvars)
         self.cold += 1
-        if sol.feasible:
-            self.feasible_basis = sol.basis
+        return self._keep(sol)
+
+    def _keep(self, res: FeasibilityResult) -> FeasibilityResult:
+        """Store res's basis as the feasible or the infeasible basis and its
+        verdict as the last one."""
+        if res.feasible:
+            self.feasible_basis = res.basis
         else:
-            self.infeasible_basis = sol.basis
-        self._last_feasible = sol.feasible
-        return sol
+            self.infeasible_basis = res.basis
+        self._last_feasible = res.feasible
+        return res
 
 
 def _resolve(rows: list[list[int]], senses: Sequence[str], scales: list[int], nvars: int,

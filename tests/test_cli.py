@@ -699,3 +699,31 @@ def test_verify_and_oracle_leave_the_kronecker_definition_alone(tmp_path, monkey
         assert cli.main(["oracle", "--family", family, "--n", str(n)]) == 0, family
     capsys.readouterr()
     assert not made
+
+
+def test_oracle_reports_a_formula_that_disagrees_with_the_bruteforce(monkeypatch, capsys):
+    # one entry of the table the oracle checks is perturbed: W_1(2) of
+    # qhamming q = 2, n = 2 is -1/2, and the brute force must say so
+    from qdelsarte import cli, oracle
+    real = oracle.wtj_matrix
+
+    def perturbed(spec):
+        W = [list(row) for row in real(spec)]
+        W[1][2] += 1
+        return tuple(map(tuple, W))
+
+    monkeypatch.setattr(oracle, "wtj_matrix", perturbed)
+    assert cli.main(["oracle", "--family", "qhamming", "--q", "2", "--n", "2"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["wtj_match"] is False
+    assert out["wtj_mismatches"] == [{"t": 1, "j": 2, "bruteforce": "-1/2", "formula": "1/2"}]
+    assert out["lambda_match"] is True
+
+
+def test_unattainable_distance_bounds_k_by_zero_and_one():
+    # no 2-uniform 3-qubit state exists, so the pure system is infeasible
+    # already at K = 1
+    res = run("bound", "--family", "qhamming", "--q", "2", "--n", "3", "--d", "3", "--pure")
+    assert res.returncode == 0 and res.stderr == ""
+    out = json.loads(res.stdout)
+    assert (out["lower"], out["upper"], out["exact"]) == ("0", "1", True)

@@ -25,7 +25,8 @@ from qdelsarte.lp import (
     lp_bound,
     volume_bound,
 )
-from qdelsarte.simplex import WarmStart
+from qdelsarte import lp
+from qdelsarte.simplex import FeasibilityResult, WarmStart
 
 F = Fraction
 TOL = F(1, 1000)
@@ -199,3 +200,17 @@ class TestDist2Pure:
     def test_su2_pure_equals_impure(self):
         for n in range(2, 21):
             assert dist2_bound_pure(Su2(n)) == F(n, 2)
+
+
+@pytest.mark.parametrize("result, message", [
+    (FeasibilityResult(True, None), "witness"),
+    (FeasibilityResult(True, (F(0),) * 3), "witness"),  # A_0 = K fails
+    (FeasibilityResult(False, None), "Farkas"),
+    (FeasibilityResult(False, None, (0, 0, 0, 0)), "Farkas"),  # y^T b = 0
+], ids=["no-witness", "zero-witness", "no-farkas", "zero-farkas"])
+def test_feasible_refuses_a_certificate_that_fails_substitution(result, message, monkeypatch):
+    # the front door re-checks what check_feasible returns on the Fraction
+    # constraints, and raises rather than report an unchecked verdict
+    monkeypatch.setattr(lp, "check_feasible", lambda cons, nvars: result)
+    with pytest.raises(ArithmeticError, match=message):
+        feasible(QHamming(2, 2), 2, F(1))

@@ -123,6 +123,13 @@ def test_rayleigh_quotient_matches_block_channel(spec):
             assert wtj_bruteforce(spec, t, j) == block_channel_quotient(spec, t, j), (t, j)
 
 
+def test_rayleigh_quotient_refuses_a_non_monomial_x():
+    # X F_k and F_k X are formed by relabelling, which needs X monomial;
+    # this X has two entries in row 0 and two in column 0
+    with pytest.raises(ArithmeticError, match="not monomial"):
+        oracle._rayleigh(v_basis(QHamming(2, 1), 1), {(0, 0): 1, (0, 1): 1, (1, 0): 1})
+
+
 # the su(2) bases are `error_block` as it is, not made primitive
 @pytest.mark.parametrize("spec", [s for s in RATIONAL_GRID if not isinstance(s, Su2)], ids=str)
 def test_rational_bases_are_primitive_int_matrices(spec):

@@ -1,5 +1,6 @@
 """Exact W_t(j) coefficient matrices and the self-dual signature catalog."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -69,6 +70,34 @@ def test_wtj_matrix_identities(spec):
     # W is an involution; the weighted symmetry, first column, and first row
     # are pinned by the multiplicity profile (asserts internally)
     wtj_properties(spec)
+
+
+def _serve_table(monkeypatch, W):
+    """Make wtj_properties read the table W."""
+    # the package exports the function wtj under the module's name
+    monkeypatch.setattr(importlib.import_module("qdelsarte.wtj"), "wtj_matrix", lambda s: W)
+
+
+def test_properties_refuse_a_table_that_is_not_an_involution(monkeypatch):
+    # W_1(2) and W_2(1) move by dim V_1 and dim V_2 times the same amount,
+    # so the dim V symmetry still holds and the boundary rows are untouched
+    spec = QHamming(2, 2)
+    dim_V = profile(spec).dim_V
+    W = [list(row) for row in wtj_matrix(spec)]
+    W[1][2] += Fraction(dim_V[1], 7)
+    W[2][1] += Fraction(dim_V[2], 7)
+    _serve_table(monkeypatch, W)
+    with pytest.raises(ArithmeticError, match=r"^\(W\^2\)\["):
+        wtj_properties(spec)
+
+
+def test_properties_refuse_a_table_with_a_wrong_boundary_row(monkeypatch):
+    # -W is an involution with the dim V symmetry, but W_0(0) = 1 / dim H
+    # fails
+    spec = QHamming(2, 2)
+    _serve_table(monkeypatch, [[-v for v in row] for row in wtj_matrix(spec)])
+    with pytest.raises(ArithmeticError, match=r"^W\[0\]\[0\] = -1/4 "):
+        wtj_properties(spec)
 
 
 def test_qubit_length_one():
