@@ -11,14 +11,12 @@ has a distance distribution A_0..A_r satisfying
 
 so the supremum of K making this system feasible bounds every code.  The
 search is a rational bisection.  `affine_rows` is the only definition of
-the LP, each row written once as K*a + b, and `build_system` evaluates it
-at K; each verdict of `feasible` carries a certificate checked by
+the LP: an `IntegerSystem`, each row written once in integers, affine in K,
+as (A_i, B_i, c_i, sense), so row i at K = p/q is (p*A_i + q*B_i) / (q*c_i),
+or B_i / c_i when the row does not depend on K.  The bisection solves on
+`integer_system`, that system cached; `build_system` is its Fraction view
+at K.  Each verdict of `feasible` carries a certificate checked by
 substitution, a witness point when feasible and a Farkas vector when not.
-
-Since the rows are affine in K, the bisection does not rebuild them: the
-`IntegerSystem` of (spec, d, opts), the affine rows in integers and cached,
-gives row i at K = p/q as the integer row p*A_i + q*B_i (or B_i when the
-row does not depend on K).
 
 A probe of `lp_bound` first tries the `closed_forms` of the system, built
 once per (spec, d, opts): the witness (e_0 + W e_0) / (1 + W_0(0)) at K = 1
@@ -45,9 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from operator import mul
 
-from .families import Family, profile
+from .families import Family, _over_one_denominator, profile
 from .simplex import (EQ, GE, Constraint, WarmStart, _is_farkas, _satisfies, check_feasible,
                       row_multipliers, verify_farkas, verify_witness)
 from .wtj import lambda_signature, wtj_matrix
@@ -75,58 +73,10 @@ def check_options(spec: Family, opts: LPOptions) -> None:
         raise ValueError(f"{spec.name} has no self-dual signature")
 
 
-def affine_rows(spec: Family, d: int,
-                opts: LPOptions = LPOptions()) -> tuple[list[tuple[tuple, tuple, str]], int]:
-    """The LP of the module docstring as rows affine in K, and its nvars.
-
-    Each row is (a, b, sense) over [coefficients | rhs]: the constraint at K
-    is K*a + b.  a is all zero when the row does not depend on K; when it
-    does, b is integral.
-    """
-    nvars = profile(spec).diameter_r + 1
-    if not (1 <= d <= nvars):
-        raise ValueError(f"distance d={d} outside 1..{nvars}")
-    check_options(spec, opts)
-    W = wtj_matrix(spec)
-    zero, one = Fraction(0), Fraction(1)
-    zeros = (0,) * (nvars + 1)
-    # A_0 = K, then K * sum_j W_t(j) A_j - A_t (= or >=) 0
-    rows = [(zeros[:-1] + (1,), (1,) + zeros[1:], EQ)]
-    rows += [((*W[t], 0), zeros[:t] + (-1,) + zeros[t + 1:], EQ if t < d else GE)
-             for t in range(nvars)]
-    if opts.self_dual:
-        # lambda_j W_t(j), negated where lambda_j = -1
-        lam = lambda_signature(spec)
-        rows += [(zeros, (*(w if s > 0 else -w for s, w in zip(lam, W[t])), zero), GE)
-                 for t in range(nvars)]
-    if opts.pure:
-        rows += [(zeros, tuple(one if j == t else zero for j in range(nvars + 1)), EQ)
-                 for t in range(1, d)]
-    return rows, nvars
-
-
-def build_system(spec: Family, d: int, K: Fraction,
-                 opts: LPOptions = LPOptions()) -> tuple[list[Constraint], int]:
-    """The affine_rows of (spec, d, opts) at K, as Fraction constraints."""
-    rows, nvars = affine_rows(spec, d, opts)
-    p, q = K.numerator, K.denominator
-    cons = []
-    for a, b, sense in rows:
-        if any(a):
-            # K*u + v = (p*u + q*v) / q as one fraction, v an integer
-            b = [Fraction(p * u.numerator + q * v * u.denominator, q * u.denominator)
-                 for u, v in zip(a, b)]
-        cons.append(Constraint(tuple(b[:-1]), sense, b[-1]))
-    return cons, nvars
-
-
 @dataclass(frozen=True)
 class IntegerSystem:
-    """affine_rows(spec, d, opts) in integers.
-
-    Row i at K = p/q is (p*A_i + q*B_i) / (q*c_i), or B_i / c_i when A_i is
-    zero, with every A_i, B_i integer and c_i > 0: build_system's row i at K.
-    """
+    """Integer rows over [coefficients | rhs], affine in K: row i at K = p/q
+    is (p*A_i + q*B_i) / (q*c_i), or B_i / c_i when A_i is zero, c_i > 0."""
     A: tuple[tuple[int, ...], ...]
     B: tuple[tuple[int, ...], ...]
     scales: tuple[int, ...]  # c_i
@@ -147,25 +97,53 @@ class IntegerSystem:
         return rows, scales
 
 
+def affine_rows(spec: Family, d: int, opts: LPOptions = LPOptions()) -> IntegerSystem:
+    """The LP of the module docstring as an IntegerSystem.
+
+    Each W row t enters as (c_t, c_t W_t), c_t the lcm of its denominators,
+    the least scale: each prime power exactly dividing c_t divides the
+    denominator of some W_t(j), which scales to an integer prime to it.
+    The other rows are integers already, with scale 1.
+    """
+    nvars = profile(spec).diameter_r + 1
+    if not (1 <= d <= nvars):
+        raise ValueError(f"distance d={d} outside 1..{nvars}")
+    check_options(spec, opts)
+    zeros = (0,) * (nvars + 1)
+
+    def unit(t: int, x: int = 1) -> tuple[int, ...]:
+        return zeros[:t] + (x,) + zeros[t + 1:]
+
+    scaled = list(map(_over_one_denominator, wtj_matrix(spec)))
+    # A_0 = K, then K * sum_j W_t(j) A_j - A_t (= or >=) 0
+    rows = [(unit(nvars), unit(0), 1, EQ)]
+    rows += [((*cw, 0), unit(t, -c), c, EQ if t < d else GE)
+             for t, (c, cw) in enumerate(scaled)]
+    if opts.self_dual:
+        # sum_j lambda_j W_t(j) A_j >= 0, times c_t
+        lam = lambda_signature(spec)
+        rows += [(zeros, (*map(mul, lam, cw), 0), c, GE) for c, cw in scaled]
+    if opts.pure:
+        rows += [(zeros, unit(t), 1, EQ) for t in range(1, d)]
+    A, B, scales, senses = zip(*rows)
+    return IntegerSystem(A, B, scales, senses, nvars)
+
+
+def build_system(spec: Family, d: int, K: Fraction,
+                 opts: LPOptions = LPOptions()) -> tuple[list[Constraint], int]:
+    """affine_rows(spec, d, opts) at K as Fraction constraints, each entry
+    over its row's scale."""
+    system = affine_rows(spec, d, opts)
+    rows, scales = system.at(K)
+    return [Constraint(tuple(Fraction(x, s) for x in row[:-1]), sense, Fraction(row[-1], s))
+            for row, s, sense in zip(rows, scales, system.senses)], system.nvars
+
+
 @lru_cache(maxsize=None)
 def integer_system(spec: Family, d: int, opts: LPOptions = LPOptions()) -> IntegerSystem:
-    """The IntegerSystem of affine_rows(spec, d, opts).
-
-    Each row (a, b) is brought to integers by c_i, the lcm of all the
-    denominators of a and b, the least such scale.  No common factor of
-    c_i, A_i and B_i is left: each prime power p^e exactly dividing c_i
-    divides the denominator of some entry, which scales to an integer prime
-    to p.
-    """
-    rows, nvars = affine_rows(spec, d, opts)
-    A, B, scales = [], [], []
-    for a, b, _ in rows:
-        c = lcm(*(x.denominator for x in a + b))
-        A.append(tuple(x.numerator * (c // x.denominator) for x in a))
-        B.append(tuple(x.numerator * (c // x.denominator) for x in b))
-        scales.append(c)
-    return IntegerSystem(tuple(A), tuple(B), tuple(scales),
-                         tuple(sense for *_, sense in rows), nvars)
+    """affine_rows(spec, d, opts), cached: the system each bisection probe
+    solves on."""
+    return affine_rows(spec, d, opts)
 
 
 def feasible(spec: Family, d: int, K: Fraction,
@@ -276,9 +254,8 @@ def closed_forms(spec: Family, d: int, opts: LPOptions = LPOptions()) -> ClosedF
         candidates[Fraction(N)] = (Fraction(N),) + (Fraction(0),) * (system.nvars - 1)
     witnesses = {}
     for K, x in candidates.items():
-        den = lcm(*(v.denominator for v in x))
-        if _satisfies(system.at(K)[0], system.senses,
-                      [v.numerator * (den // v.denominator) for v in x], den):
+        den, xs = _over_one_denominator(x)
+        if _satisfies(system.at(K)[0], system.senses, xs, den):
             witnesses[K] = FeasibleReport(True, x)
     w1 = None
     if d >= 2:

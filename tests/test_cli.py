@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: formats, exit codes, construct/verify round trips."""
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -343,6 +344,23 @@ def test_verify_malformed_document_exits_2(doc):
     res = run("verify", stdin=json.dumps(doc))
     assert res.returncode == 2
     assert res.stderr.startswith("error: malformed") and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"n": 0, "generators": [], "signs": []}, "need n >= 1, got n=0"),
+    ({"n": 1, "generators": ["11"], "signs": [1, 1]},
+     "signs and generators must have equal length"),
+    ({"n": 1, "generators": ["11"], "signs": [2]}, "signs must be the integers +1 or -1"),
+    ({"n": 1, "generators": ["00"], "signs": [1]}, "generators must be nonzero 2-bit labels"),
+], ids=["n0", "extra-sign", "sign-2", "zero-generator"])
+def test_verify_of_a_refused_stabilizer_code_exits_2(doc, message, monkeypatch, capsys):
+    # in-process, unlike the subprocess test above, so coverage sees the refusals
+    from qdelsarte import cli
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(
+        {"kind": "clifford-stabilizer", **doc})))
+    assert cli.main(["verify"]) == 2
+    assert capsys.readouterr() == ("", "error: malformed clifford-stabilizer document: "
+                                       f"ValueError {message}\n")
 
 
 def test_verify_refuses_a_huge_radicand_fast():

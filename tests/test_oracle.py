@@ -519,6 +519,32 @@ def test_susym_ceiling_is_dim_h_twelve():
         v_basis(SuqSym(3, 4), 0)
 
 
+def test_block_outside_the_diameter_is_refused():
+    with pytest.raises(ValueError, match="t=3 outside 0..2"):
+        v_basis(QHamming(2, 2), 3)
+
+
+def test_lambda_of_a_family_without_a_signature_is_refused():
+    with pytest.raises(ValueError, match="qhamming is not self-dual"):
+        verify_lambda(QHamming(3, 2))
+
+
+def test_block_builder_one_element_short_is_refused(monkeypatch):
+    built = ORACLE[Su2].basis
+
+    def short(spec, t):
+        basis = built(spec, t)
+        return OperatorBasis(spec, t, basis.matrices[:-1], basis.weight)
+
+    monkeypatch.setitem(ORACLE, Su2, ORACLE[Su2]._replace(basis=short))
+    v_basis.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="expected dim V_1 = 3"):
+            v_basis(Su2(3), 1)
+    finally:
+        v_basis.cache_clear()
+
+
 def test_zero_element_entry_or_weight_is_rejected():
     one = Fraction(1)
     # an empty element would count toward dim V_t and have norm 0

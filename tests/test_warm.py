@@ -137,12 +137,14 @@ def test_build_system_and_template_equal_the_reference_system(p, q):
 
 
 def test_template_scales_are_the_lcm_of_each_row_s_denominators():
-    # so no common factor is left to divide out of c_i, A_i and B_i
+    # at K = 1 row i is (A_i + B_i) / c_i, whose denominators are those of
+    # the row's W entries; so no common factor is left to divide out of c_i,
+    # A_i and B_i
     for spec, d, opts in GRID:
-        rows, _ = lp.affine_rows(spec, d, opts)
+        cons, _ = reference_system(spec, d, F(1), opts)
         system = integer_system(spec, d, opts)
-        for (a, b, _), c, ai, bi in zip(rows, system.scales, system.A, system.B):
-            assert c == lcm(*(F(x).denominator for x in a + b))
+        for con, c, ai, bi in zip(cons, system.scales, system.A, system.B, strict=True):
+            assert c == lcm(*(x.denominator for x in (*con.coeffs, con.rhs)))
             assert gcd(c, *ai, *bi) == 1
 
 
