@@ -48,7 +48,6 @@ from itertools import combinations
 
 from .families import READINGS, _Gamma, _krawtchouk
 from .linalg import GI_UNITS, Sparse, gi_mul_mono, gi_mul_rows, gi_times, monomial, rows_of
-from .scalars import gr_i_power
 
 MATRIX_CEILING = 7  # qubit count above which only the symbolic path runs
 ENUMERATION_BUDGET = 5_000_000  # labels distance_distribution may enumerate
@@ -97,10 +96,10 @@ def _gamma_monomial(n: int, x: int, columns: Iterable[int] | None = None
 
 
 def gamma(n: int, x: int) -> Sparse:
-    """Matrix of Gamma_x, composed as a monomial matrix; entries are
-    GaussianRational units."""
+    """Matrix of Gamma_x, composed as a monomial matrix; entries are the
+    Gaussian-integer units of `GI_UNITS`, (re, im) pairs of ints."""
     mask, phases = _gamma_monomial(n, x)
-    return {(r, r ^ mask): gr_i_power(phases[r ^ mask]) for r in range(2 ** n)}
+    return {(c ^ mask, c): GI_UNITS[e] for c, e in enumerate(phases)}
 
 
 def gamma_mul(n: int, x: int, y: int) -> tuple[int, int]:

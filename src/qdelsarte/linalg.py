@@ -1,4 +1,4 @@
-"""Sparse exact linear algebra over int, Fraction, or GaussianRational.
+"""Sparse exact linear algebra over int or Fraction, and over Gaussian integers.
 
 A matrix is a dict mapping (row, col) to a nonzero scalar, together with an
 explicit shape where an operation needs one.  Scalars only need +, *, -,

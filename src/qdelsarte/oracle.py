@@ -7,8 +7,8 @@ blocks V_t and reads off the eigenvalues of the block channel
 
 on an orthogonal basis F_k as the Rayleigh quotient <X, Phi_t(X)> / <X, X>,
 summed as sum_k <X F_k, F_k X> / (<F_k, F_k> <X, X>) without forming
-Phi_t(X); `phi_apply`, which forms it, is the reference.  The qhamming,
-su-sym and su-ext bases are primitive int matrices.  The su(2) basis is
+Phi_t(X); `phi_apply`, which forms it, is the reference.  Every basis is
+an int matrix, and all but the su(2) one are primitive.  The su(2) basis is
 `su2.error_block` under the weight `su2.weights`, the int matrices
 `su2.min_distance` measures code distance with, so W_t(j) is certified on
 the blocks codes are checked against.  OperatorBasis checks every basis
@@ -31,12 +31,14 @@ blocks are the monomial Gamma_x: for the Clifford-odd, Clifford-even and
 spinorial families those of `clifford.block_labels`, the blocks `verify`
 reads codes in, so W_t(j) is certified on those too; for the
 semispinorial family the even-weight Gamma_x restricted to the columns of
-the chirality projector P+.  There the channel and the antiunitary check
-are composed on (mask, i-exponent) pairs with integer arithmetic, traces
-taken over the block's columns, while the Rayleigh quotient and the
-sandwich on the GaussianRational bases stay, with `phi_apply`, the
-reference.  Instances are capped at sizes where exact arithmetic finishes
-in seconds; larger parameters raise.
+the chirality projector P+.  Each Gamma_x is i^k X^a Z^b (`clifford._pauli`),
+and its basis element is the int monomial X^a Z^b on the block's columns:
+the constant i^k cancels in F X F*, in the Rayleigh quotient and on both
+sides of the sandwich.  The channel and the antiunitary check are composed
+on (mask, i-exponent) pairs with integer arithmetic, traces taken over the
+block's columns, while the Rayleigh quotient and the sandwich on the int
+bases stay, with `phi_apply`, the reference.  Instances are capped at sizes
+where exact arithmetic finishes in seconds; larger parameters raise.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from itertools import combinations
 from math import factorial, lcm, prod
 from typing import Callable, NamedTuple
 
-from .clifford import _gamma_monomial, _labels_of_weight, block_labels, gamma
+from .clifford import _gamma_monomial, _labels_of_weight, _pauli, block_labels
 from .families import (READINGS, Family, QHamming, Semispinorial, Su2, SunExt,
                        SuqSym, profile)
 from .linalg import (RowSpace, Sparse, _primitive, monomial, mono_commutator, mono_mul,
@@ -324,12 +326,18 @@ def _semispin_words(spec: Semispinorial, t: int) -> tuple[Iterable[int], Collect
     return labels, _plus_columns(n)
 
 
+def _pauli_matrix(n: int, x: int, columns: Iterable[int]) -> Sparse:
+    """X^a Z^b for Gamma_x = i^k X^a Z^b on `columns`: (-1)^|b & c| at
+    (c ^ a, c), an int monomial."""
+    _, a, b = _pauli(n, x)
+    return {(c ^ a, c): -1 if (b & c).bit_count() & 1 else 1 for c in columns}
+
+
 def _basis_gamma(spec: Family, t: int) -> OperatorBasis:
-    """The Gamma_x of block t restricted to the block's columns, as sparse
-    GaussianRational matrices."""
+    """The Gamma_x of block t, up to their phases i^k, restricted to the
+    block's columns."""
     labels, columns = ORACLE[type(spec)].words(spec, t)
-    return OperatorBasis(spec, t, [{(r, c): v for (r, c), v in gamma(spec.n, x).items()
-                                    if c in columns} for x in labels])
+    return OperatorBasis(spec, t, [_pauli_matrix(spec.n, x, columns) for x in labels])
 
 
 # Gamma_x as the pair (m, e) that `gamma` builds its matrix from: column c
@@ -403,7 +411,7 @@ def _sigma_y_label(n: int) -> int:
 
 
 def _antiunitary_gamma(spec: Family) -> Sparse:
-    return gamma(spec.n, _sigma_y_label(spec.n))
+    return _pauli_matrix(spec.n, _sigma_y_label(spec.n), range(2 ** spec.n))
 
 
 def _lambda_gamma(spec: Family, lam: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -534,8 +542,8 @@ def _rayleigh(bt: OperatorBasis, X: Sparse) -> Fraction:
     `monomial`, which raises ArithmeticError otherwise, and X F_k and F_k X
     relabel the entries of F_k.  Both inner products are taken at the scale
     lcm(w), which cancels, and 1 / n_k is c_k / m over the common numerator
-    m of the n_k: the sum runs on the basis scalars, ints on every basis but
-    the GaussianRational references, into one Fraction.
+    m of the n_k: the sum runs on the basis scalars, ints on every basis
+    `v_basis` builds, into one Fraction.
     """
     w, scale = bt.weight, _weight_lcm(bt.weight)
     m = lcm(*(n.numerator for n in bt.norms))
@@ -580,16 +588,14 @@ def _lambda_sandwich(spec: Family, lam: tuple[int, ...]) -> list[tuple[int, int]
     L conj(X) != lambda_j X^+ L, X^+ the weighted adjoint: that is
     T(X) = lambda_j X* for T = L conj(.) L^-1, so L need only be
     invertible; the su(2) L is D L0 D^-1, up to a constant, for the unitary
-    L0 of the surd frame.  Every L is monomial, so both products relabel."""
-    entry = ORACLE[type(spec)]
-    L = monomial(entry.antiunitary(spec))
+    L0 of the surd frame.  Every basis is an int matrix, so conj(X) = X, and
+    every L is monomial, so both products relabel."""
+    L = monomial(ORACLE[type(spec)].antiunitary(spec))
     bad = []
     for j, sign in enumerate(lam):
         basis = v_basis(spec, j)
-        # the bases without words are int matrices, which conjugation leaves as they are
         bad += [(j, i) for i, X in enumerate(basis.matrices)
-                if mono_mul(L, X if entry.words is None
-                            else {k: v.conjugate() for k, v in X.items()})
+                if mono_mul(L, X)
                 != mul_mono(sp_scale(op_weighted_adjoint(X, basis.weight), sign), L)]
     return bad
 

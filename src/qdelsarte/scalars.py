@@ -1,19 +1,13 @@
-"""Exact scalar arithmetic: rationals, Gaussian rationals, and sums of quadratic surds.
+"""Exact scalar arithmetic: rationals and sums of quadratic surds.
 
-Rationals are plain ``fractions.Fraction``.  The two custom types here are
-
-* ``GaussianRational``: (a + b*i) / d, stored as one canonical integer
-  triple with d > 0 and gcd(a, b, d) = 1, so arithmetic is integer
-  arithmetic plus one gcd per result (none when d = 1) and no ``Fraction``
-  is built; ``.re`` and ``.im`` are ``Fraction`` views.  Entries of
-  Clifford operators, code projectors, and phases live here.
-* ``SurdSum``: a finite sum ``sum_d c_d * sqrt(d)`` with squarefree integer
-  radicands d >= 1 and nonzero rational coefficients c_d.  Real only.
-  Amplitudes of the su(2) code vectors live here.  The representation is
-  canonical, so equality is map equality.
-
-Both types are immutable and mix freely with int/Fraction operands; a
-value equal to an int or Fraction also hashes like it.
+Rationals are plain ``fractions.Fraction``.  The one custom type here is
+``SurdSum``: a finite sum ``sum_d c_d * sqrt(d)`` with squarefree integer
+radicands d >= 1 and nonzero rational coefficients c_d.  Real only.
+Amplitudes of the su(2) code vectors live here.  The representation is
+canonical, so equality is map equality.  It is immutable and mixes freely
+with int/Fraction operands; a value equal to an int or Fraction also hashes
+like it.  Gaussian integers, the entries of Clifford operators and code
+projectors, are (re, im) pairs of ints in `linalg`.
 """
 
 from __future__ import annotations
@@ -62,165 +56,6 @@ def parse_fraction(text: str) -> Fraction:
 def format_fraction(x: Fraction) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-class GaussianRational:
-    """Complex number (a + b*i) / d with integers a, b, d.
-
-    The triple is canonical: d > 0 and gcd(a, b, d) = 1, so equality is
-    triple equality and a value with b == 0 is the rational a/d.  Every
-    result goes through `_make`, which skips the gcd when d == 1.
-    """
-
-    __slots__ = ("_a", "_b", "_d")
-
-    def __init__(self, re=0, im=0):
-        re, im = Fraction(re), Fraction(im)
-        p, q = re.denominator, im.denominator
-        d = p * q // gcd(p, q)
-        # re and im are in lowest terms, so gcd(a, b, d) = 1 already
-        _set_a(self, re.numerator * (d // p))
-        _set_b(self, im.numerator * (d // q))
-        _set_d(self, d)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GaussianRational is immutable")
-
-    @staticmethod
-    def _make(a: int, b: int, d: int) -> "GaussianRational":
-        """Canonical GaussianRational (a + b*i) / d for d != 0."""
-        if d != 1:
-            if d < 0:
-                a, b, d = -a, -b, -d
-            g = gcd(a, b, d)
-            if g != 1:
-                a, b, d = a // g, b // g, d // g
-        out = object.__new__(GaussianRational)
-        _set_a(out, a)
-        _set_b(out, b)
-        _set_d(out, d)
-        return out
-
-    @staticmethod
-    def _triple(x) -> "tuple[int, int, int] | None":
-        if isinstance(x, GaussianRational):
-            return x._a, x._b, x._d
-        if isinstance(x, int):
-            return x, 0, 1
-        if isinstance(x, Fraction):
-            return x.numerator, 0, x.denominator
-        return None
-
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self._a, self._d)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self._b, self._d)
-
-    def __add__(self, other):
-        o = self._triple(other)
-        if o is None:
-            return NotImplemented
-        a, b, d = o
-        if d == self._d:
-            return self._make(self._a + a, self._b + b, d)
-        return self._make(self._a * d + a * self._d, self._b * d + b * self._d,
-                          self._d * d)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._make(-self._a, -self._b, self._d)
-
-    def __sub__(self, other):
-        o = self._triple(other)
-        if o is None:
-            return NotImplemented
-        a, b, d = o
-        if d == self._d:
-            return self._make(self._a - a, self._b - b, d)
-        return self._make(self._a * d - a * self._d, self._b * d - b * self._d,
-                          self._d * d)
-
-    def __rsub__(self, other):
-        o = self._triple(other)
-        if o is None:
-            return NotImplemented
-        return -self + other
-
-    def __mul__(self, other):
-        o = self._triple(other)
-        if o is None:
-            return NotImplemented
-        a, b, d = o
-        return self._make(self._a * a - self._b * b, self._a * b + self._b * a,
-                          self._d * d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._triple(other)
-        if o is None:
-            return NotImplemented
-        a, b, d = o
-        n2 = a * a + b * b
-        if n2 == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        # (x/e) / ((a + b i)/d) = x (a - b i) d / (e (a^2 + b^2))
-        return self._make((self._a * a + self._b * b) * d,
-                          (self._b * a - self._a * b) * d, self._d * n2)
-
-    def __rtruediv__(self, other):
-        o = self._triple(other)
-        if o is None:
-            return NotImplemented
-        return self._make(*o) / self
-
-    def conjugate(self):
-        return self._make(self._a, -self._b, self._d)
-
-    def __eq__(self, other):
-        o = self._triple(other)
-        if o is None:
-            return NotImplemented
-        return self._a == o[0] and self._b == o[1] and self._d == o[2]
-
-    def __hash__(self):
-        # a rational value hashes like the equal int or Fraction
-        if self._b == 0:
-            return hash(Fraction(self._a, self._d))
-        return hash((self._a, self._b, self._d))
-
-    def __bool__(self):
-        return self._a != 0 or self._b != 0
-
-    def is_rational(self) -> Fraction | None:
-        return self.re if self._b == 0 else None
-
-    def __complex__(self):
-        return complex(self._a / self._d, self._b / self._d)
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!s}, {self.im!s})"
-
-
-# the slots' own setters, which bypass the immutability guard
-_set_a = GaussianRational._a.__set__
-_set_b = GaussianRational._b.__set__
-_set_d = GaussianRational._d.__set__
-
-GR_I = GaussianRational(0, 1)
-GR_ONE = GaussianRational(1, 0)
-GR_ZERO = GaussianRational(0, 0)
-
-
-_I_POWERS = (GR_ONE, GR_I, -GR_ONE, -GR_I)
-
-
-def gr_i_power(k: int) -> GaussianRational:
-    return _I_POWERS[k % 4]
 
 
 class SurdSum:

@@ -18,7 +18,6 @@ import qdelsarte
 from qdelsarte import clifford
 from qdelsarte.families import READINGS, CliffordEven, CliffordOdd, Spinorial, profile
 from qdelsarte.linalg import sp_add, sp_identity, sp_mul, sp_rank, sp_scale, sp_sub
-from qdelsarte.scalars import GR_ONE, GR_ZERO, GaussianRational, gr_i_power
 from qdelsarte.clifford import (
     StabilizerCode,
     _gamma_monomial,
@@ -26,7 +25,6 @@ from qdelsarte.clifford import (
     clifford_hamming,
     detection_report,
     distance_distribution,
-    gamma,
     gamma_mul,
     is_q_isotropic,
     label_from_str,
@@ -38,7 +36,7 @@ from qdelsarte.clifford import (
     wt,
 )
 from qdelsarte.wtj import wtj_matrix
-from reference import weyl_brauer
+from reference import GR_ONE, GR_ZERO, GaussianRational, gamma, gr_i_power, weyl_brauer
 
 F = Fraction
 
@@ -151,7 +149,7 @@ class TestGammaOperators:
     def test_a_letter_beyond_2n_plus_1_raises_index_error(self):
         for x in (1 << 5, 1 << 7, -1):
             with pytest.raises(IndexError):
-                gamma(2, x)
+                clifford.gamma(2, x)
             with pytest.raises(IndexError):
                 _gamma_monomial(2, x, [0])
             with pytest.raises(IndexError):

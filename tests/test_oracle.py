@@ -20,7 +20,7 @@ from qdelsarte.families import (
     profile,
 )
 from qdelsarte import oracle
-from qdelsarte.clifford import gamma
+from qdelsarte.clifford import _pauli
 from qdelsarte.linalg import RowSpace, sp_add, sp_identity, sp_mul, sp_scale, sp_sub
 from qdelsarte.oracle import (
     ORACLE,
@@ -32,10 +32,11 @@ from qdelsarte.oracle import (
     verify_wtj,
     wtj_bruteforce,
 )
-from qdelsarte.scalars import GR_ONE, GaussianRational, SurdSum
+from qdelsarte.scalars import SurdSum
 from qdelsarte.su2 import error_block
 from qdelsarte.wtj import lambda_signature, wtj
-from reference import d_conjugate, surd_error_block
+from reference import (GR_ONE, GaussianRational, d_conjugate, gamma, gr_i_power,
+                       surd_error_block)
 
 # largest instances the oracle certifies per family
 ORACLE_GRID = [
@@ -109,7 +110,7 @@ def test_monomial_wtj_matches_block_channel(spec):
             assert wtj_bruteforce(spec, t, j) == block_channel_quotient(spec, t, j), (t, j)
 
 
-# the families whose bases are integer matrices: every one without words
+# the families whose W_t(j) is the Rayleigh quotient: every one without words
 RATIONAL_GRID = [spec for spec in ORACLE_GRID if ORACLE[type(spec)].words is None]
 
 
@@ -131,14 +132,19 @@ def test_rayleigh_quotient_refuses_a_non_monomial_x():
 
 
 # the su(2) bases are `error_block` as it is, not made primitive
-@pytest.mark.parametrize("spec", [s for s in RATIONAL_GRID if not isinstance(s, Su2)], ids=str)
+@pytest.mark.parametrize("spec", [s for s in ORACLE_GRID if not isinstance(s, Su2)], ids=str)
 def test_rational_bases_are_primitive_int_matrices(spec):
+    words = ORACLE[type(spec)].words
     for t in range(profile(spec).diameter_r + 1):
         basis = v_basis(spec, t)
         for x, norm in zip(basis.matrices, basis.norms):
             assert all(type(v) is int for v in x.values()), t
             assert gcd(*x.values()) == 1, t
             assert norm > 0, t
+        if words is not None:  # signed permutations of the block's columns
+            columns = words(spec, t)[1]
+            assert all(v in (1, -1) for x in basis.matrices for v in x.values()), t
+            assert basis.norms == [len(columns)] * len(basis.matrices), t
 
 
 def test_suext_wtj_makes_few_fraction_products(monkeypatch):
@@ -210,7 +216,7 @@ def test_gamma_signature_needs_the_sigma_y_word(spec, monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_semispinorial_monomial_path_matches_the_matrices(n):
     # the monomials against the Rayleigh quotient and the sandwich on the
-    # GaussianRational v_basis matrices
+    # int v_basis matrices
     spec = Semispinorial(n)
     blocks = range(profile(spec).diameter_r + 1)
     for t in blocks:
@@ -331,20 +337,26 @@ def test_basis_dimensions_match_profile():
             assert len(v_basis(spec, t).matrices) == prof.dim_V[t]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_semispinorial_blocks_are_projected_gammas(n):
-    # reference: P+ Gamma_x P+ as two matrix products, P+ = (I + Gamma_omega) / 2
+@pytest.mark.parametrize("spec", GAMMA_GRID + [Semispinorial(n) for n in range(2, 6)], ids=str)
+def test_gamma_blocks_are_the_gammas_up_to_phase(spec):
+    # reference: P Gamma_x P as two products of the Kronecker-checked
+    # GaussianRational matrices, P = I on the Clifford-odd, Clifford-even and
+    # spinorial blocks and P+ = (I + Gamma_omega) / 2 on the semispinorial
+    # ones; element x of the block is the int X^a Z^b = i^-k Gamma_x there
+    n = spec.n
     omega = (1 << (2 * n)) - 1
-    half = GaussianRational(Fraction(1, 2), 0)
-    p_plus = sp_add(sp_scale(sp_identity(2 ** n, GR_ONE), half),
-                    sp_scale(gamma(n, omega), half))
-    spec = Semispinorial(n)
+    p = sp_identity(2 ** n, GR_ONE)
+    if isinstance(spec, Semispinorial):
+        p = sp_scale(sp_add(p, gamma(n, omega)), GaussianRational(Fraction(1, 2)))
     for t in range(profile(spec).diameter_r + 1):
-        labels = [sum(1 << b for b in bits) for bits in combinations(range(2 * n), 2 * t)]
-        if 2 * t == n:  # Gamma_x and Gamma_{x ^ omega} agree on P+ up to phase
-            labels = [x for x in labels if x < x ^ omega]
-        assert v_basis.__wrapped__(spec, t).matrices == \
-            [sp_mul(sp_mul(p_plus, gamma(n, x)), p_plus) for x in labels], t
+        labels = list(ORACLE[type(spec)].words(spec, t)[0])
+        if isinstance(spec, Semispinorial):
+            even = [sum(1 << b for b in bits) for bits in combinations(range(2 * n), 2 * t)]
+            # Gamma_x and Gamma_{x ^ omega} agree on P+ up to phase
+            assert labels == [x for x in even if 2 * t != n or x < x ^ omega], t
+        elements = v_basis.__wrapped__(spec, t).matrices
+        assert [sp_scale(X, gr_i_power(_pauli(n, x)[0])) for X, x in zip(elements, labels)] \
+            == [sp_mul(sp_mul(p, gamma(n, x)), p) for x in labels], t
 
 
 def test_blocks_mutually_orthogonal():

@@ -8,17 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdelsarte.scalars import (
-    GR_I,
-    GR_ONE,
-    GR_ZERO,
     MAX_RADICAND,
-    GaussianRational,
     SurdSum,
     _squarefree_split,
     format_fraction,
-    gr_i_power,
     parse_fraction,
 )
+from reference import GR_I, GR_ONE, GR_ZERO, GaussianRational, gr_i_power
 
 fractions = st.fractions(
     min_value=-10**6, max_value=10**6, max_denominator=10**4)
