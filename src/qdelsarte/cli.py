@@ -232,7 +232,10 @@ def cmd_table(args) -> int:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
     # QLP_THREADS may lower the count, never raise it past the CPUs or the cells
-    workers = min(int(os.environ.get("QLP_THREADS", cpus)), cpus, len(jobs))
+    threads = os.environ.get("QLP_THREADS", str(cpus))
+    if not threads.isdecimal() or int(threads) < 1:
+        raise ValueError(f"QLP_THREADS must be a positive integer, got {threads!r}")
+    workers = min(int(threads), cpus, len(jobs))
     done = _forked_cells(jobs, workers)
     # computed here, in job order, is every cell no worker delivered: all of
     # them in a serial run, and the rest of a share that raised or whose child

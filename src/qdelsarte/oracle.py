@@ -32,13 +32,13 @@ spinorial families those of `clifford.block_labels`, the blocks `verify`
 reads codes in, so W_t(j) is certified on those too; for the
 semispinorial family the even-weight Gamma_x restricted to the columns of
 the chirality projector P+.  Each Gamma_x is i^k X^a Z^b (`clifford._pauli`),
-and its basis element is the int monomial X^a Z^b on the block's columns:
-the constant i^k cancels in F X F*, in the Rayleigh quotient and on both
-sides of the sandwich.  The channel and the antiunitary check are composed
-on (mask, i-exponent) pairs with integer arithmetic, traces taken over the
-block's columns, while the Rayleigh quotient and the sandwich on the int
-bases stay, with `phi_apply`, the reference.  Instances are capped at sizes
-where exact arithmetic finishes in seconds; larger parameters raise.
+and the constant i^k cancels in F X F*, in the Rayleigh quotient and on
+both sides of the sandwich, so a block element is the signed int monomial
+X^a Z^b on the block's columns, built once by `_gamma_block` for the
+channel, the antiunitary check and `v_basis` alike.  The first two multiply
+its signs column by column; the Rayleigh quotient and the sandwich on
+`v_basis` stay, with `phi_apply`, the reference.  Instances are capped at
+sizes where exact arithmetic finishes in seconds; larger parameters raise.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from itertools import combinations
 from math import factorial, lcm, prod
 from typing import Callable, NamedTuple
 
-from .clifford import _gamma_monomial, _labels_of_weight, _pauli, block_labels
+from .clifford import _labels_of_weight, _pauli, block_labels
 from .families import (READINGS, Family, QHamming, Semispinorial, Su2, SunExt,
                        SuqSym, profile)
 from .linalg import (RowSpace, Sparse, _primitive, monomial, mono_commutator, mono_mul,
@@ -302,9 +302,9 @@ def _basis_suext(spec: SunExt, t: int) -> OperatorBasis:
 @lru_cache(maxsize=None)
 def _plus_columns(n: int) -> frozenset[int]:
     """The columns of P+ = (I + Gamma_omega) / 2: where the diagonal
-    Gamma_omega is +1."""
-    _, e = _gamma_monomial(n, (1 << (2 * n)) - 1)
-    return frozenset(c for c in range(2 ** n) if not e[c])
+    Gamma_omega = i^k Z^b is +1.  Its own phase i^k decides which they are."""
+    k, _, b = _pauli(n, (1 << (2 * n)) - 1)
+    return frozenset(c for c in range(2 ** n) if not (k + 2 * (b & c).bit_count()) & 3)
 
 
 def _gamma_words(spec: Family, t: int) -> tuple[Iterable[int], Collection[int]]:
@@ -326,70 +326,51 @@ def _semispin_words(spec: Semispinorial, t: int) -> tuple[Iterable[int], Collect
     return labels, _plus_columns(n)
 
 
-def _pauli_matrix(n: int, x: int, columns: Iterable[int]) -> Sparse:
-    """X^a Z^b for Gamma_x = i^k X^a Z^b on `columns`: (-1)^|b & c| at
-    (c ^ a, c), an int monomial."""
+def _signed_monomial(n: int, x: int) -> tuple[int, list[int]]:
+    """X^a Z^b, for Gamma_x = i^k X^a Z^b, as (a, s) over all 2^n columns:
+    column c goes to row c ^ a with the sign s[c] = (-1)^|b & c|."""
     _, a, b = _pauli(n, x)
-    return {(c ^ a, c): -1 if (b & c).bit_count() & 1 else 1 for c in columns}
-
-
-def _basis_gamma(spec: Family, t: int) -> OperatorBasis:
-    """The Gamma_x of block t, up to their phases i^k, restricted to the
-    block's columns."""
-    labels, columns = ORACLE[type(spec)].words(spec, t)
-    return OperatorBasis(spec, t, [_pauli_matrix(spec.n, x, columns) for x in labels])
-
-
-# Gamma_x as the pair (m, e) that `gamma` builds its matrix from: column c
-# goes to row c ^ m with phase i^e[c].  Then Gamma_x* sends c to c ^ m with
-# phase i^-e[c ^ m], products of monomials are monomials, and tr(A* B) is
-# sum_c i^(e_B[c] - e_A[c]) when A and B share their mask, 0 otherwise.
-# A block element is Gamma_x restricted to the columns that the family's
-# `words` give, which the Gamma_x of the block map onto themselves: all 2^n
-# columns for the Clifford-odd, Clifford-even and spinorial blocks, the
-# 2^(n-1) columns of P+ for the semispinorial ones; traces run over those.
-
-def _trace_units(exponents: Iterable[int]) -> tuple[int, int]:
-    """sum_k i^(exponents_k) as (re, im)."""
-    count = [0, 0, 0, 0]
-    for e in exponents:
-        count[e & 3] += 1
-    return count[0] - count[2], count[1] - count[3]
+    return a, [-1 if (b & c).bit_count() & 1 else 1 for c in range(2 ** n)]
 
 
 @lru_cache(maxsize=None)
 def _gamma_block(spec: Family, t: int
                  ) -> tuple[tuple[tuple[int, list[int]], ...], Collection[int]]:
-    """The monomials of `v_basis(spec, t).matrices` and their columns,
-    checked as `v_basis` checks those: there are dim V_t of them and they
-    are pairwise orthogonal."""
+    """The signed monomials of block t, checked to be dim V_t and pairwise
+    orthogonal, and the columns of the family's `words`, which they map onto
+    themselves: all 2^n, or the 2^(n-1) of P+ on the semispinorial blocks.
+    Traces run over those columns: tr(A* B) is sum_c s_A[c] s_B[c] when A
+    and B share their mask, 0 otherwise."""
     _admit(spec, t)
     labels, columns = ORACLE[type(spec)].words(spec, t)
-    block = tuple(_gamma_monomial(spec.n, x) for x in labels)
+    block = tuple(_signed_monomial(spec.n, x) for x in labels)
     _check_count(spec, t, len(block))
     by_mask: dict[int, list[list[int]]] = {}
-    for m, e in block:
-        by_mask.setdefault(m, []).append(e)
-    if any(_trace_units(b[c] - a[c] for c in columns) != (0, 0)
-           for group in by_mask.values() for a, b in combinations(group, 2)):
+    for a, s in block:
+        by_mask.setdefault(a, []).append(s)
+    if any(sum(u[c] * v[c] for c in columns)
+           for group in by_mask.values() for u, v in combinations(group, 2)):
         raise ArithmeticError(f"{spec} block {t} basis is not orthogonal")
     return block, columns
 
 
-def _wtj_gamma(spec: Family, t: int, j: int) -> Fraction:
-    """<X, Phi_t(X)> / <X, X> on monomials, X the first element of block j.
+def _basis_gamma(spec: Family, t: int) -> OperatorBasis:
+    """The Gamma_x of block t up to their phases i^k: `_gamma_block` as int
+    matrices on the block's columns."""
+    block, columns = _gamma_block(spec, t)
+    return OperatorBasis(spec, t, [{(c ^ a, c): s[c] for c in columns} for a, s in block])
 
-    Gamma_x X Gamma_x* has X's mask and, at column c, the exponent
-    e_x[c ^ m_x ^ m_X] + e_X[c ^ m_x] - e_x[c ^ m_x]; every element has
-    <F, F> = the number of columns, X included.
-    """
+
+def _wtj_gamma(spec: Family, t: int, j: int) -> Fraction:
+    """<X, Phi_t(X)> / <X, X> on signed monomials, X the first element of
+    block j: F X F* has X's mask and, at column c, the sign
+    s[c ^ a ^ a_X] s_X[c ^ a] s[c ^ a] for F = (a, s), and every <F, F>,
+    <X, X> included, is the number of columns."""
     block_j, columns = _gamma_block(spec, j)
-    mx, ex = block_j[0]
-    re, im = _trace_units(e[c ^ m ^ mx] + ex[c ^ m] - e[c ^ m] - ex[c]
-                          for m, e in _gamma_block(spec, t)[0] for c in columns)
-    if im:
-        raise ArithmeticError(f"{spec}: <X, Phi_{t}(X)> is not real at j={j}")
-    return Fraction(re, len(columns) ** 2)
+    ax, sx = block_j[0]
+    acc = sum(s[c ^ a ^ ax] * sx[c ^ a] * s[c ^ a] * sx[c]
+              for a, s in _gamma_block(spec, t)[0] for c in columns)
+    return Fraction(acc, len(columns) ** 2)
 
 
 # --- antiunitaries: the linear part, up to overall phase ---------------------
@@ -411,28 +392,24 @@ def _sigma_y_label(n: int) -> int:
 
 
 def _antiunitary_gamma(spec: Family) -> Sparse:
-    return _pauli_matrix(spec.n, _sigma_y_label(spec.n), range(2 ** spec.n))
+    l, f = _signed_monomial(spec.n, _sigma_y_label(spec.n))
+    return {(c ^ l, c): v for c, v in enumerate(f)}
 
 
 def _lambda_gamma(spec: Family, lam: tuple[int, ...]) -> list[tuple[int, int]]:
-    """`_lambda_sandwich` on the monomials of `_gamma_block`.
-
-    With L = Gamma on the sigma_y letters as (l, f) and X as (m, e), column
-    c of L conj(X) L* lands on row c ^ m with exponent
-    f[c ^ l ^ m] - e[c ^ l] - f[c ^ l], and column c of lambda_j X* lands
-    there with exponent -e[c ^ m] + (0 if lambda_j is 1 else 2).  Both vanish
-    off the block's columns, and the first does at c too when L moves c
-    off them.
-    """
-    n = spec.n
-    l, f = _gamma_monomial(n, _sigma_y_label(n))
+    """`_lambda_sandwich` on the signed monomials of `_gamma_block`: with L,
+    the sigma_y word, as (l, f) and X as (a, s), column c of L conj(X) L* =
+    L X L* lands on row c ^ a with the sign f[c ^ l ^ a] s[c ^ l] f[c ^ l],
+    and column c of lambda_j X* there with the sign lambda_j s[c ^ a].  Both
+    vanish off the block's columns, and the first does at c too when L
+    moves c off them."""
+    l, f = _signed_monomial(spec.n, _sigma_y_label(spec.n))
     bad = []
     for j, sign in enumerate(lam):
-        s = 1 - sign  # i^(1 - sign) = sign for sign = +-1
         block, columns = _gamma_block(spec, j)
-        bad += [(j, i) for i, (m, e) in enumerate(block)
+        bad += [(j, i) for i, (a, s) in enumerate(block)
                 if any(c ^ l not in columns
-                       or (f[c ^ l ^ m] - e[c ^ l] - f[c ^ l] + e[c ^ m] - s) & 3
+                       or f[c ^ l ^ a] * s[c ^ l] * f[c ^ l] * s[c ^ a] != sign
                        for c in columns)]
     return bad
 

@@ -518,6 +518,21 @@ def test_table_pool_has_one_worker_per_usable_cpu(monkeypatch, capsys):
     capsys.readouterr()
 
 
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-1", "", "2.5"])
+def test_table_refuses_a_thread_count_that_is_not_a_positive_integer(
+        threads, monkeypatch, capsys):
+    # "abc" used to surface int()'s own message, and 0 or -1 ran serially
+    from qdelsarte import cli
+    monkeypatch.setenv("QLP_THREADS", threads)
+    monkeypatch.setattr(cli, "_forked_cells", lambda jobs, workers: pytest.fail("forked"))
+    rc = cli.main(["table", "--family", "su2", "--n-from", "3", "--n-to", "4",
+                   "--d-from", "2", "--d-to", "3"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == f"error: QLP_THREADS must be a positive integer, got {threads!r}\n"
+
+
 SWEEP_TABLES = [  # the four tables of the table-sweep benchmark
     ["--family", "clifford-odd", "--n-from", "3", "--n-to", "8"],
     ["--family", "qhamming", "--q", "2", "--n-from", "2", "--n-to", "7"],

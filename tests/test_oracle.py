@@ -557,6 +557,33 @@ def test_block_builder_one_element_short_is_refused(monkeypatch):
         v_basis.cache_clear()
 
 
+
+@pytest.mark.parametrize("spec", [CliffordOdd(3), Semispinorial(4)], ids=str)
+def test_gamma_block_refuses_a_repeated_or_missing_word(spec, monkeypatch):
+    entry = ORACLE[type(spec)]
+
+    def repeated(spec, t):  # the first label again in place of the last
+        labels, columns = entry.words(spec, t)
+        labels = list(labels)
+        return labels[:-1] + labels[:1], columns
+
+    def short(spec, t):
+        labels, columns = entry.words(spec, t)
+        return list(labels)[:-1], columns
+
+    oracle._gamma_block.cache_clear()
+    try:
+        monkeypatch.setitem(ORACLE, type(spec), entry._replace(words=repeated))
+        with pytest.raises(ArithmeticError, match="not orthogonal"):
+            oracle._gamma_block(spec, 1)
+        monkeypatch.setitem(ORACLE, type(spec), entry._replace(words=short))
+        with pytest.raises(ArithmeticError,
+                           match=f"expected dim V_1 = {profile(spec).dim_V[1]}"):
+            oracle._gamma_block(spec, 1)
+    finally:
+        oracle._gamma_block.cache_clear()
+
+
 def test_zero_element_entry_or_weight_is_rejected():
     one = Fraction(1)
     # an empty element would count toward dim V_t and have norm 0
