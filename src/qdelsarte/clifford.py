@@ -9,10 +9,10 @@ generator sigma_z^{tensor n}.
 
 Every Gamma_x is a Pauli string up to phase, i^k X^a Z^b, the binary
 symplectic form of Calderbank, Rains, Shor and Sloane (1998): column c goes
-to row c ^ a with phase i^(k + 2|b & c|).  `_pauli` gives (k, a, b) in closed
-form, and products follow from it.  The Kronecker-product definition of
-the generators is `weyl_brauer` in `tests/reference.py`, which the tests
-compare against.
+to row c ^ a with phase i^k (-1)^|b & c|.  `_pauli` gives (k, a, b) in
+closed form, products follow from it, and every matrix of Gamma_x, here and
+in `oracle`, is built from its signs (`_signed_monomial`).  The generators'
+Kronecker-product definition is `weyl_brauer` in `tests/reference.py`.
 
 Labels are stored as Python ints: bit k set means letter k+1 participates.
 Two operators commute iff q(x, y) = wt(x)wt(y) + x.y vanishes mod 2, so a
@@ -35,8 +35,8 @@ is each block's count of undetected labels; a disagreement raises
 ArithmeticError.  The cross-check runs on Gaussian integers, (re, im) pairs
 of ints: `projector` gives 2^s P, built from the span's monomial Gamma_z,
 and its rows are indexed once.  Gamma_x is composed only at the columns P
-occupies, and Q Gamma_x is the columns of Q relabelled by Gamma_x's mask,
-times its phases, before the one general product with Q.
+occupies, and Q Gamma_x is the columns of Q relabelled by Gamma_x's mask a,
+times its units, before the one general product with Q.
 """
 
 from __future__ import annotations
@@ -86,20 +86,20 @@ def _pauli(n: int, x: int) -> tuple[int, int, int]:
     return (v.bit_count() - tau(x)) & 3, a, b
 
 
-def _gamma_monomial(n: int, x: int, columns: Iterable[int] | None = None
-                    ) -> tuple[int, list[int]]:
-    """(xor mask, i-exponent per column) of Gamma_x, at every column or, given
-    `columns`, at those in their order."""
+def _signed_monomial(n: int, x: int, columns: Iterable[int] | None = None
+                     ) -> tuple[int, int, list[int]]:
+    """Gamma_x = i^k X^a Z^b as (k, a, signs): column c, of all or of `columns`
+    in order, goes to row c ^ a times i^k sign, sign = (-1)^|b & c|."""
     k, a, b = _pauli(n, x)
-    return a, [(k + 2 * (b & c).bit_count()) & 3
-               for c in (range(2 ** n) if columns is None else columns)]
+    return k, a, [-1 if (b & c).bit_count() & 1 else 1
+                  for c in (range(2 ** n) if columns is None else columns)]
 
 
 def gamma(n: int, x: int) -> Sparse:
     """Matrix of Gamma_x, composed as a monomial matrix; entries are the
     Gaussian-integer units of `GI_UNITS`, (re, im) pairs of ints."""
-    mask, phases = _gamma_monomial(n, x)
-    return {(c ^ mask, c): GI_UNITS[e] for c, e in enumerate(phases)}
+    k, a, signs = _signed_monomial(n, x)
+    return {(c ^ a, c): GI_UNITS[(k + 1 - s) & 3] for c, s in enumerate(signs)}
 
 
 def gamma_mul(n: int, x: int, y: int) -> tuple[int, int]:
@@ -203,19 +203,19 @@ def span_coefficients(stab: StabilizerCode) -> dict[int, int]:
 
 
 def projector(stab: StabilizerCode) -> Sparse:
-    """2^s P as a Gaussian-integer matrix: entry (c ^ m_z, c) collects
-    c_z i^{e_z[c]} over the Gamma_z = (m_z, e_z) of the span, as an (re, im)
-    pair of ints."""
+    """2^s P as a Gaussian-integer matrix: entry (c ^ a_z, c) collects
+    c_z i^k_z s_z[c] over the Gamma_z = (k_z, a_z, s_z) of the span, as an
+    (re, im) pair of ints."""
     if stab.n > MATRIX_CEILING:
         raise ValueError(f"matrix path limited to n <= {MATRIX_CEILING}; "
                          "use the symbolic operations instead")
     acc: dict[tuple[int, int], tuple[int, int]] = {}
     for z, cz in span_coefficients(stab).items():
-        mask, phases = _gamma_monomial(stab.n, z)
-        for c, e in enumerate(phases):
-            ur, ui = GI_UNITS[e]
-            re, im = acc.get((c ^ mask, c), (0, 0))
-            acc[(c ^ mask, c)] = (re + cz * ur, im + cz * ui)
+        k, a, signs = _signed_monomial(stab.n, z)
+        for c, s in enumerate(signs):
+            ur, ui = GI_UNITS[(k + 1 - s) & 3]
+            re, im = acc.get((c ^ a, c), (0, 0))
+            acc[(c ^ a, c)] = (re + cz * ur, im + cz * ui)
     return {k: v for k, v in acc.items() if v != (0, 0)}
 
 
@@ -305,7 +305,7 @@ def _matrix_check(stab: StabilizerCode, coeffs: dict[int, int], spec: _Gamma,
     On the Gaussian integers Q = 2^s P, P Gamma_x P = eps P reads
     Q Gamma_x Q = eps 2^s Q, and Q Gamma_x Q is a multiple of Q exactly when
     it matches Q cross-multiplied at one entry of Q.  Q Gamma_x Q reads
-    Gamma_x only at the columns Q occupies, so only those phases are formed,
+    Gamma_x only at the columns Q occupies, so only those signs are formed,
     and Q Gamma_x relabels Q's columns.
     """
     n = stab.n
@@ -318,8 +318,9 @@ def _matrix_check(stab: StabilizerCode, coeffs: dict[int, int], spec: _Gamma,
     for t in range(1, min(d, len(A) - 1) + 1):
         undetected = 0
         for x in block_labels(spec, t):
-            mask, phases = _gamma_monomial(n, x, columns)
-            gx = monomial({(c ^ mask, c): GI_UNITS[e] for c, e in zip(columns, phases)})
+            k, a, signs = _signed_monomial(n, x, columns)
+            gx = monomial({(c ^ a, c): GI_UNITS[(k + 1 - s) & 3]
+                           for c, s in zip(columns, signs)})
             qgq = gi_mul_rows(gi_mul_mono(Q, gx), rows)
             if x in coeffs:
                 eps = coeffs[x] * scale

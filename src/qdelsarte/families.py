@@ -27,8 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 from typing import ClassVar
+
+from .scalars import over_one_denominator
 
 
 class FamilyError(ValueError):
@@ -116,11 +118,6 @@ def _det3(a: list[int], b: list[int], c: list[int]) -> int:
             + c[0] * (a[1] * b[2] - a[2] * b[1]))
 
 
-def _over_one_denominator(row: list[Fraction]) -> tuple[int, list[int]]:
-    d = lcm(*(v.denominator for v in row))
-    return d, [v.numerator * (d // v.denominator) for v in row]
-
-
 class _Recurrent(Family):
     """su2, su-sym and su-ext: the table of a P-polynomial scheme,
     W_1(j) W_t(j) = x_t W_{t-1}(j) + y_t W_t(j) + z_t W_{t+1}(j) at every j.
@@ -134,13 +131,13 @@ class _Recurrent(Family):
         dims = profile(self).dim_V
         r = len(dims) - 1
         head = [[self.wtj(t, j) for j in range(r + 1)] for t in range(min(r, 2) + 1)]
-        rows = [_over_one_denominator(row) for row in head]
+        rows = [over_one_denominator(row) for row in head]
         for t in range(2, r):
             # columns 0-2 of row t+1 are c / e by the symmetry; there the
             # recurrence reads w1 v = x' u + y' v + z' c on integers, and by
             # Cramer's rule row t+1 is (det w1 v - dx u - dy v) / (dz e)
-            e, c = _over_one_denominator([head[j][t + 1] * dims[t + 1] / dims[j]
-                                          for j in range(3)])
+            e, c = over_one_denominator([head[j][t + 1] * dims[t + 1] / dims[j]
+                                         for j in range(3)])
             (_, w1), (_, u), (_, v) = rows[1], rows[t - 1], rows[t]
             b = [w1[j] * v[j] for j in range(3)]
             det, dx, dy, dz = _det3(u, v, c), _det3(b, v, c), _det3(u, b, c), _det3(u, v, b)

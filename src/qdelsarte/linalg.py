@@ -17,8 +17,10 @@ the products that share it, and `gi_mul_mono` relabels by a monomial.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Any
+
+from .scalars import over_one_denominator
 
 Sparse = dict[tuple[int, int], Any]
 
@@ -217,9 +219,7 @@ class RowSpace:
 
     def add(self, x: Sparse) -> bool:
         """Add x to the span; False (and no change) if x already lies in it."""
-        den = lcm(*(val.denominator for val in x.values()))
-        v = _primitive({k: val.numerator * (den // val.denominator)
-                        for k, val in x.items()})
+        v = _primitive(dict(zip(x, over_one_denominator(x.values())[1])))
         for p in [k for k in v if k in self.rows]:
             v = self._eliminate(v, self.rows[p], p)
         if not v:

@@ -45,7 +45,8 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .families import Family, _over_one_denominator, profile
+from .families import Family, profile
+from .scalars import over_one_denominator
 from .simplex import (EQ, GE, Constraint, WarmStart, _is_farkas, _satisfies, check_feasible,
                       row_multipliers, verify_farkas, verify_witness)
 from .wtj import lambda_signature, wtj_matrix
@@ -114,7 +115,7 @@ def affine_rows(spec: Family, d: int, opts: LPOptions = LPOptions()) -> IntegerS
     def unit(t: int, x: int = 1) -> tuple[int, ...]:
         return zeros[:t] + (x,) + zeros[t + 1:]
 
-    scaled = list(map(_over_one_denominator, wtj_matrix(spec)))
+    scaled = list(map(over_one_denominator, wtj_matrix(spec)))
     # A_0 = K, then K * sum_j W_t(j) A_j - A_t (= or >=) 0
     rows = [(unit(nvars), unit(0), 1, EQ)]
     rows += [((*cw, 0), unit(t, -c), c, EQ if t < d else GE)
@@ -254,7 +255,7 @@ def closed_forms(spec: Family, d: int, opts: LPOptions = LPOptions()) -> ClosedF
         candidates[Fraction(N)] = (Fraction(N),) + (Fraction(0),) * (system.nvars - 1)
     witnesses = {}
     for K, x in candidates.items():
-        den, xs = _over_one_denominator(x)
+        den, xs = over_one_denominator(x)
         if _satisfies(system.at(K)[0], system.senses, xs, den):
             witnesses[K] = FeasibleReport(True, x)
     w1 = None

@@ -18,27 +18,27 @@ Nothing here trusts the closed forms of the family classes; agreement
 between the two paths is the correctness argument for the fast formulas.
 
 `ORACLE` holds, per family class, the size ceiling, the block-basis builder,
-the antiunitary builder and, for the four Gamma families, the words of
-each block; whether a family has words picks one of two channels.  Without
-words, W_t(j) is the Rayleigh quotient above, summed on ints into one
-Fraction per W_t(j), and the signature is checked as
-L conj(X) = lambda_j X^+ L, both on the int bases.  The su-ext and su-sym
-blocks are closures of a highest-weight matrix under the simple lowering
-roots, orthogonalised fraction-free.  The roots, L and the X of each
-quotient are monomial, indexed once by `linalg.monomial`, and a product or
-commutator with one relabels the other factor's entries.  With words, the
-blocks are the monomial Gamma_x: for the Clifford-odd, Clifford-even and
-spinorial families those of `clifford.block_labels`, the blocks `verify`
-reads codes in, so W_t(j) is certified on those too; for the
-semispinorial family the even-weight Gamma_x restricted to the columns of
-the chirality projector P+.  Each Gamma_x is i^k X^a Z^b (`clifford._pauli`),
-and the constant i^k cancels in F X F*, in the Rayleigh quotient and on
-both sides of the sandwich, so a block element is the signed int monomial
-X^a Z^b on the block's columns, built once by `_gamma_block` for the
-channel, the antiunitary check and `v_basis` alike.  The first two multiply
-its signs column by column; the Rayleigh quotient and the sandwich on
-`v_basis` stay, with `phi_apply`, the reference.  Instances are capped at
-sizes where exact arithmetic finishes in seconds; larger parameters raise.
+the antiunitary builder and, for the four Gamma families, the words of each
+block; whether a family has words picks one of two channels.  Without words,
+W_t(j) is the Rayleigh quotient above, summed on ints into one Fraction per
+W_t(j), and the signature is checked as W L X = lambda_j X^T W L, W the
+diagonal weight, both on the int bases.  The su-ext and su-sym blocks are
+closures of a highest-weight matrix under the simple lowering roots,
+orthogonalised fraction-free.  The roots, L and the X of each quotient are
+monomial, indexed once by `linalg.monomial`, and a product or commutator
+with one relabels the other factor's entries.  With words, the blocks are
+the monomial Gamma_x: for the Clifford-odd, Clifford-even and spinorial
+families those of `clifford.block_labels`, the blocks `verify` reads codes
+in, so W_t(j) is certified on those too; for the semispinorial family the
+even-weight Gamma_x restricted to the columns of the chirality projector P+.
+Each Gamma_x is i^k X^a Z^b (`clifford._signed_monomial`), and the constant
+i^k cancels in F X F*, in the Rayleigh quotient and on both sides of the
+sandwich, so a block element is the signed int monomial X^a Z^b on the
+block's columns, built once by `_gamma_block` for the channel, the
+antiunitary check and `v_basis` alike.  The first two multiply its signs
+column by column; the Rayleigh quotient and the sandwich on `v_basis` stay,
+with `phi_apply`, the reference.  Instances are capped at sizes where exact
+arithmetic finishes in seconds; larger parameters raise.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from itertools import combinations
 from math import factorial, lcm, prod
 from typing import Callable, NamedTuple
 
-from .clifford import _labels_of_weight, _pauli, block_labels
+from .clifford import _labels_of_weight, _signed_monomial, block_labels
 from .families import (READINGS, Family, QHamming, Semispinorial, Su2, SunExt,
                        SuqSym, profile)
 from .linalg import (RowSpace, Sparse, _primitive, monomial, mono_commutator, mono_mul,
@@ -127,12 +127,6 @@ def op_inner(a: Sparse, b: Sparse, weight: dict[int, int] | None):
     scale = _weight_lcm(weight)
     acc = _inner(a, b, weight, scale)
     return acc if scale == 1 else Fraction(acc, scale)
-
-
-def op_weighted_adjoint(a: Sparse, weight: dict[int, int] | None) -> Sparse:
-    if weight is None:
-        return {(j, i): v.conjugate() for (i, j), v in a.items()}
-    return {(j, i): v.conjugate() * Fraction(weight[i], weight[j]) for (i, j), v in a.items()}
 
 
 # --- per-family bases -------------------------------------------------------
@@ -303,8 +297,8 @@ def _basis_suext(spec: SunExt, t: int) -> OperatorBasis:
 def _plus_columns(n: int) -> frozenset[int]:
     """The columns of P+ = (I + Gamma_omega) / 2: where the diagonal
     Gamma_omega = i^k Z^b is +1.  Its own phase i^k decides which they are."""
-    k, _, b = _pauli(n, (1 << (2 * n)) - 1)
-    return frozenset(c for c in range(2 ** n) if not (k + 2 * (b & c).bit_count()) & 3)
+    k, _, signs = _signed_monomial(n, (1 << (2 * n)) - 1)
+    return frozenset(c for c, s in enumerate(signs) if not (k + 1 - s) & 3)
 
 
 def _gamma_words(spec: Family, t: int) -> tuple[Iterable[int], Collection[int]]:
@@ -326,13 +320,6 @@ def _semispin_words(spec: Semispinorial, t: int) -> tuple[Iterable[int], Collect
     return labels, _plus_columns(n)
 
 
-def _signed_monomial(n: int, x: int) -> tuple[int, list[int]]:
-    """X^a Z^b, for Gamma_x = i^k X^a Z^b, as (a, s) over all 2^n columns:
-    column c goes to row c ^ a with the sign s[c] = (-1)^|b & c|."""
-    _, a, b = _pauli(n, x)
-    return a, [-1 if (b & c).bit_count() & 1 else 1 for c in range(2 ** n)]
-
-
 @lru_cache(maxsize=None)
 def _gamma_block(spec: Family, t: int
                  ) -> tuple[tuple[tuple[int, list[int]], ...], Collection[int]]:
@@ -343,7 +330,7 @@ def _gamma_block(spec: Family, t: int
     and B share their mask, 0 otherwise."""
     _admit(spec, t)
     labels, columns = ORACLE[type(spec)].words(spec, t)
-    block = tuple(_signed_monomial(spec.n, x) for x in labels)
+    block = tuple(_signed_monomial(spec.n, x)[1:] for x in labels)
     _check_count(spec, t, len(block))
     by_mask: dict[int, list[list[int]]] = {}
     for a, s in block:
@@ -392,7 +379,7 @@ def _sigma_y_label(n: int) -> int:
 
 
 def _antiunitary_gamma(spec: Family) -> Sparse:
-    l, f = _signed_monomial(spec.n, _sigma_y_label(spec.n))
+    _, l, f = _signed_monomial(spec.n, _sigma_y_label(spec.n))
     return {(c ^ l, c): v for c, v in enumerate(f)}
 
 
@@ -403,7 +390,7 @@ def _lambda_gamma(spec: Family, lam: tuple[int, ...]) -> list[tuple[int, int]]:
     and column c of lambda_j X* there with the sign lambda_j s[c ^ a].  Both
     vanish off the block's columns, and the first does at c too when L
     moves c off them."""
-    l, f = _signed_monomial(spec.n, _sigma_y_label(spec.n))
+    _, l, f = _signed_monomial(spec.n, _sigma_y_label(spec.n))
     bad = []
     for j, sign in enumerate(lam):
         block, columns = _gamma_block(spec, j)
@@ -502,10 +489,13 @@ def v_basis(spec: Family, t: int) -> OperatorBasis:
 # --- the block channel ------------------------------------------------------
 
 def phi_apply(basis: OperatorBasis, X: Sparse) -> Sparse:
-    """Phi_t(X) as a matrix: the reference `_rayleigh` is tested against."""
+    """Phi_t(X) as a matrix, F* the weighted adjoint: the reference
+    `_rayleigh` is tested against."""
+    w = basis.weight
     out: Sparse = {}
     for f, n in zip(basis.matrices, basis.norms):
-        fa = op_weighted_adjoint(f, basis.weight)
+        fa = {(j, i): v.conjugate() * (1 if w is None else Fraction(w[i], w[j]))
+              for (i, j), v in f.items()}
         out = sp_add(out, sp_scale(sp_mul(sp_mul(f, X), fa), Fraction(1, n)))
     return out
 
@@ -562,18 +552,20 @@ def verify_wtj(spec: Family) -> WtjReport:
 
 def _lambda_sandwich(spec: Family, lam: tuple[int, ...]) -> list[tuple[int, int]]:
     """The (block, index) of every basis element X with
-    L conj(X) != lambda_j X^+ L, X^+ the weighted adjoint: that is
-    T(X) = lambda_j X* for T = L conj(.) L^-1, so L need only be
-    invertible; the su(2) L is D L0 D^-1, up to a constant, for the unitary
-    L0 of the surd frame.  Every basis is an int matrix, so conj(X) = X, and
-    every L is monomial, so both products relabel."""
-    L = monomial(ORACLE[type(spec)].antiunitary(spec))
+    L conj(X) != lambda_j X^+ L: that is T(X) = lambda_j X* for
+    T = L conj(.) L^-1, so L need only be invertible; the su(2) L is
+    D L0 D^-1, up to a constant, for the unitary L0 of the surd frame.  On
+    the int bases X^+ = W^-1 X^T W, W = diag(w), so W L X = lambda_j X^T W L
+    is tested, and W L is monomial, like every L: both products relabel."""
+    L = ORACLE[type(spec)].antiunitary(spec)
     bad = []
     for j, sign in enumerate(lam):
         basis = v_basis(spec, j)
+        w = basis.weight
+        wl = monomial(L if w is None else {(r, c): w[r] * v for (r, c), v in L.items()})
         bad += [(j, i) for i, X in enumerate(basis.matrices)
-                if mono_mul(L, X)
-                != mul_mono(sp_scale(op_weighted_adjoint(X, basis.weight), sign), L)]
+                if mono_mul(wl, X)
+                != mul_mono({(c, r): sign * v for (r, c), v in X.items()}, wl)]
     return bad
 
 

@@ -12,8 +12,9 @@ projectors, are (re, im) pairs of ints in `linalg`.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 # The largest radicand `SurdSum.from_json` factors.  `construct` writes
@@ -56,6 +57,13 @@ def parse_fraction(text: str) -> Fraction:
 def format_fraction(x: Fraction) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+def over_one_denominator(row: Collection[int | Fraction]) -> tuple[int, list[int]]:
+    """(d, xs) with row = xs / d and d the lcm of the denominators, so that
+    gcd(d, *xs) = 1."""
+    d = lcm(*(v.denominator for v in row))
+    return d, [v.numerator * (d // v.denominator) for v in row]
 
 
 class SurdSum:

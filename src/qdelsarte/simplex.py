@@ -54,6 +54,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .scalars import over_one_denominator
+
 EQ = "eq"
 GE = "ge"
 BLAND_AFTER = 50  # degenerate pivots in a row before Bland's rule takes over
@@ -422,11 +424,9 @@ def check_feasible(constraints: list[Constraint], nvars: int) -> FeasibilityResu
     constraints."""
     rows, scales = [], []
     for c in constraints:
-        row = [x if isinstance(x, (int, Fraction)) else Fraction(x)
-               for x in (*c.coeffs, c.rhs)]
-        # scale to integers by the lcm of the denominators
-        s = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (s // x.denominator) for x in row])
+        s, row = over_one_denominator([x if isinstance(x, (int, Fraction)) else Fraction(x)
+                                       for x in (*c.coeffs, c.rhs)])
+        rows.append(row)
         scales.append(s)
     senses = [c.sense for c in constraints]
     res = WarmStart().solve(rows, senses, scales, nvars)

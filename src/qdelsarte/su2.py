@@ -67,7 +67,7 @@ def ef_matrices(n: int) -> tuple[Sparse, Sparse]:
 
 def weights(n: int) -> dict[int, int]:
     """w_i = prod_{m>=i} a_m, the diagonal weight of tr(A* B) in the D frame:
-    p_i w_i is the same for every i."""
+    p_i w_i is one constant, so diag(w) is D^-2 up to it, in integers."""
     w = [1]
     for m in reversed(range(n)):
         w.append(w[-1] * (n - m) * (m + 1))
@@ -173,14 +173,14 @@ def min_distance(n: int, vectors: list[Su2Vector]) -> int:
         return n + 1
     # <u, X v> = (D^-1 u) . (D X D^-1) (D v), and the error blocks are
     # D X D^-1: D = diag(g_m) with g_m = sqrt(p_m), built as a running
-    # product up to the largest index used, and 1 / g_m = g_m / p_m
-    g, p = [SurdSum.rational(1)], [1]
+    # product up to the largest index used.  y = w x is D^-1 u times the
+    # constant p_m w_m, which no zero test or cross-multiplied comparison sees
+    g = [SurdSum.rational(1)]
     for m in range(max(max(v) for v in vecs)):
-        a = (n - m) * (m + 1)
-        g.append(g[-1] * SurdSum.sqrt(a))
-        p.append(p[-1] * a)
+        g.append(g[-1] * SurdSum.sqrt((n - m) * (m + 1)))
+    w = weights(n)
     xs = [{m: g[m] * u for m, u in v.items()} for v in vecs]
-    ys = [{m: g[m] * u * Fraction(1, p[m]) for m, u in v.items()} for v in vecs]
+    ys = [{m: a * w[m] for m, a in x.items()} for x in xs]
 
     def block_detected(t: int) -> bool:
         for op in error_block(n, t):

@@ -4,8 +4,9 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import Any
 
-from qdelsarte import clifford
-from qdelsarte.linalg import Sparse, sp_identity, sp_kron, sp_mul, sp_sub
+from qdelsarte import clifford, oracle
+from qdelsarte.linalg import (Sparse, monomial, mono_mul, mul_mono, sp_identity, sp_kron,
+                              sp_mul, sp_scale, sp_sub)
 from qdelsarte.scalars import SurdSum
 from qdelsarte.simplex import _pivot
 
@@ -234,6 +235,22 @@ def d_conjugate(n: int, b: Sparse) -> Sparse:
     (i, j) of b times sqrt(p_i / p_j)."""
     p = [prod((n - m) * (m + 1) for m in range(i)) for i in range(n + 1)]
     return {(i, j): v * SurdSum.sqrt(Fraction(p[i], p[j])) for (i, j), v in b.items()}
+
+
+def lambda_sandwich(spec, lam: tuple[int, ...]) -> list[tuple[int, int]]:
+    """`oracle._lambda_sandwich` by the weighted adjoint: the (block, index)
+    of every `v_basis` element X with L conj(X) != lambda_j X^+ L, X^+ the
+    adjoint of the weighted inner product, with Fraction weight ratios."""
+    L = monomial(oracle.ORACLE[type(spec)].antiunitary(spec))
+    bad = []
+    for j, sign in enumerate(lam):
+        basis = oracle.v_basis(spec, j)
+        w = basis.weight
+        bad += [(j, i) for i, X in enumerate(basis.matrices)
+                if mono_mul(L, X) != mul_mono(sp_scale(
+                    {(c, r): v.conjugate() * (1 if w is None else Fraction(w[r], w[c]))
+                     for (r, c), v in X.items()}, sign), L)]
+    return bad
 
 
 def gauss_jordan_solve(M: list[list[int]], b: list[int]) -> tuple[list[int], int] | None:

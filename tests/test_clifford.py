@@ -20,7 +20,7 @@ from qdelsarte.families import READINGS, CliffordEven, CliffordOdd, Spinorial, p
 from qdelsarte.linalg import sp_add, sp_identity, sp_mul, sp_rank, sp_scale, sp_sub
 from qdelsarte.clifford import (
     StabilizerCode,
-    _gamma_monomial,
+    _signed_monomial,
     block_labels,
     clifford_hamming,
     detection_report,
@@ -151,12 +151,20 @@ class TestGammaOperators:
             with pytest.raises(IndexError):
                 clifford.gamma(2, x)
             with pytest.raises(IndexError):
-                _gamma_monomial(2, x, [0])
+                _signed_monomial(2, x, [0])
             with pytest.raises(IndexError):
                 gamma_mul(2, x, 1)
             with pytest.raises(IndexError):
                 gamma_mul(2, 1, x)
         assert gamma_mul(2, (1 << 5) - 1, 1) == gamma_mul_reference(2, (1 << 5) - 1, 1)
+
+    @given(st.integers(1, 6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_signed_monomial_at_columns_reads_the_full_sign_list(self, n, data):
+        x = data.draw(st.integers(0, 2 ** (2 * n + 1) - 1))
+        columns = data.draw(st.lists(st.integers(0, 2 ** n - 1), max_size=2 ** n))
+        k, a, signs = _signed_monomial(n, x)
+        assert _signed_monomial(n, x, columns) == (k, a, [signs[c] for c in columns])
 
     def test_q_form_symmetric_bilinear_over_f2(self):
         for x, y in itertools.product(range(16), repeat=2):
@@ -204,8 +212,8 @@ def test_block_labels_are_the_words_of_length_step_t_up_to_phase(spec):
     # block t holds the words of length step*t in the 2n + odd generators;
     # block_labels names each of them, up to a unit phase, by 2n letters
     def unphased(n, x):
-        mask, phases = _gamma_monomial(n, x)
-        return mask, tuple((e - phases[0]) % 4 for e in phases)
+        _, mask, signs = _signed_monomial(n, x)
+        return mask, tuple(s * signs[0] for s in signs)
 
     n = spec.n
     for t in range(profile(spec).diameter_r + 1):
@@ -266,16 +274,16 @@ class TestCliffordHamming:
 
     def test_code_parameters_s3(self, monkeypatch):
         # gamma and the matrix cross-check both build Gamma_x from its
-        # (mask, phases) pair, the check at the projector's columns only, so
+        # (k, mask, signs) triple, the check at the projector's columns only, so
         # recording there sees every label checked
         seen = set()
-        monomial = clifford._gamma_monomial
+        monomial = clifford._signed_monomial
 
         def recording_monomial(n, x, *columns):
             seen.add(x)
             return monomial(n, x, *columns)
 
-        monkeypatch.setattr(clifford, "_gamma_monomial", recording_monomial)
+        monkeypatch.setattr(clifford, "_signed_monomial", recording_monomial)
         code = clifford_hamming(3)
         for reading in ("even", "odd"):
             seen.clear()
@@ -558,9 +566,9 @@ def reference_matrix_check(stab, coeffs, spec, d, A, B):
     for t in range(1, min(d, len(A) - 1) + 1):
         undetected = 0
         for x in block_labels(spec, t):
-            # P Gamma_x moves column c ^ mask of P to column c, times i^e[c]
-            mask, phases = _gamma_monomial(n, x)
-            pg = {(i, c ^ mask): v * gr_i_power(phases[c ^ mask])
+            # P Gamma_x moves column c ^ mask of P to column c, times its unit there
+            k, mask, signs = _signed_monomial(n, x)
+            pg = {(i, c ^ mask): v * gr_i_power(k + 1 - signs[c ^ mask])
                   for (i, c), v in P.items()}
             pgp = sp_mul(pg, P)
             if x in coeffs:

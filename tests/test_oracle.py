@@ -37,6 +37,7 @@ from qdelsarte.su2 import error_block
 from qdelsarte.wtj import lambda_signature, wtj
 from reference import (GR_ONE, GaussianRational, d_conjugate, gamma, gr_i_power,
                        surd_error_block)
+from reference import lambda_sandwich as weighted_adjoint_sandwich
 
 # largest instances the oracle certifies per family
 ORACLE_GRID = [
@@ -263,6 +264,23 @@ def test_su2_integer_sandwich_matches_the_surd_sandwich(n):
         want = su2_surd_sandwich(n, const)
         assert want  # every other block breaks a constant signature
         assert oracle._lambda_sandwich(spec, const) == want, sign
+
+
+# the self-dual instances of ORACLE_GRID whose signature is the matrix
+# sandwich, and su-sym at q = 2, which ORACLE_GRID holds at q = 3 only
+SANDWICH_GRID = [spec for spec in ORACLE_GRID if ORACLE[type(spec)].words is None
+                 and lambda_signature(spec) is not None] + [SuqSym(2, 11)]
+
+
+def test_sandwich_grid_covers_every_sandwich_family():
+    assert {type(spec) for spec in SANDWICH_GRID} == {QHamming, Su2, SuqSym, SunExt}
+
+
+@pytest.mark.parametrize("spec", SANDWICH_GRID, ids=str)
+def test_integer_sandwich_matches_the_weighted_adjoint_sandwich(spec):
+    blocks = range(profile(spec).diameter_r + 1)
+    for lam in [lambda_signature(spec)] + [(sign,) * len(blocks) for sign in (1, -1)]:
+        assert oracle._lambda_sandwich(spec, lam) == weighted_adjoint_sandwich(spec, lam), lam
 
 
 def test_semispinorial_oracle_makes_no_gaussian_rational(monkeypatch):

@@ -1,7 +1,7 @@
 """Exact scalar types: ring axioms, canonical forms, float agreement."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +12,7 @@ from qdelsarte.scalars import (
     SurdSum,
     _squarefree_split,
     format_fraction,
+    over_one_denominator,
     parse_fraction,
 )
 from reference import GR_I, GR_ONE, GR_ZERO, GaussianRational, gr_i_power
@@ -227,3 +228,12 @@ def test_fraction_text_round_trip():
 def test_parse_zero_denominator_is_value_error():
     with pytest.raises(ValueError):
         parse_fraction("1/0")
+
+
+@given(st.lists(fractions | st.integers(-10**6, 10**6), max_size=8))
+def test_over_one_denominator_is_the_row_over_the_lcm(row):
+    d, xs = over_one_denominator(row)
+    assert all(type(x) is int for x in xs)
+    assert [Fraction(x, d) for x in xs] == row
+    assert d == lcm(*(Fraction(v).denominator for v in row))
+    assert gcd(d, *xs) == 1
