@@ -30,9 +30,7 @@ def _build_family(args, **given) -> Family:
     """The family named by --family, its parameters read from args except
     those given.  A family flag the family does not take is an error."""
     cls = FAMILY_NAMES[args.family]
-    for f in FAMILY_FLAGS:
-        if f not in cls.__dataclass_fields__ and getattr(args, f, None) is not None:
-            raise FamilyError(f"{args.family} takes no --{f}")
+    _reject_flags(args, args.family, FAMILY_FLAGS, cls.__dataclass_fields__)
     kwargs = {}
     for f in cls.__dataclass_fields__:
         val = given[f] if f in given else getattr(args, f, None)
@@ -45,6 +43,13 @@ def _build_family(args, **given) -> Family:
 
 
 FAMILY_FLAGS = ("q", "n", "w")
+
+
+def _reject_flags(args, name: str, flags, takes) -> None:
+    """Raise FamilyError for the first of flags that is set but not in takes."""
+    for f in flags:
+        if f not in takes and getattr(args, f, None) is not None:
+            raise FamilyError(f"{name} takes no --{f}")
 
 
 def _add_family_args(p: argparse.ArgumentParser) -> None:
@@ -61,24 +66,24 @@ def _decimal(x: Fraction) -> str:
     return f"{'-' if x < 0 else ''}{digits[:-3]}.{digits[-3:]}"
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+def _emit(args, doc: dict, header: list[str] | None = None,
+          rows: list[list[str]] | None = None) -> None:
+    """Write doc as JSON, or header and rows as a csv or md table, as
+    --format asks, to --out or stdout: every command's one way out."""
+    if args.format == "json":
+        lines = [json.dumps(doc, indent=2)]
+    elif args.format == "csv":
+        lines = [",".join(r) for r in [header, *rows]]
+    else:
+        lines = ["| " + " | ".join(header) + " |",
+                 "|" + "|".join(" --- " for _ in header) + "|",
+                 *("| " + " | ".join(r) + " |" for r in rows)]
+    text = "\n".join(lines)
+    if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            print(text, file=fh)
     else:
         print(text)
-
-
-def _render_table(fmt: str, header: list[str], rows: list[list[str]]) -> str:
-    if fmt == "csv":
-        lines = [",".join(header)] + [",".join(r) for r in rows]
-        return "\n".join(lines)
-    if fmt == "md":
-        lines = ["| " + " | ".join(header) + " |",
-                 "|" + "|".join(" --- " for _ in header) + "|"]
-        lines += ["| " + " | ".join(r) + " |" for r in rows]
-        return "\n".join(lines)
-    raise ValueError(fmt)
 
 
 def cmd_wtj(args) -> int:
@@ -86,19 +91,13 @@ def cmd_wtj(args) -> int:
     W = wtj_matrix(spec)
     lam = lambda_signature(spec)
     r = profile(spec).diameter_r
-    if args.format == "json":
-        doc = {"family": args.family, "r": r,
-               "wtj": [[format_fraction(x) for x in row] for row in W]}
-        if lam is not None:
-            doc["lambda"] = list(lam)
-        _emit(args, json.dumps(doc, indent=2))
-    else:
-        header = ["t\\j"] + [str(j) for j in range(r + 1)]
-        rows = [[str(t)] + [format_fraction(x) for x in row]
-                for t, row in enumerate(W)]
-        if lam is not None:
-            rows.append(["lambda"] + [str(x) for x in lam])
-        _emit(args, _render_table(args.format, header, rows))
+    cells = [[format_fraction(x) for x in row] for row in W]
+    doc = {"family": args.family, "r": r, "wtj": cells}
+    rows = [[str(t), *row] for t, row in enumerate(cells)]
+    if lam is not None:
+        doc["lambda"] = list(lam)
+        rows.append(["lambda", *map(str, lam)])
+    _emit(args, doc, ["t\\j", *map(str, range(r + 1))], rows)
     return 0
 
 
@@ -114,12 +113,7 @@ def cmd_bound(args) -> int:
            "upper": format_fraction(res.upper),
            "exact": res.exact,
            "decimal": _decimal(res.lower)}
-    if args.format == "json":
-        _emit(args, json.dumps(doc, indent=2))
-    else:
-        header = list(doc)
-        _emit(args, _render_table(args.format, header,
-                                  [[str(doc[k]) for k in header]]))
+    _emit(args, doc, list(doc), [list(map(str, doc.values()))])
     return 0
 
 
@@ -132,13 +126,9 @@ def cmd_feasible(args) -> int:
            "feasible": rep.feasible}
     if rep.witness is not None:
         doc["witness"] = [format_fraction(x) for x in rep.witness]
-    if args.format == "json":
-        _emit(args, json.dumps(doc, indent=2))
-    else:
-        # one cell per key: the witness entries are separated by spaces
-        _emit(args, _render_table(args.format, ["key", "value"],
-                                  [[k, " ".join(v) if k == "witness" else str(v)]
-                                   for k, v in doc.items()]))
+    # one cell per key: the witness entries are separated by spaces
+    _emit(args, doc, ["key", "value"],
+          [[k, " ".join(v) if k == "witness" else str(v)] for k, v in doc.items()])
     return 0 if rep.feasible else 1
 
 
@@ -244,15 +234,10 @@ def cmd_table(args) -> int:
     grid = {}
     for (spec, d, *_), cell in zip(jobs, cells):
         grid[(spec.n, d)] = cell
-    if args.format == "json":
-        doc = {"family": args.family, "d": ds,
-               "rows": [{"n": s.n, "bounds": [grid[(s.n, d)] for d in ds]}
-                        for s in specs]}
-        _emit(args, json.dumps(doc, indent=2))
-    else:
-        header = ["n"] + [f"d={d}" for d in ds]
-        rows = [[str(s.n)] + [grid[(s.n, d)] for d in ds] for s in specs]
-        _emit(args, _render_table(args.format, header, rows))
+    doc = {"family": args.family, "d": ds,
+           "rows": [{"n": s.n, "bounds": [grid[(s.n, d)] for d in ds]} for s in specs]}
+    _emit(args, doc, ["n", *(f"d={d}" for d in ds)],
+          [[str(row["n"]), *row["bounds"]] for row in doc["rows"]])
     return 0
 
 
@@ -263,9 +248,7 @@ CODE_FLAGS = {"clifford-hamming": "s", "su2-third": "n", "su2-quarter": "n"}
 def cmd_construct(args) -> int:
     from . import clifford, su2
     flag = CODE_FLAGS[args.code]
-    for f in ("s", "n"):
-        if f != flag and getattr(args, f) is not None:
-            raise FamilyError(f"{args.code} takes no --{f}")
+    _reject_flags(args, args.code, ("s", "n"), (flag,))
     if getattr(args, flag) is None:
         raise FamilyError(f"{args.code} requires --{flag}")
     if args.code == "clifford-hamming":
@@ -284,7 +267,7 @@ def cmd_construct(args) -> int:
                "kind": "su2-vectors",
                "vectors": [[{"k": k, "amp": a.to_json()}
                             for k, a in v.amplitudes] for v in vectors]}
-    _emit(args, json.dumps(doc, indent=2))
+    _emit(args, doc)
     return 0
 
 
@@ -359,14 +342,13 @@ def cmd_verify(args) -> int:
                "A": [format_fraction(x) for x in report.A],
                "B": [format_fraction(x) for x in report.B],
                "transform_check": wa == report.B}
-        _emit(args, json.dumps(out, indent=2))
+        _emit(args, out)
         return 0 if out["transform_check"] else 1
-    if args.reading is not None:
-        raise FamilyError(f"{kind} takes no --reading")
+    _reject_flags(args, kind, ("reading",), ())
     n, vectors = code
     out = {"kind": kind, "n": n, "dimension": len(vectors),
            "min_distance": su2.min_distance(n, vectors)}
-    _emit(args, json.dumps(out, indent=2))
+    _emit(args, out)
     return 0
 
 
@@ -386,7 +368,7 @@ def cmd_oracle(args) -> int:
         out["lambda_match"] = lam_rep.matches
         out["lambda_mismatches"] = [list(m) for m in lam_rep.mismatches]
         ok = ok and lam_rep.matches
-    _emit(args, json.dumps(out, indent=2))
+    _emit(args, out)
     return 0 if ok else 1
 
 
@@ -464,6 +446,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # a code's dimension 2^(n-k) may have more digits than the default cap
+    # on int-to-str conversion (an interpreter without the cap has no setter)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = _parser().parse_args(argv)
     try:
         return args.func(args)

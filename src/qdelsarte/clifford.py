@@ -122,13 +122,15 @@ def is_q_isotropic(labels: list[int]) -> bool:
 
 
 def label_from_str(s: str) -> int:
+    """The label whose bit i is character i of s."""
     if set(s) - {"0", "1"}:
         raise ValueError(f"bad label string {s!r}")
-    return sum(1 << i for i, c in enumerate(s) if c == "1")
+    return int(s[::-1] or "0", 2)
 
 
 def label_to_str(x: int, length: int) -> str:
-    return "".join("1" if (x >> i) & 1 else "0" for i in range(length))
+    """Bits 0..length-1 of the label x, bit i as character i."""
+    return format(x, f"0{length}b")[::-1][:length]
 
 
 @dataclass(frozen=True)
@@ -225,8 +227,13 @@ def clifford_hamming(s: int) -> StabilizerCode:
         raise ValueError(f"need s >= 3, got s={s}")
     n = 2 ** s - 1
     rows = []
-    for i in range(s):  # row i reads bit i of the column index, MSB first
-        x = sum(1 << (j - 1) for j in range(1, n + 1) if (j >> (s - 1 - i)) & 1)
+    for i in range(s):  # row i reads bit i of the column index j (at bit j - 1), MSB first
+        # bit j of y is that bit of j: one period of 2 * half bits, doubled to n + 1
+        half = 1 << (s - 1 - i)
+        y, width = ((1 << half) - 1) << half, 2 * half
+        while width <= n:
+            y, width = y | y << width, 2 * width
+        x = y >> 1
         rows.append(x | (x << n))
     rows.append((1 << n) - 1)
     return StabilizerCode(n, tuple(rows), (1,) * (s + 1))

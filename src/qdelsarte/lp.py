@@ -40,15 +40,15 @@ verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from .families import Family, profile
 from .scalars import over_one_denominator
-from .simplex import (EQ, GE, Constraint, WarmStart, _is_farkas, _satisfies, check_feasible,
-                      row_multipliers, verify_farkas, verify_witness)
+from .simplex import (EQ, GE, Constraint, FeasibilityResult, WarmStart, _is_farkas, _satisfies,
+                      check_feasible, row_multipliers, verify_farkas, verify_witness)
 from .wtj import lambda_signature, wtj_matrix
 
 DEFAULT_TOL = Fraction(1, 100_000)
@@ -58,14 +58,6 @@ DEFAULT_TOL = Fraction(1, 100_000)
 class LPOptions:
     self_dual: bool = False
     pure: bool = False
-
-
-@dataclass(frozen=True)
-class FeasibleReport:
-    feasible: bool
-    witness: tuple[Fraction, ...] | None
-    # multipliers of the build_system constraints proving infeasibility
-    farkas: tuple[int, ...] | None = None
 
 
 def check_options(spec: Family, opts: LPOptions) -> None:
@@ -148,7 +140,7 @@ def integer_system(spec: Family, d: int, opts: LPOptions = LPOptions()) -> Integ
 
 
 def feasible(spec: Family, d: int, K: Fraction,
-             opts: LPOptions = LPOptions(), warm: WarmStart | None = None) -> FeasibleReport:
+             opts: LPOptions = LPOptions(), warm: WarmStart | None = None) -> FeasibilityResult:
     """Exact feasibility of the system at K > 0, with a checked certificate.
 
     Without warm the system is built by build_system, solved by
@@ -156,9 +148,11 @@ def feasible(spec: Family, d: int, K: Fraction,
     exact simplex only when that basis fails substitution) and its
     certificate checked again on the Fraction constraints.  With warm (as
     lp_bound passes) it is solved on the cached integer_system, trying
-    warm's bases before the float-chosen one.  Either way a feasible witness
-    is the vertex of the basis that passed, which below the optimum may
-    differ from the vertex a cold solve reaches; the verdict is the same.
+    warm's bases before the float-chosen one.  Either way the result is the
+    kernel's record, a Farkas vector in it multiplying the build_system
+    constraints, and a feasible witness is the vertex of the basis that
+    passed, which below the optimum may differ from the vertex a cold solve
+    reaches; the verdict is the same.
     """
     K = Fraction(K)
     if K <= 0:
@@ -171,13 +165,11 @@ def feasible(spec: Family, d: int, K: Fraction,
             raise ArithmeticError(f"simplex witness fails substitution at K={K} for {spec}")
         if not res.feasible and (res.farkas is None or not verify_farkas(cons, res.farkas)):
             raise ArithmeticError(f"Farkas vector fails substitution at K={K} for {spec}")
-        return FeasibleReport(res.feasible, res.witness, res.farkas)
+        return res
     system = integer_system(spec, d, opts)
     rows, scales = system.at(K)
     res = warm.solve(rows, system.senses, scales, system.nvars)
-    if res.feasible:
-        return FeasibleReport(True, res.witness)
-    return FeasibleReport(False, None, row_multipliers(res.farkas, scales))
+    return res if res.feasible else replace(res, farkas=row_multipliers(res.farkas, scales))
 
 
 def unit_witness(W: tuple[tuple[Fraction, ...], ...]) -> tuple[Fraction, ...]:
@@ -212,20 +204,21 @@ def dist2_multipliers(N: int, w1: tuple[int, int, int, int], K: Fraction
 class ClosedForms:
     """The closed-form certificates of the system of (spec, d, opts).
 
-    witnesses holds the feasible reports at K = 1 (`unit_witness`) and, at
+    witnesses holds the feasible records at K = 1 (`unit_witness`) and, at
     d = 1, at K = dim(H) (the forced point (dim H, 0, ..., 0); for d >= 2
     row t = 1 forbids it, since W_1(0) > 0), each kept only when it passed
-    integer substitution into integer_system(spec, d, opts) at its K.
+    integer substitution into integer_system(spec, d, opts) at its K.  No
+    closed-form record carries a basis.
     dim_H and w1 feed `dist2_multipliers`, for d >= 2 only: rows 0-2 are in
     every such system, and row t = 1 is then an equation, so its multiplier
     may be negative.
     """
-    witnesses: dict[Fraction, FeasibleReport]
+    witnesses: dict[Fraction, FeasibilityResult]
     dim_H: int
     w1: tuple[int, int, int, int] | None
 
     def settle(self, system: IntegerSystem, K: Fraction, dist2: bool = True
-               ) -> FeasibleReport | None:
+               ) -> FeasibilityResult | None:
         """The verdict at K of a closed-form certificate, or None.
 
         A witness at its K; otherwise, unless dist2 is false, the
@@ -241,7 +234,7 @@ class ClosedForms:
         if not _is_farkas(rows, system.senses, system.nvars, y):
             return None
         pad = (0,) * (len(system.senses) - len(y))
-        return FeasibleReport(False, None, row_multipliers(y, scales) + pad)
+        return FeasibilityResult(False, None, row_multipliers(y, scales) + pad)
 
 
 @lru_cache(maxsize=None)
@@ -257,7 +250,7 @@ def closed_forms(spec: Family, d: int, opts: LPOptions = LPOptions()) -> ClosedF
     for K, x in candidates.items():
         den, xs = over_one_denominator(x)
         if _satisfies(system.at(K)[0], system.senses, xs, den):
-            witnesses[K] = FeasibleReport(True, x)
+            witnesses[K] = FeasibilityResult(True, x)
     w1 = None
     if d >= 2:
         # row 2 is c W_1 | -c e_1 in integers, c its scale

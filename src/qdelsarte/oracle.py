@@ -529,13 +529,15 @@ def wtj_bruteforce(spec: Family, t: int, j: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class WtjReport:
+class OracleReport:
     spec: Family
     matches: bool
-    mismatches: tuple[tuple[int, int, Fraction, Fraction], ...]
+    # (t, j, bruteforce, formula) from verify_wtj, (block, basis element
+    # index) from verify_lambda
+    mismatches: tuple[tuple, ...]
 
 
-def verify_wtj(spec: Family) -> WtjReport:
+def verify_wtj(spec: Family) -> OracleReport:
     """Compare every closed-form W_t(j) against the brute-force eigenvalue."""
     W = wtj_matrix(spec)
     r = profile(spec).diameter_r
@@ -545,7 +547,7 @@ def verify_wtj(spec: Family) -> WtjReport:
             got = wtj_bruteforce(spec, t, j)
             if got != W[t][j]:
                 bad.append((t, j, got, W[t][j]))
-    return WtjReport(spec, not bad, tuple(bad))
+    return OracleReport(spec, not bad, tuple(bad))
 
 
 # --- antiunitary signatures -------------------------------------------------
@@ -569,14 +571,7 @@ def _lambda_sandwich(spec: Family, lam: tuple[int, ...]) -> list[tuple[int, int]
     return bad
 
 
-@dataclass(frozen=True)
-class LambdaReport:
-    spec: Family
-    matches: bool
-    mismatches: tuple[tuple[int, int], ...]  # (block, basis element index)
-
-
-def verify_lambda(spec: Family) -> LambdaReport:
+def verify_lambda(spec: Family) -> OracleReport:
     """Check T(X) = Lambda conj(X) Lambda* equals lambda_j X* on every block.
 
     The antiunitary commutes with the isometry action but swaps raising and
@@ -588,4 +583,4 @@ def verify_lambda(spec: Family) -> LambdaReport:
         raise ValueError(f"{spec.name} is not self-dual")
     check = _lambda_sandwich if ORACLE[type(spec)].words is None else _lambda_gamma
     bad = tuple(check(spec, lam))
-    return LambdaReport(spec, not bad, bad)
+    return OracleReport(spec, not bad, bad)

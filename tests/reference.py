@@ -268,3 +268,28 @@ def gauss_jordan_solve(M: list[list[int]], b: list[int]) -> tuple[list[int], int
         D = _pivot(T, r, k, D)
     sign = -1 if D < 0 else 1
     return [sign * T[r][-1] for r in order], sign * D
+
+
+def label_from_str(s: str) -> int:
+    """`clifford.label_from_str` as a sum of powers of two, bit i from character i."""
+    if set(s) - {"0", "1"}:
+        raise ValueError(f"bad label string {s!r}")
+    return sum(1 << i for i, c in enumerate(s) if c == "1")
+
+
+def label_to_str(x: int, length: int) -> str:
+    """`clifford.label_to_str` one bit at a time."""
+    return "".join("1" if (x >> i) & 1 else "0" for i in range(length))
+
+
+def hamming_rows(s: int) -> tuple[int, ...]:
+    """The generators of `clifford.clifford_hamming(s)`, each row of the binary
+    Hamming matrix summed column by column: row i has bit j - 1 set where
+    column j has bit i set, MSB first, in both halves of the label, then the
+    all-ones row on the first half."""
+    n = 2 ** s - 1
+    rows = []
+    for i in range(s):
+        x = sum(1 << (j - 1) for j in range(1, n + 1) if (j >> (s - 1 - i)) & 1)
+        rows.append(x | (x << n))
+    return (*rows, (1 << n) - 1)

@@ -37,6 +37,7 @@ from qdelsarte.clifford import (
 )
 from qdelsarte.wtj import wtj_matrix
 from reference import GR_ONE, GR_ZERO, GaussianRational, gamma, gr_i_power, weyl_brauer
+import reference
 
 F = Fraction
 
@@ -185,6 +186,23 @@ def test_label_round_trip():
     assert label_to_str(0b1100101, 7) == "1010011"
     for x in range(64):
         assert label_from_str(label_to_str(x, 6)) == x
+
+
+@given(st.integers(0, 300).flatmap(
+    lambda length: st.tuples(st.just(length), st.integers(0, 2 ** (length + 3)))))
+def test_label_strings_match_the_bit_by_bit_definitions(case):
+    # bits past length are dropped, and "" is the label 0
+    length, x = case
+    s = label_to_str(x, length)
+    assert s == reference.label_to_str(x, length)
+    assert label_from_str(s) == reference.label_from_str(s) == x % 2 ** length
+    with pytest.raises(ValueError):
+        label_from_str(s + "2")
+
+
+@pytest.mark.parametrize("s", range(3, 13))
+def test_hamming_rows_match_the_column_by_column_sum(s):
+    assert clifford_hamming(s).generators == reference.hamming_rows(s)
 
 
 def test_block_weights_and_diameters():

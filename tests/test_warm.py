@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from qdelsarte import lp, simplex
 from qdelsarte.families import (CliffordEven, CliffordOdd, QHamming, Semispinorial, Spinorial,
                                 Su2, SunExt, SuqSym, profile)
-from qdelsarte.lp import (FeasibleReport, LPOptions, build_system, feasible, integer_system,
-                          lp_bound)
+from qdelsarte.lp import LPOptions, build_system, feasible, integer_system, lp_bound
 from qdelsarte.scalars import format_fraction
 from qdelsarte.simplex import WarmStart, verify_farkas, verify_witness
 from qdelsarte.wtj import lambda_signature, wtj_matrix
@@ -53,8 +52,8 @@ def cold_report(spec, d, K, opts):
     rows, scales = system.at(K)
     res = simplex.solve(rows, list(system.senses), scales, system.nvars)
     if res.feasible:
-        return FeasibleReport(True, res.witness)
-    return FeasibleReport(False, None, simplex.row_multipliers(res.farkas, scales))
+        return res
+    return simplex.FeasibilityResult(False, None, simplex.row_multipliers(res.farkas, scales))
 
 
 def check_report(spec, d, K, opts, rep):
