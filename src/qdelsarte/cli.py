@@ -91,7 +91,7 @@ def cmd_wtj(args) -> int:
     W = wtj_matrix(spec)
     lam = lambda_signature(spec)
     r = profile(spec).diameter_r
-    cells = [[format_fraction(x) for x in row] for row in W]
+    cells = [[format_fraction(Fraction(x, c)) for x in u] for c, u in W]
     doc = {"family": args.family, "r": r, "wtj": cells}
     rows = [[str(t), *row] for t, row in enumerate(cells)]
     if lam is not None:
@@ -218,14 +218,11 @@ def cmd_table(args) -> int:
     ds = list(range(args.d_from, args.d_to + 1))
     # largest n first: those cells take longest, and the grid is keyed
     jobs = [(spec, d, opts, tol, args.integer) for spec in reversed(specs) for d in ds]
-    # the CPUs this process may run on, where the platform tells
+    # one worker per CPU this process may run on, where the platform tells
+    # (an affinity mask, as taskset sets, lowers it), never more than the cells
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
-    # QLP_THREADS may lower the count, never raise it past the CPUs or the cells
-    threads = os.environ.get("QLP_THREADS", str(cpus))
-    if not threads.isdecimal() or int(threads) < 1:
-        raise ValueError(f"QLP_THREADS must be a positive integer, got {threads!r}")
-    workers = min(int(threads), cpus, len(jobs))
+    workers = min(cpus, len(jobs))
     done = _forked_cells(jobs, workers)
     # computed here, in job order, is every cell no worker delivered: all of
     # them in a serial run, and the rest of a share that raised or whose child

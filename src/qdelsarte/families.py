@@ -7,8 +7,9 @@ sum_t dim(V_t) = dim(H)^2), its closed-form spectral table W_t(j) and, for
 self-dual families, the sign signature lambda_j.  Each family class owns all
 three; the module functions here and in `wtj` validate and dispatch.
 
-`table()` builds the whole matrix: su2, su-sym and su-ext (`_Recurrent`)
-by the three-term recurrence from rows 0-2, in integers, checked for the
+`table()` builds the whole matrix, row t as integers over one least
+denominator, (c_t, u_t) with W_t(j) = u_t[j] / c_t: su2, su-sym and su-ext
+(`_Recurrent`) by the three-term recurrence from rows 0-2, checked for the
 dim V symmetry at every entry; the Krawtchouk families entry by entry.
 
 Clifford-odd, Clifford-even and spinorial are one construction, the base
@@ -24,13 +25,17 @@ clifford-even, spinorial, semispinorial.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 from typing import ClassVar
 
 from .scalars import over_one_denominator
+
+
+Row = tuple[int, tuple[int, ...]]  # (c_t, u_t): W_t(j) = u_t[j] / c_t, in least form
 
 
 class FamilyError(ValueError):
@@ -95,13 +100,14 @@ class Family:
         """Block signs of the antiunitary symmetry, or None if there is none."""
         return tuple((-1) ** j for j in range(self.profile().diameter_r + 1))
 
-    def table(self) -> tuple[tuple[Fraction, ...], ...]:
+    def table(self) -> tuple[Row, ...]:
         """The full W matrix, rows t and columns j, entry by entry."""
         r = profile(self).diameter_r
-        return tuple(tuple(self.wtj(t, j) for j in range(r + 1)) for t in range(r + 1))
+        return tuple(over_one_denominator([self.wtj(t, j) for j in range(r + 1)])
+                     for t in range(r + 1))
 
 
-def check_symmetry(spec: Family, rows: list[tuple[int, list[int]]]) -> None:
+def check_symmetry(spec: Family, rows: Sequence[Row]) -> None:
     """Raise ArithmeticError unless W_t(j) dim V_j = W_j(t) dim V_t for
     W_t(j) = u_t[j] / d_t, rows[t] = (d_t, u_t): u_t[j] a_j = u_j[t] a_t
     with a_t = dim V_t d_t."""
@@ -127,17 +133,19 @@ class _Recurrent(Family):
     P-polynomial, or a wrong entry in rows 0-2, breaks the symmetry, which
     is checked at every entry."""
 
-    def table(self) -> tuple[tuple[Fraction, ...], ...]:
+    def table(self) -> tuple[Row, ...]:
         dims = profile(self).dim_V
         r = len(dims) - 1
-        head = [[self.wtj(t, j) for j in range(r + 1)] for t in range(min(r, 2) + 1)]
-        rows = [over_one_denominator(row) for row in head]
+        rows = [over_one_denominator([self.wtj(t, j) for j in range(r + 1)])
+                for t in range(min(r, 2) + 1)]
+        # W_{t+1}(j) = W_j(t+1) dim V_{t+1} / dim V_j, with W_j = u_j / c_j
+        e = lcm(*(c * m for (c, _), m in zip(rows, dims)))
+        heads = [(u, e // (c * m)) for (c, u), m in zip(rows, dims)]
         for t in range(2, r):
             # columns 0-2 of row t+1 are c / e by the symmetry; there the
             # recurrence reads w1 v = x' u + y' v + z' c on integers, and by
             # Cramer's rule row t+1 is (det w1 v - dx u - dy v) / (dz e)
-            e, c = over_one_denominator([head[j][t + 1] * dims[t + 1] / dims[j]
-                                         for j in range(3)])
+            c = [h[t + 1] * dims[t + 1] * f for h, f in heads]
             (_, w1), (_, u), (_, v) = rows[1], rows[t - 1], rows[t]
             b = [w1[j] * v[j] for j in range(3)]
             det, dx, dy, dz = _det3(u, v, c), _det3(b, v, c), _det3(u, b, c), _det3(u, v, b)
@@ -146,9 +154,9 @@ class _Recurrent(Family):
                                       f"for {self}")
             num = [det * p * q - dx * s - dy * q for p, q, s in zip(w1, v, u)]
             g = gcd(dz * e, *num) * (1 if dz * e > 0 else -1)
-            rows.append((dz * e // g, [x // g for x in num]))
+            rows.append((dz * e // g, tuple(x // g for x in num)))
         check_symmetry(self, rows)
-        return tuple(tuple(Fraction(x, d) for x in u) for d, u in rows)
+        return tuple(rows)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ so the supremum of K making this system feasible bounds every code.  The
 search is a rational bisection.  `affine_rows` is the only definition of
 the LP: an `IntegerSystem`, each row written once in integers, affine in K,
 as (A_i, B_i, c_i, sense), so row i at K = p/q is (p*A_i + q*B_i) / (q*c_i),
-or B_i / c_i when the row does not depend on K.  The bisection solves on
+or B_i / c_i when the row does not depend on K; a W row t is (c_t, u_t) as
+`wtj_matrix` holds it, converted no further.  The bisection solves on
 `integer_system`, that system cached; `build_system` is its Fraction view
 at K.  Each verdict of `feasible` carries a certificate checked by
 substitution, a witness point when feasible and a Farkas vector when not.
@@ -40,12 +41,12 @@ verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .families import Family, profile
+from .families import Family, Row, profile
 from .scalars import over_one_denominator
 from .simplex import (EQ, GE, Constraint, FeasibilityResult, WarmStart, _is_farkas, _satisfies,
                       check_feasible, row_multipliers, verify_farkas, verify_witness)
@@ -93,10 +94,10 @@ class IntegerSystem:
 def affine_rows(spec: Family, d: int, opts: LPOptions = LPOptions()) -> IntegerSystem:
     """The LP of the module docstring as an IntegerSystem.
 
-    Each W row t enters as (c_t, c_t W_t), c_t the lcm of its denominators,
-    the least scale: each prime power exactly dividing c_t divides the
-    denominator of some W_t(j), which scales to an integer prime to it.
-    The other rows are integers already, with scale 1.
+    Each W row t enters as `wtj_matrix` holds it, (c_t, c_t W_t), c_t the
+    lcm of its denominators, the least scale: each prime power exactly
+    dividing c_t divides the denominator of some W_t(j), which scales to an
+    integer prime to it.  The other rows are integers already, with scale 1.
     """
     nvars = profile(spec).diameter_r + 1
     if not (1 <= d <= nvars):
@@ -107,15 +108,15 @@ def affine_rows(spec: Family, d: int, opts: LPOptions = LPOptions()) -> IntegerS
     def unit(t: int, x: int = 1) -> tuple[int, ...]:
         return zeros[:t] + (x,) + zeros[t + 1:]
 
-    scaled = list(map(over_one_denominator, wtj_matrix(spec)))
+    W = wtj_matrix(spec)
     # A_0 = K, then K * sum_j W_t(j) A_j - A_t (= or >=) 0
     rows = [(unit(nvars), unit(0), 1, EQ)]
     rows += [((*cw, 0), unit(t, -c), c, EQ if t < d else GE)
-             for t, (c, cw) in enumerate(scaled)]
+             for t, (c, cw) in enumerate(W)]
     if opts.self_dual:
         # sum_j lambda_j W_t(j) A_j >= 0, times c_t
         lam = lambda_signature(spec)
-        rows += [(zeros, (*map(mul, lam, cw), 0), c, GE) for c, cw in scaled]
+        rows += [(zeros, (*map(mul, lam, cw), 0), c, GE) for c, cw in W]
     if opts.pure:
         rows += [(zeros, unit(t), 1, EQ) for t in range(1, d)]
     A, B, scales, senses = zip(*rows)
@@ -149,10 +150,10 @@ def feasible(spec: Family, d: int, K: Fraction,
     certificate checked again on the Fraction constraints.  With warm (as
     lp_bound passes) it is solved on the cached integer_system, trying
     warm's bases before the float-chosen one.  Either way the result is the
-    kernel's record, a Farkas vector in it multiplying the build_system
-    constraints, and a feasible witness is the vertex of the basis that
-    passed, which below the optimum may differ from the vertex a cold solve
-    reaches; the verdict is the same.
+    kernel's record as it is, a Farkas vector in it multiplying the
+    build_system constraints, and a feasible witness is the vertex of the
+    basis that passed, which below the optimum may differ from the vertex a
+    cold solve reaches; the verdict is the same.
     """
     K = Fraction(K)
     if K <= 0:
@@ -168,15 +169,14 @@ def feasible(spec: Family, d: int, K: Fraction,
         return res
     system = integer_system(spec, d, opts)
     rows, scales = system.at(K)
-    res = warm.solve(rows, system.senses, scales, system.nvars)
-    return res if res.feasible else replace(res, farkas=row_multipliers(res.farkas, scales))
+    return warm.solve(rows, system.senses, scales, system.nvars)
 
 
-def unit_witness(W: tuple[tuple[Fraction, ...], ...]) -> tuple[Fraction, ...]:
+def unit_witness(W: tuple[Row, ...]) -> tuple[Fraction, ...]:
     """A = (e_0 + W e_0) / (1 + W_0(0)), the +1 eigenvector of W (W^2 = I):
     at K = 1 it has A_0 = 1 and B = K W A = A."""
-    scale = 1 + W[0][0]
-    return tuple(((t == 0) + row[0]) / scale for t, row in enumerate(W))
+    col = [Fraction(u[0], c) for c, u in W]
+    return tuple(((t == 0) + w) / (1 + col[0]) for t, w in enumerate(col))
 
 
 def dist2_multipliers(N: int, w1: tuple[int, int, int, int], K: Fraction
@@ -327,25 +327,19 @@ class NotApplicable(Exception):
 
 def dist2_bound(spec: Family) -> Fraction:
     """Closed-form bound for distance 2, valid when W_1 is not minimized at j=1."""
-    prof = profile(spec)
-    W = wtj_matrix(spec)
-    row = W[1]
-    m = min(row)
-    argmins = {j for j, v in enumerate(row) if v == m}
-    if 1 in argmins:
+    c, u = wtj_matrix(spec)[1]  # W_1 = u / c, c > 0
+    m = min(u)
+    if u[1] == m:
         raise NotApplicable(f"W_1 minimized at j=1 for {spec}")
-    a = -m * prof.dim_H / (row[0] - m)
-    b = Fraction(1) / (row[1] - m)
-    return max(a, b)
+    return max(Fraction(-m * profile(spec).dim_H, u[0] - m), Fraction(c, u[1] - m))
 
 
 def dist2_bound_pure(spec: Family) -> Fraction:
-    prof = profile(spec)
-    row = wtj_matrix(spec)[1]
-    m = min(row)
-    if m == row[0]:
+    _, u = wtj_matrix(spec)[1]
+    m = min(u)
+    if m == u[0]:
         raise NotApplicable(f"W_1 constant at its minimum for {spec}")
-    return -m * prof.dim_H / (row[0] - m)
+    return Fraction(-m * profile(spec).dim_H, u[0] - m)
 
 
 def volume_bound(spec: Family, d: int) -> Fraction:

@@ -59,11 +59,11 @@ def format_fraction(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def over_one_denominator(row: Collection[int | Fraction]) -> tuple[int, list[int]]:
+def over_one_denominator(row: Collection[int | Fraction]) -> tuple[int, tuple[int, ...]]:
     """(d, xs) with row = xs / d and d the lcm of the denominators, so that
     gcd(d, *xs) = 1."""
     d = lcm(*(v.denominator for v in row))
-    return d, [v.numerator * (d // v.denominator) for v in row]
+    return d, tuple(v.numerator * (d // v.denominator) for v in row)
 
 
 class SurdSum:

@@ -13,8 +13,8 @@ only choose a basis (Applegate, Cook, Dash and Espinoza, "Exact solutions
 to linear programming problems", 2007): the certificate is always solved
 from it in integers, and one that fails substitution is never returned.
 `check_feasible` is the `Fraction` front door: it scales each row by the
-lcm of its denominators and solves with a fresh `WarmStart`, so it tries
-the float basis before the kernel.
+lcm of its denominators and returns what a fresh `WarmStart` solves, so it
+tries the float basis before the kernel.
 
 Both phase 1s start from the slack basis (Bixby, "Implementing the simplex
 method: the initial basis", 1992), built by `_slack_start`: a >= row with
@@ -35,8 +35,9 @@ changes no pivot and no witness.
 Every verdict carries a certificate that is checked by integer substitution
 before it is returned: a feasible system yields a witness point, an
 infeasible one a Farkas vector y (y_i >= 0 on >= rows, y^T A <= 0,
-y^T b > 0), solved from the final basis as the phase-1 dual.  A basis is
-kept as the split it is re-solved from, a `Basis` (cols, tight, arts): the
+y^T b > 0), solved from the final basis as the phase-1 dual and returned
+as primitive multipliers of the rational rows [a_i | b_i] / s_i.  A basis
+is kept as the split it is re-solved from, a `Basis` (cols, tight, arts): the
 sorted basic structural columns, the tight rows (neither their surplus nor
 their artificial is basic) and the rows whose artificial is basic.
 `point_from_basis` and `farkas_from_basis` re-solve a basis on another
@@ -75,7 +76,7 @@ class Constraint:
 class FeasibilityResult:
     feasible: bool
     witness: tuple[Fraction, ...] | None
-    farkas: tuple[int, ...] | None = None  # multipliers of the rows or constraints
+    farkas: tuple[int, ...] | None = None  # multipliers of the rational rows
     basis: Basis | None = None  # final basis
 
 
@@ -237,7 +238,8 @@ def point_from_basis(rows: list[list[int]], senses: Sequence[str], nvars: int,
 
 def farkas_from_basis(rows: list[list[int]], senses: Sequence[str], scales: list[int],
                       nvars: int, basis: Basis) -> tuple[int, ...] | None:
-    """The phase-1 dual y of basis on rows, if it passes as a Farkas vector.
+    """The phase-1 dual y of basis on rows, if it passes as a Farkas vector,
+    as `row_multipliers` of the rational rows row_i / s_i.
 
     y is zero on rows whose surplus is basic, (L / s_i) * sign(b_i) on rows
     whose artificial is basic (the artificial's cost, L = lcm of those
@@ -261,7 +263,7 @@ def farkas_from_basis(rows: list[list[int]], senses: Sequence[str], scales: list
         y[i] = v
     if not _is_farkas(rows, senses, nvars, y):
         return None
-    return tuple(y)
+    return row_multipliers(y, scales)
 
 
 FLOAT_EPS = 1e-12  # relative: reduced cost against its terms, pivot against its column
@@ -420,22 +422,18 @@ def _resolve(rows: list[list[int]], senses: Sequence[str], scales: list[int], nv
 
 def check_feasible(constraints: list[Constraint], nvars: int) -> FeasibilityResult:
     """Feasibility of the Fraction constraints by `WarmStart.solve` on their
-    integer-scaled rows; a Farkas vector is returned as multipliers of the
-    constraints."""
+    integer-scaled rows, whose rational rows are the constraints, so a
+    Farkas vector multiplies the constraints."""
     rows, scales = [], []
     for c in constraints:
         s, row = over_one_denominator([x if isinstance(x, (int, Fraction)) else Fraction(x)
                                        for x in (*c.coeffs, c.rhs)])
         rows.append(row)
         scales.append(s)
-    senses = [c.sense for c in constraints]
-    res = WarmStart().solve(rows, senses, scales, nvars)
-    if res.farkas is None:
-        return res
-    return FeasibilityResult(False, None, row_multipliers(res.farkas, scales), res.basis)
+    return WarmStart().solve(rows, [c.sense for c in constraints], scales, nvars)
 
 
-def row_multipliers(y: tuple[int, ...], scales: list[int]) -> tuple[int, ...]:
+def row_multipliers(y: Sequence[int], scales: Sequence[int]) -> tuple[int, ...]:
     """y as primitive multipliers of the rational rows row_i / s_i."""
     z = [v * s for v, s in zip(y, scales)]
     g = gcd(*z)

@@ -3,18 +3,19 @@
 W_t(j) is the eigenvalue of the projection-twirl channel onto the error
 block V_t, evaluated on the block V_j, scaled so the degree enters
 multiplicatively.  Each family class in `families` owns its closed form
-and returns a Fraction; the full matrix W = (W_t(j)) satisfies
+and returns a Fraction (`wtj`); the full matrix W = (W_t(j)) satisfies
 
     W @ W = I
     W_t(j) dim(V_j) = W_j(t) dim(V_t)
     W_t(0) = dim(V_t) / dim(H)
     W_0(j) = 1 / dim(H)
 
-`wtj_matrix` caches the table each family class builds (`Family.table`):
-su2, su-sym and su-ext by the three-term recurrence from rows 0-2, in
-integers, refused with ArithmeticError unless the dim V symmetry holds at
-every entry; the other families entry by entry.  `wtj_properties` checks
-all four identities on integers, W scaled by the lcm of its denominators.
+`wtj_matrix` caches the table each family class builds (`Family.table`),
+row t as integers over one least denominator, (c_t, u_t) with W_t(j) =
+u_t[j] / c_t: su2, su-sym and su-ext by the three-term recurrence from rows
+0-2, refused with ArithmeticError unless the dim V symmetry holds at every
+entry; the other families entry by entry.  `wtj_properties` checks all four
+identities on integers, W scaled by the lcm L of the c_t.
 
 Self-dual families also carry a sign signature lambda_j in {+1, -1} per
 block, realized by an antiunitary; families without one report None.
@@ -27,7 +28,7 @@ from functools import lru_cache
 from math import lcm
 from operator import mul
 
-from .families import Family, check_symmetry, profile, validate
+from .families import Family, Row, check_symmetry, profile, validate
 
 
 def wtj(spec: Family, t: int, j: int) -> Fraction:
@@ -38,24 +39,24 @@ def wtj(spec: Family, t: int, j: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def wtj_matrix(spec: Family) -> tuple[tuple[Fraction, ...], ...]:
-    """Full (r+1) x (r+1) matrix, rows indexed by t and columns by j."""
+def wtj_matrix(spec: Family) -> tuple[Row, ...]:
+    """Full (r+1) x (r+1) matrix, row t as (c_t, u_t), c_t > 0 and gcd(c_t, *u_t) = 1."""
     return spec.table()
 
 
 def wtj_properties(spec: Family) -> None:
     """Check the four structural identities of the W matrix, on integers.
 
-    With L the lcm of the denominators of W and M = L W, they read
-    M_t(j) dim V_j = M_j(t) dim V_t, M M = L^2 I, M_t(0) dim H = L dim V_t
-    and M_0(j) dim H = L.  Raises ArithmeticError naming the first identity
-    that fails, checked in that order.
+    The dim V symmetry is read on the rows (c_t, u_t) as they are.  With L
+    the lcm of the c_t and M = L W, the others read M M = L^2 I,
+    M_t(0) dim H = L dim V_t and M_0(j) dim H = L.  Raises ArithmeticError
+    naming the first identity that fails, checked in that order.
     """
     prof = profile(spec)
     W = wtj_matrix(spec)
-    L = lcm(*(v.denominator for row in W for v in row))
-    M = [[v.numerator * (L // v.denominator) for v in row] for row in W]
-    check_symmetry(spec, [(1, row) for row in M])
+    check_symmetry(spec, W)
+    L = lcm(*(c for c, _ in W))
+    M = [[x * (L // c) for x in u] for c, u in W]
     cols = list(zip(*M))
     for t, row in enumerate(M):
         for j, col in enumerate(cols):
@@ -64,9 +65,9 @@ def wtj_properties(spec: Family) -> None:
                 raise ArithmeticError(f"(W^2)[{t}][{j}] = {Fraction(acc, L * L)} for {spec}")
     for t, row in enumerate(M):
         if row[0] * prof.dim_H != prof.dim_V[t] * L:
-            raise ArithmeticError(f"W[{t}][0] = {W[t][0]} for {spec}")
+            raise ArithmeticError(f"W[{t}][0] = {Fraction(row[0], L)} for {spec}")
         if M[0][t] * prof.dim_H != L:
-            raise ArithmeticError(f"W[0][{t}] = {W[0][t]} for {spec}")
+            raise ArithmeticError(f"W[0][{t}] = {Fraction(M[0][t], L)} for {spec}")
 
 
 def lambda_signature(spec: Family) -> tuple[int, ...] | None:

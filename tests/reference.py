@@ -5,6 +5,7 @@ from math import gcd, prod
 from typing import Any
 
 from qdelsarte import clifford, oracle
+from qdelsarte.families import profile
 from qdelsarte.linalg import (Sparse, monomial, mono_mul, mul_mono, sp_identity, sp_kron,
                               sp_mul, sp_scale, sp_sub)
 from qdelsarte.scalars import SurdSum
@@ -293,3 +294,14 @@ def hamming_rows(s: int) -> tuple[int, ...]:
         x = sum(1 << (j - 1) for j in range(1, n + 1) if (j >> (s - 1 - i)) & 1)
         rows.append(x | (x << n))
     return (*rows, (1 << n) - 1)
+
+
+def closed_form_table(spec) -> tuple[tuple[Fraction, ...], ...]:
+    """W entry by entry from the family's closed form `wtj`, as Fractions."""
+    r = profile(spec).diameter_r
+    return tuple(tuple(spec.wtj(t, j) for j in range(r + 1)) for t in range(r + 1))
+
+
+def wtj_fractions(W) -> tuple[tuple[Fraction, ...], ...]:
+    """The Fraction entries W_t(j) = u_t[j] / c_t of a table of rows (c_t, u_t)."""
+    return tuple(tuple(Fraction(x, c) for x in u) for c, u in W)

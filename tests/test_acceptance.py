@@ -44,7 +44,7 @@ from qdelsarte.oracle import OperatorBasis, op_inner, verify_lambda, verify_wtj
 from qdelsarte.scalars import SurdSum
 from qdelsarte.su2 import code_quarter, code_third, min_distance
 from qdelsarte.wtj import lambda_signature, wtj_matrix, wtj_properties
-from reference import surd_error_block
+from reference import surd_error_block, wtj_fractions
 
 F = Fraction
 TOL = F(1, 2000)
@@ -246,7 +246,7 @@ def test_criterion5_density_third_codes():
 # ---------------------------------------------------------------- criterion 6
 
 def check_distribution(a, b, d, family):
-    w = wtj_matrix(family)
+    w = wtj_fractions(wtj_matrix(family))
     r = profile(family).diameter_r
     k = a[0]
     assert len(a) == len(b) == r + 1
@@ -282,7 +282,7 @@ def su2_distribution(n, vecs):
             assert val is not None
             tot += val / basis.norms[idx]
         a.append(F(prof.dim_H, K) * tot)
-    w = wtj_matrix(Su2(n))
+    w = wtj_fractions(wtj_matrix(Su2(n)))
     b = [sum(w[t][j] * a[j] for j in range(n + 1)) for t in range(n + 1)]
     return a, b
 

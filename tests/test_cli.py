@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qdelsarte.cli import _decimal
+from qdelsarte.scalars import over_one_denominator
+from reference import wtj_fractions
 
 CLI = [sys.executable, "-m", "qdelsarte.cli"]
 
@@ -440,8 +442,7 @@ def test_lp_commands_do_not_import_the_code_modules():
              "        rc = cli.main(argv)\n"
              "    print(argv[0], rc, sorted(m for m in ('qdelsarte.clifford', 'qdelsarte.su2',\n"
              "                                          'qdelsarte.oracle') if m in sys.modules))\n")
-    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env={**os.environ, "QLP_THREADS": "1"})
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert res.stdout.splitlines() == [f"{argv[0]} 0 []" for argv in commands], res.stderr
 
 
@@ -495,7 +496,6 @@ def test_table_pool_has_one_worker_per_usable_cpu(monkeypatch, capsys):
         sizes.append(workers)
         return {}
 
-    monkeypatch.delenv("QLP_THREADS", raising=False)
     monkeypatch.setattr(cli, "_forked_cells", serial)
     argv = ["table", "--family", "su2", "--n-from", "3", "--n-to", "4",
             "--d-from", "2", "--d-to", "3"]
@@ -507,30 +507,11 @@ def test_table_pool_has_one_worker_per_usable_cpu(monkeypatch, capsys):
     monkeypatch.setattr(os_module, "sched_getaffinity", lambda pid: {0, 3, 5})
     assert cli.main(argv) == 0
     assert sizes == [1, 3]
-    # never more workers than cells
-    monkeypatch.setenv("QLP_THREADS", "64")
+    # never more workers than cells: eight CPUs and two cells fork one child
+    monkeypatch.setattr(os_module, "sched_getaffinity", lambda pid: set(range(8)))
     assert cli.main(argv[:-1] + ["2"]) == 0
     assert sizes == [1, 3, 2]
-    # nor than CPUs: an oversized request forks one child per CPU, not per cell
-    monkeypatch.setenv("QLP_THREADS", "100000")
-    assert cli.main(argv) == 0
-    assert sizes == [1, 3, 2, 3]
     capsys.readouterr()
-
-
-
-@pytest.mark.parametrize("threads", ["abc", "0", "-1", "", "2.5"])
-def test_table_refuses_a_thread_count_that_is_not_a_positive_integer(
-        threads, monkeypatch, capsys):
-    # "abc" used to surface int()'s own message, and 0 or -1 ran serially
-    from qdelsarte import cli
-    monkeypatch.setenv("QLP_THREADS", threads)
-    monkeypatch.setattr(cli, "_forked_cells", lambda jobs, workers: pytest.fail("forked"))
-    rc = cli.main(["table", "--family", "su2", "--n-from", "3", "--n-to", "4",
-                   "--d-from", "2", "--d-to", "3"])
-    out, err = capsys.readouterr()
-    assert rc == 2 and out == ""
-    assert err == f"error: QLP_THREADS must be a positive integer, got {threads!r}\n"
 
 
 SWEEP_TABLES = [  # the four tables of the table-sweep benchmark
@@ -542,11 +523,11 @@ SWEEP_TABLES = [  # the four tables of the table-sweep benchmark
 
 
 def _table(argv, threads, capsys, monkeypatch):
-    """(exit code, stdout, stderr) of an in-process `table` on two usable CPUs;
-    afterwards no child of this process is left, running or unreaped."""
+    """(exit code, stdout, stderr) of an in-process `table` on `threads` usable
+    CPUs; afterwards no child of this process is left, running or unreaped."""
     from qdelsarte import cli
-    monkeypatch.setenv("QLP_THREADS", str(threads))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(threads)),
+                        raising=False)
     rc = cli.main(["table", *argv, "--d-from", "2", "--d-to", "4", "--tol", "1/2000"])
     out, err = capsys.readouterr()
     with pytest.raises(ChildProcessError):
@@ -617,7 +598,7 @@ def test_a_child_that_exits_runs_none_of_the_callers_code():
              "        raise SystemExit(7)\n"
              "    return real(spec, *args, **kwargs)\n"
              "cli.lp_bound = lp_bound\n"
-             "os.sched_getaffinity = lambda pid: {0, 1}\n"
+             "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))\n"
              "sys.stdout.write('before ')\n"
              "try:\n"
              "    rc = cli.main(['table', '--family', 'su2', '--n-from', '3', '--n-to', '5',\n"
@@ -625,8 +606,8 @@ def test_a_child_that_exits_runs_none_of_the_callers_code():
              "except SystemExit as exc:\n"
              "    rc = f'caught {exc.code}'\n"
              "print('rc', rc)\n")
-    runs = [subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                           env={**os.environ, "QLP_THREADS": threads}, timeout=60)
+    runs = [subprocess.run([sys.executable, "-c", probe, threads], capture_output=True,
+                           text=True, timeout=60)
             for threads in ("1", "2")]
     serial, forked = [(r.returncode, r.stdout, r.stderr) for r in runs]
     assert serial[1].startswith("before n,d=2,d=3\n") and serial[1].endswith("\nrc 0\n")
@@ -643,7 +624,7 @@ def test_a_forked_table_imports_no_process_pool():
              "print(rc, sorted(m for m in ('concurrent.futures.process', 'multiprocessing')\n"
              "                 if m in sys.modules))\n")
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                         env={**os.environ, "QLP_THREADS": "2"}, timeout=60)
+                         timeout=60)
     assert res.stdout == "0 []\n", res.stderr
 
 
@@ -741,9 +722,9 @@ def test_oracle_reports_a_formula_that_disagrees_with_the_bruteforce(monkeypatch
     real = oracle.wtj_matrix
 
     def perturbed(spec):
-        W = [list(row) for row in real(spec)]
+        W = [list(row) for row in wtj_fractions(real(spec))]
         W[1][2] += 1
-        return tuple(map(tuple, W))
+        return tuple(map(over_one_denominator, W))
 
     monkeypatch.setattr(oracle, "wtj_matrix", perturbed)
     assert cli.main(["oracle", "--family", "qhamming", "--q", "2", "--n", "2"]) == 1

@@ -36,7 +36,8 @@ from qdelsarte.clifford import (
     wt,
 )
 from qdelsarte.wtj import wtj_matrix
-from reference import GR_ONE, GR_ZERO, GaussianRational, gamma, gr_i_power, weyl_brauer
+from reference import (GR_ONE, GR_ZERO, GaussianRational, gamma, gr_i_power, weyl_brauer,
+                       wtj_fractions)
 import reference
 
 F = Fraction
@@ -430,7 +431,7 @@ class TestDistributions:
     def test_hamming_code_transform_identities(self, reading, family):
         code = clifford_hamming(3)
         a, b = distance_distribution(code, reading)
-        w = wtj_matrix(family)
+        w = wtj_fractions(wtj_matrix(family))
         r = profile(family).diameter_r
         k = a[0]
         # B = W . A and A = W . B (W is an involution)
@@ -464,7 +465,7 @@ class TestDistributions:
         # the two enumerated subspaces hold only 2^7 + 2^7 labels
         code = first_isotropic_code(8, 7)
         a, b = distance_distribution(code, "even")
-        w, r = wtj_matrix(CliffordEven(8)), reading_diameter(8, "even")
+        w, r = wtj_fractions(wtj_matrix(CliffordEven(8))), reading_diameter(8, "even")
         assert all(sum(w[t][j] * a[j] for j in range(r + 1)) == b[t] for t in range(r + 1))
         assert a[0] == code.dimension == 2 and b[0] == 1
 
@@ -475,7 +476,7 @@ class TestDistributions:
         a, b = distance_distribution(code, reading)
         family = {"even": CliffordEven, "odd": CliffordOdd,
                   "spinorial": Spinorial}[reading](code.n)
-        w = wtj_matrix(family)
+        w = wtj_fractions(wtj_matrix(family))
         r = profile(family).diameter_r
         k = code.dimension
         assert len(a) == len(b) == r + 1 and a[0] == k and b[0] == 1

@@ -3,6 +3,7 @@
 import ast
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -50,7 +51,7 @@ GOLDEN = {
 
 @pytest.fixture(autouse=True)
 def one_worker(monkeypatch):
-    monkeypatch.setenv("QLP_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
 
 @pytest.mark.parametrize("argv", GOLDEN)

@@ -18,6 +18,7 @@ from qdelsarte.lp import LPOptions, build_system, feasible, integer_system, lp_b
 from qdelsarte.scalars import format_fraction
 from qdelsarte.simplex import WarmStart, verify_farkas, verify_witness
 from qdelsarte.wtj import lambda_signature, wtj_matrix
+from reference import wtj_fractions
 
 F = Fraction
 SD = LPOptions(self_dual=True)
@@ -47,13 +48,10 @@ LP_BOUNDS = (
 
 def cold_report(spec, d, K, opts):
     """The verdict of the cold kernel `simplex.solve` on the integer rows at K,
-    its Farkas vector as multipliers of the build_system constraints."""
+    a Farkas vector in it multiplying the build_system constraints."""
     system = integer_system(spec, d, opts)
     rows, scales = system.at(K)
-    res = simplex.solve(rows, list(system.senses), scales, system.nvars)
-    if res.feasible:
-        return res
-    return simplex.FeasibilityResult(False, None, simplex.row_multipliers(res.farkas, scales))
+    return simplex.solve(rows, list(system.senses), scales, system.nvars)
 
 
 def check_report(spec, d, K, opts, rep):
@@ -96,7 +94,7 @@ def reference_system(spec, d, K, opts=LPOptions()):
     if not (1 <= d <= r + 1):
         raise ValueError(f"distance d={d} outside 1..{r + 1}")
     lp.check_options(spec, opts)
-    W = wtj_matrix(spec)
+    W = wtj_fractions(wtj_matrix(spec))
     nvars = r + 1
     cons = []
 

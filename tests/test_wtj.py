@@ -6,7 +6,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from pathlib import Path
 
 import pytest
@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdelsarte
+from qdelsarte import families, lp
 from qdelsarte.families import (
     FAMILY_NAMES,
     CliffordEven,
@@ -27,8 +28,10 @@ from qdelsarte.families import (
     SuqSym,
     profile,
 )
-from qdelsarte.lp import lp_bound
+from qdelsarte.lp import LPOptions, affine_rows, integer_system, lp_bound
+from qdelsarte.scalars import over_one_denominator
 from qdelsarte.wtj import lambda_signature, wtj, wtj_matrix, wtj_properties
+from reference import closed_form_table, wtj_fractions
 
 # the grid over which the coefficient identities are certified exactly
 PROPERTY_GRID = (
@@ -57,7 +60,7 @@ def test_every_family_class_owns_its_table():
     assert [type(s) for s in small] == list(FAMILY_NAMES.values())
     for spec in small:
         assert isinstance(spec, Family)
-        W = wtj_matrix(spec)
+        W = wtj_fractions(wtj_matrix(spec))
         r = profile(spec).diameter_r
         assert all(spec.wtj(t, j) == wtj(spec, t, j) == W[t][j]
                    for t in range(r + 1) for j in range(r + 1))
@@ -73,9 +76,11 @@ def test_wtj_matrix_identities(spec):
 
 
 def _serve_table(monkeypatch, W):
-    """Make wtj_properties read the table W."""
+    """Make wtj_properties read the table of Fraction entries W, as the rows
+    (c_t, u_t) wtj_matrix holds."""
+    rows = tuple(map(over_one_denominator, W))
     # the package exports the function wtj under the module's name
-    monkeypatch.setattr(importlib.import_module("qdelsarte.wtj"), "wtj_matrix", lambda s: W)
+    monkeypatch.setattr(importlib.import_module("qdelsarte.wtj"), "wtj_matrix", lambda s: rows)
 
 
 def test_properties_refuse_a_table_that_is_not_an_involution(monkeypatch):
@@ -83,7 +88,7 @@ def test_properties_refuse_a_table_that_is_not_an_involution(monkeypatch):
     # so the dim V symmetry still holds and the boundary rows are untouched
     spec = QHamming(2, 2)
     dim_V = profile(spec).dim_V
-    W = [list(row) for row in wtj_matrix(spec)]
+    W = [list(row) for row in wtj_fractions(wtj_matrix(spec))]
     W[1][2] += Fraction(dim_V[1], 7)
     W[2][1] += Fraction(dim_V[2], 7)
     _serve_table(monkeypatch, W)
@@ -95,16 +100,78 @@ def test_properties_refuse_a_table_with_a_wrong_boundary_row(monkeypatch):
     # -W is an involution with the dim V symmetry, but W_0(0) = 1 / dim H
     # fails
     spec = QHamming(2, 2)
-    _serve_table(monkeypatch, [[-v for v in row] for row in wtj_matrix(spec)])
+    _serve_table(monkeypatch, [[-v for v in row] for row in wtj_fractions(wtj_matrix(spec))])
     with pytest.raises(ArithmeticError, match=r"^W\[0\]\[0\] = -1/4 "):
         wtj_properties(spec)
 
 
 def test_qubit_length_one():
-    assert wtj_matrix(QHamming(2, 1)) == (
+    assert wtj_matrix(QHamming(2, 1)) == ((2, (1, 1)), (2, (3, -1)))
+    assert wtj_fractions(wtj_matrix(QHamming(2, 1))) == (
         (Fraction(1, 2), Fraction(1, 2)),
         (Fraction(3, 2), Fraction(-1, 2)),
     )
+
+
+# every family at several sizes, the recurrent ones past row 2
+ONE_FORM_GRID = (
+    [QHamming(q, n) for q in (2, 3) for n in (1, 2, 5)]
+    + [Su2(n) for n in (1, 2, 3, 9, 25)]
+    + [SuqSym(q, n) for q in (2, 3, 4) for n in (1, 4, 9)]
+    + [SunExt(n, w) for n, w in ((2, 1), (5, 2), (9, 4), (12, 6))]
+    + [cls(n) for cls in (CliffordOdd, CliffordEven, Spinorial) for n in (1, 3, 6)]
+    + [Semispinorial(n) for n in (2, 3, 6, 7)]
+)
+
+
+@pytest.mark.parametrize("spec", ONE_FORM_GRID, ids=str)
+def test_the_table_is_the_lp_rows_in_least_form(spec):
+    # row t of W is (c_t, u_t) with c_t > 0 and gcd(c_t, *u_t) = 1, the row
+    # of the closed form over its least denominator, and the LP's row 1 + t
+    # (t = 0..r, K * W_t - e_t) holds it as it is
+    W, system = wtj_matrix(spec), integer_system(spec, 1)
+    assert W == tuple(map(over_one_denominator, closed_form_table(spec)))
+    for t, (c, u) in enumerate(W):
+        assert type(c) is int and type(u) is tuple and all(type(x) is int for x in u)
+        assert c > 0 and gcd(c, *u) == 1
+        assert (c, u) == (system.scales[1 + t], system.A[1 + t][:-1])
+
+
+def test_affine_rows_takes_the_table_as_it_is(monkeypatch):
+    def refuse(row):
+        raise AssertionError("a W row converted again")
+
+    # self-dual rows too, except for su-sym at q = 3, which has no signature
+    specs = [Su2(12), SuqSym(3, 6), QHamming(2, 5), CliffordOdd(4)]
+    want = {spec: affine_rows(spec, 2, LPOptions(self_dual=spec.name != "su-sym"))
+            for spec in specs}
+    monkeypatch.setattr(lp, "over_one_denominator", refuse)
+    for spec, system in want.items():
+        assert affine_rows(spec, 2, LPOptions(self_dual=spec.name != "su-sym")) == system
+
+
+@pytest.mark.parametrize("spec", [Su2(30), SuqSym(3, 12), SunExt(14, 7)], ids=str)
+def test_recurrence_makes_no_fraction_past_rows_zero_to_two(spec, monkeypatch):
+    # a Fraction is made only inside the closed form of rows 0-2
+    profile(spec)
+    closed, depth, outside = type(spec).wtj, [0], []
+
+    def counted(self, t, j):
+        depth[0] += 1
+        try:
+            return closed(self, t, j)
+        finally:
+            depth[0] -= 1
+
+    def fraction(*args):
+        if not depth[0]:
+            outside.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(type(spec), "wtj", counted)
+    monkeypatch.setattr(families, "Fraction", fraction)
+    assert wtj_matrix.__wrapped__(spec) == wtj_matrix(spec)
+    assert outside == []
 
 
 def test_clifford_odd_row_one_closed_form():
@@ -181,21 +248,16 @@ def test_su2_integer_sum_matches_the_per_term_fraction_sum():
             [[su2_wtj_reference(n, t, j) for j in range(n + 1)] for t in range(n + 1)]
 
 
-def closed_form_table(spec):
-    r = profile(spec).diameter_r
-    return tuple(tuple(spec.wtj(t, j) for j in range(r + 1)) for t in range(r + 1))
-
-
 @pytest.mark.parametrize("spec", RECURRENT_GRID, ids=str)
 def test_recurrence_table_is_the_closed_form(spec):
-    assert wtj_matrix(spec) == closed_form_table(spec)
+    assert wtj_fractions(wtj_matrix(spec)) == closed_form_table(spec)
 
 
 @pytest.mark.parametrize("spec", [Su2(12), Su2(25), SuqSym(3, 9), SuqSym(4, 6),
                                   SunExt(12, 5), SunExt(16, 8)], ids=str)
 def test_recurrence_reads_rows_zero_to_two_only(spec, monkeypatch):
     # rows 0-2 alone: reading every entry would make (r + 1)^2 calls
-    want = closed_form_table(spec)
+    want = tuple(map(over_one_denominator, closed_form_table(spec)))
     closed, calls = type(spec).wtj, []
 
     def counted(self, t, j):
@@ -263,7 +325,7 @@ class SwappedSu2(Su2):
 
 def test_a_family_without_the_recurrence_is_refused():
     spec = SwappedSu2(8)
-    W, dims = Family.table(spec), profile(spec).dim_V
+    W, dims = wtj_fractions(Family.table(spec)), profile(spec).dim_V
     # read entry by entry, the table keeps the dim V symmetry
     assert all(W[t][j] * dims[j] == W[j][t] * dims[t] for t in range(9) for j in range(9))
     with pytest.raises(ArithmeticError, match="breaks dim_V symmetry"):
