@@ -32,7 +32,12 @@ feasible probe (accepted when the vertex passes integer substitution) and
 of the last infeasible probe (accepted when its phase-1 dual passes as a
 Farkas vector), the one matching the last verdict first, then the basis a
 floating-point phase 1 picks (accepted on the same two checks), and runs a
-cold exact simplex only when none of them passes.  The front-door
+cold exact simplex only when none of them passes.  After the first LP probe
+the float phase and the cold simplex see only the `WarmStart`'s active
+rows: the eq rows and the rows the kept bases bind, grown by every row a
+witness of them breaks, so each verdict is still the verdict on every row
+of `integer_system`, with its certificate substituted into all of them.
+The front-door
 `feasible` (no `WarmStart`) tries no closed form; it takes the same path
 through `simplex.check_feasible` with a fresh `WarmStart`: the float basis
 first, the cold simplex only when it is rejected.  No float value reaches a
@@ -149,7 +154,8 @@ def feasible(spec: Family, d: int, K: Fraction,
     exact simplex only when that basis fails substitution) and its
     certificate checked again on the Fraction constraints.  With warm (as
     lp_bound passes) it is solved on the cached integer_system, trying
-    warm's bases before the float-chosen one.  Either way the result is the
+    warm's bases before the float-chosen one, which like the cold simplex
+    sees only warm's active rows once warm has solved one system.  Either way the result is the
     kernel's record as it is, a Farkas vector in it multiplying the
     build_system constraints, and a feasible witness is the vertex of the
     basis that passed, which below the optimum may differ from the vertex a

@@ -12,6 +12,11 @@ of a basis passes and the order only skips the one that cannot.  Floats
 only choose a basis (Applegate, Cook, Dash and Espinoza, "Exact solutions
 to linear programming problems", 2007): the certificate is always solved
 from it in integers, and one that fails substitution is never returned.
+After its first solve a `WarmStart` runs `float_basis` and `solve` on its
+active rows only, the rows its kept bases bind, and lifts each
+verdict to every row: a Farkas vector is padded with zeros and checked
+again, a witness is substituted into every row and the rows it breaks join
+the active set before it solves again.
 `check_feasible` is the `Fraction` front door: it scales each row by the
 lcm of its denominators and returns what a fresh `WarmStart` solves, so it
 tries the float basis before the kernel.
@@ -220,9 +225,9 @@ def point_from_basis(rows: list[list[int]], senses: Sequence[str], nvars: int,
     The basic structurals are solved on the tight rows; the other
     structurals are zero.
     """
-    cols, tight, _ = basis
-    if len(cols) != len(tight):
+    if not _fits(basis, len(rows), nvars):
         return None
+    cols, tight, _ = basis
     sol = _solve_square([[rows[i][j] for j in cols] for i in tight],
                         [rows[i][-1] for i in tight])
     if sol is None:
@@ -246,9 +251,9 @@ def farkas_from_basis(rows: list[list[int]], senses: Sequence[str], scales: list
     scales), and on the tight rows solves y^T a_j = 0 for each basic
     structural j.
     """
-    cols, tight, arts = basis
-    if len(cols) != len(tight):
+    if not _fits(basis, len(rows), nvars):
         return None
+    cols, tight, arts = basis
     L = lcm(*(scales[i] for i in arts))
     y = [0] * len(rows)
     for i in arts:
@@ -344,25 +349,37 @@ def float_basis(rows: list[list[int]], senses: Sequence[str], scales: list[int],
 
 
 class WarmStart:
-    """Final bases carried across the solves of a sequence of nearby systems.
+    """Final bases and the active rows carried across the solves of a
+    sequence of nearby systems.
 
     `solve` re-solves first the stored basis whose verdict matches the last
     solve (the phase-1 dual of the infeasible basis after an infeasible
     verdict, the vertex of the feasible basis otherwise), then the other
-    one, then the basis `float_basis` picks, its dual first when an
-    artificial is basic in it and its vertex first otherwise.  Each is
-    accepted only after substitution; otherwise it solves cold.  At most
-    one re-solve of a basis can pass (a feasible system has no Farkas
-    vector, an infeasible one no witness), so the order changes no
-    certificate, stored basis or counter.  The basis that passed becomes
-    the stored feasible or infeasible basis.  Both stored bases are dropped
-    when the senses or nvars differ from those of the last solve; bases
-    stored before the first solve are tried on it.
+    one, both on every row.  Otherwise it solves on the active rows only:
+    the basis `float_basis` picks there, its dual first when an artificial
+    is basic in it and its vertex first otherwise, then the cold kernel.
+    At most one re-solve of a basis can pass (a feasible system has no
+    Farkas vector, an infeasible one no witness), so the order changes no
+    certificate, stored basis or counter, and each solve adds one to
+    exactly one counter.
+
+    The active set (delayed constraint generation: Bertsimas and
+    Tsitsiklis, "Introduction to Linear Optimization", 1997, section 6.3)
+    is every row on the first solve; after it, the eq rows plus the tight
+    and artificial rows of every basis kept.  A verdict on the active rows
+    holds on every row: its Farkas vector, padded with zeros, is checked
+    again on every row, and its witness is substituted into every row; the
+    rows the witness breaks join the active set and the solve starts again,
+    until none breaks.  Bases are kept in row indices of the whole system,
+    where an inactive row has its surplus basic.  Both stored bases and the
+    active set are dropped when the senses or nvars differ from those of
+    the last solve; bases stored before the first solve are tried on it.
     """
 
     def __init__(self) -> None:
         self.feasible_basis: Basis | None = None
         self.infeasible_basis: Basis | None = None
+        self.active: tuple[int, ...] | None = None  # the rows solved on; None: every row
         self.warm_feasible = self.warm_infeasible = self.guided = self.cold = 0
         self._last_feasible = True  # the verdict of the last solve
         self._shape: tuple[tuple[str, ...], int] | None = None  # (senses, nvars) of the last solve
@@ -373,7 +390,7 @@ class WarmStart:
         shape = (tuple(senses), nvars)
         if shape != self._shape:
             if self._shape is not None:
-                self.feasible_basis = self.infeasible_basis = None
+                self.feasible_basis = self.infeasible_basis = self.active = None
             self._shape = shape
         stored = ((True, self.feasible_basis), (False, self.infeasible_basis))
         for verdict, basis in stored if self._last_feasible else stored[::-1]:
@@ -384,28 +401,56 @@ class WarmStart:
                 else:
                     self.warm_infeasible += 1
                 return self._keep(res)
-        try:
-            guess = float_basis(rows, senses, scales, nvars)
-        except OverflowError:  # an entry beyond the float range
-            guess = None
-        if guess is not None:
-            dual_first = bool(guess[2])
-            for verdict in (not dual_first, dual_first):
-                if res := _resolve(rows, senses, scales, nvars, guess, verdict):
-                    self.guided += 1
-                    return self._keep(res)
-        sol = solve(rows, senses, scales, nvars)
-        self.cold += 1
-        return self._keep(sol)
+        while True:
+            act = self.active or range(len(rows))
+            sub = [rows[i] for i in act], [senses[i] for i in act], [scales[i] for i in act]
+            try:
+                guess = float_basis(*sub, nvars)
+            except OverflowError:  # an entry beyond the float range
+                guess = None
+            res = None
+            if guess is not None:
+                dual_first = bool(guess[2])
+                for verdict in (not dual_first, dual_first):
+                    if res := _resolve(*sub, nvars, guess, verdict):
+                        break
+            guided = res is not None
+            res = res or solve(*sub, nvars)
+            cols, tight, arts = res.basis
+            basis = (cols, tuple(act[i] for i in tight), tuple(act[i] for i in arts))
+            if not res.feasible:
+                y = [0] * len(rows)
+                for i, v in zip(act, res.farkas):
+                    y[i] = v
+                L = lcm(*(s for v, s in zip(y, scales) if v))
+                if not _is_farkas(rows, senses, nvars, [v * L // s for v, s in zip(y, scales)]):
+                    raise ArithmeticError("a Farkas vector of the active rows fails on the others")
+                res = FeasibilityResult(False, None, tuple(y), basis)
+                break
+            den, nums = over_one_denominator(res.witness)
+            broken = list(_broken(rows, senses, nums, den))
+            if not broken:
+                res = FeasibilityResult(True, res.witness, None, basis)
+                break
+            self.active = tuple(sorted({*act, *broken}))
+        if guided:
+            self.guided += 1
+        else:
+            self.cold += 1
+        return self._keep(res)
 
     def _keep(self, res: FeasibilityResult) -> FeasibilityResult:
-        """Store res's basis as the feasible or the infeasible basis and its
-        verdict as the last one."""
+        """Store res's basis as the feasible or the infeasible basis, its
+        verdict as the last one, and its tight and artificial rows as
+        active."""
         if res.feasible:
             self.feasible_basis = res.basis
         else:
             self.infeasible_basis = res.basis
         self._last_feasible = res.feasible
+        _, tight, arts = res.basis
+        kept = self.active or [i for i, s in enumerate(self._shape[0]) if s == EQ]
+        self.active = tuple(sorted({*kept, *tight, *arts}))
         return res
 
 
@@ -456,16 +501,28 @@ def verify_farkas(constraints: list[Constraint], y: tuple[int, ...]) -> bool:
         [(*c.coeffs, c.rhs) for c in constraints], [c.sense for c in constraints], nvars, y)
 
 
+def _fits(basis: Basis, nrows: int, nvars: int) -> bool:
+    """basis has as many columns as tight rows, and names only columns and
+    rows of a system of nrows rows over nvars columns."""
+    cols, tight, arts = basis
+    return len(cols) == len(tight) and all(0 <= j < nvars for j in cols) and all(
+        0 <= i < nrows for i in (*tight, *arts))
+
+
 def _satisfies(rows, senses, nums, den) -> bool:
     """x = nums / den (den > 0) is >= 0 and satisfies every row [a | b]."""
-    if any(x < 0 for x in nums):
-        return False
-    for row, sense in zip(rows, senses):
-        v = sum(a * x for a, x in zip(row, nums) if x)
+    return all(x >= 0 for x in nums) and next(_broken(rows, senses, nums, den), None) is None
+
+
+def _broken(rows, senses, nums, den):
+    """The indices of the rows [a | b] that x = nums / den (den > 0) breaks,
+    lazily, each row read on the support of x only."""
+    support = [(j, x) for j, x in enumerate(nums) if x]
+    for i, (row, sense) in enumerate(zip(rows, senses)):
+        v = sum(row[j] * x for j, x in support)
         b = row[-1] * den
         if v < b or (sense == EQ and v != b):
-            return False
-    return True
+            yield i
 
 
 def _is_farkas(rows, senses, nvars, y) -> bool:

@@ -65,11 +65,12 @@ def ef_matrices(n: int) -> tuple[Sparse, Sparse]:
             {(m, m + 1): 1 for m in range(n)})
 
 
-def weights(n: int) -> dict[int, int]:
-    """w_i = prod_{m>=i} a_m, the diagonal weight of tr(A* B) in the D frame:
-    p_i w_i is one constant, so diag(w) is D^-2 up to it, in integers."""
+def weights(n: int, top: int | None = None) -> dict[int, int]:
+    """w_i = prod_{i<=m<top} a_m for i <= top (top = n by default), the
+    diagonal weight of tr(A* B) in the D frame: p_i w_i is one constant, so
+    diag(w) is D^-2 up to it, in integers, on the indices up to top."""
     w = [1]
-    for m in reversed(range(n)):
+    for m in reversed(range(n if top is None else top)):
         w.append(w[-1] * (n - m) * (m + 1))
     return dict(enumerate(reversed(w)))
 
@@ -173,12 +174,14 @@ def min_distance(n: int, vectors: list[Su2Vector]) -> int:
         return n + 1
     # <u, X v> = (D^-1 u) . (D X D^-1) (D v), and the error blocks are
     # D X D^-1: D = diag(g_m) with g_m = sqrt(p_m), built as a running
-    # product up to the largest index used.  y = w x is D^-1 u times the
-    # constant p_m w_m, which no zero test or cross-multiplied comparison sees
+    # product up to the largest index used, top, and so is w.  y = w x is
+    # D^-1 u times the constant p_m w_m, which no zero test or
+    # cross-multiplied comparison sees
+    top = max(max(v) for v in vecs)
     g = [SurdSum.rational(1)]
-    for m in range(max(max(v) for v in vecs)):
+    for m in range(top):
         g.append(g[-1] * SurdSum.sqrt((n - m) * (m + 1)))
-    w = weights(n)
+    w = weights(n, top)
     xs = [{m: g[m] * u for m, u in v.items()} for v in vecs]
     ys = [{m: a * w[m] for m, a in x.items()} for x in xs]
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdelsarte import su2
 from qdelsarte.linalg import sp_mul, sp_sub
 from qdelsarte.scalars import SurdSum
 from qdelsarte.su2 import (
@@ -63,13 +64,15 @@ class TestRepresentation:
         assert wdot(sp_mat_vec(E, u), v) == wdot(u, sp_mat_vec(Fm, v))
 
     def test_weights_are_inverse_to_the_frame(self):
-        # p_m w_m = w_0, p_m = D_m^2 = prod_{k<m} a_k
+        # p_m w_m = w_0, p_m = D_m^2 = prod_{k<m} a_k, on the indices up to top
         for n in range(1, 13):
-            w, p = frame_weights(n), 1
-            assert sorted(w) == list(range(n + 1)) and w[n] == 1
-            for m in range(n + 1):
-                assert p * w[m] == w[0], (n, m)
-                p *= (n - m) * (m + 1)
+            assert frame_weights(n) == frame_weights(n, n)
+            for top in range(n + 1):
+                w, p = frame_weights(n, top), 1
+                assert sorted(w) == list(range(top + 1)) and w[top] == 1
+                for m in range(top + 1):
+                    assert p * w[m] == w[0], (n, top, m)
+                    p *= (n - m) * (m + 1)
 
     def test_raising_and_lowering_match(self):
         # E|k> = sqrt((n-k)(n+k+2)/4) |k+2>, zero at k = n, and F = E^T on
@@ -174,6 +177,20 @@ class TestMinDistance:
     def test_antipodal_basis_vectors(self):
         # |n> and |-n> differ in H eigenvalue, hence distance 1
         assert min_distance(4, [basis_vector(4, 4), basis_vector(4, -4)]) == 1
+
+    def test_weights_stop_at_the_largest_index_used(self, monkeypatch):
+        # |-n> and |-n+2> sit at the indices 0 and 1: two weights, not n + 1
+        built = []
+        real = su2.weights
+
+        def recording(*args):
+            built.append(w := real(*args))
+            return w
+
+        monkeypatch.setattr(su2, "weights", recording)
+        n = 5000
+        assert min_distance(n, [basis_vector(n, -n), basis_vector(n, 2 - n)]) == 1
+        assert [sorted(w) for w in built] == [[0, 1]]
 
     def test_non_orthogonal_rejected(self):
         v = basis_vector(4, 0)

@@ -407,48 +407,186 @@ def test_a_float_basis_is_never_trusted(flags):
     assert res.stdout.split() == ["checked", "16"]
 
 
+@pytest.mark.parametrize("spec,d,opts,lower,upper,exact", [
+    (Su2(12), 4, SD, "1", "1", True),
+    (Spinorial(40), 3, LPOptions(), "46720674694436317334886947/144115188075855872",
+     "23360337347218708423257361/72057594037927936", False),
+], ids=["su2-12", "spin40"])
+def test_rows_a_witness_breaks_join_the_active_set(spec, d, opts, lower, upper, exact,
+                                                   monkeypatch):
+    # a witness of the active rows is substituted into every row; the rows it
+    # breaks (never active ones) join the set and the probe solves again
+    real_solve, real_float, real_broken = (simplex.WarmStart.solve, simplex.float_basis,
+                                           simplex._broken)
+    now = {}  # the rows of the solve under way and the row lists float_basis got
+    grown = []  # (rows solved on, rows broken, rows solved on next, active set after)
+
+    def solve(self, rows, *args):
+        now.update(rows=rows, subs=[], broken=[])
+        res = real_solve(self, rows, *args)
+        index = {id(row): i for i, row in enumerate(rows)}
+        subs = [{index[id(row)] for row in sub} for sub in now["subs"]]
+        # every attempt but the last broke rows; the last broke none, or was
+        # infeasible and substituted nothing
+        assert len(subs) - 1 <= len(now["broken"]) <= len(subs)
+        assert not any(now["broken"][len(subs) - 1:])
+        grown.extend((a, set(b), c, set(self.active))
+                     for a, b, c in zip(subs, now["broken"], subs[1:]))
+        return res
+
+    def float_basis(rows, *args):
+        now["subs"].append(rows)
+        return real_float(rows, *args)
+
+    def broken(rows, *args):
+        out = list(real_broken(rows, *args))
+        if rows is now.get("rows") and now["subs"]:  # a witness of the active rows
+            now["broken"].append(out)
+        yield from out
+
+    monkeypatch.setattr(simplex.WarmStart, "solve", solve)
+    monkeypatch.setattr(simplex, "float_basis", float_basis)
+    monkeypatch.setattr(simplex, "_broken", broken)
+    res = lp_bound(spec, d, opts)
+    assert (format_fraction(res.lower), format_fraction(res.upper), res.exact) == \
+        (lower, upper, exact)
+    assert grown
+    system = integer_system(spec, d, opts)
+    for before, rows, after, active in grown:
+        assert rows and not rows & before and after == before | rows and after <= active
+        assert all(system.senses[i] == simplex.GE for i in rows)
+
+
+def test_a_float_basis_naming_inactive_rows_is_rejected(monkeypatch):
+    # the float phase runs on the active rows; a guess naming a row beyond
+    # them yields neither certificate, and the probe solves cold
+    spec, d, opts = Su2(8), 3, SD
+    system = integer_system(spec, d, opts)
+    n = len(system.senses)
+    fb, _ = final_bases(spec, d, opts, F(2), F(3))
+    outside = (fb[0], tuple(range(n - len(fb[0]), n)), ())
+    shapes = []
+
+    def guess(rows, *args):
+        shapes.append(len(rows))
+        return outside
+
+    for K in (F(2), F(41, 20), F(3), F(5)):
+        warm = WarmStart()
+        assert feasible(spec, d, F(1), opts, warm).feasible
+        assert max(warm.active) < n - 1 and len(warm.active) < n - len(fb[0])
+        warm.feasible_basis = warm.infeasible_basis = None
+        with patch.object(simplex, "float_basis", guess):
+            rep = feasible(spec, d, K, opts, warm)
+        assert rep.feasible == cold_report(spec, d, K, opts).feasible
+        check_report(spec, d, K, opts, rep)
+        assert warm.guided == 1 and warm.cold == 1 and shapes[-1] < n
+
+
+@pytest.mark.parametrize("spec,d,opts", SYSTEMS)
+def test_the_front_door_solves_on_every_row(spec, d, opts, monkeypatch):
+    # a fresh WarmStart's first solve has every row active
+    system = integer_system(spec, d, opts)
+    n = len(system.senses)
+    shapes = counting_calls(monkeypatch, "float_basis")
+    for K in (F(profile(spec).dim_H, 2) + F(1, 7), F(profile(spec).dim_H), F(3, 2)):
+        front = feasible(spec, d, K, opts)
+        rows, scales = system.at(K)
+        fresh, every = WarmStart(), WarmStart()
+        every.active = tuple(range(n))
+        for warm in (fresh, every):
+            assert warm.solve(rows, system.senses, scales, system.nvars) == front
+        assert [len(args[0]) for args in shapes] == [n, n, n]
+        shapes.clear()
+        # the first solve keeps the eq rows and the rows its basis binds
+        _, tight, arts = front.basis
+        eq = {i for i, sense in enumerate(system.senses) if sense == simplex.EQ}
+        assert set(fresh.active) == eq | set(tight) | set(arts)
+
+
+def test_clifford_even_31_at_distance_9_keeps_its_bracket():
+    # about 200 s when every probe solved all 64 rows, 0.3 s on the active rows
+    res = lp_bound(CliffordEven(31), 9)
+    assert (format_fraction(res.lower), format_fraction(res.upper), res.exact) == (
+        "938023311583539593/281474976710656", "117252914216377905/35184372088832", False)
+
+
 def reference_solve(self, rows, senses, scales, nvars):
     """`WarmStart.solve` with one fixed attempt order, whatever the last
-    verdict and the float basis: the vertex of the last feasible basis, the
-    dual of the last infeasible basis, the vertex and then the dual of the
-    float basis, and a cold solve."""
+    verdict and the float basis: on every row the vertex of the last
+    feasible basis and the dual of the last infeasible basis, then on the
+    active rows the vertex and then the dual of the float basis, and a cold
+    solve, again with the rows a witness breaks added until it breaks none.
+    One system shape only."""
     simplex._check_shape(rows, senses, scales, nvars)
+    res = None
     if self.feasible_basis is not None:
         point = simplex.point_from_basis(rows, senses, nvars, self.feasible_basis)
         if point is not None:
             self.warm_feasible += 1
-            return simplex.FeasibilityResult(True, point, None, self.feasible_basis)
-    if self.infeasible_basis is not None:
+            res = simplex.FeasibilityResult(True, point, None, self.feasible_basis)
+    if res is None and self.infeasible_basis is not None:
         y = simplex.farkas_from_basis(rows, senses, scales, nvars, self.infeasible_basis)
         if y is not None:
             self.warm_infeasible += 1
-            return simplex.FeasibilityResult(False, None, y, self.infeasible_basis)
-    try:
-        guess = simplex.float_basis(rows, senses, scales, nvars)
-    except OverflowError:  # an entry beyond the float range
-        guess = None
-    if guess is not None:
-        point = simplex.point_from_basis(rows, senses, nvars, guess)
-        if point is not None:
-            self.guided += 1
-            self.feasible_basis = guess
-            return simplex.FeasibilityResult(True, point, None, guess)
-        y = simplex.farkas_from_basis(rows, senses, scales, nvars, guess)
-        if y is not None:
-            self.guided += 1
-            self.infeasible_basis = guess
-            return simplex.FeasibilityResult(False, None, y, guess)
-    sol = simplex.solve(rows, senses, scales, nvars)
-    self.cold += 1
-    if sol.feasible:
-        self.feasible_basis = sol.basis
+            res = simplex.FeasibilityResult(False, None, y, self.infeasible_basis)
+    if res is None:
+        res = reference_active_solve(self, rows, senses, scales, nvars)
+    if res.feasible:
+        self.feasible_basis = res.basis
     else:
-        self.infeasible_basis = sol.basis
-    return sol
+        self.infeasible_basis = res.basis
+    kept = set(self.active or (i for i, s in enumerate(senses) if s == simplex.EQ))
+    self.active = tuple(sorted(kept.union(res.basis[1], res.basis[2])))
+    return res
+
+
+def reference_active_solve(self, rows, senses, scales, nvars):
+    """The float-guided or the cold verdict on the active rows (every row
+    before the first solve), with its basis and Farkas vector in row
+    indices of every row; a row its witness breaks joins the active rows."""
+    act = list(range(len(rows)) if self.active is None else self.active)
+    while True:
+        sub = ([rows[i] for i in act], [senses[i] for i in act], [scales[i] for i in act])
+        try:
+            guess = simplex.float_basis(*sub, nvars)
+        except OverflowError:  # an entry beyond the float range
+            guess = None
+        res = None
+        if guess is not None:
+            point = simplex.point_from_basis(*sub[:2], nvars, guess)
+            y = None if point is not None else simplex.farkas_from_basis(*sub, nvars, guess)
+            if point is not None:
+                res = simplex.FeasibilityResult(True, point, None, guess)
+            elif y is not None:
+                res = simplex.FeasibilityResult(False, None, y, guess)
+        guided = res is not None
+        res = res or simplex.solve(*sub, nvars)
+        cols, tight, arts = res.basis
+        basis = (cols, tuple(act[i] for i in tight), tuple(act[i] for i in arts))
+        if res.feasible:
+            broken = [i for i, (row, sense) in enumerate(zip(rows, senses))
+                      if (v := sum(a * x for a, x in zip(row, res.witness))) < row[-1]
+                      or (sense == simplex.EQ and v != row[-1])]
+            if broken:
+                assert not set(broken) & set(act)
+                act = sorted(set(act).union(broken))
+                self.active = tuple(act)
+                continue
+            res = simplex.FeasibilityResult(True, res.witness, None, basis)
+        else:
+            y = dict(zip(act, res.farkas))
+            padded = tuple(y.get(i, 0) for i in range(len(rows)))
+            res = simplex.FeasibilityResult(False, None, padded, basis)
+        if guided:
+            self.guided += 1
+        else:
+            self.cold += 1
+        return res
 
 
 def warm_state(warm):
-    return (warm.feasible_basis, warm.infeasible_basis,
+    return (warm.feasible_basis, warm.infeasible_basis, warm.active,
             warm.warm_feasible, warm.warm_infeasible, warm.guided, warm.cold)
 
 
@@ -524,16 +662,18 @@ TABLE_SWEEP = tuple(
     for spec in specs for d in (2, 3, 4) if d <= profile(spec).diameter_r + 1)
 
 
-@pytest.mark.parametrize("bounds,squares,floats,probes,settled,vectors", [
+@pytest.mark.parametrize("bounds,squares,floats,rows,probes,settled,vectors", [
     (tuple((spec, d, opts, F(1, 2000), False) for spec, d, opts in TABLE_SWEEP),
-     928, 102, 793, 421, 546),
-    (tuple(case[:5] for case in LP_BOUNDS), 156, 19, 104, 20, 20),
+     935, 109, 772, 793, 421, 546),
+    (tuple(case[:5] for case in LP_BOUNDS), 155, 18, 157, 104, 20, 20),
 ], ids=["table-sweep", "lp-bounds"])
-def test_bounds_keep_their_amount_of_work(bounds, squares, floats, probes, settled, vectors,
-                                          monkeypatch):
+def test_bounds_keep_their_amount_of_work(bounds, squares, floats, rows, probes, settled,
+                                          vectors, monkeypatch):
     # before probes were settled in closed form: 1,214 and 124 LP probes,
     # 217 and 30 float bases, at most 1,850 and 215 square re-solves
-    # (2,305 and 240 when every probe tried the feasible basis first)
+    # (2,305 and 240 when every probe tried the feasible basis first); before
+    # the float basis and the cold kernel solved on the active rows only:
+    # 928 and 156 square re-solves, 102 and 19 float bases of 944 and 320 rows
     square_calls = counting_calls(monkeypatch, "_solve_square")
     guesses = counting_calls(monkeypatch, "float_basis")
     colds = counting_cold_solves(monkeypatch)
@@ -551,6 +691,7 @@ def test_bounds_keep_their_amount_of_work(bounds, squares, floats, probes, settl
         lp_bound(spec, d, opts, tol=tol, integer=integer)
     assert len(TABLE_SWEEP) == 64
     assert (len(square_calls), len(guesses), len(lp_probes)) == (squares, floats, probes)
+    assert sum(len(args[0]) for args in guesses) == rows
     assert sum(rep is not None for rep in verdicts) == settled and colds == []
     # the distance-2 vector is skipped at or below a K where it failed
     assert len(tries) == vectors
