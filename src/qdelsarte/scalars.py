@@ -12,7 +12,6 @@ projectors, are (re, im) pairs of ints in `linalg`.
 
 from __future__ import annotations
 
-import decimal
 from collections.abc import Collection
 from fractions import Fraction
 from math import gcd, lcm
@@ -57,41 +56,7 @@ def parse_fraction(text: str) -> Fraction:
 
 def format_fraction(x: Fraction) -> str:
     x = Fraction(x)
-    num = _int_str(x.numerator)
-    return num if x.denominator == 1 else f"{num}/{_int_str(x.denominator)}"
-
-
-# str(n) is quadratic in the digits under CPython 3.11; past about this many
-# bits the conversion through decimal below is faster (1.6 against 1.2 ms at
-# 2^15 bits, 1.45 s against 0.10 s at 10^6 bits, on a 2-vCPU x86_64 VM)
-DECIMAL_STR_BITS = 1 << 15
-
-
-def _int_str(n: int) -> str:
-    """str(n), through decimal.Decimal above DECIMAL_STR_BITS bits: n is
-    split by powers of two, down to pieces of 1,024 bits, and put together
-    again with libmpdec's subquadratic products at the largest precision,
-    where an inexact step would raise (the method of CPython 3.12's
-    `_pylong`)."""
-    m = abs(n)
-    if m.bit_length() <= DECIMAL_STR_BITS:
-        return str(n)
-    powers: dict[int, decimal.Decimal] = {}  # w -> 2^w
-
-    def convert(m: int, w: int) -> decimal.Decimal:
-        """m < 2^w as a Decimal."""
-        if w <= 1024:
-            return decimal.Decimal(m)
-        h = w >> 1
-        if h not in powers:
-            powers[h] = decimal.Decimal(2) ** h
-        return convert(m >> h, w - h) * powers[h] + convert(m & ((1 << h) - 1), h)
-
-    with decimal.localcontext() as ctx:
-        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
-        digits = str(convert(m, m.bit_length()))
-    return "-" + digits if n < 0 else digits
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def over_one_denominator(row: Collection[int | Fraction]) -> tuple[int, tuple[int, ...]]:

@@ -15,8 +15,8 @@ from it in integers, and one that fails substitution is never returned.
 After its first solve a `WarmStart` runs `float_basis` and `solve` on its
 active rows only, the rows its kept bases bind, and lifts each
 verdict to every row: a Farkas vector is padded with zeros and checked
-again, a witness is substituted into every row and the rows it breaks join
-the active set before it solves again.
+again, a witness is substituted into the inactive rows and the rows it
+breaks join the active set before it solves again.
 `check_feasible` is the `Fraction` front door: it scales each row by the
 lcm of its denominators and returns what a fresh `WarmStart` solves, so it
 tries the float basis before the kernel.
@@ -366,12 +366,13 @@ class WarmStart:
     The active set (delayed constraint generation: Bertsimas and
     Tsitsiklis, "Introduction to Linear Optimization", 1997, section 6.3)
     is every row on the first solve; after it, the eq rows plus the tight
-    and artificial rows of every basis kept.  A verdict on the active rows
-    holds on every row: its Farkas vector, padded with zeros, is checked
-    again on every row, and its witness is substituted into every row; the
-    rows the witness breaks join the active set and the solve starts again,
-    until none breaks.  Bases are kept in row indices of the whole system,
-    where an inactive row has its surplus basic.  Both stored bases and the
+    and artificial rows of every basis kept.  A verdict on the active rows,
+    when they are not every row, is lifted to every row: its Farkas vector,
+    padded with zeros, is checked again on every row, and its witness,
+    already substituted into the active rows, is substituted into the
+    others; the rows it breaks join the active set and the solve starts
+    again, until none breaks.  Bases are kept in row indices of the whole
+    system, where an inactive row has its surplus basic.  Both stored bases and the
     active set are dropped when the senses or nvars differ from those of
     the last solve; bases stored before the first solve are tried on it.
     """
@@ -416,6 +417,8 @@ class WarmStart:
                         break
             guided = res is not None
             res = res or solve(*sub, nvars)
+            if len(act) == len(rows):  # checked on every row already
+                break
             cols, tight, arts = res.basis
             basis = (cols, tuple(act[i] for i in tight), tuple(act[i] for i in arts))
             if not res.feasible:
@@ -428,7 +431,8 @@ class WarmStart:
                 res = FeasibilityResult(False, None, tuple(y), basis)
                 break
             den, nums = over_one_denominator(res.witness)
-            broken = list(_broken(rows, senses, nums, den))
+            rest = sorted(set(range(len(rows))).difference(act))
+            broken = list(_broken(rows, senses, nums, den, rest))
             if not broken:
                 res = FeasibilityResult(True, res.witness, None, basis)
                 break
@@ -514,14 +518,16 @@ def _satisfies(rows, senses, nums, den) -> bool:
     return all(x >= 0 for x in nums) and next(_broken(rows, senses, nums, den), None) is None
 
 
-def _broken(rows, senses, nums, den):
+def _broken(rows, senses, nums, den, among=None):
     """The indices of the rows [a | b] that x = nums / den (den > 0) breaks,
-    lazily, each row read on the support of x only."""
+    among the indices `among` (every row by default), lazily, each row read
+    on the support of x only."""
     support = [(j, x) for j, x in enumerate(nums) if x]
-    for i, (row, sense) in enumerate(zip(rows, senses)):
+    for i in range(len(rows)) if among is None else among:
+        row = rows[i]
         v = sum(row[j] * x for j, x in support)
         b = row[-1] * den
-        if v < b or (sense == EQ and v != b):
+        if v < b or (senses[i] == EQ and v != b):
             yield i
 
 

@@ -1,7 +1,5 @@
 """Exact scalar types: ring axioms, canonical forms, float agreement."""
 
-import random
-import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -10,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdelsarte.scalars import (
-    DECIMAL_STR_BITS,
     MAX_RADICAND,
     SurdSum,
     _squarefree_split,
@@ -226,30 +223,6 @@ def test_fraction_text_round_trip():
         assert parse_fraction(format_fraction(x)) == x
     assert format_fraction(Fraction(4)) == "4"
     assert format_fraction(Fraction(-1, 3)) == "-1/3"
-
-
-@pytest.fixture
-def unlimited_int_str():
-    """str of an int of any length, as the CLI allows it."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    yield
-    sys.set_int_max_str_digits(limit)
-
-
-def test_large_ints_print_as_str_does(unlimited_int_str):
-    # ints past DECIMAL_STR_BITS go through decimal; the text is str's
-    rng = random.Random(7)
-    ns = [rng.getrandbits(bits) | 1 << (bits - 1)
-          for bits in (DECIMAL_STR_BITS - 1, DECIMAL_STR_BITS, DECIMAL_STR_BITS + 1,
-                       3 * DECIMAL_STR_BITS + 5, 7 * DECIMAL_STR_BITS) for _ in range(3)]
-    ns += [10 ** k - e for k in (9_864, 9_865, 40_000) for e in (0, 1)]
-    assert max(ns).bit_length() > 6 * DECIMAL_STR_BITS
-    assert any(n.bit_length() <= DECIMAL_STR_BITS for n in ns)
-    for n in ns + [-n for n in ns]:
-        assert format_fraction(Fraction(n)) == str(n)
-    for x in (Fraction(-ns[-1], ns[0]), Fraction(ns[0], ns[-3])):
-        assert x.denominator > 1 and format_fraction(x) == f"{x.numerator}/{x.denominator}"
 
 
 def test_parse_zero_denominator_is_value_error():
